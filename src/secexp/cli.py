@@ -23,6 +23,7 @@ from .dists import (
     SizeLimitError,
     SubDist,
     iid_extend,
+    range_alphabet,
     renyi,
     renyi_tilde,
     renyi_tilde_derivative,
@@ -49,6 +50,7 @@ from .hashing import (
     check_balanced,
     check_strongly_universal2,
     check_universal2,
+    fit_toeplitz,
 )
 from .jsonio import InputValidationError, load_channel, load_joint, load_subdist
 from .privacy import best_subset_lower_bound, expected_d1
@@ -152,6 +154,8 @@ def cli():
 @_handle_errors
 def entropy(dist_path, s_values, out):
     """Entropy summary of a distribution (nats)."""
+    if not all(math.isfinite(s) for s in s_values):
+        raise InputValidationError("--s must be a finite number")
     p = load_subdist(dist_path)
     payload = {
         "total": p.total,
@@ -184,6 +188,8 @@ def entropy(dist_path, s_values, out):
 @_handle_errors
 def exponent(dist_path, joint_path, rate, form, out):
     """Exponent and bound evaluations at a given rate."""
+    if not math.isfinite(rate):
+        raise InputValidationError("--R must be a finite number")
     if form == "cond":
         if joint_path is None:
             raise InputValidationError("--joint is required for the cond form")
@@ -269,7 +275,7 @@ def _family_from_flags(kind, q, k, m, big_m, alphabet):
     if big_m is None:
         raise InputValidationError("fully-random family needs --M")
     if alphabet is None:
-        raise InputValidationError("fully-random family needs an input distribution")
+        raise InputValidationError("fully-random family needs an input alphabet (--size)")
     return FullyRandomFamily(alphabet, big_m)
 
 
@@ -294,16 +300,8 @@ def hash_group():
 @_handle_errors
 def hash_check(family, q, k, m, size, big_m, out):
     """Exhaustively check the ensemble conditions of a hash family."""
-    if family == "toeplitz":
-        if q is None or k is None or m is None:
-            raise InputValidationError("toeplitz family needs --q, --k, --m")
-        fam = ToeplitzFamily(q, k, m)
-    else:
-        if size is None or big_m is None:
-            raise InputValidationError("fullrandom family needs --size and --M")
-        from .dists import range_alphabet
-
-        fam = FullyRandomFamily(range_alphabet(size), big_m)
+    alphabet = range_alphabet(size) if size is not None else None
+    fam = _family_from_flags(family, q, k, m, big_m, alphabet)
     rep1 = check_universal2(fam)
     rep2 = check_balanced(fam)
     rep3 = check_strongly_universal2(fam)
@@ -405,13 +403,11 @@ def simulate_wiretap(
         we = we.iid_extend(n)
     ml = big_m * big_l
     base = q if q is not None else 2
-    k_exp = round(math.log(ml, base))
-    m_exp = round(math.log(big_m, base))
-    if base**k_exp != ml or base**m_exp != big_m or not 1 <= m_exp < k_exp:
+    fam = fit_toeplitz(big_m, big_l, base)
+    if fam is None:
         raise InputValidationError(
             f"M={big_m}, L={big_l} do not fit a Toeplitz family over F_{base}"
         )
-    fam = ToeplitzFamily(base, k_exp, m_exp)
     p_mix = SubDist.uniform(wb.input_alphabet)
     payload = {
         "M": big_m,

@@ -22,7 +22,7 @@ from .dists import (
 )
 from .exponents import maximize_on_interval, phi_cond
 from .gf import Module
-from .hashing import HashFamily, ToeplitzFamily
+from .hashing import HashFamily, fit_toeplitz
 from .wiretap import (
     Channel,
     markov_select,
@@ -138,13 +138,10 @@ class DistillationReport:
 
 
 def _default_family(m: int, l: int) -> HashFamily:
-    ml = m * l
-    # Toeplitz needs ML = q^k and M = q^m for one prime power q
     for q in (2, 3, 5, 7):
-        k = round(math.log(ml, q))
-        mm = round(math.log(m, q))
-        if q**k == ml and q**mm == m and 1 <= mm < k:
-            return ToeplitzFamily(q, k, mm)
+        fam = fit_toeplitz(m, l, q)
+        if fam is not None:
+            return fam
     raise ValueError(
         f"no built-in balanced universal_2 family for M={m}, L={l}; pass one explicitly"
     )

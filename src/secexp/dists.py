@@ -35,7 +35,6 @@ __all__ = [
     "renyi",
     "renyi_tilde_derivative",
     "kl_divergence",
-    "cross_entropy",
     "tilt",
     "smooth_truncate",
     "iid_extend",
@@ -202,13 +201,6 @@ class JointDist:
     def independent(cls, pa: SubDist, pe: SubDist) -> "JointDist":
         return cls(pa.alphabet, pe.alphabet, np.outer(pa.mass, pe.mass))
 
-    @classmethod
-    def from_conditional(cls, pe: SubDist, cond) -> "JointDist":
-        """Build P(a, e) = P(e) * P(a|e) from a |A| x |E| conditional matrix."""
-        cond = np.asarray(cond, dtype=float)
-        alpha_a = Alphabet(tuple(str(i) for i in range(cond.shape[0])))
-        return cls(alpha_a, pe.alphabet, cond * pe.mass[None, :])
-
     def marginal_a(self) -> SubDist:
         return SubDist(self.alphabet_a, self.mass.sum(axis=1))
 
@@ -222,9 +214,6 @@ class JointDist:
         pos = pe > 0.0
         out[:, pos] = self.mass[:, pos] / pe[pos]
         return out
-
-    def swapped(self) -> "JointDist":
-        return JointDist(self.alphabet_e, self.alphabet_a, self.mass.T)
 
     def iid_extend(self, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> "JointDist":
         """Product distribution of n independent copies of the pair."""
@@ -325,16 +314,6 @@ def kl_divergence(q: SubDist, p: SubDist) -> float:
     if np.any(pos & (pm <= 0.0)):
         return math.inf
     return float(math.fsum((qm[pos] * np.log(qm[pos] / pm[pos])).tolist()))
-
-
-def cross_entropy(q: SubDist, p: SubDist) -> float:
-    """-sum Q log P, equal to H(Q) + D(Q||P); +inf off the support of P."""
-    _require_same_alphabet(q, p)
-    qm, pm = q.mass, p.mass
-    pos = qm > 0.0
-    if np.any(pos & (pm <= 0.0)):
-        return math.inf
-    return float(-math.fsum((qm[pos] * np.log(pm[pos])).tolist()))
 
 
 def tilt(p: SubDist, s: float) -> SubDist:

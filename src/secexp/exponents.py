@@ -22,7 +22,6 @@ from scipy import optimize as _opt
 from .dists import (
     JointDist,
     SubDist,
-    conditional_shannon_entropy,
     kl_divergence,
     renyi_tilde,
     renyi_tilde_derivative,
@@ -464,20 +463,6 @@ def conditional_exponent_pinsker(j: JointDist, r: float) -> ExponentResult:
 def conditional_exponent_no_smoothing(j: JointDist, r: float) -> float:
     """(H~_2(A|E) - R)/2: the order-2 bound applied directly, no truncation."""
     return (cond_renyi_tilde(j, 1.0) - r) / 2.0
-
-
-def conditional_entropy_checks(j: JointDist) -> dict:
-    """Diagnostic: the s -> 0 limit of the conditional order-(1+s) entropy
-    against H(A|E), and the t -> 0 slope of phi."""
-    h = conditional_shannon_entropy(j)
-    eps = 1e-6
-    slope_renyi = cond_renyi_tilde(j, eps) / eps
-    slope_phi = -phi_cond(j, eps) / eps
-    return {
-        "h_cond": h,
-        "renyi_limit": slope_renyi,
-        "phi_slope": slope_phi,
-    }
 
 
 def additive_pair_joint(p: SubDist, pe: SubDist | None = None, module=None) -> JointDist:

@@ -74,24 +74,6 @@ class Field:
             return int(_GF4_MUL[a, b])
         return (a * b) % self.q
 
-    def mul_vec(self, a: int, v: np.ndarray) -> np.ndarray:
-        """Scalar times a vector of field elements."""
-        if self.q == 4:
-            return _GF4_MUL[a, v]
-        return (a * v) % self.q
-
-    def add_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.q == 4:
-            return np.bitwise_xor(u, v)
-        return (u + v) % self.q
-
-    def dot(self, u, v) -> int:
-        """Inner product of two digit sequences."""
-        acc = 0
-        for a, b in zip(u, v):
-            acc = self.add(acc, self.mul(int(a), int(b)))
-        return acc
-
 
 @dataclass(frozen=True)
 class Module:

@@ -17,6 +17,7 @@ the test suite.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "FullyRandomFamily",
     "ToeplitzFamily",
     "ExplicitFamily",
+    "fit_toeplitz",
     "NonEnumerableError",
     "Universal2Report",
     "BalancedReport",
@@ -201,6 +203,18 @@ class ToeplitzFamily(HashFamily):
     def _digits_to_output(self, out_digits: np.ndarray) -> np.ndarray:
         weights = self.q ** np.arange(self.m - 1, -1, -1, dtype=np.int64)
         return (out_digits @ weights) + 1
+
+
+def fit_toeplitz(m: int, l: int, q: int) -> ToeplitzFamily | None:
+    """The Toeplitz family over F_q from M*L = q^k inputs onto M = q^m
+    outputs, or None when M and L are not such powers with 1 <= m < k."""
+    if q < 2:
+        return None
+    k = round(math.log(m * l, q))
+    mm = round(math.log(m, q))
+    if q**k != m * l or q**mm != m or not 1 <= mm < k:
+        return None
+    return ToeplitzFamily(q, k, mm)
 
 
 class ExplicitFamily(HashFamily):

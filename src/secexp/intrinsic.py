@@ -12,7 +12,7 @@ that backs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,11 @@ from .dists import (
     renyi_tilde_derivative,
     strings_by_type,
 )
-from .exponents import ExponentResult, maximize_on_interval
+from .exponents import (
+    ExponentResult,
+    cramer_exponent_restricted,
+    maximize_on_interval,
+)
 from .privacy import pushforward
 
 __all__ = [
@@ -190,14 +194,10 @@ def specialized_exponent(p: SubDist, r: float) -> ExponentResult:
     """
     if abs(p.total - 1.0) > 1e-9:
         raise ValueError("requires a probability distribution")
-    fn = lambda s: renyi_tilde(p, s) - s * r
-    s_star, val = maximize_on_interval(fn, 0.0, 1.0)
-    note = None
+    res = cramer_exponent_restricted(p, r)
     if renyi_tilde_derivative(p, 1.0) > r:
-        note = "hypothesis unmet: H~'_2 > R, value not authoritative"
-    return ExponentResult(
-        value=val, argmax=s_star, method="grid+golden[0,1]", note=note
-    )
+        res = replace(res, note="hypothesis unmet: H~'_2 > R, value not authoritative")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +296,10 @@ def check_specialized_identity(p: SubDist, r: float) -> IdentityReport:
         lhs = _constrained_min_ternary(p, r)
     else:
         raise ValueError("identity check is grid-tractable only for 2-3 symbols")
-    fn = lambda s: renyi_tilde(p, s) - s * r
-    _, rhs_restricted = maximize_on_interval(fn, 0.0, 1.0)
+    rhs_restricted = cramer_exponent_restricted(p, r).value
     slope2 = renyi_tilde_derivative(p, 1.0)
     if slope2 <= r:
+        fn = lambda s: renyi_tilde(p, s) - s * r
         _, rhs_unrestricted = maximize_on_interval(fn, 0.0, 100.0)
         disc = max(
             abs(lhs - rhs_restricted), abs(lhs - rhs_unrestricted)

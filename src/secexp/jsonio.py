@@ -17,6 +17,7 @@ then constructed; malformed JSON surfaces the parser's line/column.
 from __future__ import annotations
 
 import json
+import math
 
 import jsonschema
 
@@ -173,9 +174,15 @@ def parse_channel(obj) -> Channel:
 
 
 def _load(path: str):
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise InputValidationError(f"{path}: {text} is not a finite number")
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as e:
             raise InputValidationError(
                 f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"

@@ -10,10 +10,7 @@ compensated summation, so exact results do not depend on evaluation order.
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +45,16 @@ class EnsembleEstimate:
     stderr: float | None
     mode: str
     n_samples: int | None = None
+
+    @classmethod
+    def from_samples(cls, values) -> "EnsembleEstimate":
+        """Sample mean with the standard error from the unbiased variance."""
+        n = len(values)
+        if n < 2:
+            raise ValueError("Monte Carlo mode needs at least 2 samples")
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        return cls(value=mean, stderr=math.sqrt(var / n), mode="mc", n_samples=n)
 
 
 def _as_map(f, size: int) -> np.ndarray:
@@ -107,57 +114,27 @@ def d1_conditional_prime(j: JointDist, f, m: int) -> float:
     return float(math.fsum(np.abs(hashed.mass - ref).ravel().tolist()))
 
 
-def _threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("SECEXP_THREADS", "1"))
-    return max(1, threads)
-
-
-def _exact_seed_values(fam: HashFamily, value_fn, threads: int | None) -> list[float]:
-    """value_fn applied to every seed map, in seed order."""
+def _exact_mean(fam: HashFamily, value_fn) -> float:
+    """Uniform average of value_fn over every seed map, read one map at a time."""
     if fam.seed_count * fam.input_alphabet.size > EXACT_WORK_LIMIT:
         raise SizeLimitError(
             "exact mode would exceed the work limit; use Monte Carlo mode"
         )
     fam.require_enumerable()
-    n_threads = _threads(threads)
-    maps = list(fam.iter_maps())
-    if n_threads == 1:
-        return [value_fn(m) for m in maps]
-    chunk = max(1, math.ceil(len(maps) / n_threads))
-    batches = [maps[i : i + chunk] for i in range(0, len(maps), chunk)]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = pool.map(lambda batch: [value_fn(m) for m in batch], batches)
-        return list(itertools.chain.from_iterable(parts))
+    return math.fsum(value_fn(f_map) for f_map in fam.iter_maps()) / fam.seed_count
 
 
 def _ensemble(
-    fam: HashFamily,
-    value_fn,
-    mode: str,
-    n_samples: int,
-    seed: int,
-    threads: int | None,
+    fam: HashFamily, value_fn, mode: str, n_samples: int, seed: int
 ) -> EnsembleEstimate:
     if mode == "exact":
-        values = _exact_seed_values(fam, value_fn, threads)
         return EnsembleEstimate(
-            value=math.fsum(values) / len(values), stderr=None, mode="exact"
+            value=_exact_mean(fam, value_fn), stderr=None, mode="exact"
         )
     if mode == "mc":
-        if n_samples < 2:
-            raise ValueError("Monte Carlo mode needs at least 2 samples")
         rng = np.random.default_rng(seed)
-        values = [
-            value_fn(fam.as_map(fam.sample_seed(rng))) for _ in range(n_samples)
-        ]
-        mean = math.fsum(values) / n_samples
-        var = math.fsum((v - mean) ** 2 for v in values) / (n_samples - 1)
-        return EnsembleEstimate(
-            value=mean,
-            stderr=math.sqrt(var / n_samples),
-            mode="mc",
-            n_samples=n_samples,
+        return EnsembleEstimate.from_samples(
+            [value_fn(fam.as_map(fam.sample_seed(rng))) for _ in range(n_samples)]
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -168,15 +145,12 @@ def expected_d1(
     mode: str = "exact",
     n_samples: int = 1000,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EnsembleEstimate:
     """Ensemble average of the hashed source's distance from uniform."""
     if fam.input_alphabet != p.alphabet:
         raise ValueError("family input alphabet must match the distribution")
     m = fam.output_size
-    return _ensemble(
-        fam, lambda f: d1_hashed(p, f, m), mode, n_samples, seed, threads
-    )
+    return _ensemble(fam, lambda f: d1_hashed(p, f, m), mode, n_samples, seed)
 
 
 def expected_d1_conditional(
@@ -185,20 +159,15 @@ def expected_d1_conditional(
     mode: str = "exact",
     n_samples: int = 1000,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EnsembleEstimate:
     """Ensemble average of the conditional distinguishability."""
     if fam.input_alphabet != j.alphabet_a:
         raise ValueError("family input alphabet must match the secret alphabet")
     m = fam.output_size
-    return _ensemble(
-        fam, lambda f: d1_conditional(j, f, m), mode, n_samples, seed, threads
-    )
+    return _ensemble(fam, lambda f: d1_conditional(j, f, m), mode, n_samples, seed)
 
 
-def expected_collision_mass(
-    p: SubDist, fam: HashFamily, threads: int | None = None
-) -> float:
+def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
     """Exact ensemble average of sum_m P(f(A) = m)^2.
 
     This is the collision-mass form e^(-H_2) of the hashed output, the
@@ -211,8 +180,7 @@ def expected_collision_mass(
         q = pushforward(p, f_map, m)
         return float(math.fsum((q.mass**2).tolist()))
 
-    values = _exact_seed_values(fam, value, threads)
-    return math.fsum(values) / len(values)
+    return _exact_mean(fam, value)
 
 
 def _omega_indices(p: SubDist, omega) -> list[int]:

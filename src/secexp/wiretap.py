@@ -28,6 +28,7 @@ from .dists import (
 from .exponents import cond_renyi_tilde, maximize_on_interval, phi_cond
 from .gf import Module
 from .hashing import HashFamily, ToeplitzFamily, check_balanced, check_universal2
+from .privacy import EnsembleEstimate
 
 __all__ = [
     "Channel",
@@ -106,10 +107,6 @@ class Channel:
         self.module = module
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def generic(cls, input_alphabet, output_alphabet, matrix) -> "Channel":
-        return cls(input_alphabet, output_alphabet, matrix)
 
     @classmethod
     def additive(cls, noise: SubDist, module: Module) -> "Channel":
@@ -335,11 +332,17 @@ def eve_distinguishability(code: WiretapCode, we: Channel) -> float:
     return float(math.fsum((np.abs(rows - mix[None, :]) / code.m).ravel().tolist()))
 
 
-def _require_conditions(fam: HashFamily):
+def _require_conditions(p: SubDist, m: int, l: int, fam: HashFamily):
+    """The random-coding ensemble needs a balanced universal_2 family from
+    M*L messages onto M outputs and a probability distribution for codewords."""
     if not check_universal2(fam).passed:
         raise ValueError("hash family is not universal_2")
     if not check_balanced(fam).passed:
         raise ValueError("hash family is not balanced (equal preimages required)")
+    if fam.input_alphabet.size != m * l or fam.output_size != m:
+        raise ValueError("family must map M*L messages onto M outputs")
+    if abs(p.total - 1.0) > 1e-12:
+        raise ValueError("codeword distribution must be a probability distribution")
 
 
 def code_from_codebook(
@@ -369,6 +372,17 @@ def code_from_codebook(
     return WiretapCode(m, enc, decoder)
 
 
+def _draw_code(
+    p: SubDist, m: int, l: int, fam: HashFamily, wb: Channel, rng: np.random.Generator
+):
+    codebook = tuple(
+        int(c) for c in rng.choice(p.alphabet.size, size=m * l, p=p.mass)
+    )
+    seed = fam.sample_seed(rng)
+    code = code_from_codebook(codebook, fam.as_map(seed), m, l, wb)
+    return code, codebook, seed
+
+
 def random_wiretap_code(
     p: SubDist, m: int, l: int, fam: HashFamily, wb: Channel, rng: np.random.Generator
 ):
@@ -377,17 +391,8 @@ def random_wiretap_code(
     Returns (code, codebook, seed).  The family must be universal_2 and
     balanced; codewords are drawn i.i.d. from p.
     """
-    _require_conditions(fam)
-    if fam.input_alphabet.size != m * l or fam.output_size != m:
-        raise ValueError("family must map M*L messages onto M outputs")
-    if abs(p.total - 1.0) > 1e-12:
-        raise ValueError("codeword distribution must be a probability distribution")
-    codebook = tuple(
-        int(c) for c in rng.choice(p.alphabet.size, size=m * l, p=p.mass)
-    )
-    seed = fam.sample_seed(rng)
-    code = code_from_codebook(codebook, fam.as_map(seed), m, l, wb)
-    return code, codebook, seed
+    _require_conditions(p, m, l, fam)
+    return _draw_code(p, m, l, fam, wb, rng)
 
 
 @dataclass(frozen=True)
@@ -414,12 +419,8 @@ def wiretap_ensemble_exact(
     Codebooks are weighted by their i.i.d. probability under p; seeds are
     uniform.  Zero-probability codebooks are skipped.
     """
-    _require_conditions(fam)
+    _require_conditions(p, m, l, fam)
     ml = m * l
-    if fam.input_alphabet.size != ml or fam.output_size != m:
-        raise ValueError("family must map M*L messages onto M outputs")
-    if abs(p.total - 1.0) > 1e-12:
-        raise ValueError("codeword distribution must be a probability distribution")
     nx = p.alphabet.size
     n_seeds = fam.seed_count
     if (nx**ml) * n_seeds > ENSEMBLE_COMBO_LIMIT:
@@ -459,26 +460,20 @@ def wiretap_ensemble_mc(
 ):
     """Monte Carlo estimate of the ensemble averages; returns a dict with
     means and standard errors for both metrics."""
-    _require_conditions(fam)
+    _require_conditions(p, m, l, fam)
     rng = np.random.default_rng(seed)
     eps_vals, d1_vals = [], []
     for _ in range(n_samples):
-        code, _, _ = random_wiretap_code(p, m, l, fam, wb, rng)
+        code, _, _ = _draw_code(p, m, l, fam, wb, rng)
         eps_vals.append(error_prob(code, wb))
         d1_vals.append(eve_distinguishability(code, we))
-
-    def stats(vals):
-        mean = math.fsum(vals) / len(vals)
-        var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-        return mean, math.sqrt(var / len(vals))
-
-    eps_mean, eps_se = stats(eps_vals)
-    d1_mean, d1_se = stats(d1_vals)
+    eps = EnsembleEstimate.from_samples(eps_vals)
+    d1 = EnsembleEstimate.from_samples(d1_vals)
     return {
-        "eps": eps_mean,
-        "eps_stderr": eps_se,
-        "d1": d1_mean,
-        "d1_stderr": d1_se,
+        "eps": eps.value,
+        "eps_stderr": eps.stderr,
+        "d1": d1.value,
+        "d1_stderr": d1.stderr,
         "n_samples": n_samples,
     }
 

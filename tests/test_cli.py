@@ -290,3 +290,30 @@ class TestErrorsAndDeterminism:
     def test_exponent_runs_byte_identical(self, runner, bern_file):
         args = ["exponent", "--dist", bern_file, "--R", "0.3", "--form", "universal"]
         assert runner.invoke(cli, args).output == runner.invoke(cli, args).output
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_entropy_rejects_nonfinite_mass(self, runner, tmp_path, number):
+        path = tmp_path / "p.json"
+        path.write_text('{"alphabet": ["a", "b"], "mass": [%s, 0.5]}' % number)
+        res = runner.invoke(cli, ["entropy", "--dist", str(path)])
+        assert res.exit_code == 2
+        assert "not a finite number" in res.output
+
+    def test_simulate_pa_rejects_nan_mass(self, runner, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"alphabet": ["a", "b"], "mass": [NaN, 0.5]}')
+        res = runner.invoke(cli, ["simulate", "pa", "--dist", str(path), "--M", "2"])
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("form", ["universal", "divergence"])
+    def test_exponent_rejects_nan_rate(self, runner, bern_file, form):
+        res = runner.invoke(
+            cli, ["exponent", "--dist", bern_file, "--R", "nan", "--form", form]
+        )
+        assert res.exit_code == 2
+
+    def test_entropy_rejects_nan_order(self, runner, bern_file):
+        res = runner.invoke(cli, ["entropy", "--dist", bern_file, "--s", "nan"])
+        assert res.exit_code == 2

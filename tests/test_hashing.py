@@ -13,6 +13,7 @@ from secexp.hashing import (
     check_balanced,
     check_strongly_universal2,
     check_universal2,
+    fit_toeplitz,
 )
 
 
@@ -112,6 +113,22 @@ class TestToeplitzEval:
             ToeplitzFamily(2, 2, 2)
         with pytest.raises(ValueError):
             ToeplitzFamily(2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "m, l, q, shape",
+        [
+            (2, 2, 2, (2, 2, 1)),
+            (4, 2, 2, (2, 3, 2)),
+            (3, 9, 3, (3, 3, 1)),
+            (3, 2, 2, None),  # M not a power of q
+            (2, 3, 2, None),  # M*L not a power of q
+            (4, 1, 2, None),  # needs m < k
+            (2, 2, 1, None),  # no field of size 1
+        ],
+    )
+    def test_fit_toeplitz(self, m, l, q, shape):
+        fam = fit_toeplitz(m, l, q)
+        assert (None if fam is None else (fam.q, fam.k, fam.m)) == shape
 
 
 def all_toeplitz_instances():

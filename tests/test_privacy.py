@@ -81,12 +81,11 @@ class TestExpectedD1Oracle:
         u = SubDist.uniform(fam.input_alphabet)
         assert expected_d1(u, fam).value == pytest.approx(0.0, abs=1e-15)
 
-    def test_threads_do_not_change_result(self):
+    def test_exact_is_fsum_over_seeds(self):
         p = skew3()
         fam = FullyRandomFamily(p.alphabet, 2)
-        v1 = expected_d1(p, fam, threads=1).value
-        v3 = expected_d1(p, fam, threads=3).value
-        assert v1 == v3
+        values = [d1_hashed(p, fam.as_map(seed), 2) for seed in fam.iter_seeds()]
+        assert expected_d1(p, fam).value == math.fsum(values) / fam.seed_count
 
     def test_work_limit(self):
         fam = FullyRandomFamily(range_alphabet(12), 4)

@@ -290,8 +290,12 @@ class TestRandomCodingEnsemble:
         alph3 = range_alphabet(4)
         fam = FullyRandomFamily(alph3, 2)  # not balanced
         u = SubDist.uniform(Alphabet(("0", "1")))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not balanced"):
             wiretap_ensemble_exact(u, 2, 2, fam, bsc(0.1), bsc(0.3))
+        with pytest.raises(ValueError, match="not balanced"):
+            wiretap_ensemble_mc(u, 2, 2, fam, bsc(0.1), bsc(0.3), n_samples=10)
+        with pytest.raises(ValueError, match="not balanced"):
+            random_wiretap_code(u, 2, 2, fam, bsc(0.1), np.random.default_rng(0))
 
     def test_mc_tracks_exact(self):
         p, m, l, fam, wb, we = exhaustive_instances()[0]
