@@ -394,6 +394,8 @@ def simulate_wiretap(
     wb_path, we_path, big_m, big_l, n, mode, samples, q, seed, out
 ):
     """Random wiretap codes: exact ensemble or sampled, with both bounds."""
+    if n < 1:
+        raise InputValidationError("--n must be at least 1")
     wb = load_channel(wb_path)
     we = load_channel(we_path)
     if wb.input_alphabet != we.input_alphabet:

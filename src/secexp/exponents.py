@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _opt
 
 from .dists import (
     JointDist,
@@ -52,6 +51,7 @@ __all__ = [
 
 GRID_INTERVALS = 1024
 GOLDEN_TOL = 1e-10
+TILT_CAP = 1e6  # largest tilt order tried before the top-atom branch
 
 
 @dataclass(frozen=True)
@@ -178,55 +178,61 @@ def _tilt_entropy(p: SubDist, s: float) -> float:
     return shannon_entropy(tilt(p, s))
 
 
-def _tilted_witness(p: SubDist, r: float, s_hi: float = 1e6) -> tuple[float, SubDist] | None:
-    """Find s >= 0 with H(tilt(p, s)) = r by bisection; None if unreachable.
+def _bisect_entropy(family, r: float, hi: float) -> float:
+    """The t in [0, hi] with H(family(t)) = r, for entropy nonincreasing in t."""
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if shannon_entropy(family(mid)) > r:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _tilted_witness(p: SubDist, r: float) -> tuple[float, SubDist] | None:
+    """Find s >= 0 with H(tilt(p, s)) = r by bisection; None if unreachable
+    below TILT_CAP.
 
     The entropy of the tilted family is nonincreasing in s, so bisection is
     valid whenever the target is bracketed.
     """
     if _tilt_entropy(p, 0.0) <= r:
         return 0.0, tilt(p, 0.0)
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while _tilt_entropy(p, hi) > r:
-        hi *= 2.0
-        if hi > s_hi:
+        if hi >= TILT_CAP:
             return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _tilt_entropy(p, mid) > r:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
+        hi = min(2.0 * hi, TILT_CAP)
+    s = _bisect_entropy(lambda t: tilt(p, t), r, hi)
     return s, tilt(p, s)
 
 
-def _binary_divergence_scan(p: SubDist, r: float) -> tuple[float, SubDist]:
-    """Dense 1-D scan over Bernoulli(q) with nested refinement."""
-    alph = p.alphabet
+def _top_atom_witness(p: SubDist, r: float) -> SubDist:
+    """Mix the point mass at the first largest atom into tilt(p, TILT_CAP)
+    until the entropy falls to r.
 
-    def objective(q: float) -> float:
-        cand = SubDist(alph, np.array([q, 1.0 - q]))
-        if shannon_entropy(cand) > r + 1e-13:
-            return math.inf
-        return kl_divergence(cand, p)
-
-    lo, hi, num = 0.0, 1.0, 4001
-    best_q, best_v = 0.0, math.inf
-    for _ in range(5):
-        qs = np.linspace(lo, hi, num)
-        vals = [objective(float(q)) for q in qs]
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_v, best_q = vals[i], float(qs[i])
-        step = (hi - lo) / (num - 1)
-        lo = max(0.0, best_q - 10 * step)
-        hi = min(1.0, best_q + 10 * step)
-    return best_v, SubDist(alph, np.array([best_q, 1.0 - best_q]))
+    Along the mixture the entropy is concave, zero at the point mass, and
+    has slope -H(T) - log max T <= 0 at the tilt T, so it decreases and the
+    weight can be bisected.  D(Q||P) exceeds the lower bound -log max P - r
+    by sum Q(a) log(max P / P(a)) <= (|A| - 1) / (e (1 + TILT_CAP)), and by
+    nothing when the atoms T keeps tie.
+    """
+    top = np.zeros(p.alphabet.size)
+    top[int(np.argmax(p.mass))] = 1.0
+    flat = tilt(p, TILT_CAP).mass
+    mix = lambda w: SubDist(p.alphabet, w * top + (1.0 - w) * flat)
+    return mix(_bisect_entropy(mix, r, 1.0))
 
 
 def _projected_divergence_search(p: SubDist, r: float, restarts: int = 8) -> tuple[float, SubDist] | None:
-    """Constrained minimization of D(Q||P) s.t. H(Q) <= R from random restarts."""
+    """Constrained minimization of D(Q||P) s.t. H(Q) <= R from random restarts.
+
+    A test oracle for `divergence_exponent`, which never calls it; it is the
+    only user of scipy.
+    """
+    from scipy import optimize
+
     n = p.alphabet.size
     supp = p.mass > 0.0
     rng = np.random.default_rng(7)
@@ -251,7 +257,7 @@ def _projected_divergence_search(p: SubDist, r: float, restarts: int = 8) -> tup
     k = int(supp.sum())
     for _ in range(restarts):
         x0 = rng.dirichlet(np.ones(k))
-        res = _opt.minimize(
+        res = optimize.minimize(
             f,
             x0,
             method="SLSQP",
@@ -271,12 +277,13 @@ def _projected_divergence_search(p: SubDist, r: float, restarts: int = 8) -> tup
 
 
 def divergence_exponent(p: SubDist, r: float) -> ExponentResult:
-    """min over Q with H(Q) <= R of D(Q||P).
+    """min over Q with H(Q) <= R of D(Q||P), solved exactly.
 
-    The primary candidate is the tilted family through P (its member with
-    entropy exactly R solves the constrained problem for full-support P);
-    binary alphabets are cross-checked by a dense scan and larger alphabets
-    by a constrained-optimizer search, keeping the best feasible candidate.
+    The minimizer is the member of the tilted family P^(1+s)/Z with entropy
+    R: for any feasible Q, D(Q||P) - D(Q_s||P) = [s(R - H(Q)) + D(Q||Q_s)] /
+    (1+s) >= 0.  When the tilt cannot reach R by TILT_CAP (R below the log
+    of the number of tied largest atoms), mixing a point mass into the tilt
+    meets the bound -log max P - R (`top-atoms`; exact under exact ties).
     """
     if abs(p.total - 1.0) > 1e-9:
         raise ValueError("exponent requires a probability distribution")
@@ -286,27 +293,16 @@ def divergence_exponent(p: SubDist, r: float) -> ExponentResult:
         return ExponentResult(
             value=0.0, argmax=0.0, method="feasible-at-P", witness=p
         )
-    candidates: list[tuple[float, SubDist, float | None, str]] = []
     path = _tilted_witness(p, r)
     if path is not None:
         s, q = path
-        candidates.append((kl_divergence(q, p), q, s, "tilted-path"))
-    if r == 0.0 or not candidates:
-        # point masses are the only H(Q) = 0 candidates
-        for i in range(p.alphabet.size):
-            if p.mass[i] > 0.0:
-                q = SubDist.point_mass(p.alphabet, p.alphabet.symbols[i])
-                candidates.append((kl_divergence(q, p), q, None, "point-mass"))
-    if p.alphabet.size == 2:
-        val, q = _binary_divergence_scan(p, r)
-        candidates.append((val, q, None, "binary-scan"))
-    elif p.alphabet.size > 2:
-        found = _projected_divergence_search(p, r)
-        if found is not None:
-            candidates.append((found[0], found[1], None, "projected-search"))
-    candidates.sort(key=lambda c: c[0])
-    val, q, s, method = candidates[0]
-    return ExponentResult(value=val, argmax=s, method=method, witness=q)
+        return ExponentResult(
+            value=kl_divergence(q, p), argmax=s, method="tilted-path", witness=q
+        )
+    q = _top_atom_witness(p, r)
+    return ExponentResult(
+        value=kl_divergence(q, p), argmax=None, method="top-atoms", witness=q
+    )
 
 
 def cramer_exponent(p: SubDist, r: float, s_cap: float = 100.0) -> ExponentResult:

@@ -26,11 +26,7 @@ from .dists import (
     renyi_tilde_derivative,
     strings_by_type,
 )
-from .exponents import (
-    ExponentResult,
-    cramer_exponent_restricted,
-    maximize_on_interval,
-)
+from .exponents import ExponentResult, cramer_exponent, cramer_exponent_restricted
 from .privacy import pushforward
 
 __all__ = [
@@ -299,8 +295,7 @@ def check_specialized_identity(p: SubDist, r: float) -> IdentityReport:
     rhs_restricted = cramer_exponent_restricted(p, r).value
     slope2 = renyi_tilde_derivative(p, 1.0)
     if slope2 <= r:
-        fn = lambda s: renyi_tilde(p, s) - s * r
-        _, rhs_unrestricted = maximize_on_interval(fn, 0.0, 100.0)
+        rhs_unrestricted = cramer_exponent(p, r).value
         disc = max(
             abs(lhs - rhs_restricted), abs(lhs - rhs_unrestricted)
         )

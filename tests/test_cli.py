@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import secexp
 from secexp.cli import cli
 
 
@@ -206,6 +210,17 @@ class TestSimulateWiretap:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("uses", ["0", "-3"])
+    def test_rejects_nonpositive_uses(self, runner, channel_files, uses):
+        wb, we = channel_files
+        res = runner.invoke(
+            cli,
+            ["simulate", "wiretap", "--wb", wb, "--we", we, "--M", "2", "--L", "2",
+             "--n", uses],
+        )
+        assert res.exit_code == 2
+        assert "--n must be at least 1" in res.output
+
 
 class TestIntrinsicCommand:
     def test_report(self, runner, bern_file):
@@ -317,3 +332,14 @@ class TestNonFiniteInput:
     def test_entropy_rejects_nan_order(self, runner, bern_file):
         res = runner.invoke(cli, ["entropy", "--dist", bern_file, "--s", "nan"])
         assert res.exit_code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency: a fresh interpreter importing the
+    # CLI must not pull it in
+    src = str(Path(secexp.__file__).resolve().parents[1])
+    code = "import sys, secexp.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -15,6 +15,7 @@ from secexp.dists import (
     shannon_entropy,
 )
 from secexp.exponents import (
+    _projected_divergence_search,
     additive_pair_joint,
     cond_renyi_tilde,
     conditional_exponent_no_smoothing,
@@ -31,7 +32,7 @@ from secexp.exponents import (
     universal_hash_d1_bound,
 )
 
-
+from conftest import random_dist
 
 
 class TestHashBound:
@@ -138,12 +139,44 @@ class TestDivergenceExponent:
             assert res.value == pytest.approx(best, abs=5e-5)
 
     def test_uniform_source_fallback(self):
-        # tilting stays uniform, so the minimizer comes from the fallback
-        # path; for a uniform reference D(Q||u) = log 2 - H(Q), so the
+        # tilting stays uniform, so the minimizer comes from the top-atom
+        # branch; for a uniform reference D(Q||u) = log 2 - H(Q), so the
         # constrained minimum is exactly log 2 - R
         u = SubDist.uniform(range_alphabet(2))
         res = divergence_exponent(u, 0.3)
+        assert res.method == "top-atoms"
         assert res.value == pytest.approx(math.log(2.0) - 0.3, abs=1e-9)
+
+    def test_tied_top_atoms(self):
+        # two tied largest atoms: the tilt flattens onto them at entropy
+        # log 2 > R, so the exact minimum is -log p_max - R
+        p = SubDist(range_alphabet(3), [0.4, 0.4, 0.2])
+        res = divergence_exponent(p, 0.3)
+        assert res.method == "top-atoms"
+        assert res.argmax is None
+        assert res.value == pytest.approx(-math.log(0.4) - 0.3, abs=1e-12)
+        assert shannon_entropy(res.witness) == pytest.approx(0.3, abs=1e-12)
+
+    def test_near_tie_solved_up_to_tilt_cap(self):
+        # the tilt member with entropy R sits at s ~ 9.3e5, between the last
+        # power of two and the cap; the witness must be that member and not
+        # the tilt at the cap, whose entropy is already below R
+        p = SubDist(range_alphabet(3), [0.4, 0.4 - 1e-6, 0.2 + 1e-6])
+        res = divergence_exponent(p, 0.3)
+        assert res.method == "tilted-path"
+        assert shannon_entropy(res.witness) == pytest.approx(0.3, abs=1e-12)
+        assert res.value == pytest.approx(-math.log(0.4) - 0.3, abs=1e-6)
+
+    def test_never_above_constrained_optimizer(self):
+        # the SLSQP search from random restarts is an independent oracle;
+        # the exact path must match or beat every feasible point it finds
+        rng = np.random.default_rng(5)
+        for size in (3, 4, 5, 3, 4):
+            p = random_dist(rng, size)
+            r = float(rng.uniform(0.0, shannon_entropy(p)))
+            oracle = _projected_divergence_search(p, r)
+            assert oracle is not None
+            assert divergence_exponent(p, r).value <= oracle[0] + 1e-12
 
 
 class TestCriticalRate:
