@@ -126,6 +126,18 @@ class Module:
             f.sub(a, b) for a, b in zip(self.digits(i), self.digits(j))
         )
 
+    def sub_table(self) -> np.ndarray:
+        """The difference table: entry [i, j] is the index of i - j."""
+        idx = np.arange(self.size, dtype=np.int64)
+        if self.field.char2:
+            # digitwise XOR on base-2 or base-4 digits is XOR of the indices
+            return idx[:, None] ^ idx[None, :]
+        table = np.zeros((self.size, self.size), dtype=np.int64)
+        for place in self.q ** np.arange(self.n, dtype=np.int64):
+            d = idx // place % self.q
+            table += (d[:, None] - d[None, :]) % self.q * place
+        return table
+
     def neg_idx(self, i: int) -> int:
         f = self.field
         return self.index(f.neg(a) for a in self.digits(i))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,11 @@ __all__ = [
     "WiretapEnsembleResult",
 ]
 
-ENSEMBLE_COMBO_LIMIT = 300_000
+# Exact ensembles refuse more (codebook, seed) entries than this: binary
+# M=2, L=8 (524,288 entries) takes about a second.
+ENSEMBLE_COMBO_LIMIT = 1 << 20
+# Cells of the ensemble kernel's largest arrays per call (see _block_pairs).
+ENSEMBLE_BLOCK_CELLS = 1 << 19
 
 
 class Channel:
@@ -93,6 +97,8 @@ class Channel:
                 f"matrix shape {arr.shape} does not match alphabets "
                 f"({input_alphabet.size}, {output_alphabet.size})"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("transition probabilities must be finite")
         if arr.min(initial=0.0) < -1e-12:
             raise ValueError("negative transition probability")
         np.clip(arr, 0.0, None, out=arr)
@@ -115,14 +121,9 @@ class Channel:
             raise ValueError("noise alphabet must match the module size")
         if abs(noise.total - 1.0) > 1e-12:
             raise ValueError("noise must be a probability distribution")
-        n = module.size
         alph = Alphabet(module.labels())
-        mat = np.zeros((n, n))
-        for x in range(n):
-            for z in range(n):
-                mat[x, z] = noise.mass[module.sub_idx(z, x)]
-        ch = cls(alph, alph, mat, structure=("additive", noise), module=module)
-        return ch
+        mat = noise.mass[module.sub_table().T]
+        return cls(alph, alph, mat, structure=("additive", noise), module=module)
 
     @classmethod
     def general_additive(cls, joint: JointDist, module: Module) -> "Channel":
@@ -142,11 +143,7 @@ class Channel:
                 for z2 in joint.alphabet_e.symbols
             )
         )
-        mat = np.zeros((nx, nx * nz2))
-        for x in range(nx):
-            for z in range(nx):
-                src = module.sub_idx(z, x)
-                mat[x, z * nz2 : (z + 1) * nz2] = joint.mass[src, :]
+        mat = joint.mass[module.sub_table().T].reshape(nx, nx * nz2)
         return cls(
             in_alph, out_alph, mat, structure=("general_additive", joint), module=module
         )
@@ -294,6 +291,8 @@ class WiretapCode:
         dec = np.asarray(decoder, dtype=np.int64)
         if enc.shape[0] != m:
             raise ValueError("need one encoder distribution per message")
+        if not np.isfinite(enc).all():
+            raise ValueError("encoder masses must be finite")
         if enc.min(initial=0.0) < -1e-12:
             raise ValueError("negative encoder mass")
         np.clip(enc, 0.0, None, out=enc)
@@ -372,15 +371,10 @@ def code_from_codebook(
     return WiretapCode(m, enc, decoder)
 
 
-def _draw_code(
-    p: SubDist, m: int, l: int, fam: HashFamily, wb: Channel, rng: np.random.Generator
-):
-    codebook = tuple(
-        int(c) for c in rng.choice(p.alphabet.size, size=m * l, p=p.mass)
-    )
-    seed = fam.sample_seed(rng)
-    code = code_from_codebook(codebook, fam.as_map(seed), m, l, wb)
-    return code, codebook, seed
+def _draw(p: SubDist, ml: int, fam: HashFamily, rng: np.random.Generator):
+    """One codebook drawn i.i.d. from p, then one hash seed."""
+    codebook = rng.choice(p.alphabet.size, size=ml, p=p.mass)
+    return codebook, fam.sample_seed(rng)
 
 
 def random_wiretap_code(
@@ -392,7 +386,46 @@ def random_wiretap_code(
     balanced; codewords are drawn i.i.d. from p.
     """
     _require_conditions(p, m, l, fam)
-    return _draw_code(p, m, l, fam, wb, rng)
+    codebook, seed = _draw(p, m * l, fam, rng)
+    code = code_from_codebook(codebook, fam.as_map(seed), m, l, wb)
+    return code, tuple(int(c) for c in codebook), seed
+
+
+def _pair_metrics(codebooks, maps, m: int, l: int, wb: Channel, we: Channel):
+    """eps and d1 of aligned (codebook, seed map) pairs, as two arrays.
+
+    Row k of `codebooks` is sent through the hash-partition code of row k of
+    `maps` (values 1..M, balanced).  This is `error_prob` and
+    `eve_distinguishability` of `code_from_codebook`, for every row at once:
+    the ML decoder is an argmax over codewords (lowest index on ties) mapped
+    through the seed map, and message i's output rows are the one-hot of the
+    map times W[codebook] / L.
+    """
+    ny = wb.output_alphabet.size
+    scores = np.concatenate((wb.matrix, we.matrix), axis=1)[codebooks]  # P x ML x (Y+Z)
+    best = scores[:, :, :ny].argmax(axis=1)  # P x Y, lowest codeword on ties
+    decoded = np.take_along_axis(maps, best, axis=1)  # P x Y, values 1..M
+    onehot = (maps[:, None, :] == np.arange(1, m + 1)[:, None]).astype(float)
+    rows = onehot @ scores / l  # P x M x (Y+Z)
+    hit = np.take_along_axis(rows[:, :, :ny], (decoded - 1)[:, None, :], axis=1)
+    eps = 1.0 - hit.sum(axis=(1, 2)) / m
+    eve = rows[:, :, ny:]
+    d1 = np.abs(eve - eve.mean(axis=1, keepdims=True)).sum(axis=(1, 2)) / m
+    return eps, d1
+
+
+def _block_pairs(m: int, l: int, wb: Channel, we: Channel) -> int:
+    """Pairs per kernel call: the kernel's largest arrays hold about
+    ML (M + |Y| + |Z|) floats per pair, kept under ENSEMBLE_BLOCK_CELLS."""
+    cells = m * l * (m + wb.output_alphabet.size + we.output_alphabet.size)
+    return max(1, ENSEMBLE_BLOCK_CELLS // cells)
+
+
+def _codebook_digits(codes: np.ndarray, nx: int, ml: int) -> np.ndarray:
+    """Codebook number c as its ML base-|X| digits, most significant first,
+    so that consecutive numbers follow itertools.product order."""
+    powers = nx ** np.arange(ml - 1, -1, -1, dtype=np.int64)
+    return (codes[:, None] // powers) % nx
 
 
 @dataclass(frozen=True)
@@ -404,11 +437,64 @@ class EnsembleEntry:
     d1: float
 
 
-@dataclass(frozen=True)
+class EnsembleEntries:
+    """Read-only sequence of an exact ensemble's entries.
+
+    An `EnsembleEntry` is built on first access and kept, so the same index
+    always gives the same object.
+    """
+
+    __slots__ = ("_result", "_built")
+
+    def __init__(self, result: "WiretapEnsembleResult"):
+        self._result = result
+        self._built: dict[int, EnsembleEntry] = {}
+
+    def __len__(self) -> int:
+        return len(self._result.eps)
+
+    def __getitem__(self, i: int) -> EnsembleEntry:
+        # negative indices and IndexError as for a tuple; iteration relies on
+        # the IndexError past the end
+        i = range(len(self))[i]
+        entry = self._built.get(i)
+        if entry is None:
+            res = self._result
+            cb, seed_index = divmod(i, res.n_seeds)
+            entry = EnsembleEntry(
+                tuple(int(c) for c in res.codebooks[cb]),
+                seed_index,
+                float(res.weight[i]),
+                float(res.eps[i]),
+                float(res.d1[i]),
+            )
+            self._built[i] = entry
+        return entry
+
+
+@dataclass(frozen=True, eq=False)
 class WiretapEnsembleResult:
+    """Exact ensemble averages and one value per entry.
+
+    Entry i pairs the nonzero codebook `codebooks[i // n_seeds]` (in
+    itertools.product order) with seed index `i % n_seeds`; `weight`, `eps`
+    and `d1` are read-only arrays over the entries, and `entries` views them
+    as `EnsembleEntry` objects.
+    """
+
     avg_eps: float
     avg_d1: float
-    entries: tuple[EnsembleEntry, ...]
+    weight: np.ndarray
+    eps: np.ndarray
+    d1: np.ndarray
+    codebooks: np.ndarray
+    n_seeds: int
+    entries: EnsembleEntries = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for arr in (self.weight, self.eps, self.d1, self.codebooks):
+            arr.setflags(write=False)
+        object.__setattr__(self, "entries", EnsembleEntries(self))
 
 
 def wiretap_ensemble_exact(
@@ -417,34 +503,42 @@ def wiretap_ensemble_exact(
     """Exact ensemble averages over all codebooks and all hash seeds.
 
     Codebooks are weighted by their i.i.d. probability under p; seeds are
-    uniform.  Zero-probability codebooks are skipped.
+    uniform.  Zero-probability codebooks are skipped.  Codebooks are
+    enumerated in blocks, each block paired with every seed map.
     """
     _require_conditions(p, m, l, fam)
     ml = m * l
     nx = p.alphabet.size
     n_seeds = fam.seed_count
-    if (nx**ml) * n_seeds > ENSEMBLE_COMBO_LIMIT:
+    n_codebooks = nx**ml
+    if n_codebooks * n_seeds > ENSEMBLE_COMBO_LIMIT:
         raise SizeLimitError("ensemble too large for exact enumeration")
-    maps = list(fam.iter_maps())
-    entries = []
-    eps_terms = []
-    d1_terms = []
-    for codebook in itertools.product(range(nx), repeat=ml):
-        w_cb = float(np.prod(p.mass[list(codebook)]))
-        if w_cb == 0.0:
-            continue
-        for seed_idx, f_map in enumerate(maps):
-            code = code_from_codebook(codebook, f_map, m, l, wb)
-            eps = error_prob(code, wb)
-            d1 = eve_distinguishability(code, we)
-            weight = w_cb / n_seeds
-            entries.append(EnsembleEntry(codebook, seed_idx, weight, eps, d1))
-            eps_terms.append(weight * eps)
-            d1_terms.append(weight * d1)
+    maps = np.array(list(fam.iter_maps()), dtype=np.int64)
+    per_block = max(1, _block_pairs(m, l, wb, we) // n_seeds)
+    codebooks, weights, eps, d1 = [], [], [], []
+    for start in range(0, n_codebooks, per_block):
+        cbs = _codebook_digits(
+            np.arange(start, min(start + per_block, n_codebooks)), nx, ml
+        )
+        w_cb = np.prod(p.mass[cbs], axis=1)
+        keep = w_cb != 0.0
+        cbs = cbs[keep]
+        e, d = _pair_metrics(
+            np.repeat(cbs, n_seeds, axis=0), np.tile(maps, (len(cbs), 1)), m, l, wb, we
+        )
+        codebooks.append(cbs)
+        weights.append(np.repeat(w_cb[keep] / n_seeds, n_seeds))
+        eps.append(e)
+        d1.append(d)
+    weight, eps, d1 = (np.concatenate(a) for a in (weights, eps, d1))
     return WiretapEnsembleResult(
-        avg_eps=math.fsum(eps_terms),
-        avg_d1=math.fsum(d1_terms),
-        entries=tuple(entries),
+        avg_eps=math.fsum((weight * eps).tolist()),
+        avg_d1=math.fsum((weight * d1).tolist()),
+        weight=weight,
+        eps=eps,
+        d1=d1,
+        codebooks=np.concatenate(codebooks),
+        n_seeds=n_seeds,
     )
 
 
@@ -459,16 +553,30 @@ def wiretap_ensemble_mc(
     seed: int = 0,
 ):
     """Monte Carlo estimate of the ensemble averages; returns a dict with
-    means and standard errors for both metrics."""
+    means and standard errors for both metrics.
+
+    Each sample draws a codebook, then a seed, from one random stream; the
+    drawn codes are evaluated together afterwards."""
     _require_conditions(p, m, l, fam)
+    if n_samples < 2:
+        raise ValueError("Monte Carlo mode needs at least 2 samples")
+    ml = m * l
     rng = np.random.default_rng(seed)
-    eps_vals, d1_vals = [], []
-    for _ in range(n_samples):
-        code, _, _ = _draw_code(p, m, l, fam, wb, rng)
-        eps_vals.append(error_prob(code, wb))
-        d1_vals.append(eve_distinguishability(code, we))
-    eps = EnsembleEstimate.from_samples(eps_vals)
-    d1 = EnsembleEstimate.from_samples(d1_vals)
+    codebooks = np.empty((n_samples, ml), dtype=np.int64)
+    maps = np.empty((n_samples, ml), dtype=np.int64)
+    for k in range(n_samples):
+        codebooks[k], s = _draw(p, ml, fam, rng)
+        maps[k] = fam.as_map(s)
+    eps_vals = np.empty(n_samples)
+    d1_vals = np.empty(n_samples)
+    step = _block_pairs(m, l, wb, we)
+    for start in range(0, n_samples, step):
+        block = slice(start, start + step)
+        eps_vals[block], d1_vals[block] = _pair_metrics(
+            codebooks[block], maps[block], m, l, wb, we
+        )
+    eps = EnsembleEstimate.from_samples(eps_vals.tolist())
+    d1 = EnsembleEstimate.from_samples(d1_vals.tolist())
     return {
         "eps": eps.value,
         "eps_stderr": eps.stderr,
@@ -483,13 +591,12 @@ def markov_select(result: WiretapEnsembleResult, slack: float = 1e-12) -> Ensemb
 
     Existence follows from two Markov bounds, each excluding less than half
     of the ensemble mass."""
-    for entry in result.entries:
-        if (
-            entry.eps <= 2.0 * result.avg_eps + slack
-            and entry.d1 <= 2.0 * result.avg_d1 + slack
-        ):
-            return entry
-    raise RuntimeError("no realization within twice both averages; invariant broken")
+    ok = (result.eps <= 2.0 * result.avg_eps + slack) & (
+        result.d1 <= 2.0 * result.avg_d1 + slack
+    )
+    if not ok.any():
+        raise RuntimeError("no realization within twice both averages; invariant broken")
+    return result.entries[int(ok.argmax())]
 
 
 def random_coding_error_bound(wb: Channel, p: SubDist, ml: int) -> float:

@@ -210,6 +210,41 @@ class TestSimulateWiretap:
         )
         assert res.exit_code == 2
 
+    def test_exact_binary_m2_l8(self, runner):
+        # 2^16 codebooks x 8 seeds = 524,288 entries, under the exact limit
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        res = runner.invoke(
+            cli,
+            ["simulate", "wiretap", "--wb", str(inputs / "wb.json"),
+             "--we", str(inputs / "we.json"), "--M", "2", "--L", "8"],
+        )
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["mode"] == "exact"
+        assert payload["eps_b"] <= payload["bound_eps_ensemble"] + 1e-12
+        assert payload["d1"] <= payload["bound_d1_ensemble"] + 1e-12
+        assert payload["selected_eps"] <= 2 * payload["eps_b"] + 1e-12
+        assert payload["selected_d1"] <= 2 * payload["d1"] + 1e-12
+
+    def test_ternary_m2_l8_refused_before_enumeration(self, runner, tmp_path, monkeypatch):
+        # 3^16 codebooks x 8 seeds: exit 3 before any codebook is built
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(secexp.wiretap, "_codebook_digits", no_enumeration)
+        noise = {"alphabet": ["0", "1", "2"], "mass": [0.8, 0.1, 0.1]}
+        path = tmp_path / "w3.json"
+        path.write_text(json.dumps(
+            {"structure": "additive", "noise": noise, "module": {"q": 3, "n": 1}}
+        ))
+        res = runner.invoke(
+            cli,
+            ["simulate", "wiretap", "--wb", str(path), "--we", str(path),
+             "--M", "2", "--L", "8"],
+        )
+        assert res.exit_code == 3, res.output
+        assert "too large for exact enumeration" in res.output
+
     @pytest.mark.parametrize("uses", ["0", "-3"])
     def test_rejects_nonpositive_uses(self, runner, channel_files, uses):
         wb, we = channel_files

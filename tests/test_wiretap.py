@@ -18,7 +18,7 @@ from secexp.figures import (
     example_channel_reported_info,
 )
 from secexp.gf import Module
-from secexp.hashing import FullyRandomFamily, ToeplitzFamily
+from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
     Channel,
     LinearCode,
@@ -110,6 +110,60 @@ class TestChannel:
             assert phi_channel(ext, p3, t) == pytest.approx(
                 3.0 * phi_channel(w, p1, t), abs=1e-12
             )
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_matrix(self, bad):
+        alph = Alphabet(("0", "1"))
+        with pytest.raises(ValueError, match="finite"):
+            Channel(alph, alph, [[bad, 0.5], [0.5, 0.5]])
+
+
+def _loop_additive(noise_mass, module):
+    """Channel.additive's matrix as a digit loop over Module.sub_idx."""
+    n = module.size
+    mat = np.zeros((n, n))
+    for x in range(n):
+        for z in range(n):
+            mat[x, z] = noise_mass[module.sub_idx(z, x)]
+    return mat
+
+
+def _loop_general_additive(joint_mass, module):
+    n, nz2 = module.size, joint_mass.shape[1]
+    mat = np.zeros((n, n * nz2))
+    for x in range(n):
+        for z in range(n):
+            mat[x, z * nz2 : (z + 1) * nz2] = joint_mass[module.sub_idx(z, x), :]
+    return mat
+
+
+class TestChannelTables:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sub_table_matches_sub_idx(self, q, n):
+        mod = Module(q, n)
+        table = mod.sub_table()
+        for i in range(mod.size):
+            for j in range(mod.size):
+                assert table[i, j] == mod.sub_idx(i, j)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_additive_matrices_bit_identical_to_loop(self, q, n):
+        mod = Module(q, n)
+        rng = np.random.default_rng(10 * q + n)
+        mass = rng.random(mod.size)
+        noise = SubDist(Alphabet(mod.labels()), mass / mass.sum())
+        assert np.array_equal(
+            Channel.additive(noise, mod).matrix, _loop_additive(noise.mass, mod)
+        )
+        jm = rng.random((mod.size, 2))
+        joint = JointDist(Alphabet(mod.labels()), Alphabet(("u", "v")), jm / jm.sum())
+        assert np.array_equal(
+            Channel.general_additive(joint, mod).matrix,
+            _loop_general_additive(joint.mass, mod),
+        )
 
 
 class TestPhiPsi:
@@ -226,6 +280,11 @@ class TestCodeEvaluation:
         w = bsc(0.2)
         code = WiretapCode(2, [[0.5, 0.5], [0.5, 0.5]], np.array([1, 2]))
         assert eve_distinguishability(code, w) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_nonfinite_encoders(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WiretapCode(2, [[bad, 0.5], [0.5, 0.5]], np.array([1, 2]))
 
     def test_disjoint_point_masses(self):
         ident = Channel(range_alphabet(2), range_alphabet(2), np.eye(2))
@@ -374,6 +433,107 @@ class TestRandomCodingEnsemble:
                 lhs = phi_cond(joint, t)
                 rhs = phi_channel(we, p_cb, t) - t * math.log(len(cb))
                 assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _random_channel(rng, nx, ny):
+    mat = rng.random((nx, ny)) ** 3  # uneven rows, with near-ties and clear winners
+    mat /= mat.sum(axis=1, keepdims=True)
+    return Channel(range_alphabet(nx), range_alphabet(ny), mat)
+
+
+def _parity_instance(q, m, l):
+    """Random channels over F_q with the Toeplitz family of `simulate wiretap`.
+    Over F_3 with ML > 4 the last symbol gets zero mass, so zero-weight
+    codebooks are skipped and the reference loop stays small."""
+    rng = np.random.default_rng(100 * q + 10 * m + l)
+    mass = rng.random(q) + 0.1
+    if q == 3 and m * l > 4:
+        mass[-1] = 0.0
+    p = SubDist(range_alphabet(q), mass / mass.sum())
+    fam = fit_toeplitz(m, l, 2) or fit_toeplitz(m, l, 3)
+    return p, fam, _random_channel(rng, q, 3), _random_channel(rng, q, 4)
+
+
+PARITY_CASES = [(q, m, l) for q in (2, 3) for m, l in ((2, 2), (2, 4), (3, 3))]
+
+
+class TestBatchedEnsembleParity:
+    """The batched kernel against code_from_codebook, error_prob and
+    eve_distinguishability, entry by entry."""
+
+    @pytest.mark.parametrize("q,m,l", PARITY_CASES)
+    def test_exact_matches_per_entry_loop(self, q, m, l):
+        p, fam, wb, we = _parity_instance(q, m, l)
+        res = wiretap_ensemble_exact(p, m, l, fam, wb, we)
+        maps = list(fam.iter_maps())
+        ref, eps_terms, d1_terms = [], [], []
+        for cb in itertools.product(range(q), repeat=m * l):
+            w_cb = float(np.prod(p.mass[list(cb)]))
+            if w_cb == 0.0:
+                continue
+            for s, f_map in enumerate(maps):
+                code = code_from_codebook(cb, f_map, m, l, wb)
+                eps, d1 = error_prob(code, wb), eve_distinguishability(code, we)
+                weight = w_cb / len(maps)
+                ref.append((cb, s, weight, eps, d1))
+                eps_terms.append(weight * eps)
+                d1_terms.append(weight * d1)
+        assert len(res.entries) == len(ref)
+        assert len(res.entries) == len(res.codebooks) * fam.seed_count
+        for entry, (cb, s, weight, eps, d1) in zip(res.entries, ref):
+            assert entry.codebook == cb and entry.seed_index == s
+            assert abs(entry.weight - weight) <= 1e-15
+            assert abs(entry.eps - eps) <= 1e-15
+            assert abs(entry.d1 - d1) <= 1e-15
+        avg_eps, avg_d1 = math.fsum(eps_terms), math.fsum(d1_terms)
+        assert abs(res.avg_eps - avg_eps) <= 1e-15
+        assert abs(res.avg_d1 - avg_d1) <= 1e-15
+        first = next(
+            i
+            for i, (_, _, _, eps, d1) in enumerate(ref)
+            if eps <= 2.0 * avg_eps + 1e-12 and d1 <= 2.0 * avg_d1 + 1e-12
+        )
+        chosen = markov_select(res)
+        assert (chosen.codebook, chosen.seed_index) == ref[first][:2]
+        assert chosen is res.entries[first]
+
+    @pytest.mark.parametrize("q,m,l", PARITY_CASES)
+    def test_mc_matches_per_sample_loop(self, q, m, l):
+        p, fam, wb, we = _parity_instance(q, m, l)
+        stats = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=300, seed=4)
+        rng = np.random.default_rng(4)
+        eps_vals, d1_vals = [], []
+        for _ in range(300):
+            cb = rng.choice(q, size=m * l, p=p.mass)
+            f_map = fam.as_map(fam.sample_seed(rng))
+            code = code_from_codebook(cb, f_map, m, l, wb)
+            eps_vals.append(error_prob(code, wb))
+            d1_vals.append(eve_distinguishability(code, we))
+        for key, vals in (("eps", eps_vals), ("d1", d1_vals)):
+            mean = math.fsum(vals) / len(vals)
+            var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+            se = math.sqrt(var / len(vals))
+            assert abs(stats[key] - mean) <= 1e-15
+            assert abs(stats[f"{key}_stderr"] - se) <= 1e-15
+
+    def test_entries_are_a_read_only_lazy_view(self):
+        p, fam, wb, we = _parity_instance(2, 2, 2)
+        res = wiretap_ensemble_exact(p, 2, 2, fam, wb, we)
+        assert res.entries[0] is res.entries[0]
+        assert res.entries[-1] is res.entries[len(res.entries) - 1]
+        assert list(res.entries)[1] is res.entries[1]
+        with pytest.raises(IndexError):
+            res.entries[len(res.entries)]
+        with pytest.raises(ValueError):
+            res.eps[0] = 0.0
+        with pytest.raises(AttributeError):
+            res.entries = ()
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_mc_needs_two_samples(self, n_samples):
+        p, fam, wb, we = _parity_instance(2, 2, 2)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            wiretap_ensemble_mc(p, 2, 2, fam, wb, we, n_samples=n_samples)
 
 
 class TestLinearCosetCodes:
