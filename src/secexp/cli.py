@@ -87,15 +87,18 @@ def _jsonify(obj):
     return obj
 
 
-def _emit_json(payload, out: str):
-    import json
-
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str):
     if out == "-":
         click.echo(text, nl=False)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _emit_json(payload, out: str):
+    import json
+
+    _write(json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n", out)
 
 
 def _emit_csv(header_lines, rows, columns, out: str):
@@ -111,12 +114,7 @@ def _emit_csv(header_lines, rows, columns, out: str):
             else:
                 cells.append(str(v))
         parts.append(",".join(cells))
-    text = "\n".join(parts) + "\n"
-    if out == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write("\n".join(parts) + "\n", out)
 
 
 def _handle_errors(f):

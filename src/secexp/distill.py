@@ -9,7 +9,6 @@ H(A|E) - H(A|B).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +100,8 @@ def distillation_error_bound(pab: JointDist, m: int, l: int, factor: float = 2.0
     """
     size_a = pab.alphabet_a.size
     ml = m * l
-    fn = lambda s: -(ml**s * size_a ** (-s) * math.exp(phi_cond(pab, -s)))
-    _, neg = maximize_on_interval(fn, 0.0, 1.0)
-    return factor * (-neg)
+    fn = lambda s: -(ml**s * size_a ** (-s) * np.exp(phi_cond(pab, -s)))
+    return -factor * maximize_on_interval(fn, 0.0, 1.0)[1]
 
 
 def distillation_d1_bound(pae: JointDist, l: int, factor: float = 6.0) -> float:
@@ -112,9 +110,8 @@ def distillation_d1_bound(pae: JointDist, l: int, factor: float = 6.0) -> float:
     Factor 6 is the concrete-code display; factor 3 the ensemble form.
     """
     size_a = pae.alphabet_a.size
-    fn = lambda t: -(size_a**t * math.exp(phi_cond(pae, t)) / l**t)
-    _, neg = maximize_on_interval(fn, 0.0, 0.5)
-    return factor * (-neg)
+    fn = lambda t: -(size_a**t * np.exp(phi_cond(pae, t)) / l**t)
+    return -factor * maximize_on_interval(fn, 0.0, 0.5)[1]
 
 
 @dataclass(frozen=True)

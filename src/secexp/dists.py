@@ -42,9 +42,12 @@ __all__ = [
     "enumerate_types",
     "strings_by_type",
     "DEFAULT_MAX_CELLS",
+    "BLOCK_CELLS",
 ]
 
 DEFAULT_MAX_CELLS = 1 << 20
+# Cell budget of one block of the order functionals and of the wiretap ensemble kernel.
+BLOCK_CELLS = 1 << 19
 
 _MASS_SLACK = 1e-12
 
@@ -100,16 +103,6 @@ def product_alphabet(alphabet: Alphabet, n: int) -> Alphabet:
         sep.join(t) for t in itertools.product(alphabet.symbols, repeat=n)
     )
     return Alphabet(symbols)
-
-
-def _pair_alphabet(first: Alphabet, second: Alphabet) -> Alphabet:
-    return Alphabet(
-        tuple(
-            f"{a},{b}"
-            for a in first.symbols
-            for b in second.symbols
-        )
-    )
 
 
 class SubDist:
@@ -265,23 +258,35 @@ def shannon_entropy(p: SubDist) -> float:
     return float(-math.fsum((m * np.log(m)).tolist()))
 
 
-def _power_sum(p: SubDist, order: float) -> float:
-    """sum p^order over the support."""
-    m = p.mass[p.mass > 0.0]
-    if m.size == 0:
-        raise ValueError("empty support")
-    return float(math.fsum((m**order).tolist()))
+def log_fsum_by_order(s, terms, cells: int):
+    """log math.fsum(terms(orders)[i]) per order in s, shaped like s (a float if scalar).
+
+    `terms` maps a 1-D block of orders to a (block, n) array of summands,
+    building at most `cells` cells per order.  Each block becomes one Python
+    list (four times an array's bytes), so blocks hold at most BLOCK_CELLS / 8
+    cells, or one order.
+    """
+    orders = np.asarray(s, dtype=float)
+    step = max(1, BLOCK_CELLS // (8 * max(cells, 1)))
+    sums = []
+    for lo in range(0, orders.size, step):
+        sums.extend(map(math.fsum, terms(orders.reshape(-1)[lo : lo + step]).tolist()))
+    logs = list(map(math.log, sums))
+    return logs[0] if orders.ndim == 0 else np.array(logs).reshape(orders.shape)
 
 
-def renyi_tilde(p: SubDist, s: float) -> float:
+def renyi_tilde(p: SubDist, s):
     """Unnormalized Renyi entropy -log sum_a P(a)^(1+s), in nats.
 
     Concave in s; the normalized order-(1+s) entropy is this divided by s,
-    whose s -> 0 limit is the Shannon entropy.
+    whose s -> 0 limit is the Shannon entropy.  s may be an array of orders.
     """
-    if s <= -1.0:
+    if (np.asarray(s) <= -1.0).any():
         raise ValueError("order parameter must satisfy s > -1")
-    return -math.log(_power_sum(p, 1.0 + s))
+    m = p.mass[p.mass > 0.0]
+    if m.size == 0:
+        raise ValueError("empty support")
+    return -log_fsum_by_order(s, lambda o: m ** (1.0 + o)[:, None], m.size)
 
 
 def renyi(p: SubDist, s: float) -> float:

@@ -6,15 +6,16 @@ exponent of the heavy-atom probability, the Holenstein-Renner comparison
 exponents, and the conditional (side-information) exponents built from the
 phi functional.  Everything is in nats.
 
-1-D optimizations run a 1024-interval uniform grid followed by golden-section
-refinement around the best grid point; when refinement does not improve on
-the grid the grid answer is kept.
+1-D optimizations evaluate the objective on a 1024-interval uniform grid in
+one array call, then refine around the best grid point by a scalar
+golden-section search, keeping the grid answer when refinement does not
+improve on it; so objectives and their functionals take arrays of orders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .dists import (
     JointDist,
     SubDist,
     kl_divergence,
+    log_fsum_by_order,
     renyi_tilde,
     renyi_tilde_derivative,
     shannon_entropy,
@@ -94,17 +96,22 @@ def maximize_on_interval(
     fn, lo: float, hi: float, intervals: int = GRID_INTERVALS, refine: bool = True
 ) -> tuple[float, float]:
     """Grid scan plus local golden-section polish; keeps the grid answer if
-    the polish does not improve it (guards non-unimodal objectives)."""
+    the polish does not improve it (guards non-unimodal objectives).
+
+    `fn` gets the whole grid as one array, then floats.  The best grid point
+    is evaluated again as a float, since numpy's power loop over many orders
+    can differ by an ulp from its scalar fast paths (exponents 2, 1/2).
+    """
     xs = np.linspace(lo, hi, intervals + 1)
-    vals = [fn(float(x)) for x in xs]
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), vals[i]
+    i = int(np.argmax(np.asarray(fn(xs), dtype=float)))
+    best_x = float(xs[i])
+    best_v = float(fn(best_x))
     if refine and hi > lo:
         a = float(xs[max(i - 1, 0)])
         b = float(xs[min(i + 1, intervals)])
         x, v = _golden_max(fn, a, b)
         if v > best_v:
-            best_x, best_v = x, v
+            best_x, best_v = x, float(v)
     return best_x, best_v
 
 
@@ -113,11 +120,14 @@ def maximize_on_interval(
 # ---------------------------------------------------------------------------
 
 
-def hash_d1_bound_at(p: SubDist, m: int, s: float) -> float:
-    """3 M^(s/(1+s)) e^(-H~_(1+s)/(1+s)): the per-s hashing bound."""
-    if not 0.0 <= s <= 1.0:
+def hash_d1_bound_at(p: SubDist, m: int, s):
+    """3 M^(s/(1+s)) e^(-H~_(1+s)/(1+s)): the per-s hashing bound; s may be
+    an array of orders."""
+    orders = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all((orders >= 0.0) & (orders <= 1.0)):
         raise ValueError("s must be in [0, 1]")
-    return 3.0 * m ** (s / (1.0 + s)) * math.exp(-renyi_tilde(p, s) / (1.0 + s))
+    value = 3.0 * m ** (orders / (1.0 + orders)) * np.exp(-renyi_tilde(p, orders) / (1.0 + orders))
+    return float(value[0]) if np.ndim(s) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -135,14 +145,11 @@ def universal_hash_d1_bound(
     """Best hashing bound over s in [0, 1], with the full per-s curve."""
     if m < 1:
         raise ValueError("output size must be >= 1")
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 101)
-    values = np.array([hash_d1_bound_at(p, m, float(s)) for s in s_grid])
-    neg = lambda s: -hash_d1_bound_at(p, m, s)
-    s_star, neg_min = maximize_on_interval(neg, 0.0, 1.0)
+    s_grid = np.linspace(0.0, 1.0, 101) if s_grid is None else np.asarray(s_grid, dtype=float)
+    s_star, neg_min = maximize_on_interval(lambda s: -hash_d1_bound_at(p, m, s), 0.0, 1.0)
     return HashBoundCurve(
-        s_values=np.asarray(s_grid, dtype=float),
-        values=values,
+        s_values=s_grid,
+        values=hash_d1_bound_at(p, m, s_grid),
         min_value=-neg_min,
         argmin_s=s_star,
         value_s1=hash_d1_bound_at(p, m, 1.0),
@@ -154,14 +161,21 @@ def order2_d1_bound(p: SubDist, m: int) -> float:
     return math.sqrt(m) * math.exp(-renyi_tilde(p, 1.0) / 2.0)
 
 
+def _require_inputs(r: float, p: SubDist | None = None):
+    """R finite and >= 0; p, when given, a probability distribution."""
+    if p is not None and abs(p.total - 1.0) > 1e-9:
+        raise ValueError("exponent requires a probability distribution")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError("rate must be finite and >= 0")
+
+
 def universal_exponent(p: SubDist, r: float) -> ExponentResult:
     """max over s in [0,1] of (H~_(1+s) - s R) / (1+s).
 
     The exponential decay rate of the hashing bound under i.i.d. extension at
     key rate R; zero when R is at least the Shannon entropy.
     """
-    if abs(p.total - 1.0) > 1e-9:
-        raise ValueError("exponent requires a probability distribution")
+    _require_inputs(r, p)
     fn = lambda s: (renyi_tilde(p, s) - s * r) / (1.0 + s)
     s_star, val = maximize_on_interval(fn, 0.0, 1.0)
     return ExponentResult(value=val, argmax=s_star, method="grid+golden[0,1]")
@@ -172,10 +186,6 @@ def critical_rate(p: SubDist) -> float:
     if abs(p.total - 1.0) > 1e-9:
         raise ValueError("critical rate requires a probability distribution")
     return 2.0 * renyi_tilde_derivative(p, 1.0) - renyi_tilde(p, 1.0)
-
-
-def _tilt_entropy(p: SubDist, s: float) -> float:
-    return shannon_entropy(tilt(p, s))
 
 
 def _bisect_entropy(family, r: float, hi: float) -> float:
@@ -197,10 +207,10 @@ def _tilted_witness(p: SubDist, r: float) -> tuple[float, SubDist] | None:
     The entropy of the tilted family is nonincreasing in s, so bisection is
     valid whenever the target is bracketed.
     """
-    if _tilt_entropy(p, 0.0) <= r:
+    if shannon_entropy(tilt(p, 0.0)) <= r:
         return 0.0, tilt(p, 0.0)
     hi = 1.0
-    while _tilt_entropy(p, hi) > r:
+    while shannon_entropy(tilt(p, hi)) > r:
         if hi >= TILT_CAP:
             return None
         hi = min(2.0 * hi, TILT_CAP)
@@ -285,9 +295,8 @@ def divergence_exponent(p: SubDist, r: float) -> ExponentResult:
     of the number of tied largest atoms), mixing a point mass into the tilt
     meets the bound -log max P - R (`top-atoms`; exact under exact ties).
     """
-    if abs(p.total - 1.0) > 1e-9:
-        raise ValueError("exponent requires a probability distribution")
-    if r < 0.0 or r > math.log(p.alphabet.size) + 1e-12:
+    _require_inputs(r, p)
+    if r > math.log(p.alphabet.size) + 1e-12:
         raise ValueError("rate must lie in [0, log |alphabet|]")
     if shannon_entropy(p) <= r + 1e-13:
         return ExponentResult(
@@ -313,8 +322,7 @@ def cramer_exponent(p: SubDist, r: float, s_cap: float = 100.0) -> ExponentResul
     when R' is below -log(max atom), where the objective grows without bound
     (e.g. every rate below log M for a uniform source).
     """
-    if abs(p.total - 1.0) > 1e-9:
-        raise ValueError("exponent requires a probability distribution")
+    _require_inputs(r, p)
     h = shannon_entropy(p)
     if r >= h - 1e-15:
         return ExponentResult(value=0.0, argmax=0.0, method="rate-above-entropy")
@@ -327,22 +335,23 @@ def cramer_exponent(p: SubDist, r: float, s_cap: float = 100.0) -> ExponentResul
             diverges=True,
             note="objective unbounded: rate below -log(max atom)",
         )
-    fn = lambda s: renyi_tilde(p, s) - s * r
-    s_star, val = maximize_on_interval(fn, 0.0, s_cap)
-    note = None
-    if s_cap - s_star < 1e-6:
-        note = f"maximizer at search cap s = {s_cap}"
-    return ExponentResult(
-        value=val, argmax=s_star, method=f"grid+golden[0,{s_cap:g}]", note=note
-    )
+    res = _cramer_search(p, r, s_cap)
+    if s_cap - res.argmax < 1e-6:
+        return replace(res, note=f"maximizer at search cap s = {s_cap}")
+    return res
 
 
 def cramer_exponent_restricted(p: SubDist, r: float) -> ExponentResult:
     """The same objective restricted to s in [0, 1]; matches the unrestricted
     maximum whenever H'_2 <= R' <= H(A)."""
-    fn = lambda s: renyi_tilde(p, s) - s * r
-    s_star, val = maximize_on_interval(fn, 0.0, 1.0)
-    return ExponentResult(value=val, argmax=s_star, method="grid+golden[0,1]")
+    _require_inputs(r)
+    return _cramer_search(p, r, 1.0)
+
+
+def _cramer_search(p: SubDist, r: float, s_cap: float) -> ExponentResult:
+    """max over s in [0, s_cap] of H~_(1+s) - s R'."""
+    s_star, val = maximize_on_interval(lambda s: renyi_tilde(p, s) - s * r, 0.0, s_cap)
+    return ExponentResult(value=val, argmax=s_star, method=f"grid+golden[0,{s_cap:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -404,34 +413,35 @@ def holenstein_renner_exponents(p: SubDist, r: float) -> HRExponents:
 # ---------------------------------------------------------------------------
 
 
-def phi_cond(j: JointDist, t: float) -> float:
+def phi_cond(j: JointDist, t):
     """log sum_e P(e) (sum_a P(a|e)^(1/(1-t)))^(1-t), defined for t < 1.
 
     phi(0) = 0 and the derivative at 0 is -H(A|E).  Negative t is allowed;
-    it appears in the decoding-error bounds.
+    it appears in the decoding-error bounds.  t may be an array of orders.
     """
-    if t >= 1.0:
+    if (np.asarray(t) >= 1.0).any():
         raise ValueError("t must be < 1")
-    alpha = 1.0 / (1.0 - t)
     pe = j.mass.sum(axis=0)
-    cond = j.conditional_a_given_e()
-    pos = pe > 0.0
-    inner = (cond[:, pos] ** alpha).sum(axis=0)
-    terms = pe[pos] * inner ** (1.0 - t)
-    return math.log(float(math.fsum(terms.tolist())))
+    # the column index leaves cond column-major, which fixes its sums' digits
+    pe, cond = pe[pe > 0.0], j.conditional_a_given_e()[:, pe > 0.0]
+
+    def terms(t):
+        inner = (cond ** (1.0 / (1.0 - t))[:, None, None]).sum(axis=1)
+        return pe * inner ** (1.0 - t)[:, None]
+
+    return log_fsum_by_order(t, terms, cond.size)
 
 
-def cond_renyi_tilde(j: JointDist, s: float) -> float:
-    """-log sum_(a,e) P(e) P(a|e)^(1+s); its s -> 0 slope recovers H(A|E)."""
-    if s <= -1.0:
+def cond_renyi_tilde(j: JointDist, s):
+    """-log sum_(a,e) P(e) P(a|e)^(1+s); its s -> 0 slope recovers H(A|E).
+    s may be an array of orders."""
+    if (np.asarray(s) <= -1.0).any():
         raise ValueError("order parameter must satisfy s > -1")
     pe = j.mass.sum(axis=0)
-    cond = j.conditional_a_given_e()
-    pos = pe > 0.0
-    total = float(
-        math.fsum((pe[pos] * (cond[:, pos] ** (1.0 + s)).sum(axis=0)).tolist())
-    )
-    return -math.log(total)
+    # the column index leaves cond column-major, which fixes its sums' digits
+    pe, cond = pe[pe > 0.0], j.conditional_a_given_e()[:, pe > 0.0]
+    terms = lambda s: pe * (cond ** (1.0 + s)[:, None, None]).sum(axis=1)
+    return -log_fsum_by_order(s, terms, cond.size)
 
 
 def conditional_hash_d1_bound_at(j: JointDist, m: int, t: float) -> float:
@@ -443,6 +453,7 @@ def conditional_hash_d1_bound_at(j: JointDist, m: int, t: float) -> float:
 
 def conditional_exponent_phi(j: JointDist, r: float) -> ExponentResult:
     """max over t in [0, 1/2] of -phi(t) - t R."""
+    _require_inputs(r)
     fn = lambda t: -phi_cond(j, t) - t * r
     t_star, val = maximize_on_interval(fn, 0.0, 0.5)
     return ExponentResult(value=val, argmax=t_star, method="grid+golden[0,1/2]")
@@ -451,6 +462,7 @@ def conditional_exponent_phi(j: JointDist, r: float) -> ExponentResult:
 def conditional_exponent_pinsker(j: JointDist, r: float) -> ExponentResult:
     """max over s in [0, 1] of (H~_(1+s)(A|E) - s R)/2: the mutual-information
     route through Pinsker's inequality; never beats the phi form below H(A|E)."""
+    _require_inputs(r)
     fn = lambda s: (cond_renyi_tilde(j, s) - s * r) / 2.0
     s_star, val = maximize_on_interval(fn, 0.0, 1.0)
     return ExponentResult(value=val, argmax=s_star, method="grid+golden[0,1]")
@@ -472,9 +484,6 @@ def additive_pair_joint(p: SubDist, pe: SubDist | None = None, module=None) -> J
         pe = SubDist.uniform(p.alphabet)
     if pe.alphabet.size != n:
         raise ValueError("marginals must have equal sizes")
-    mass = np.zeros((n, n))
-    for e in range(n):
-        for a in range(n):
-            diff = module.sub_idx(a, e) if module is not None else (a - e) % n
-            mass[a, e] = pe.mass[e] * p.mass[diff]
-    return JointDist(p.alphabet, pe.alphabet, mass)
+    idx = np.arange(n)
+    diff = module.sub_table() if module is not None else (idx[:, None] - idx[None, :]) % n
+    return JointDist(p.alphabet, pe.alphabet, pe.mass[None, :] * p.mass[diff])

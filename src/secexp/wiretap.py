@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dists import (
+    BLOCK_CELLS,
     Alphabet,
     JointDist,
     SizeLimitError,
     SubDist,
+    log_fsum_by_order,
     product_alphabet,
     range_alphabet,
     renyi_tilde,
@@ -68,8 +70,6 @@ __all__ = [
 # Exact ensembles refuse more (codebook, seed) entries than this: binary
 # M=2, L=8 (524,288 entries) takes about a second.
 ENSEMBLE_COMBO_LIMIT = 1 << 20
-# Cells of the ensemble kernel's largest arrays per call (see _block_pairs).
-ENSEMBLE_BLOCK_CELLS = 1 << 19
 
 
 class Channel:
@@ -211,32 +211,40 @@ class Channel:
         )
 
 
-def phi_channel(w: Channel, p: SubDist, t: float) -> float:
+def phi_channel(w: Channel, p: SubDist, t):
     """log sum_y (sum_x p(x) W_x(y)^(1/(1-t)))^(1-t) for t < 1.
 
     phi(0) = 0; the slope at 0 is the mutual information I(p; W).  Negative
     t gives the Gallager-style exponent used by the decoding-error bound.
+    t may be an array of orders.
     """
-    if t >= 1.0:
+    if (np.asarray(t) >= 1.0).any():
         raise ValueError("t must be < 1")
     if p.alphabet != w.input_alphabet:
         raise ValueError("input distribution alphabet mismatch")
-    alpha = 1.0 / (1.0 - t)
-    inner = (p.mass[:, None] * w.matrix**alpha).sum(axis=0)
-    return math.log(float(math.fsum((inner ** (1.0 - t)).tolist())))
+
+    def terms(t):
+        inner = (p.mass[:, None] * w.matrix ** (1.0 / (1.0 - t))[:, None, None]).sum(axis=1)
+        return inner ** (1.0 - t)[:, None]
+
+    return log_fsum_by_order(t, terms, w.matrix.size)
 
 
-def psi_channel(w: Channel, p: SubDist, t: float) -> float:
-    """log sum_y (sum_x p(x) W_x(y)^(1+t)) W_p(y)^(-t) for t > -1."""
-    if t <= -1.0:
+def psi_channel(w: Channel, p: SubDist, t):
+    """log sum_y (sum_x p(x) W_x(y)^(1+t)) W_p(y)^(-t) for t > -1; t may be
+    an array of orders."""
+    if (np.asarray(t) <= -1.0).any():
         raise ValueError("t must be > -1")
     if p.alphabet != w.input_alphabet:
         raise ValueError("input distribution alphabet mismatch")
     wp = w.output_dist(p)
-    inner = (p.mass[:, None] * w.matrix ** (1.0 + t)).sum(axis=0)
     pos = wp > 0.0
-    terms = inner[pos] * wp[pos] ** (-t)
-    return math.log(float(math.fsum(terms.tolist())))
+
+    def terms(t):
+        inner = (p.mass[:, None] * w.matrix ** (1.0 + t)[:, None, None]).sum(axis=1)
+        return inner[:, pos] * wp[pos] ** (-t)[:, None]
+
+    return log_fsum_by_order(t, terms, w.matrix.size)
 
 
 def mutual_information(p: SubDist, w: Channel) -> float:
@@ -257,23 +265,20 @@ def e_phi(r: float, w: Channel, p: SubDist) -> float:
     """max over t in [0, 1/2] of t R - phi(t): Eve-side exponent at sacrifice
     rate R.  Positive exactly when R exceeds I(p; W)."""
     fn = lambda t: t * r - phi_channel(w, p, t)
-    _, val = maximize_on_interval(fn, 0.0, 0.5)
-    return val
+    return maximize_on_interval(fn, 0.0, 0.5)[1]
 
 
 def e_psi(r: float, w: Channel, p: SubDist) -> float:
     """max over s in [0, 1] of (s R - psi(s)) / (1 + s); never above e_phi."""
     fn = lambda s: (s * r - psi_channel(w, p, s)) / (1.0 + s)
-    _, val = maximize_on_interval(fn, 0.0, 1.0)
-    return val
+    return maximize_on_interval(fn, 0.0, 1.0)[1]
 
 
 def psi_pinsker_exponent(r: float, w: Channel, p: SubDist) -> float:
     """max over s in [0, 1] of (s R - psi(s)) / 2: the mutual-information
     route through Pinsker's inequality."""
     fn = lambda s: (s * r - psi_channel(w, p, s)) / 2.0
-    _, val = maximize_on_interval(fn, 0.0, 1.0)
-    return val
+    return maximize_on_interval(fn, 0.0, 1.0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +421,9 @@ def _pair_metrics(codebooks, maps, m: int, l: int, wb: Channel, we: Channel):
 
 def _block_pairs(m: int, l: int, wb: Channel, we: Channel) -> int:
     """Pairs per kernel call: the kernel's largest arrays hold about
-    ML (M + |Y| + |Z|) floats per pair, kept under ENSEMBLE_BLOCK_CELLS."""
+    ML (M + |Y| + |Z|) floats per pair, kept under BLOCK_CELLS."""
     cells = m * l * (m + wb.output_alphabet.size + we.output_alphabet.size)
-    return max(1, ENSEMBLE_BLOCK_CELLS // cells)
+    return max(1, BLOCK_CELLS // cells)
 
 
 def _codebook_digits(codes: np.ndarray, nx: int, ml: int) -> np.ndarray:
@@ -603,18 +608,16 @@ def random_coding_error_bound(wb: Channel, p: SubDist, ml: int) -> float:
     """min over t in [0,1] of (ML)^t e^(phi(-t)): the Gallager-style ensemble
     guarantee on the average decoding error.  A selected concrete code is
     guaranteed twice this."""
-    fn = lambda t: -(ml**t * math.exp(phi_channel(wb, p, -t)))
-    _, neg = maximize_on_interval(fn, 0.0, 1.0)
-    return -neg
+    fn = lambda t: -(ml**t * np.exp(phi_channel(wb, p, -t)))
+    return -maximize_on_interval(fn, 0.0, 1.0)[1]
 
 
 def random_coding_d1_bound(we: Channel, p: SubDist, l: int) -> float:
     """3 min over t in [0,1/2] of e^(phi(t)) / L^t: the ensemble guarantee on
     Eve's distinguishability; a selected concrete code is guaranteed twice
     this."""
-    fn = lambda t: -(math.exp(phi_channel(we, p, t)) / l**t)
-    _, neg = maximize_on_interval(fn, 0.0, 0.5)
-    return 3.0 * (-neg)
+    fn = lambda t: -(np.exp(phi_channel(we, p, t)) / l**t)
+    return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
 
 
 def uniform_on_subset(alphabet: Alphabet, indices) -> SubDist:
@@ -808,17 +811,16 @@ def coset_d1_bound_closed(we: Channel, l: int) -> float:
 
     if kind == "additive":
         noise = we.structure[1]
-        inner = lambda t: nx**t * math.exp(
+        inner = lambda t: nx**t * np.exp(
             -(1.0 - t) * renyi_tilde(noise, t / (1.0 - t))
         )
     elif kind == "general_additive":
         joint = we.structure[1]
-        inner = lambda t: nx**t * math.exp(phi_cond(joint, t))
+        inner = lambda t: nx**t * np.exp(phi_cond(joint, t))
     else:
         raise ValueError("closed form needs an additive or general-additive tag")
     fn = lambda t: -(inner(t) / l**t)
-    _, neg = maximize_on_interval(fn, 0.0, 0.5)
-    return 3.0 * (-neg)
+    return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -893,18 +895,7 @@ def holder_ordering(
 
     This is the reverse Holder comparison that makes the phi exponent
     dominate the psi exponent."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 0.5, 26)
-    min_margin = math.inf
-    for t in t_grid:
-        t = float(t)
-        lhs = 1.0 if t == 0.0 else math.exp(
-            (1.0 - t) * psi_channel(w, p, t / (1.0 - t))
-        )
-        rhs = math.exp(phi_channel(w, p, t))
-        min_margin = min(min_margin, lhs - rhs)
-    return HolderReport(
-        passed=min_margin >= -tol,
-        min_margin=min_margin,
-        t_grid=tuple(float(t) for t in t_grid),
-    )
+    t = np.linspace(0.0, 0.5, 26) if t_grid is None else np.asarray(t_grid, dtype=float)
+    lhs = np.exp((1.0 - t) * psi_channel(w, p, t / (1.0 - t)))
+    margin = float(np.min(lhs - np.exp(phi_channel(w, p, t))))
+    return HolderReport(passed=margin >= -tol, min_margin=margin, t_grid=tuple(t.tolist()))

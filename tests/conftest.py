@@ -30,3 +30,62 @@ def random_subdist(rng, size, total=None):
 
 def random_dist(rng, size):
     return random_subdist(rng, size, total=1.0)
+
+
+def assert_order_parity(fn, orders, cells):
+    """fn on an array of orders equals one scalar call (a float) per order
+    within 2 ulp; with `cells` cells per order, the orders need several
+    blocks even of the whole BLOCK_CELLS budget."""
+    from secexp.dists import BLOCK_CELLS
+
+    assert orders.size > 2 * (BLOCK_CELLS // cells)
+    values = fn(orders)
+    scalars = [fn(float(o)) for o in orders]
+    assert all(type(v) is float for v in scalars)
+    assert values.shape == orders.shape
+    np.testing.assert_array_max_ulp(values, np.array(scalars), maxulp=2)
+
+
+def scalar_maximize(fn, lo, hi, intervals=1024):
+    """The 1-D optimizer with its grid evaluated one float at a time: the
+    reference for `maximize_on_interval`, which evaluates the grid as one
+    array.  The golden-section polish is the library's own."""
+    from secexp.exponents import _golden_max
+
+    xs = np.linspace(lo, hi, intervals + 1)
+    vals = [fn(float(x)) for x in xs]
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), vals[i]
+    if hi > lo:
+        x, v = _golden_max(fn, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, intervals)]))
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+@pytest.fixture
+def optimizer_calls(monkeypatch):
+    """Records (objective, lo, hi, result) of every `maximize_on_interval`
+    call made through the exponents, wiretap and distill modules."""
+    from secexp import distill, exponents, wiretap
+
+    real = exponents.maximize_on_interval
+    calls = []
+
+    def recording(fn, lo, hi, *args, **kwargs):
+        result = real(fn, lo, hi, *args, **kwargs)
+        calls.append((fn, lo, hi, result))
+        return result
+
+    for module in (exponents, wiretap, distill):
+        monkeypatch.setattr(module, "maximize_on_interval", recording)
+    return calls
+
+
+def assert_matches_scalar_optimizer(calls, expected_calls):
+    """Every recorded optimization equals the scalar-grid reference."""
+    assert len(calls) == expected_calls
+    for fn, lo, hi, (x, v) in calls:
+        ref_x, ref_v = scalar_maximize(fn, lo, hi)
+        assert x == pytest.approx(ref_x, abs=1e-15)
+        assert v == pytest.approx(ref_v, abs=1e-15)

@@ -101,6 +101,13 @@ class TestExponentCommand:
         payload = json.loads(res.output)
         assert payload["phi_form"]["value"] >= payload["pinsker_form"]["value"] - 1e-9
 
+    @pytest.mark.parametrize("form", ["universal", "cramer", "cond"])
+    def test_rejects_negative_rate(self, runner, bern_file, joint_file, form):
+        source = ["--joint", joint_file] if form == "cond" else ["--dist", bern_file]
+        res = runner.invoke(cli, ["exponent", *source, "--R", "-0.1", "--form", form])
+        assert res.exit_code == 2
+        assert "rate must be finite and >= 0" in res.output
+
     def test_hr(self, runner, bern_file):
         res = runner.invoke(
             cli, ["exponent", "--dist", bern_file, "--R", "0.46", "--form", "hr"]

@@ -20,6 +20,8 @@ from secexp.exponents import cond_renyi_tilde, phi_cond
 from secexp.gf import Module
 from secexp.wiretap import phi_channel
 
+from conftest import assert_matches_scalar_optimizer
+
 
 def bit_alphabet():
     return Alphabet(("0", "1"))
@@ -226,3 +228,15 @@ class TestRunDistillation:
             for s in np.linspace(0, 1, 201)
         )
         assert val == pytest.approx(best, abs=1e-6)
+
+
+class TestGridAsOneArrayCall:
+    def test_bounds_match_scalar_grid(self, optimizer_calls):
+        # both distillation bounds equal the optimizer that evaluates its
+        # grid one float at a time, at 20 sizes each
+        for tri_fn in (triple_noisy, triple_skewed):
+            tri = tri_fn()
+            for size in range(1, 11):
+                distillation_error_bound(tri.pab, size, 2)
+                distillation_d1_bound(tri.pae, size)
+        assert_matches_scalar_optimizer(optimizer_calls, 40)

@@ -27,12 +27,13 @@ from secexp.exponents import (
     divergence_exponent,
     hash_d1_bound_at,
     holenstein_renner_exponents,
+    maximize_on_interval,
     phi_cond,
     universal_exponent,
     universal_hash_d1_bound,
 )
 
-from conftest import random_dist
+from conftest import assert_matches_scalar_optimizer, assert_order_parity, random_dist
 
 
 class TestHashBound:
@@ -359,3 +360,127 @@ class TestConditionalExponents:
             dashed = conditional_exponent_no_smoothing(j, float(r))
             pin = conditional_exponent_pinsker(j, float(r)).value
             assert dashed <= pin + 1e-12
+
+
+class TestRateDomain:
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_nonfinite_rate(self, bern02, r):
+        for form in (
+            universal_exponent,
+            cramer_exponent,
+            cramer_exponent_restricted,
+            divergence_exponent,
+        ):
+            with pytest.raises(ValueError, match="rate"):
+                form(bern02, r)
+        j = masked_pair(bern02)
+        for form in (conditional_exponent_phi, conditional_exponent_pinsker):
+            with pytest.raises(ValueError, match="rate"):
+                form(j, r)
+
+    def test_rate_zero_is_allowed(self, bern02):
+        assert universal_exponent(bern02, 0.0).value > 0.0
+        assert conditional_exponent_phi(masked_pair(bern02), 0.0).value > 0.0
+
+
+class TestOrderArrays:
+    """An array of orders gives the scalar call's value for each order, across
+    several blocks of BLOCK_CELLS cells."""
+
+    @pytest.fixture(scope="class")
+    def source(self):
+        return random_dist(np.random.default_rng(12), 1 << 12)
+
+    @pytest.fixture(scope="class")
+    def joint(self):
+        mass = np.random.default_rng(13).random((256, 64))
+        return JointDist(range_alphabet(256), range_alphabet(64), mass / mass.sum())
+
+    def test_renyi_tilde(self, source):
+        orders = np.r_[np.linspace(-0.9, 3.0, 300), 0.0, 0.5, 1.0, -0.5]
+        assert_order_parity(lambda s: renyi_tilde(source, s), orders, 1 << 12)
+
+    def test_hash_d1_bound_at(self, source):
+        orders = np.r_[np.linspace(0.0, 1.0, 300), 0.5]
+        assert_order_parity(lambda s: hash_d1_bound_at(source, 16, s), orders, 1 << 12)
+
+    def test_phi_cond(self, joint):
+        orders = np.r_[np.linspace(-1.0, 0.9, 100), 0.0, 0.5]
+        assert_order_parity(lambda t: phi_cond(joint, t), orders, 256 * 64)
+
+    def test_cond_renyi_tilde(self, joint):
+        orders = np.r_[np.linspace(-0.5, 2.0, 100), 0.0, 1.0]
+        assert_order_parity(lambda s: cond_renyi_tilde(joint, s), orders, 256 * 64)
+
+    def test_keeps_the_shape_of_the_orders(self, skew3):
+        orders = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        values = renyi_tilde(skew3, orders)
+        assert values.shape == (2, 3)
+        assert values[1, 2] == renyi_tilde(skew3, 1.0)
+
+    def test_one_invalid_order_raises(self, skew3):
+        j = masked_pair(skew3)
+        with pytest.raises(ValueError):
+            renyi_tilde(skew3, np.array([0.5, -1.0, 2.0]))
+        with pytest.raises(ValueError):
+            cond_renyi_tilde(j, np.array([0.5, -1.5]))
+        with pytest.raises(ValueError):
+            phi_cond(j, np.array([0.2, 1.0, 0.3]))
+        with pytest.raises(ValueError):
+            hash_d1_bound_at(skew3, 4, np.array([0.5, 1.01]))
+        with pytest.raises(ValueError):
+            hash_d1_bound_at(skew3, 4, np.array([-0.01, 0.5]))
+
+
+class TestGridAsOneArrayCall:
+    """Each exponent's optimization equals the optimizer that evaluates its
+    grid one float at a time, at 20 rates each."""
+
+    def test_grid_is_one_array_call(self):
+        ndims = []
+
+        def fn(x):
+            ndims.append(np.ndim(x))
+            return -((x - 0.3) ** 2)
+
+        maximize_on_interval(fn, 0.0, 1.0)
+        assert ndims[0] == 1 and ndims.count(1) == 1  # every later call is a float
+
+    def test_returned_value_is_a_scalar_evaluation(self):
+        # the grid only picks the point: an array evaluation that is off by
+        # a constant does not reach the result
+        fn = lambda x: -((x - 0.3) ** 2) + (1.0 if np.ndim(x) else 0.0)
+        for refine in (True, False):
+            x, v = maximize_on_interval(fn, 0.0, 1.0, refine=refine)
+            assert x == pytest.approx(0.3, abs=1e-3)
+            assert v == fn(x)
+
+    def test_universal_exponent(self, bern02, optimizer_calls):
+        for r in np.linspace(0.0, 0.5, 20):
+            universal_exponent(bern02, float(r))
+        assert_matches_scalar_optimizer(optimizer_calls, 20)
+
+    def test_cramer_exponent(self, ternary, optimizer_calls):
+        floor, h = -math.log(0.5), shannon_entropy(ternary)
+        for r in np.linspace(floor + 0.01, h - 0.01, 20):
+            cramer_exponent(ternary, float(r))
+        assert_matches_scalar_optimizer(optimizer_calls, 20)
+
+    def test_cramer_exponent_restricted(self, bern02, optimizer_calls):
+        for r in np.linspace(0.0, 0.5, 20):
+            cramer_exponent_restricted(bern02, float(r))
+        assert_matches_scalar_optimizer(optimizer_calls, 20)
+
+    def test_universal_hash_d1_bound(self, optimizer_calls):
+        p = random_dist(np.random.default_rng(41), 8)
+        for m in range(1, 21):
+            universal_hash_d1_bound(p, m)
+        assert_matches_scalar_optimizer(optimizer_calls, 20)
+
+    @pytest.mark.parametrize("form", [conditional_exponent_phi, conditional_exponent_pinsker])
+    def test_conditional_exponents(self, form, optimizer_calls):
+        mass = np.random.default_rng(43).random((4, 3)) + 0.05
+        j = JointDist(range_alphabet(4), range_alphabet(3), mass / mass.sum())
+        for r in np.linspace(0.0, conditional_shannon_entropy(j) + 0.2, 20):
+            form(j, float(r))
+        assert_matches_scalar_optimizer(optimizer_calls, 20)

@@ -18,6 +18,8 @@ from secexp.figures import (
     example_channel_reported_info,
 )
 from secexp.gf import Module
+
+from conftest import assert_matches_scalar_optimizer, assert_order_parity
 from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
     Channel,
@@ -717,3 +719,65 @@ class TestHolderOrdering:
         rep = holder_ordering(w, uniform_input(w))
         assert rep.passed
         assert abs(rep.min_margin) <= 1e-10
+
+
+class TestChannelOrderArrays:
+    """phi_channel and psi_channel take an array of orders and give the
+    scalar call's value for each, across several blocks of BLOCK_CELLS."""
+
+    @pytest.fixture(scope="class")
+    def channel(self):
+        mat = np.random.default_rng(19).random((256, 64))
+        mat /= mat.sum(axis=1, keepdims=True)
+        return Channel(range_alphabet(256), range_alphabet(64), mat)
+
+    @staticmethod
+    def input_dist(channel, seed):
+        mass = np.random.default_rng(seed).random(channel.input_alphabet.size)
+        return SubDist(channel.input_alphabet, mass / mass.sum())
+
+    def test_phi_channel(self, channel):
+        p = self.input_dist(channel, 20)
+        orders = np.r_[np.linspace(-1.0, 0.9, 100), 0.0, 0.5]
+        assert_order_parity(lambda t: phi_channel(channel, p, t), orders, 256 * 64)
+
+    def test_psi_channel(self, channel):
+        p = self.input_dist(channel, 21)
+        orders = np.r_[np.linspace(-0.9, 1.0, 100), 0.0, 0.5]
+        assert_order_parity(lambda t: psi_channel(channel, p, t), orders, 256 * 64)
+
+    def test_one_invalid_order_raises(self):
+        w = example_channel()
+        p = uniform_input(w)
+        with pytest.raises(ValueError):
+            phi_channel(w, p, np.array([0.2, 1.0]))
+        with pytest.raises(ValueError):
+            psi_channel(w, p, np.array([0.5, -1.0, 0.1]))
+
+
+class TestGridAsOneArrayCall:
+    """Each wiretap exponent and bound equals the optimizer that evaluates its
+    grid one float at a time, at 20 rates (or sizes) each."""
+
+    @pytest.mark.parametrize("form", [e_phi, e_psi, psi_pinsker_exponent])
+    def test_figure4_exponents(self, form, optimizer_calls):
+        w = example_channel()
+        p = uniform_input(w)
+        for r in np.linspace(0.0, math.log(2.0), 20):
+            form(float(r), w, p)
+        assert_matches_scalar_optimizer(optimizer_calls, 20)
+
+    def test_random_coding_bounds(self, optimizer_calls):
+        w = example_channel()
+        p = uniform_input(w)
+        for size in range(1, 21):
+            random_coding_error_bound(w, p, size)
+            random_coding_d1_bound(w, p, size)
+        assert_matches_scalar_optimizer(optimizer_calls, 40)
+
+    def test_coset_closed_forms(self, optimizer_calls):
+        j = JointDist(range_alphabet(2), Alphabet(("u", "v")), [[0.4, 0.1], [0.2, 0.3]])
+        for l in range(1, 11):
+            coset_d1_bound_closed(bsc(0.2), l)
+            coset_d1_bound_closed(Channel.general_additive(j, Module(2, 1)), l)
+        assert_matches_scalar_optimizer(optimizer_calls, 20)
