@@ -120,8 +120,8 @@ class SubDist:
             raise ValueError("negative mass")
         np.clip(arr, 0.0, None, out=arr)
         total = float(math.fsum(arr.tolist()))
-        if total > 1.0 + _MASS_SLACK:
-            raise ValueError(f"total mass {total} exceeds 1")
+        if not total <= 1.0 + _MASS_SLACK:  # also rejects NaN
+            raise ValueError(f"total mass {total} exceeds 1 or is not a number")
         arr.setflags(write=False)
         self.alphabet = alphabet
         self.mass = arr
@@ -183,7 +183,7 @@ class JointDist:
             raise ValueError("negative mass")
         np.clip(arr, 0.0, None, out=arr)
         total = float(math.fsum(arr.ravel().tolist()))
-        if abs(total - 1.0) > _MASS_SLACK:
+        if not abs(total - 1.0) <= _MASS_SLACK:  # also rejects NaN
             raise ValueError(f"joint mass sums to {total}, expected 1")
         arr.setflags(write=False)
         self.alphabet_a = alphabet_a

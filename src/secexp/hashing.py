@@ -1,6 +1,12 @@
 """Universal and strongly-universal hash ensembles with exhaustive checkers.
 
-A hash family maps an input alphabet to {1, ..., M} under a random seed.
+A hash family maps an input alphabet to {1, ..., M} under a random seed: a
+string of `seed_len` digits in digit_low .. digit_low + digit_base - 1, ranked
+in itertools.product order.  A family defines only its digits and `maps_of`,
+which turns a (count x seed_len) block of seeds into the (count x |alphabet|)
+block of their maps; `HashFamily` derives `seeds(start, stop)`, `iter_maps`
+(blocks of at most BLOCK_CELLS cells), `sample_seed` and `as_map`.
+
 Three ensemble conditions are checkable by full seed enumeration:
 
   1. universal_2:           any fixed pair of distinct inputs collides with
@@ -16,14 +22,13 @@ the test suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Alphabet, product_alphabet
-from .gf import _GF4_MUL, Field
+from .dists import BLOCK_CELLS, Alphabet, product_alphabet
+from .gf import Field, Module
 
 __all__ = [
     "HashFamily",
@@ -31,6 +36,7 @@ __all__ = [
     "ToeplitzFamily",
     "ExplicitFamily",
     "fit_toeplitz",
+    "map_histograms",
     "NonEnumerableError",
     "Universal2Report",
     "BalancedReport",
@@ -49,36 +55,68 @@ class NonEnumerableError(ValueError):
     """The seed space is too large for exact enumeration."""
 
 
+def map_histograms(maps: np.ndarray, m: int, weights=None) -> np.ndarray:
+    """Row s counts the values 1..m of maps[s], or sums their `weights` (with
+    a last axis of side symbols if 2-D): one offset bincount per weight
+    column for the block, each bin summed in symbol order as for one map."""
+    count = len(maps)
+    bins = (maps - 1 + m * np.arange(count)[:, None]).ravel()
+    if weights is None:
+        return np.bincount(bins, minlength=count * m).reshape(count, m)
+    cols = np.reshape(weights, (len(weights), -1)).T
+    hists = [np.bincount(bins, np.tile(w, count), count * m) for w in cols]
+    return np.stack(hists, axis=-1).reshape((count, m) + np.shape(weights)[1:])
+
+
 class HashFamily:
     """Base class: a seeded ensemble of functions alphabet -> {1..M}."""
 
     input_alphabet: Alphabet
     output_size: int
+    seed_len: int  # digits per seed, each in digit_low .. digit_low + digit_base - 1
+    digit_low: int
+    digit_base: int
+
+    def maps_of(self, seeds: np.ndarray) -> np.ndarray:
+        """The maps of a (count x seed_len) block of seeds, as a
+        (count x |alphabet|) int array with values in 1..M."""
+        raise NotImplementedError
 
     @property
     def seed_count(self) -> int:
-        raise NotImplementedError
+        return self.digit_base**self.seed_len
 
-    def iter_seeds(self):
-        raise NotImplementedError
+    def seeds(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The seeds of ranks start .. stop-1 (all by default), one per row."""
+        ranks = np.arange(start, self.seed_count if stop is None else stop)
+        digits = np.unravel_index(ranks, (self.digit_base,) * self.seed_len)
+        return np.stack(digits, axis=1) + self.digit_low
 
-    def eval(self, seed, a_index: int) -> int:
-        """Output in {1, ..., M} for the given seed and input index."""
-        raise NotImplementedError
+    def iter_maps(self, seeds: np.ndarray | None = None):
+        """The maps of every seed in rank order, or of the rows of `seeds`,
+        in blocks of at most BLOCK_CELLS cells (at least one map each)."""
+        step = max(1, BLOCK_CELLS // self.input_alphabet.size)
+        count = self.seed_count if seeds is None else len(seeds)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            yield self.maps_of(
+                self.seeds(start, stop) if seeds is None else seeds[start:stop]
+            )
+
+    def sample_seed(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """One uniform seed, its digits drawn by one rng.integers call."""
+        low = self.digit_low
+        digits = rng.integers(low, low + self.digit_base, size=self.seed_len)
+        return tuple(int(d) for d in digits)
 
     def as_map(self, seed) -> np.ndarray:
         """The whole map for one seed, as an int array over the alphabet order."""
-        n = self.input_alphabet.size
-        return np.fromiter(
-            (self.eval(seed, i) for i in range(n)), dtype=np.int64, count=n
-        )
-
-    def sample_seed(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def iter_maps(self):
-        for seed in self.iter_seeds():
-            yield self.as_map(seed)
+        arr = np.asarray(seed, dtype=np.int64)
+        if arr.shape != (self.seed_len,):
+            raise ValueError(f"seed must have {self.seed_len} digits")
+        if np.any((arr < self.digit_low) | (arr >= self.digit_low + self.digit_base)):
+            raise ValueError("seed digit out of range")
+        return self.maps_of(arr[None])[0]
 
     def require_enumerable(self, limit: int = ENUMERATION_LIMIT):
         if self.seed_count > limit:
@@ -90,7 +128,8 @@ class HashFamily:
 class FullyRandomFamily(HashFamily):
     """One independent uniform output per input symbol (strongly universal_2).
 
-    The seed is the entire map, so the seed space has size M^|alphabet|.
+    The seed is the entire map, one digit in 1..M per input symbol, so the
+    seed space has size M^|alphabet|.
     """
 
     def __init__(self, input_alphabet: Alphabet, output_size: int):
@@ -98,32 +137,10 @@ class FullyRandomFamily(HashFamily):
             raise ValueError("output size must be >= 1")
         self.input_alphabet = input_alphabet
         self.output_size = output_size
+        self.seed_len, self.digit_low, self.digit_base = input_alphabet.size, 1, output_size
 
-    @property
-    def seed_count(self) -> int:
-        return self.output_size**self.input_alphabet.size
-
-    def iter_seeds(self):
-        return itertools.product(
-            range(1, self.output_size + 1), repeat=self.input_alphabet.size
-        )
-
-    def eval(self, seed, a_index: int) -> int:
-        m = seed[a_index]
-        if not 1 <= m <= self.output_size:
-            raise ValueError(f"seed output {m} out of range")
-        return int(m)
-
-    def as_map(self, seed) -> np.ndarray:
-        return np.asarray(seed, dtype=np.int64)
-
-    def sample_seed(self, rng: np.random.Generator):
-        return tuple(
-            int(v)
-            for v in rng.integers(
-                1, self.output_size + 1, size=self.input_alphabet.size
-            )
-        )
+    def maps_of(self, seeds: np.ndarray) -> np.ndarray:
+        return np.asarray(seeds, dtype=np.int64)
 
 
 class ToeplitzFamily(HashFamily):
@@ -150,59 +167,28 @@ class ToeplitzFamily(HashFamily):
             Alphabet(tuple(str(d) for d in range(q))), k
         )
         self.output_size = q**m
-        # all input digit vectors, row i = digits of symbol i (big-endian)
-        self._digits = np.array(
-            list(itertools.product(range(q), repeat=k)), dtype=np.int64
-        )
+        self.seed_len, self.digit_low, self.digit_base = k - 1, 0, q
 
-    @property
-    def seed_count(self) -> int:
-        return self.q ** (self.k - 1)
-
-    def iter_seeds(self):
-        return itertools.product(range(self.q), repeat=self.k - 1)
-
-    def sample_seed(self, rng: np.random.Generator):
-        return tuple(int(v) for v in rng.integers(0, self.q, size=self.k - 1))
-
-    def matrix(self, seed) -> np.ndarray:
-        if len(seed) != self.k - 1:
-            raise ValueError(f"seed must have {self.k - 1} digits")
-        if any(not 0 <= d < self.q for d in seed):
-            raise ValueError("seed digit out of field range")
-        m, k = self.m, self.k
-        mat = np.zeros((m, k), dtype=np.int64)
-        for i in range(m):
-            for j in range(k - m):
-                mat[i, j] = seed[(k - m - 1) + i - j]
-            mat[i, (k - m) + i] = 1
-        return mat
-
-    def _apply(self, mat: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        """Row-wise map of a batch of digit vectors through the matrix."""
-        if self.q == 4:
-            out = np.zeros((digits.shape[0], self.m), dtype=np.int64)
-            for i in range(self.m):
-                acc = np.zeros(digits.shape[0], dtype=np.int64)
-                for j in range(self.k):
-                    acc = np.bitwise_xor(acc, _GF4_MUL[mat[i, j], digits[:, j]])
-                out[:, i] = acc
-            return out
-        return (digits @ mat.T) % self.q
-
-    def eval(self, seed, a_index: int) -> int:
-        if not 0 <= a_index < self.input_alphabet.size:
-            raise ValueError("input index out of range")
-        out = self._apply(self.matrix(seed), self._digits[a_index : a_index + 1])
-        return self._digits_to_output(out)[0]
-
-    def as_map(self, seed) -> np.ndarray:
-        out = self._apply(self.matrix(seed), self._digits)
-        return self._digits_to_output(out)
-
-    def _digits_to_output(self, out_digits: np.ndarray) -> np.ndarray:
-        weights = self.q ** np.arange(self.m - 1, -1, -1, dtype=np.int64)
-        return (out_digits @ weights) + 1
+    def maps_of(self, seeds: np.ndarray) -> np.ndarray:
+        """Input a = (x, y), x its first k-m digits, maps to X x + y.  X x is
+        summed one seed digit t at a time: each step adds digit t times the
+        window of x it meets in X to the partial sums (F_q^m indices, one per
+        seed and x) by a gather from the addition table; a last gather adds y."""
+        q, m, r = self.q, self.m, self.k - self.m
+        seeds = np.asarray(seeds, dtype=np.int64)
+        sub = Module(q, m).sub_table()
+        add = sub[:, sub[0]]  # add[i, j] is the index of i + j
+        mul = np.array([[self.field.mul(a, b) for b in range(q)] for a in range(q)])
+        x = np.stack(np.unravel_index(np.arange(q**r), (q,) * r), axis=1)
+        places = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        sums = np.zeros((len(seeds), q**r), dtype=np.int64)
+        for t in range(self.k - 1):
+            cols = r - 1 + np.arange(m) - t  # X[i, cols[i]] holds seed digit t
+            hit = (cols >= 0) & (cols < r)
+            term = mul[:, x[:, cols[hit]]] @ places[hit]  # [d, x]: index of d X_t x
+            sums = add[sums, term[seeds[:, t]]]
+        out = add[sums[:, :, None], np.arange(q**m)]
+        return out.reshape(len(seeds), q**self.k) + 1
 
 
 def fit_toeplitz(m: int, l: int, q: int) -> ToeplitzFamily | None:
@@ -218,39 +204,56 @@ def fit_toeplitz(m: int, l: int, q: int) -> ToeplitzFamily | None:
 
 
 class ExplicitFamily(HashFamily):
-    """A hash family given by an explicit list of maps (one per seed)."""
+    """A hash family given by an explicit list of maps, one per seed; the
+    seed of map i is the 1-tuple (i,)."""
 
     def __init__(self, input_alphabet: Alphabet, output_size: int, maps):
+        rows = [np.asarray(m, dtype=np.int64) for m in maps]
+        if not rows:
+            raise ValueError("an explicit family needs at least one map")
+        if any(row.shape != (input_alphabet.size,) for row in rows):
+            raise ValueError("map length must match alphabet size")
+        table = np.stack(rows)
+        if table.min() < 1 or table.max() > output_size:
+            raise ValueError("map output out of range")
         self.input_alphabet = input_alphabet
         self.output_size = output_size
-        self._maps = [np.asarray(m, dtype=np.int64) for m in maps]
-        for m in self._maps:
-            if m.shape != (input_alphabet.size,):
-                raise ValueError("map length must match alphabet size")
-            if m.min() < 1 or m.max() > output_size:
-                raise ValueError("map output out of range")
+        self._maps = table
+        self.seed_len, self.digit_low, self.digit_base = 1, 0, len(rows)
 
-    @property
-    def seed_count(self) -> int:
-        return len(self._maps)
-
-    def iter_seeds(self):
-        return iter(range(len(self._maps)))
-
-    def eval(self, seed, a_index: int) -> int:
-        return int(self._maps[seed][a_index])
-
-    def as_map(self, seed) -> np.ndarray:
-        return self._maps[seed]
-
-    def sample_seed(self, rng: np.random.Generator):
-        return int(rng.integers(0, len(self._maps)))
+    def maps_of(self, seeds: np.ndarray) -> np.ndarray:
+        return self._maps[np.asarray(seeds, dtype=np.int64)[:, 0]]
 
 
-def _maps_matrix(fam: HashFamily) -> np.ndarray:
-    """All seed maps stacked into a (seed_count x |alphabet|) int matrix."""
+def _pair_counts(fam: HashFamily, joint: bool):
+    """Exact pair counts of the seed maps, for one tile of symbols at a time.
+
+    Yields (a, counts, upper) per tile of symbols a.  counts[i, u, b, v]
+    counts the seeds with f(a[i]) = u + 1 and f(b) = v + 1 if `joint`, else
+    (u = v = 0) those with f(a[i]) = f(b); `upper` masks the pairs b > a[i].
+    counts is the Gram matrix of the one-hot seed maps summed over blocks of
+    seeds; a tile holds at most BLOCK_CELLS counts, or one symbol's."""
     fam.require_enumerable()
-    return np.stack([m for m in fam.iter_maps()])
+    n, m = fam.input_alphabet.size, fam.output_size
+    width = m if joint else 1
+    step = max(1, BLOCK_CELLS // (n * width * width))
+    outputs = np.arange(1, m + 1)
+    for a0 in range(0, n, step):
+        a = np.arange(a0, min(a0 + step, n))
+        cols = slice(a0 * width, (a[-1] + 1) * width)
+        counts = 0.0
+        for block in fam.iter_maps():
+            # parts whose one-hot encoding holds at most BLOCK_CELLS cells;
+            # float32 sums of 0/1 products are exact below 2^24 seeds a part
+            for maps in np.array_split(block, -(-block.size * m // BLOCK_CELLS)):
+                hot = (maps[:, :, None] == outputs).astype(np.float32)
+                if joint:
+                    enc = hot.reshape(len(maps), n * m)
+                else:
+                    enc = hot.transpose(0, 2, 1).reshape(-1, n)
+                counts = counts + (enc[:, cols].T @ enc).astype(float)
+        upper = (np.arange(n) > a[:, None])[:, None, :, None]
+        yield a, counts.reshape(-1, width, n, width), upper
 
 
 @dataclass(frozen=True)
@@ -278,36 +281,38 @@ class StronglyUniversal2Report:
 
 
 def check_universal2(fam: HashFamily, tol: float = 1e-12) -> Universal2Report:
-    """Exact worst-pair collision probability over the full seed space."""
-    maps = _maps_matrix(fam)
-    s, n = maps.shape
-    counts = np.zeros((n, n), dtype=np.int64)
-    for row in maps:
-        counts += row[:, None] == row[None, :]
-    np.fill_diagonal(counts, 0)
-    freq = counts / s
-    worst_flat = int(np.argmax(freq))
-    i, j = divmod(worst_flat, n)
-    max_coll = float(freq[i, j]) if n > 1 else 0.0
+    """Exact worst-pair collision probability over the full seed space.
+
+    The worst pair is the first pair a < b (in row-major order) with the most
+    collisions."""
+    best, worst = -1.0, None
+    for a, counts, upper in _pair_counts(fam, joint=False):
+        masked = np.where(upper, counts, -1.0)[:, 0, :, 0]
+        i, b = np.unravel_index(np.argmax(masked), masked.shape)
+        if masked[i, b] > best:
+            best, worst = float(masked[i, b]), (int(a[i]), int(b))
+    max_coll = best / fam.seed_count if worst is not None else 0.0
     bound = 1.0 / fam.output_size
-    worst = None
-    if n > 1:
-        worst = (fam.input_alphabet.symbols[i], fam.input_alphabet.symbols[j])
+    symbols = fam.input_alphabet.symbols
     return Universal2Report(
         passed=max_coll <= bound + tol,
         max_collision=max_coll,
         bound=bound,
-        worst_pair=worst,
+        worst_pair=None if worst is None else (symbols[worst[0]], symbols[worst[1]]),
     )
 
 
 def check_balanced(fam: HashFamily) -> BalancedReport:
     """Pass iff every seed's preimage sizes are all equal."""
     fam.require_enumerable()
-    for idx, row in enumerate(fam.iter_maps()):
-        sizes = np.bincount(row - 1, minlength=fam.output_size)
-        if sizes.min() != sizes.max():
-            return BalancedReport(False, idx, tuple(int(v) for v in sizes))
+    start = 0
+    for maps in fam.iter_maps():
+        sizes = map_histograms(maps, fam.output_size)
+        bad = np.flatnonzero(sizes.min(axis=1) != sizes.max(axis=1))
+        if bad.size:
+            idx = int(bad[0])
+            return BalancedReport(False, start + idx, tuple(int(v) for v in sizes[idx]))
+        start += len(maps)
     return BalancedReport(True, None, None)
 
 
@@ -315,21 +320,17 @@ def check_strongly_universal2(
     fam: HashFamily, tol: float = 1e-12
 ) -> StronglyUniversal2Report:
     """Exact check of single-output uniformity and pairwise independence."""
-    maps = _maps_matrix(fam)
-    s, n = maps.shape
-    m_out = fam.output_size
+    s, m_out = fam.seed_count, fam.output_size
     target_single = s / m_out
-    max_single = 0.0
-    for a in range(n):
-        hist = np.bincount(maps[:, a] - 1, minlength=m_out)
-        max_single = max(max_single, float(np.abs(hist - target_single).max()) / s)
     target_pair = s / (m_out * m_out)
-    max_pair = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            joint = np.zeros((m_out, m_out), dtype=np.int64)
-            np.add.at(joint, (maps[:, a] - 1, maps[:, b] - 1), 1)
-            max_pair = max(max_pair, float(np.abs(joint - target_pair).max()) / s)
+    max_single = max_pair = 0.0
+    for a, counts, upper in _pair_counts(fam, joint=True):
+        hist = counts[np.arange(len(a)), :, a, :].diagonal(axis1=1, axis2=2)
+        max_single = max(max_single, float(np.abs(hist - target_single).max()))
+        dev = np.abs(counts - target_pair).max(initial=0.0, where=upper)
+        max_pair = max(max_pair, float(dev))
+    max_single /= s
+    max_pair /= s
     single_ok = max_single <= tol
     pair_ok = max_pair <= tol
     return StronglyUniversal2Report(

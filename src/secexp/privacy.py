@@ -4,8 +4,9 @@ The unconditional distinguishability of a hashed source is the L1 distance of
 the pushforward from uniform; the conditional variant measures the joint
 against (uniform key) x (Eve's marginal).  Ensemble expectations over a hash
 family are computed exactly by seed enumeration when the seed space is small
-enough, or by Monte Carlo sampling otherwise.  Seed reductions use
-compensated summation, so exact results do not depend on evaluation order.
+enough, or by Monte Carlo sampling otherwise, reading the seed maps in blocks.
+Seed reductions use compensated summation, so exact results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import JointDist, SizeLimitError, SubDist, range_alphabet
-from .hashing import HashFamily
+from .hashing import HashFamily, map_histograms
 
 __all__ = [
     "EnsembleEstimate",
@@ -57,48 +58,48 @@ class EnsembleEstimate:
         return cls(value=mean, stderr=math.sqrt(var / n), mode="mc", n_samples=n)
 
 
-def _as_map(f, size: int) -> np.ndarray:
-    arr = np.asarray(f, dtype=np.int64)
-    if arr.shape != (size,):
+def _valid_map(f, size: int, m: int) -> np.ndarray:
+    f_map = np.asarray(f, dtype=np.int64)
+    if f_map.shape != (size,):
         raise ValueError(f"map must assign all {size} symbols")
-    return arr
-
-
-def _check_range(f_map: np.ndarray, m: int):
     if f_map.min() < 1 or f_map.max() > m:
         raise ValueError(f"map outputs must lie in 1..{m}")
+    return f_map
+
+
+def _l1_rows(rows: np.ndarray, ref) -> list[float]:
+    """Compensated L1 distance of each row from `ref` (broadcast)."""
+    dev = np.abs(rows - ref).reshape(len(rows), -1)
+    return [math.fsum(row) for row in dev.tolist()]
+
+
+def _d1_rows(rows: np.ndarray, m: int) -> list[float]:
+    """Distance of each pushforward row from its total mass x uniform."""
+    totals = np.array([math.fsum(row) for row in rows.tolist()])
+    return _l1_rows(rows, totals[:, None] / m)
 
 
 def pushforward(p: SubDist, f, m: int) -> SubDist:
     """Image distribution of p under a concrete map into {1..m}."""
-    f_map = _as_map(f, p.alphabet.size)
-    _check_range(f_map, m)
-    out = np.bincount(f_map - 1, weights=p.mass, minlength=m)
-    return SubDist(range_alphabet(m), out)
+    f_map = _valid_map(f, p.alphabet.size, m)
+    return SubDist(range_alphabet(m), map_histograms(f_map[None], m, p.mass)[0])
 
 
 def d1_hashed(p: SubDist, f, m: int) -> float:
     """L1 distance of the hashed source from (total mass) x uniform."""
-    q = pushforward(p, f, m)
-    ref = q.total / m
-    return float(math.fsum(np.abs(q.mass - ref).tolist()))
+    return _d1_rows(pushforward(p, f, m).mass[None], m)[0]
 
 
 def joint_pushforward(j: JointDist, f, m: int) -> JointDist:
     """Push the secret coordinate of a joint through a concrete map."""
-    f_map = _as_map(f, j.alphabet_a.size)
-    _check_range(f_map, m)
-    out = np.zeros((m, j.alphabet_e.size))
-    np.add.at(out, f_map - 1, j.mass)
-    return JointDist(range_alphabet(m), j.alphabet_e, out)
+    f_map = _valid_map(f, j.alphabet_a.size, m)
+    return JointDist(range_alphabet(m), j.alphabet_e, map_histograms(f_map[None], m, j.mass)[0])
 
 
 def d1_conditional(j: JointDist, f, m: int) -> float:
     """L1 distance of P(f(A), E) from (uniform on {1..m}) x P(E)."""
     hashed = joint_pushforward(j, f, m)
-    pe = j.mass.sum(axis=0)
-    ref = pe[None, :] / m
-    return float(math.fsum(np.abs(hashed.mass - ref).ravel().tolist()))
+    return _l1_rows(hashed.mass[None], j.mass.sum(axis=0) / m)[0]
 
 
 def d1_conditional_prime(j: JointDist, f, m: int) -> float:
@@ -108,33 +109,32 @@ def d1_conditional_prime(j: JointDist, f, m: int) -> float:
     the hashed marginal is exactly uniform.
     """
     hashed = joint_pushforward(j, f, m)
-    pe = j.mass.sum(axis=0)
-    pf = hashed.mass.sum(axis=1)
-    ref = np.outer(pf, pe)
-    return float(math.fsum(np.abs(hashed.mass - ref).ravel().tolist()))
+    ref = np.outer(hashed.mass.sum(axis=1), j.mass.sum(axis=0))
+    return _l1_rows(hashed.mass[None], ref)[0]
 
 
-def _exact_mean(fam: HashFamily, value_fn) -> float:
-    """Uniform average of value_fn over every seed map, read one map at a time."""
+def _exact_mean(fam: HashFamily, values_of) -> float:
+    """Uniform average over every seed map of values_of(block of maps)."""
     if fam.seed_count * fam.input_alphabet.size > EXACT_WORK_LIMIT:
         raise SizeLimitError(
             "exact mode would exceed the work limit; use Monte Carlo mode"
         )
     fam.require_enumerable()
-    return math.fsum(value_fn(f_map) for f_map in fam.iter_maps()) / fam.seed_count
+    return math.fsum(v for maps in fam.iter_maps() for v in values_of(maps)) / fam.seed_count
 
 
 def _ensemble(
-    fam: HashFamily, value_fn, mode: str, n_samples: int, seed: int
+    fam: HashFamily, values_of, mode: str, n_samples: int, seed: int
 ) -> EnsembleEstimate:
     if mode == "exact":
         return EnsembleEstimate(
-            value=_exact_mean(fam, value_fn), stderr=None, mode="exact"
+            value=_exact_mean(fam, values_of), stderr=None, mode="exact"
         )
     if mode == "mc":
         rng = np.random.default_rng(seed)
+        seeds = np.array([fam.sample_seed(rng) for _ in range(n_samples)])
         return EnsembleEstimate.from_samples(
-            [value_fn(fam.as_map(fam.sample_seed(rng))) for _ in range(n_samples)]
+            [v for maps in fam.iter_maps(seeds) for v in values_of(maps)]
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -150,7 +150,8 @@ def expected_d1(
     if fam.input_alphabet != p.alphabet:
         raise ValueError("family input alphabet must match the distribution")
     m = fam.output_size
-    return _ensemble(fam, lambda f: d1_hashed(p, f, m), mode, n_samples, seed)
+    values_of = lambda maps: _d1_rows(map_histograms(maps, m, p.mass), m)
+    return _ensemble(fam, values_of, mode, n_samples, seed)
 
 
 def expected_d1_conditional(
@@ -164,7 +165,9 @@ def expected_d1_conditional(
     if fam.input_alphabet != j.alphabet_a:
         raise ValueError("family input alphabet must match the secret alphabet")
     m = fam.output_size
-    return _ensemble(fam, lambda f: d1_conditional(j, f, m), mode, n_samples, seed)
+    ref = j.mass.sum(axis=0) / m
+    values_of = lambda maps: _l1_rows(map_histograms(maps, m, j.mass), ref)
+    return _ensemble(fam, values_of, mode, n_samples, seed)
 
 
 def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
@@ -175,12 +178,8 @@ def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
     it is at most e^(-H_2(A)) + (total mass)^2 / M.
     """
     m = fam.output_size
-
-    def value(f_map: np.ndarray) -> float:
-        q = pushforward(p, f_map, m)
-        return float(math.fsum((q.mass**2).tolist()))
-
-    return _exact_mean(fam, value)
+    squares = lambda maps: (map_histograms(maps, m, p.mass) ** 2).tolist()
+    return _exact_mean(fam, lambda maps: [math.fsum(row) for row in squares(maps)])
 
 
 def _omega_indices(p: SubDist, omega) -> list[int]:

@@ -518,7 +518,7 @@ def wiretap_ensemble_exact(
     n_codebooks = nx**ml
     if n_codebooks * n_seeds > ENSEMBLE_COMBO_LIMIT:
         raise SizeLimitError("ensemble too large for exact enumeration")
-    maps = np.array(list(fam.iter_maps()), dtype=np.int64)
+    maps = np.concatenate(list(fam.iter_maps()))
     per_block = max(1, _block_pairs(m, l, wb, we) // n_seeds)
     codebooks, weights, eps, d1 = [], [], [], []
     for start in range(0, n_codebooks, per_block):
@@ -568,10 +568,11 @@ def wiretap_ensemble_mc(
     ml = m * l
     rng = np.random.default_rng(seed)
     codebooks = np.empty((n_samples, ml), dtype=np.int64)
-    maps = np.empty((n_samples, ml), dtype=np.int64)
+    seeds = []
     for k in range(n_samples):
         codebooks[k], s = _draw(p, ml, fam, rng)
-        maps[k] = fam.as_map(s)
+        seeds.append(s)
+    maps = fam.maps_of(np.array(seeds))
     eps_vals = np.empty(n_samples)
     d1_vals = np.empty(n_samples)
     step = _block_pairs(m, l, wb, we)
@@ -685,6 +686,11 @@ class LinearCode:
         return len(self.codewords)
 
 
+def _kernel_members(c1: LinearCode, f_map: np.ndarray) -> frozenset:
+    """The codewords of the messages that a seed map sends to output 1."""
+    return frozenset(c1.message_codewords[u] for u in np.flatnonzero(f_map == 1))
+
+
 def enumerate_subcodes(c1: LinearCode, m: int) -> list[tuple[tuple, frozenset]]:
     """All hash-kernel subcodes of size q^(k-m), one per Toeplitz seed.
 
@@ -694,24 +700,17 @@ def enumerate_subcodes(c1: LinearCode, m: int) -> list[tuple[tuple, frozenset]]:
     against the zero message).
     """
     fam = ToeplitzFamily(c1.module.q, c1.k, m)
-    out = []
-    for seed in fam.iter_seeds():
-        f_map = fam.as_map(seed)
-        members = frozenset(
-            c1.message_codewords[u] for u in range(len(f_map)) if f_map[u] == 1
-        )
-        out.append((seed, members))
-    return out
+    seeds = fam.seeds()
+    return [
+        (tuple(seed), _kernel_members(c1, f_map))
+        for seed, f_map in zip(seeds.tolist(), fam.maps_of(seeds))
+    ]
 
 
 def sample_subcode(c1: LinearCode, m: int, rng: np.random.Generator):
     fam = ToeplitzFamily(c1.module.q, c1.k, m)
     seed = fam.sample_seed(rng)
-    f_map = fam.as_map(seed)
-    members = frozenset(
-        c1.message_codewords[u] for u in range(len(f_map)) if f_map[u] == 1
-    )
-    return seed, members
+    return seed, _kernel_members(c1, fam.as_map(seed))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from secexp.dists import (
     Alphabet,
     AlphabetMismatchError,
+    JointDist,
     SizeLimitError,
     SubDist,
     TypeClass,
@@ -42,6 +43,17 @@ class TestConstruction:
     def test_rejects_total_above_one(self):
         with pytest.raises(ValueError):
             subdist(0.7, 0.5)
+
+    @pytest.mark.parametrize("mass", [(np.nan, 0.5), (0.2, np.nan), (np.nan, np.nan)])
+    def test_rejects_nan_mass(self, mass):
+        with pytest.raises(ValueError):
+            subdist(*mass)
+
+    @pytest.mark.parametrize("mass", [[[np.nan, 0.5], [0.25, 0.25]], [[0.5, 0.5], [0.0, np.nan]]])
+    def test_joint_rejects_nan_mass(self, mass):
+        ab = Alphabet(("a", "b"))
+        with pytest.raises(ValueError):
+            JointDist(ab, ab, mass)
 
     def test_subdistribution_total(self):
         p = subdist(0.3, 0.3)

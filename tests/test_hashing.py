@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from secexp import hashing
 from secexp.dists import Alphabet, range_alphabet
 from secexp.gf import Field, Module
 from secexp.hashing import (
@@ -60,13 +61,48 @@ class TestModule:
 class TestFullyRandomEval:
     def test_seed_listing_lookup(self):
         fam = FullyRandomFamily(Alphabet(("a", "b", "c")), 2)
-        assert fam.eval((1, 2, 1), 1) == 2
         assert fam.as_map((1, 2, 1)).tolist() == [1, 2, 1]
+        seeds = np.array([[1, 2, 1], [2, 2, 1]])
+        assert fam.maps_of(seeds).tolist() == seeds.tolist()
 
     def test_out_of_range_seed_rejected(self):
         fam = FullyRandomFamily(range_alphabet(2), 2)
         with pytest.raises(ValueError):
-            fam.eval((1, 3), 1)
+            fam.as_map((1, 3))
+        with pytest.raises(ValueError):
+            fam.as_map((1,))
+
+
+def toeplitz_reference_map(fam: ToeplitzFamily, seed) -> list[int]:
+    """One seed's map by the definition: the (X | I) matrix with
+    X[i][j] = seed[(k - m - 1) + i - j], applied to each input's digits with
+    scalar field arithmetic."""
+    q, k, m = fam.q, fam.k, fam.m
+    f, inputs, outputs = Field(q), Module(q, k), Module(q, m)
+    mat = [[0] * k for _ in range(m)]
+    for i in range(m):
+        for j in range(k - m):
+            mat[i][j] = int(seed[(k - m - 1) + i - j])
+        mat[i][(k - m) + i] = 1
+    out = []
+    for idx in range(inputs.size):
+        digits = inputs.digits(idx)
+        image = []
+        for row in mat:
+            acc = 0
+            for coef, d in zip(row, digits):
+                acc = f.add(acc, f.mul(coef, d))
+            image.append(acc)
+        out.append(outputs.index(image) + 1)
+    return out
+
+
+def toeplitz_matrix(fam: ToeplitzFamily, seed) -> np.ndarray:
+    """The matrix of a seed's map, read off the images of the unit vectors."""
+    f_map = fam.as_map(seed)
+    out_mod = Module(fam.q, fam.m)
+    cols = [out_mod.digits(int(f_map[fam.q ** (fam.k - 1 - j)]) - 1) for j in range(fam.k)]
+    return np.array(cols).T
 
 
 class TestToeplitzEval:
@@ -82,31 +118,30 @@ class TestToeplitzEval:
         m = fam.as_map((1,))
         assert m.tolist() == [1, 2, 2, 1]
 
-    def test_matrix_shape_and_identity_block(self):
+    def test_identity_block_and_constant_diagonals(self):
         fam = ToeplitzFamily(3, 4, 2)
-        mat = fam.matrix((1, 2, 0))
+        mat = toeplitz_matrix(fam, (1, 2, 0))
         assert mat.shape == (2, 4)
         np.testing.assert_array_equal(mat[:, 2:], np.eye(2, dtype=int))
-        # Toeplitz block: constant diagonals
-        assert mat[0, 0] == mat[1, 1]
+        # Toeplitz block: constant diagonals, seed digit 0 top-right
+        assert mat[0, 0] == mat[1, 1] == 2
+        assert mat[0, 1] == 1 and mat[1, 0] == 0
 
     def test_seed_count(self):
         for q, k in ((2, 3), (3, 2), (4, 3)):
             fam = ToeplitzFamily(q, k, 1)
             assert fam.seed_count == q ** (k - 1)
-            assert len(list(fam.iter_seeds())) == fam.seed_count
+            assert fam.seeds().shape == (fam.seed_count, k - 1)
 
-    def test_eval_matches_field_arithmetic(self):
-        fam = ToeplitzFamily(4, 3, 1)
-        f = Field(4)
-        for seed in fam.iter_seeds():
-            mat = fam.matrix(seed)
-            for idx in range(fam.input_alphabet.size):
-                digits = fam._digits[idx]
-                expect = 0
-                for j in range(3):
-                    expect = f.add(expect, f.mul(int(mat[0, j]), int(digits[j])))
-                assert fam.eval(seed, idx) == expect + 1
+    @pytest.mark.parametrize(
+        "q,k,m",
+        [(2, 2, 1), (2, 5, 2), (2, 6, 3), (2, 6, 5), (3, 3, 1), (3, 4, 2), (4, 3, 1), (4, 4, 2), (4, 4, 3)],
+    )
+    def test_maps_of_matches_field_loops(self, q, k, m):
+        fam = ToeplitzFamily(q, k, m)
+        seeds = fam.seeds()
+        expect = [toeplitz_reference_map(fam, seed) for seed in seeds.tolist()]
+        assert fam.maps_of(seeds).tolist() == expect
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -220,3 +255,162 @@ class TestSeedSampling:
             seed = fam.sample_seed(rng)
             m = fam.as_map(seed)
             assert m.min() >= 1 and m.max() <= fam.output_size
+
+
+def small_families():
+    alph = range_alphabet(3)
+    return [
+        FullyRandomFamily(alph, 2),
+        ToeplitzFamily(3, 3, 1),
+        ToeplitzFamily(4, 3, 2),
+        ExplicitFamily(alph, 2, [[1, 2, 1], [2, 2, 1], [1, 1, 2], [2, 1, 1]]),
+    ]
+
+
+class TestSeedInterface:
+    @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
+    def test_seeds_follow_product_order(self, fam):
+        digits = range(fam.digit_low, fam.digit_low + fam.digit_base)
+        expect = [list(s) for s in itertools.product(digits, repeat=fam.seed_len)]
+        assert fam.seeds().tolist() == expect
+        assert fam.seeds(1, 3).tolist() == expect[1:3]
+        assert len(expect) == fam.seed_count
+        with pytest.raises(ValueError):
+            fam.seeds(0, fam.seed_count + 1)
+
+    @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
+    def test_as_map_is_maps_of_one_seed(self, fam):
+        seeds = fam.seeds()
+        maps = fam.maps_of(seeds)
+        for seed, f_map in zip(seeds.tolist(), maps):
+            assert fam.as_map(tuple(seed)).tolist() == f_map.tolist()
+        assert maps.shape == (fam.seed_count, fam.input_alphabet.size)
+        assert maps.min() >= 1 and maps.max() <= fam.output_size
+
+    @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
+    def test_as_map_checks_the_seed(self, fam):
+        seed = fam.seeds(0, 1)[0]
+        with pytest.raises(ValueError):
+            fam.as_map(tuple(seed) + (fam.digit_low,))
+        for bad in (fam.digit_low - 1, fam.digit_low + fam.digit_base):
+            wrong = seed.copy()
+            wrong[-1] = bad
+            with pytest.raises(ValueError):
+                fam.as_map(wrong)
+
+    @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
+    def test_iter_maps_blocks(self, fam, monkeypatch):
+        every = fam.maps_of(fam.seeds())
+        n = fam.input_alphabet.size
+        for cells in (1, 2 * n + 1, 5 * n, 1 << 19):
+            monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+            blocks = list(fam.iter_maps())
+            assert all(b.size <= max(cells, n) for b in blocks)
+            np.testing.assert_array_equal(np.concatenate(blocks), every)
+            picked = fam.seeds()[::-1]
+            np.testing.assert_array_equal(
+                np.concatenate(list(fam.iter_maps(picked))), fam.maps_of(picked)
+            )
+
+    @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
+    def test_sample_seed_is_one_integers_call(self, fam):
+        seeds = [fam.sample_seed(np.random.default_rng(5)) for _ in range(2)]
+        low, high = fam.digit_low, fam.digit_low + fam.digit_base
+        expect = np.random.default_rng(5).integers(low, high, size=fam.seed_len)
+        assert seeds[0] == seeds[1] == tuple(int(d) for d in expect)
+        assert all(isinstance(d, int) for d in seeds[0])
+
+    def test_explicit_seed_is_a_one_tuple(self):
+        maps = [[1, 2, 1], [2, 2, 1], [1, 1, 2]]
+        fam = ExplicitFamily(range_alphabet(3), 2, maps)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            seed = fam.sample_seed(rng)
+            assert seed == (int(ref.integers(0, 3)),)
+            assert fam.as_map(seed).tolist() == maps[seed[0]]
+        assert fam.seeds().tolist() == [[0], [1], [2]]
+
+    def test_explicit_family_needs_a_map(self):
+        with pytest.raises(ValueError):
+            ExplicitFamily(range_alphabet(3), 2, [])
+
+
+def pair_loop_reports(maps: np.ndarray, m: int, symbols):
+    """The three checkers by direct loops over seeds and pairs."""
+    s, n = maps.shape
+    worst, best = None, -1
+    pair_dev = single_dev = 0.0
+    for a in range(n):
+        hist = np.zeros(m)
+        for row in maps:
+            hist[row[a] - 1] += 1
+        single_dev = max(single_dev, float(np.abs(hist - s / m).max()) / s)
+        for b in range(a + 1, n):
+            hits = sum(int(row[a] == row[b]) for row in maps)
+            if hits > best:
+                best, worst = hits, (symbols[a], symbols[b])
+            joint = np.zeros((m, m))
+            for row in maps:
+                joint[row[a] - 1, row[b] - 1] += 1
+            pair_dev = max(pair_dev, float(np.abs(joint - s / m**2).max()) / s)
+    bad = None
+    for idx, row in enumerate(maps):
+        sizes = [int(np.sum(row == v)) for v in range(1, m + 1)]
+        if bad is None and min(sizes) != max(sizes):
+            bad = (idx, tuple(sizes))
+    max_coll = best / s if n > 1 else 0.0
+    return max_coll, worst, single_dev, pair_dev, bad
+
+
+def random_explicit_families():
+    rng = np.random.default_rng(77)
+    out = []
+    for _ in range(12):
+        n, m, s = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        out.append(ExplicitFamily(range_alphabet(n), m, rng.integers(1, m + 1, size=(s, n))))
+    # families that pass: every map (strongly universal), a Toeplitz family's maps
+    full = FullyRandomFamily(range_alphabet(3), 2)
+    out.append(ExplicitFamily(range_alphabet(3), 2, full.maps_of(full.seeds())))
+    toep = ToeplitzFamily(2, 3, 1)
+    out.append(ExplicitFamily(range_alphabet(8), 2, toep.maps_of(toep.seeds())))
+    return out
+
+
+class TestCheckersAgainstPairLoops:
+    @pytest.mark.parametrize("cells", [1 << 19, 7])
+    def test_random_explicit_families(self, cells, monkeypatch):
+        monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        outcomes = set()
+        for fam in random_explicit_families():
+            maps = fam.maps_of(fam.seeds())
+            m = fam.output_size
+            max_coll, worst, single_dev, pair_dev, bad = pair_loop_reports(
+                maps, m, fam.input_alphabet.symbols
+            )
+            rep1 = check_universal2(fam)
+            assert rep1.max_collision == max_coll
+            assert rep1.worst_pair == worst
+            assert rep1.passed == (max_coll <= 1.0 / m + 1e-12)
+            rep2 = check_balanced(fam)
+            assert rep2.passed == (bad is None)
+            assert (rep2.bad_seed_index, rep2.preimage_sizes) == (bad or (None, None))
+            rep3 = check_strongly_universal2(fam)
+            assert rep3.max_single_deviation == single_dev
+            assert rep3.max_pair_deviation == pair_dev
+            outcomes.add((rep1.passed, rep2.passed, rep3.passed))
+        # both verdicts of every checker occur
+        for i in range(3):
+            assert {o[i] for o in outcomes} == {True, False}
+
+    def test_no_collision_names_two_distinct_symbols(self):
+        fam = ExplicitFamily(range_alphabet(3), 3, [[1, 2, 3], [2, 3, 1]])
+        rep = check_universal2(fam)
+        assert rep.max_collision == 0.0
+        assert rep.worst_pair == ("1", "2")
+
+    def test_toeplitz_checks_split_into_blocks(self, monkeypatch):
+        fam = ToeplitzFamily(2, 5, 2)
+        whole = (check_universal2(fam), check_balanced(fam), check_strongly_universal2(fam))
+        monkeypatch.setattr(hashing, "BLOCK_CELLS", 3 * 32 + 5)
+        split = (check_universal2(fam), check_balanced(fam), check_strongly_universal2(fam))
+        assert split == whole

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from secexp import hashing
 from secexp.dists import (
     Alphabet,
     JointDist,
@@ -84,7 +85,7 @@ class TestExpectedD1Oracle:
     def test_exact_is_fsum_over_seeds(self):
         p = skew3()
         fam = FullyRandomFamily(p.alphabet, 2)
-        values = [d1_hashed(p, fam.as_map(seed), 2) for seed in fam.iter_seeds()]
+        values = [d1_hashed(p, fam.as_map(seed), 2) for seed in fam.seeds()]
         assert expected_d1(p, fam).value == math.fsum(values) / fam.seed_count
 
     def test_work_limit(self):
@@ -250,7 +251,7 @@ class TestConditional:
         mass /= mass.sum()
         j = JointDist(fam.input_alphabet, Alphabet(("e0", "e1")), mass)
         exact = expected_d1_conditional(j, fam).value
-        oracle = sum(d1_conditional(j, f, 2) for f in fam.iter_maps()) / 2
+        oracle = sum(d1_conditional(j, f, 2) for f in fam.maps_of(fam.seeds())) / 2
         assert exact == pytest.approx(oracle, abs=1e-15)
         for t in np.linspace(0.0, 0.5, 6):
             assert exact <= conditional_hash_d1_bound_at(j, 2, float(t)) + 1e-12
@@ -259,7 +260,7 @@ class TestConditional:
         alph = Alphabet(("0", "1"))
         j = JointDist(alph, alph, [[0.5, 0.0], [0.0, 0.5]])
         fam = FullyRandomFamily(alph, 2)
-        vals = [d1_conditional(j, f, 2) for f in fam.iter_maps()]
+        vals = [d1_conditional(j, f, 2) for f in fam.maps_of(fam.seeds())]
         oracle = sum(vals) / len(vals)
         assert expected_d1_conditional(j, fam).value == pytest.approx(oracle)
         # full leakage keeps the average well away from zero
@@ -289,3 +290,77 @@ class TestMonteCarlo:
         exact = expected_d1_conditional(j, fam).value
         est = expected_d1_conditional(j, fam, mode="mc", n_samples=1500, seed=1)
         assert abs(est.value - exact) <= 3.0 * max(est.stderr, 1e-12)
+
+
+def d1_oracle(mass, f_map, m):
+    q = np.bincount(f_map - 1, weights=mass, minlength=m)
+    ref = math.fsum(q.tolist()) / m
+    return math.fsum(np.abs(q - ref).tolist())
+
+
+def conditional_oracle(jmass, f_map, m):
+    out = np.zeros((m, jmass.shape[1]))
+    np.add.at(out, f_map - 1, jmass)
+    ref = jmass.sum(axis=0)[None, :] / m
+    return math.fsum(np.abs(out - ref).ravel().tolist())
+
+
+def collision_oracle(mass, f_map, m):
+    q = np.bincount(f_map - 1, weights=mass, minlength=m)
+    return math.fsum((q**2).tolist())
+
+
+def block_families():
+    return [
+        ToeplitzFamily(2, 6, 2),
+        ToeplitzFamily(3, 3, 1),
+        ToeplitzFamily(4, 3, 2),
+        FullyRandomFamily(range_alphabet(4), 3),
+    ]
+
+
+class TestBlockKernel:
+    """The ensembles read seed maps in blocks; every seed's value must equal
+    the one-map formula bit for bit, however the blocks split."""
+
+    @staticmethod
+    def sources(fam, seed):
+        rng = np.random.default_rng(seed)
+        mass = rng.random(fam.input_alphabet.size) + 0.01
+        p = SubDist(fam.input_alphabet, mass / mass.sum())
+        jmass = rng.random((fam.input_alphabet.size, 3))
+        j = JointDist(fam.input_alphabet, range_alphabet(3), jmass / jmass.sum())
+        return p, j
+
+    @pytest.mark.parametrize("fam", block_families(), ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("cells", [1 << 19, 37])
+    def test_exact_means_are_fsums_of_one_map_values(self, fam, cells, monkeypatch):
+        monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        p, j = self.sources(fam, 3)
+        m, count = fam.output_size, fam.seed_count
+        maps = fam.maps_of(fam.seeds())
+        d1 = [d1_oracle(p.mass, f, m) for f in maps]
+        assert [d1_hashed(p, f, m) for f in maps] == d1
+        assert expected_d1(p, fam).value == math.fsum(d1) / count
+        cond = [conditional_oracle(j.mass, f, m) for f in maps]
+        assert [d1_conditional(j, f, m) for f in maps] == cond
+        assert expected_d1_conditional(j, fam).value == math.fsum(cond) / count
+        coll = [collision_oracle(p.mass, f, m) for f in maps]
+        assert expected_collision_mass(p, fam) == math.fsum(coll) / count
+
+    @pytest.mark.parametrize("cells", [1 << 19, 5 * 256 + 3])
+    def test_toeplitz_mc_equals_per_sample_loop(self, cells, monkeypatch):
+        monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        fam = ToeplitzFamily(2, 8, 3)
+        p, j = self.sources(fam, 8)
+        m = fam.output_size
+        for func, one_map, data in (
+            (expected_d1, d1_hashed, p),
+            (expected_d1_conditional, d1_conditional, j),
+        ):
+            rng = np.random.default_rng(9)
+            values = [one_map(data, fam.as_map(fam.sample_seed(rng)), m) for _ in range(60)]
+            mean = math.fsum(values) / 60
+            var = math.fsum((v - mean) ** 2 for v in values) / 59
+            est = func(data, fam, mode="mc", n_samples=60, seed=9)
+            assert (est.value, est.stderr) == (mean, math.sqrt(var / 60))

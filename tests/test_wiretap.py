@@ -20,6 +20,7 @@ from secexp.figures import (
 from secexp.gf import Module
 
 from conftest import assert_matches_scalar_optimizer, assert_order_parity
+from secexp import hashing
 from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
     Channel,
@@ -380,7 +381,7 @@ class TestRandomCodingEnsemble:
         p = SubDist(alph, [0.3, 0.7])
         m, l = 2, 2
         fam = ToeplitzFamily(2, 2, 1)
-        maps = list(fam.iter_maps())
+        maps = fam.maps_of(fam.seeds())
         total = []
         for cb in itertools.product(range(2), repeat=m * l):
             w_cb = float(np.prod(p.mass[list(cb)]))
@@ -467,7 +468,7 @@ class TestBatchedEnsembleParity:
     def test_exact_matches_per_entry_loop(self, q, m, l):
         p, fam, wb, we = _parity_instance(q, m, l)
         res = wiretap_ensemble_exact(p, m, l, fam, wb, we)
-        maps = list(fam.iter_maps())
+        maps = fam.maps_of(fam.seeds())
         ref, eps_terms, d1_terms = [], [], []
         for cb in itertools.product(range(q), repeat=m * l):
             w_cb = float(np.prod(p.mass[list(cb)]))
@@ -498,6 +499,18 @@ class TestBatchedEnsembleParity:
         chosen = markov_select(res)
         assert (chosen.codebook, chosen.seed_index) == ref[first][:2]
         assert chosen is res.entries[first]
+
+    @pytest.mark.parametrize("q,m,l", [(2, 2, 4), (3, 3, 3)])
+    def test_seed_maps_split_into_blocks(self, q, m, l, monkeypatch):
+        p, fam, wb, we = _parity_instance(q, m, l)
+        whole = wiretap_ensemble_exact(p, m, l, fam, wb, we)
+        mc = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2)
+        monkeypatch.setattr(hashing, "BLOCK_CELLS", 2 * m * l + 1)
+        split = wiretap_ensemble_exact(p, m, l, fam, wb, we)
+        for key in ("weight", "eps", "d1", "codebooks"):
+            np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
+        assert (split.avg_eps, split.avg_d1) == (whole.avg_eps, whole.avg_d1)
+        assert wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2) == mc
 
     @pytest.mark.parametrize("q,m,l", PARITY_CASES)
     def test_mc_matches_per_sample_loop(self, q, m, l):
