@@ -92,26 +92,27 @@ def channels_from_joint(tri: CorrelationTriple) -> tuple[Channel, Channel]:
     return wb, we
 
 
-def distillation_error_bound(pab: JointDist, m: int, l: int, factor: float = 2.0) -> float:
-    """factor * min over s in [0,1] of (ML)^s |A|^(-s) e^(-(1+s) H~_(1/(1+s))(A|B)).
+def distillation_error_bound(pab: JointDist, m: int, l: int) -> float:
+    """min over s in [0,1] of (ML)^s |A|^(-s) e^(-(1+s) H~_(1/(1+s))(A|B)):
+    the ensemble guarantee on the decoding error; a selected concrete code is
+    guaranteed twice this.
 
-    The conditional entropy enters through the phi functional at -s; with
-    factor 2 this is the concrete-code display, factor 1 the ensemble form.
+    The conditional entropy enters through the phi functional at -s.
     """
     size_a = pab.alphabet_a.size
     ml = m * l
     fn = lambda s: -(ml**s * size_a ** (-s) * np.exp(phi_cond(pab, -s)))
-    return -factor * maximize_on_interval(fn, 0.0, 1.0)[1]
+    return -maximize_on_interval(fn, 0.0, 1.0)[1]
 
 
-def distillation_d1_bound(pae: JointDist, l: int, factor: float = 6.0) -> float:
-    """factor * min over t in [0,1/2] of |A|^t e^(-(1-t) H~_(1/(1-t))(A|E)) / L^t.
-
-    Factor 6 is the concrete-code display; factor 3 the ensemble form.
+def distillation_d1_bound(pae: JointDist, l: int) -> float:
+    """3 min over t in [0,1/2] of |A|^t e^(-(1-t) H~_(1/(1-t))(A|E)) / L^t:
+    the ensemble guarantee on Eve's distinguishability; a selected concrete
+    code is guaranteed twice this.
     """
     size_a = pae.alphabet_a.size
     fn = lambda t: -(size_a**t * np.exp(phi_cond(pae, t)) / l**t)
-    return -factor * maximize_on_interval(fn, 0.0, 0.5)[1]
+    return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,8 @@ def run_distillation(
         sel_eps = sel_d1 = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    bound_eps = distillation_error_bound(tri.pab, m, l)
+    bound_d1 = distillation_d1_bound(tri.pae, l)
     return DistillationReport(
         m=m,
         l=l,
@@ -188,10 +191,10 @@ def run_distillation(
         d1=d1,
         eps_stderr=eps_se,
         d1_stderr=d1_se,
-        bound_eps_ensemble=distillation_error_bound(tri.pab, m, l, factor=1.0),
-        bound_eps_code=distillation_error_bound(tri.pab, m, l, factor=2.0),
-        bound_d1_ensemble=distillation_d1_bound(tri.pae, l, factor=3.0),
-        bound_d1_code=distillation_d1_bound(tri.pae, l, factor=6.0),
+        bound_eps_ensemble=bound_eps,
+        bound_eps_code=2.0 * bound_eps,
+        bound_d1_ensemble=bound_d1,
+        bound_d1_code=2.0 * bound_d1,
         selected_eps=sel_eps,
         selected_d1=sel_d1,
         rate=tri.rate(),

@@ -27,6 +27,7 @@ _GF4_MUL = np.array(
     ],
     dtype=np.int64,
 )
+_GF4_MUL.setflags(write=False)
 
 
 def is_prime(n: int) -> bool:
@@ -73,6 +74,13 @@ class Field:
         if self.q == 4:
             return int(_GF4_MUL[a, b])
         return (a * b) % self.q
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The addition and multiplication tables: [a, b] holds a + b, a * b."""
+        e = np.arange(self.q, dtype=np.int64)
+        if self.q == 4:
+            return e[:, None] ^ e, _GF4_MUL
+        return (e[:, None] + e) % self.q, (e[:, None] * e) % self.q
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import BLOCK_CELLS, Alphabet, product_alphabet
+from .dists import (
+    BLOCK_CELLS,
+    DEFAULT_MAX_CELLS,
+    Alphabet,
+    SizeLimitError,
+    product_alphabet,
+)
 from .gf import Field, Module
 
 __all__ = [
@@ -159,10 +165,13 @@ class ToeplitzFamily(HashFamily):
     def __init__(self, q: int, k: int, m: int):
         if not 1 <= m < k:
             raise ValueError("need 1 <= m < k")
+        self.field = Field(q)
+        size = q**k
+        if size > DEFAULT_MAX_CELLS:
+            raise SizeLimitError(f"{size} input symbols exceed cap {DEFAULT_MAX_CELLS}")
         self.q = q
         self.k = k
         self.m = m
-        self.field = Field(q)
         self.input_alphabet = product_alphabet(
             Alphabet(tuple(str(d) for d in range(q))), k
         )
@@ -178,7 +187,7 @@ class ToeplitzFamily(HashFamily):
         seeds = np.asarray(seeds, dtype=np.int64)
         sub = Module(q, m).sub_table()
         add = sub[:, sub[0]]  # add[i, j] is the index of i + j
-        mul = np.array([[self.field.mul(a, b) for b in range(q)] for a in range(q)])
+        mul = self.field.tables()[1]
         x = np.stack(np.unravel_index(np.arange(q**r), (q,) * r), axis=1)
         places = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
         sums = np.zeros((len(seeds), q**r), dtype=np.int64)

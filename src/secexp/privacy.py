@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import JointDist, SizeLimitError, SubDist, range_alphabet
+from .dists import BLOCK_CELLS, JointDist, SizeLimitError, SubDist, range_alphabet
 from .hashing import HashFamily, map_histograms
 
 __all__ = [
@@ -166,7 +166,14 @@ def expected_d1_conditional(
         raise ValueError("family input alphabet must match the secret alphabet")
     m = fam.output_size
     ref = j.mass.sum(axis=0) / m
-    values_of = lambda maps: _l1_rows(map_histograms(maps, m, j.mass), ref)
+    # parts of a block whose histograms hold at most BLOCK_CELLS cells (or
+    # one map's), so the rows summed as Python lists stay small for large |E|
+    step = max(1, BLOCK_CELLS // ref.size // m)
+    values_of = lambda maps: [
+        v
+        for s in range(0, len(maps), step)
+        for v in _l1_rows(map_histograms(maps[s : s + step], m, j.mass), ref)
+    ]
     return _ensemble(fam, values_of, mode, n_samples, seed)
 
 

@@ -6,11 +6,16 @@ decoding error and Eve's distinguishability exactly, builds hash-based
 random codes and nested-linear-code (coset) codes, and provides the phi/psi
 channel functionals, their exponents, the additive-channel closed forms, and
 the reverse-Holder ordering between them.
+
+A coset code is a hash-partition code: a subcode C2 of a linear code C1 is
+named by the Toeplitz seed map f on C1's messages whose kernel it is, and
+the cosets of C2 are f's classes.  So the coset ensemble is conditional
+privacy amplification of (uniform message, Eve's output) over the Toeplitz
+family, read in map blocks like every other sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +23,7 @@ import numpy as np
 
 from .dists import (
     BLOCK_CELLS,
+    DEFAULT_MAX_CELLS,
     Alphabet,
     JointDist,
     SizeLimitError,
@@ -30,7 +36,7 @@ from .dists import (
 from .exponents import cond_renyi_tilde, maximize_on_interval, phi_cond
 from .gf import Module
 from .hashing import HashFamily, ToeplitzFamily, check_balanced, check_universal2
-from .privacy import EnsembleEstimate
+from .privacy import EnsembleEstimate, expected_d1_conditional
 
 __all__ = [
     "Channel",
@@ -53,10 +59,7 @@ __all__ = [
     "random_coding_d1_bound",
     "uniform_on_subset",
     "uniform_codeword_joint",
-    "enumerate_subcodes",
-    "sample_subcode",
     "condition4_report",
-    "coset_decomposition",
     "coset_code",
     "coset_ensemble_d1",
     "coset_d1_bound",
@@ -175,8 +178,9 @@ class Channel:
             raise ValueError("input distribution alphabet mismatch")
         return p.mass @ self.matrix
 
-    def iid_extend(self, n: int, max_cells: int = 1 << 20) -> "Channel":
-        """The n-fold memoryless extension.
+    def iid_extend(self, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> "Channel":
+        """The n-fold memoryless extension, refused beyond max_cells matrix
+        cells.
 
         Tagged channels keep their tag: outputs are regrouped canonically
         (additive coordinates first), which only permutes output labels and
@@ -184,6 +188,9 @@ class Channel:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        cells = (self.input_alphabet.size * self.output_alphabet.size) ** n
+        if cells > max_cells:
+            raise SizeLimitError(f"{cells} matrix cells exceed cap {max_cells}")
         if self.structure is not None:
             kind, payload = self.structure
             mod_n = Module(self.module.q, self.module.n * n)
@@ -198,9 +205,6 @@ class Channel:
                 Alphabet(mod_n.labels()), joint_n.alphabet_e, joint_n.mass
             )
             return Channel.general_additive(joint_n, mod_n)
-        cells = (self.input_alphabet.size * self.output_alphabet.size) ** n
-        if cells > max_cells:
-            raise SizeLimitError(f"{cells} matrix cells exceed cap {max_cells}")
         mat = self.matrix
         for _ in range(n - 1):
             mat = np.kron(mat, self.matrix)
@@ -660,22 +664,20 @@ class LinearCode:
                 raise ValueError("generator length must match the module")
             if any(not 0 <= d < module.q for d in g):
                 raise ValueError("generator digit out of range")
-        f = module.field
-        k = len(gens)
-        words = []
-        for u in itertools.product(range(module.q), repeat=k):
-            acc = (0,) * module.n
-            for coef, g in zip(u, gens):
-                acc = tuple(
-                    f.add(a, f.mul(coef, b)) for a, b in zip(acc, g)
-                )
-            words.append(module.index(acc))
-        if len(set(words)) != len(words):
+        q = module.q
+        add, mul = module.field.tables()
+        # one row of codeword digits per message, the last generator's
+        # coefficient varying fastest
+        digits = np.zeros((1, module.n), dtype=np.int64)
+        for g in gens:
+            digits = add[digits[:, None, :], mul[:, g]].reshape(-1, module.n)
+        words = digits @ q ** np.arange(module.n - 1, -1, -1, dtype=np.int64)
+        if np.unique(words).size != words.size:
             raise ValueError("generators are not linearly independent")
         self.module = module
         self.generators = gens
-        self.message_codewords = tuple(words)
-        self.codewords = tuple(sorted(words))
+        self.message_codewords = tuple(words.tolist())
+        self.codewords = tuple(sorted(self.message_codewords))
 
     @property
     def k(self) -> int:
@@ -686,33 +688,6 @@ class LinearCode:
         return len(self.codewords)
 
 
-def _kernel_members(c1: LinearCode, f_map: np.ndarray) -> frozenset:
-    """The codewords of the messages that a seed map sends to output 1."""
-    return frozenset(c1.message_codewords[u] for u in np.flatnonzero(f_map == 1))
-
-
-def enumerate_subcodes(c1: LinearCode, m: int) -> list[tuple[tuple, frozenset]]:
-    """All hash-kernel subcodes of size q^(k-m), one per Toeplitz seed.
-
-    The kernel of each seed's surjective linear map on the message space is a
-    size-L submodule; any fixed nonzero codeword lands in the kernel with
-    probability at most 1/M over the seed (the universal_2 collision bound
-    against the zero message).
-    """
-    fam = ToeplitzFamily(c1.module.q, c1.k, m)
-    seeds = fam.seeds()
-    return [
-        (tuple(seed), _kernel_members(c1, f_map))
-        for seed, f_map in zip(seeds.tolist(), fam.maps_of(seeds))
-    ]
-
-
-def sample_subcode(c1: LinearCode, m: int, rng: np.random.Generator):
-    fam = ToeplitzFamily(c1.module.q, c1.k, m)
-    seed = fam.sample_seed(rng)
-    return seed, _kernel_members(c1, fam.as_map(seed))
-
-
 @dataclass(frozen=True)
 class Condition4Report:
     passed: bool
@@ -720,79 +695,53 @@ class Condition4Report:
     bound: float
 
 
-def condition4_report(
-    c1: LinearCode, subcodes, l: int, tol: float = 1e-12
-) -> Condition4Report:
-    """Check: every nonzero codeword joins the sampled subcode with frequency
-    at most L / |C1|."""
-    zero = c1.message_codewords[0]
-    n_sub = len(subcodes)
-    worst = 0.0
-    for x in c1.codewords:
-        if x == zero:
-            continue
-        freq = sum(1 for _, members in subcodes if x in members) / n_sub
-        worst = max(worst, freq)
-    bound = l / c1.size
+def condition4_report(c1: LinearCode, m: int, tol: float = 1e-12) -> Condition4Report:
+    """Check: every nonzero codeword joins the kernel subcode with frequency
+    at most L / |C1| = 1 / q^m over the Toeplitz seeds.
+
+    A seed's subcode C2 is the kernel of its map on the messages, the
+    messages it sends to output 1; the zero message is always there."""
+    fam = ToeplitzFamily(c1.module.q, c1.k, m)
+    fam.require_enumerable()
+    hits = sum((maps == 1).sum(axis=0) for maps in fam.iter_maps())
+    worst = float(hits[1:].max()) / fam.seed_count
+    bound = 1.0 / fam.output_size
     return Condition4Report(passed=worst <= bound + tol, max_membership=worst, bound=bound)
 
 
-def coset_decomposition(c1: LinearCode, c2_members: frozenset) -> list[list[int]]:
-    """Cosets of the subcode inside C1, ordered by smallest member."""
-    if not c2_members <= set(c1.codewords):
-        raise ValueError("subcode members must lie inside the code")
-    mod = c1.module
-    remaining = set(c1.codewords)
-    cosets = []
-    for x in c1.codewords:
-        if x not in remaining:
-            continue
-        coset = sorted(mod.add_idx(x, c) for c in c2_members)
-        cosets.append(coset)
-        remaining -= set(coset)
-    return cosets
+def coset_code(c1: LinearCode, f_map, wb: Channel) -> WiretapCode:
+    """The coset code of the kernel subcode of a linear seed map f on C1's
+    messages.
+
+    The cosets of the kernel are f's classes, so this is the hash-partition
+    code of C1's codewords under f: message i is sent as a uniform draw from
+    the codewords of the messages f sends to i, and decoding is maximum
+    likelihood over C1 (ties to the lowest codeword) followed by f.  Messages
+    are numbered by their cosets' smallest codewords."""
+    f_arr = np.asarray(f_map, dtype=np.int64)
+    if f_arr.shape != (c1.size,):
+        raise ValueError("map must assign every message of the code")
+    order = np.argsort(c1.message_codewords)
+    _, first, cls = np.unique(f_arr[order], return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[cls] + 1  # classes by first codeword
+    m = len(first)
+    return code_from_codebook(np.array(c1.codewords), labels, m, c1.size // m, wb)
 
 
-def coset_code(
-    c1: LinearCode, c2_members: frozenset, wb: Channel | None = None
-) -> WiretapCode:
-    """The coset code: messages are cosets of C2 in C1, each encoded as the
-    uniform distribution on its coset; decoding is maximum likelihood over C1
-    (ties to the lowest codeword) followed by the coset map, or all-reject
-    when no receiver channel is given."""
-    cosets = coset_decomposition(c1, c2_members)
-    m = len(cosets)
-    nx = c1.module.size
-    enc = np.zeros((m, nx))
-    for i, coset in enumerate(cosets):
-        enc[i, coset] = 1.0 / len(coset)
-    if wb is None:
-        # Eve-side-only code: empty decoder rejects everything.
-        return WiretapCode(m, enc, np.zeros(0, dtype=np.int64))
-    coset_of = {}
-    for i, coset in enumerate(cosets):
-        for x in coset:
-            coset_of[x] = i + 1
-    cw = np.array(c1.codewords, dtype=np.int64)
-    scores = wb.matrix[cw, :]
-    best = np.argmax(scores, axis=0)
-    decoder = np.array([coset_of[int(cw[b])] for b in best], dtype=np.int64)
-    return WiretapCode(m, enc, decoder)
+def coset_ensemble_d1(c1: LinearCode, m: int, we: Channel) -> EnsembleEstimate:
+    """Exact average of Eve's distinguishability over the coset codes of all
+    Toeplitz seed maps F_q^k -> F_q^m.
 
-
-def coset_ensemble_d1(
-    c1: LinearCode, m: int, we: Channel
-) -> tuple[float, list[float]]:
-    """Average of Eve's distinguishability over all hash-kernel subcodes."""
-    values = []
-    for _, members in enumerate_subcodes(c1, m):
-        cosets = coset_decomposition(c1, members)
-        enc = np.zeros((len(cosets), c1.module.size))
-        for i, coset in enumerate(cosets):
-            enc[i, coset] = 1.0 / len(coset)
-        code = WiretapCode(len(cosets), enc, np.zeros(0, dtype=np.int64))
-        values.append(eve_distinguishability(code, we))
-    return math.fsum(values) / len(values), values
+    Eve's distinguishability of one coset code is the conditional distance
+    of (uniform message, Eve's output) under the seed map, so the average is
+    conditional privacy amplification over the family."""
+    fam = ToeplitzFamily(c1.module.q, c1.k, m)
+    joint = JointDist(
+        fam.input_alphabet,
+        we.output_alphabet,
+        we.matrix[list(c1.message_codewords)] / c1.size,
+    )
+    return expected_d1_conditional(joint, fam)
 
 
 def coset_d1_bound(we: Channel, c1: LinearCode, l: int) -> float:

@@ -403,9 +403,9 @@ def test_criterion_11_distillation():
             # ensemble averages meet the displays (and their tighter
             # ensemble-side versions)
             ok &= rep.eps <= rep.bound_eps_ensemble + 1e-12
-            ok &= rep.eps <= distillation_error_bound(t_n.pab, 2, 2, 2.0) + 1e-12
+            ok &= rep.eps <= 2.0 * distillation_error_bound(t_n.pab, 2, 2) + 1e-12
             ok &= rep.d1 <= rep.bound_d1_ensemble + 1e-12
-            ok &= rep.d1 <= distillation_d1_bound(t_n.pae, 2, 6.0) + 1e-12
+            ok &= rep.d1 <= 2.0 * distillation_d1_bound(t_n.pae, 2) + 1e-12
             ok &= abs(rep.rate - (rep.h_a_given_e - rep.h_a_given_b)) <= 1e-9
         # conditional-entropy additivity backing the n-fold displays
         t2 = tri.iid_extend(2)

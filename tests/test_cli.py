@@ -264,6 +264,27 @@ class TestSimulateWiretap:
         assert "--n must be at least 1" in res.output
 
 
+class TestExtensionCap:
+    def test_hash_check_alphabet_over_cap(self, runner):
+        # 2^22 input symbols: exit 3 before the alphabet is built
+        res = runner.invoke(
+            cli, ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "22", "--m", "1"]
+        )
+        assert res.exit_code == 3, res.output
+        assert "input symbols exceed cap" in res.output
+
+    def test_wiretap_extension_over_cap(self, runner):
+        # the additive golden channels at n = 11: 4^11 matrix cells
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        res = runner.invoke(
+            cli,
+            ["simulate", "wiretap", "--wb", str(inputs / "wb.json"),
+             "--we", str(inputs / "we.json"), "--M", "2", "--L", "2", "--n", "11"],
+        )
+        assert res.exit_code == 3, res.output
+        assert "4194304 matrix cells exceed cap" in res.output
+
+
 class TestIntrinsicCommand:
     def test_report(self, runner, bern_file):
         res = runner.invoke(

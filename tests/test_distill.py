@@ -205,9 +205,9 @@ class TestRunDistillation:
         # doubling n while squaring L squares the optimized display, since
         # every ingredient of the objective is additive under extension
         tri = triple_noisy()
-        b1 = distillation_d1_bound(tri.pae, 4, factor=1.0)
+        b1 = distillation_d1_bound(tri.pae, 4) / 3.0
         tri2 = tri.iid_extend(2)
-        b2 = distillation_d1_bound(tri2.pae, 16, factor=1.0)
+        b2 = distillation_d1_bound(tri2.pae, 16) / 3.0
         assert b2 == pytest.approx(b1**2, rel=1e-9)
 
     def test_mc_mode(self):
@@ -220,7 +220,7 @@ class TestRunDistillation:
 
     def test_error_bound_via_conditional_entropy(self):
         tri = triple_noisy()
-        val = distillation_error_bound(tri.pab, 2, 2, factor=1.0)
+        val = distillation_error_bound(tri.pab, 2, 2)
         # direct evaluation of the display at its optimizing grid
         size = 2
         best = min(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secexp import hashing
-from secexp.dists import Alphabet, range_alphabet
+from secexp.dists import Alphabet, SizeLimitError, range_alphabet
 from secexp.gf import Field, Module
 from secexp.hashing import (
     ExplicitFamily,
@@ -43,6 +43,14 @@ class TestField:
     def test_unsupported_size(self):
         with pytest.raises(ValueError):
             Field(6)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_tables_match_scalar_arithmetic(self, q):
+        f = Field(q)
+        add, mul = f.tables()
+        for a, b in itertools.product(range(q), repeat=2):
+            assert add[a, b] == f.add(a, b)
+            assert mul[a, b] == f.mul(a, b)
 
 
 class TestModule:
@@ -148,6 +156,18 @@ class TestToeplitzEval:
             ToeplitzFamily(2, 2, 2)
         with pytest.raises(ValueError):
             ToeplitzFamily(2, 1, 1)
+
+    def test_alphabet_over_cap_refused_before_labels(self, monkeypatch):
+        # 2^21 input symbols exceed DEFAULT_MAX_CELLS: refused before any
+        # label is built
+        def no_labels(*args):
+            raise AssertionError("labels built")
+
+        monkeypatch.setattr(hashing, "product_alphabet", no_labels)
+        with pytest.raises(SizeLimitError, match="2097152 input symbols"):
+            ToeplitzFamily(2, 21, 1)
+        with pytest.raises(SizeLimitError):
+            ToeplitzFamily(3, 13, 2)
 
     @pytest.mark.parametrize(
         "m, l, q, shape",

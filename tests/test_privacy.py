@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from secexp import hashing
+from secexp import hashing, privacy
 from secexp.dists import (
     Alphabet,
     JointDist,
@@ -336,6 +336,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("cells", [1 << 19, 37])
     def test_exact_means_are_fsums_of_one_map_values(self, fam, cells, monkeypatch):
         monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(privacy, "BLOCK_CELLS", cells)
         p, j = self.sources(fam, 3)
         m, count = fam.output_size, fam.seed_count
         maps = fam.maps_of(fam.seeds())
@@ -351,6 +352,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("cells", [1 << 19, 5 * 256 + 3])
     def test_toeplitz_mc_equals_per_sample_loop(self, cells, monkeypatch):
         monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(privacy, "BLOCK_CELLS", cells)
         fam = ToeplitzFamily(2, 8, 3)
         p, j = self.sources(fam, 8)
         m = fam.output_size

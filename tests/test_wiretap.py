@@ -7,6 +7,7 @@ import pytest
 from secexp.dists import (
     Alphabet,
     JointDist,
+    SizeLimitError,
     SubDist,
     iid_extend,
     range_alphabet,
@@ -20,7 +21,7 @@ from secexp.figures import (
 from secexp.gf import Module
 
 from conftest import assert_matches_scalar_optimizer, assert_order_parity
-from secexp import hashing
+from secexp import hashing, privacy
 from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
     Channel,
@@ -32,11 +33,9 @@ from secexp.wiretap import (
     coset_code,
     coset_d1_bound,
     coset_d1_bound_closed,
-    coset_decomposition,
     coset_ensemble_d1,
     e_phi,
     e_psi,
-    enumerate_subcodes,
     error_prob,
     eve_distinguishability,
     holder_ordering,
@@ -103,6 +102,17 @@ class TestChannel:
             assert phi_channel(ext_tagged, p2, t) == pytest.approx(
                 phi_channel(ext_generic, p2g, t), abs=1e-12
             )
+
+    def test_extension_cap_holds_for_every_kind(self):
+        # (|X| |Y|)^n cells are checked before any branch: 4^11 and
+        # (2 * 2)^11 exceed the 2^20 cap, for tagged channels too
+        side = JointDist(range_alphabet(2), Alphabet(("u",)), [[0.6], [0.4]])
+        w = bsc(0.1)
+        generic = Channel(w.input_alphabet, w.output_alphabet, w.matrix)
+        for w in (w, Channel.general_additive(side, Module(2, 1)), generic):
+            with pytest.raises(SizeLimitError, match="4194304 matrix cells"):
+                w.iid_extend(11)
+            assert w.iid_extend(10).matrix.size == 1 << 20
 
     def test_phi_additivity_under_extension(self):
         w = bsc(0.15)
@@ -551,12 +561,84 @@ class TestBatchedEnsembleParity:
             wiretap_ensemble_mc(p, 2, 2, fam, wb, we, n_samples=n_samples)
 
 
+def _scalar_linear_code(module, generators):
+    """Message codewords by a per-message loop of scalar field calls."""
+    f = module.field
+    words = []
+    for u in itertools.product(range(module.q), repeat=len(generators)):
+        acc = (0,) * module.n
+        for coef, g in zip(u, generators):
+            acc = tuple(f.add(a, f.mul(coef, b)) for a, b in zip(acc, g))
+        words.append(module.index(acc))
+    return tuple(words)
+
+
+def _subcodes_by_sets(c1, m):
+    """Reference: each Toeplitz seed's kernel subcode as a set of codewords."""
+    fam = ToeplitzFamily(c1.module.q, c1.k, m)
+    return [
+        frozenset(c1.message_codewords[u] for u in np.flatnonzero(f_map == 1))
+        for f_map in fam.maps_of(fam.seeds())
+    ]
+
+
+def _cosets_by_sets(c1, members):
+    """Reference: cosets of a subcode in C1 by set algebra, ordered by
+    smallest member."""
+    mod = c1.module
+    remaining = set(c1.codewords)
+    cosets = []
+    for x in c1.codewords:
+        if x in remaining:
+            coset = sorted(mod.add_idx(x, c) for c in members)
+            cosets.append(coset)
+            remaining -= set(coset)
+    return cosets
+
+
+def _coset_code_by_sets(c1, members, wb):
+    """Reference coset code: uniform encoder per coset, ML over C1 with ties
+    to the lowest codeword, then the coset of the winner."""
+    cosets = _cosets_by_sets(c1, members)
+    enc = np.zeros((len(cosets), c1.module.size))
+    coset_of = {}
+    for i, coset in enumerate(cosets):
+        enc[i, coset] = 1.0 / len(coset)
+        coset_of.update((x, i + 1) for x in coset)
+    cw = np.array(c1.codewords)
+    best = np.argmax(wb.matrix[cw, :], axis=0)
+    return WiretapCode(len(cosets), enc, [coset_of[int(cw[b])] for b in best])
+
+
+def _condition4_by_sets(c1, subcodes):
+    """Reference: the largest share of subcodes holding one nonzero codeword."""
+    zero = c1.message_codewords[0]
+    return max(
+        sum(1 for members in subcodes if x in members) / len(subcodes)
+        for x in c1.codewords
+        if x != zero
+    )
+
+
+def _random_linear_code(rng, q, n, k):
+    while True:
+        try:
+            return LinearCode(Module(q, n), rng.integers(0, q, size=(k, n)))
+        except ValueError:
+            continue
+
+
 class TestLinearCosetCodes:
     def full_space(self) -> LinearCode:
         return LinearCode(Module(2, 2), [(1, 0), (0, 1)])
 
     def subgroup_code(self) -> LinearCode:
         return LinearCode(Module(2, 3), [(1, 0, 0), (0, 1, 1)])
+
+    def additive_wb(self, mod: Module) -> Channel:
+        mass = np.full(mod.size, 0.15 / (mod.size - 1))
+        mass[0] = 0.85
+        return Channel.additive(SubDist(Alphabet(mod.labels()), mass), mod)
 
     def test_span_enumeration(self):
         c1 = self.subgroup_code()
@@ -567,55 +649,67 @@ class TestLinearCosetCodes:
         with pytest.raises(ValueError):
             LinearCode(Module(2, 2), [(1, 1), (1, 1)])
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_codewords_match_scalar_field_loop(self, q):
+        rng = np.random.default_rng(q)
+        for n, k in ((1, 1), (3, 2), (4, 3), (3, 3)):
+            c1 = _random_linear_code(rng, q, n, k)
+            words = _scalar_linear_code(c1.module, c1.generators)
+            assert c1.message_codewords == words
+            assert c1.codewords == tuple(sorted(words))
+            assert all(type(w) is int for w in c1.message_codewords)
+
     def test_subcode_sizes_and_nesting(self):
+        # a seed's subcode is the class of output 1: the kernel of its map
         c1 = self.full_space()
-        subs = enumerate_subcodes(c1, 1)
-        assert len(subs) == 2  # q^(k-1) seeds
-        for _, members in subs:
-            assert len(members) == 2
-            assert members <= set(c1.codewords)
-            assert 0 in members  # kernels contain the zero codeword
-
-    def test_sample_subcode_matches_enumeration(self):
-        from secexp.wiretap import sample_subcode
-
-        c1 = self.full_space()
-        enumerated = dict(enumerate_subcodes(c1, 1))
-        rng = np.random.default_rng(4)
-        for _ in range(6):
-            seed, members = sample_subcode(c1, 1, rng)
-            assert enumerated[seed] == members
+        fam = ToeplitzFamily(2, 2, 1)
+        maps = fam.maps_of(fam.seeds())
+        assert len(maps) == 2  # q^(k-1) seeds
+        for f_map in maps:
+            kernel = np.flatnonzero(f_map == 1)
+            assert len(kernel) == 2
+            assert 0 in kernel  # kernels contain the zero message
 
     def test_condition4_exhaustive(self):
         for c1, m in ((self.full_space(), 1), (self.subgroup_code(), 1)):
-            subs = enumerate_subcodes(c1, m)
-            l = c1.size // (c1.module.q**m)
-            rep = condition4_report(c1, subs, l)
+            rep = condition4_report(c1, m)
             assert rep.passed, rep
+            assert rep.bound == 0.5
 
     def test_full_subcode_single_message(self):
         c1 = self.full_space()
-        all_members = frozenset(c1.codewords)
-        code = coset_code(c1, all_members)
+        mod = Module(2, 2)
+        code = coset_code(c1, np.ones(c1.size), self.additive_wb(mod))
         assert code.m == 1
         we = Channel.additive(
-            SubDist(Alphabet(Module(2, 2).labels()), [0.7, 0.1, 0.1, 0.1]),
-            Module(2, 2),
+            SubDist(Alphabet(mod.labels()), [0.7, 0.1, 0.1, 0.1]), mod
         )
         assert eve_distinguishability(code, we) == 0.0
 
     def test_trivial_subcode_point_masses(self):
         c1 = self.full_space()
-        code = coset_code(c1, frozenset({0}))
+        code = coset_code(c1, np.arange(1, 5), self.additive_wb(Module(2, 2)))
         assert code.m == 4
         np.testing.assert_allclose(code.encoders, np.eye(4))
 
     def test_coset_decomposition_partitions(self):
+        # the encoders' supports are the cosets: translates of the kernel
+        # subcode that split C1
         c1 = self.subgroup_code()
-        _, members = enumerate_subcodes(c1, 1)[1]
-        cosets = coset_decomposition(c1, members)
-        flat = sorted(x for c in cosets for x in c)
-        assert flat == sorted(c1.codewords)
+        fam = ToeplitzFamily(2, 2, 1)
+        f_map = fam.as_map((1,))
+        code = coset_code(c1, f_map, self.additive_wb(c1.module))
+        supports = [np.flatnonzero(row) for row in code.encoders]
+        assert sorted(x for sup in supports for x in sup.tolist()) == list(c1.codewords)
+        kernel = {c1.message_codewords[u] for u in np.flatnonzero(f_map == 1)}
+        for sup in supports:
+            x = int(sup[0])
+            assert {c1.module.add_idx(x, c) for c in kernel} == set(sup.tolist())
+
+    def test_map_must_cover_the_messages(self):
+        c1 = self.full_space()
+        with pytest.raises(ValueError, match="every message"):
+            coset_code(c1, [1, 2], self.additive_wb(Module(2, 2)))
 
     def test_ensemble_below_bounds_additive(self):
         # Eve sees the input through an additive channel on F_2^2
@@ -623,21 +717,27 @@ class TestLinearCosetCodes:
         noise = SubDist(Alphabet(mod.labels()), [0.64, 0.16, 0.16, 0.04])
         we = Channel.additive(noise, mod)
         c1 = self.full_space()
-        avg, values = coset_ensemble_d1(c1, 1, we)
+        est = coset_ensemble_d1(c1, 1, we)
+        assert (est.mode, est.stderr) == ("exact", None)
         l = 2
-        assert avg <= coset_d1_bound(we, c1, l) + 1e-12
-        assert avg <= coset_d1_bound_closed(we, l) + 1e-12
+        assert est.value <= coset_d1_bound(we, c1, l) + 1e-12
+        assert est.value <= coset_d1_bound_closed(we, l) + 1e-12
         # Markov: some seed achieves twice the average
-        assert min(values) <= 2.0 * avg + 1e-12
+        fam = ToeplitzFamily(2, 2, 1)
+        wb = self.additive_wb(mod)
+        values = [
+            eve_distinguishability(coset_code(c1, f_map, wb), we)
+            for f_map in fam.maps_of(fam.seeds())
+        ]
+        assert min(values) <= 2.0 * est.value + 1e-12
 
     def test_ensemble_below_bounds_subgroup(self):
         mod = Module(2, 3)
-        noise_bits = SubDist.bernoulli(0.8)  # stay within additive scope
         noise = iid_extend(SubDist(Alphabet(("0", "1")), [0.8, 0.2]), 3)
         noise = SubDist(Alphabet(mod.labels()), noise.mass)
         we = Channel.additive(noise, mod)
         c1 = self.subgroup_code()
-        avg, _ = coset_ensemble_d1(c1, 1, we)
+        avg = coset_ensemble_d1(c1, 1, we).value
         assert avg <= coset_d1_bound(we, c1, 2) + 1e-12
         # proper subgroup: restricted phi never beats the full-alphabet form
         assert coset_d1_bound(we, c1, 2) <= coset_d1_bound_closed(we, 2) + 1e-12
@@ -662,9 +762,60 @@ class TestLinearCosetCodes:
             SubDist(Alphabet(mod.labels()), [0.85, 0.05, 0.05, 0.05]), mod
         )
         c1 = self.full_space()
-        _, members = enumerate_subcodes(c1, 1)[0]
-        code = coset_code(c1, members, wb)
+        fam = ToeplitzFamily(2, 2, 1)
+        code = coset_code(c1, fam.as_map((0,)), wb)
         assert error_prob(code, wb) <= 0.5
+
+
+# (q, n, k, m): random generators of a k-dimensional C1 in F_q^n
+COSET_PARITY_CASES = [
+    (2, 3, 3, 1),
+    (2, 4, 3, 2),
+    (2, 5, 4, 2),
+    (2, 6, 5, 3),
+    (3, 3, 2, 1),
+    (3, 3, 3, 2),
+    (4, 2, 2, 1),
+    (4, 3, 3, 2),
+]
+
+
+class TestCosetParity:
+    """Coset codes as hash-partition codes against the set-based coset loop."""
+
+    @pytest.mark.parametrize("q,n,k,m", COSET_PARITY_CASES)
+    def test_matches_set_based_cosets(self, q, n, k, m):
+        rng = np.random.default_rng(1000 * q + 100 * n + 10 * k + m)
+        c1 = _random_linear_code(rng, q, n, k)
+        wb = _random_channel(rng, q**n, 3)
+        we = _random_channel(rng, q**n, 4)
+        fam = ToeplitzFamily(q, k, m)
+        subcodes = _subcodes_by_sets(c1, m)
+        ref_values = []
+        for f_map, members in zip(fam.maps_of(fam.seeds()), subcodes):
+            code = coset_code(c1, f_map, wb)
+            ref = _coset_code_by_sets(c1, members, wb)
+            assert code.m == ref.m == q**m
+            assert error_prob(code, wb) == error_prob(ref, wb)
+            assert eve_distinguishability(code, we) == eve_distinguishability(ref, we)
+            ref_values.append(eve_distinguishability(ref, we))
+        est = coset_ensemble_d1(c1, m, we)
+        assert est.value == pytest.approx(math.fsum(ref_values) / len(ref_values), abs=1e-15)
+        rep = condition4_report(c1, m)
+        assert rep.max_membership == _condition4_by_sets(c1, subcodes)
+        assert rep.passed
+
+    def test_ensemble_reads_map_blocks(self, monkeypatch):
+        # the ensemble is the same when the seed maps come in many blocks
+        rng = np.random.default_rng(7)
+        c1 = _random_linear_code(rng, 2, 5, 4)
+        we = _random_channel(rng, 32, 3)
+        whole = coset_ensemble_d1(c1, 2, we).value
+        whole_rep = condition4_report(c1, 2)
+        monkeypatch.setattr(hashing, "BLOCK_CELLS", 40)
+        monkeypatch.setattr(privacy, "BLOCK_CELLS", 40)
+        assert coset_ensemble_d1(c1, 2, we).value == whole
+        assert condition4_report(c1, 2) == whole_rep
 
 
 class TestAdditiveIdentities:
