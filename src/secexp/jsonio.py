@@ -11,7 +11,9 @@ Channel:       {"input_alphabet": [...], "output_alphabet": [...],
                    "module": {"q": 2, "n": 1}}
 
 Inputs are validated against JSON schemas first (field-level error paths),
-then constructed; malformed JSON surfaces the parser's line/column.
+then constructed; malformed JSON surfaces the parser's line/column.  The
+schemas stop at the number arrays (masses, matrices): `_check_numbers` checks
+their entries in one pass, with jsonschema's messages.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _DIST_SCHEMA = {
             "minItems": 1,
             "items": {"type": "string"},
         },
-        "mass": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+        "mass": {"type": "array", "minItems": 1},
     },
 }
 
@@ -72,11 +74,7 @@ _JOINT_SCHEMA = {
         "mass": {
             "type": "array",
             "minItems": 1,
-            "items": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "number"},
-            },
+            "items": {"type": "array", "minItems": 1},
         },
     },
 }
@@ -102,7 +100,7 @@ _CHANNEL_SCHEMA = {
         "output_alphabet": {"type": "array", "items": {"type": "string"}},
         "matrix": {
             "type": "array",
-            "items": {"type": "array", "items": {"type": "number"}},
+            "items": {"type": "array"},
         },
         "noise": _DIST_SCHEMA,
         "joint": _JOINT_SCHEMA,
@@ -120,8 +118,30 @@ def _validate(obj, schema, what: str):
         raise InputValidationError(f"{what}: field {path}: {e.message}") from None
 
 
+def _check_numbers(values, what: str, path: str):
+    """Every entry is a JSON number (bool refused, as by jsonschema) that
+    converts to a finite float."""
+    for i, v in enumerate(values):
+        if type(v) not in (int, float):
+            raise InputValidationError(
+                f"{what}: field {path}/{i}: {v!r} is not of type 'number'"
+            )
+        try:
+            float(v)
+        except OverflowError:
+            raise InputValidationError(
+                f"{what}: field {path}/{i}: integer too large, not a finite number"
+            ) from None
+
+
+def _check_number_rows(rows, what: str, path: str):
+    for i, row in enumerate(rows):
+        _check_numbers(row, what, f"{path}/{i}")
+
+
 def parse_subdist(obj) -> SubDist:
     _validate(obj, _DIST_SCHEMA, "distribution")
+    _check_numbers(obj["mass"], "distribution", "mass")
     if len(obj["mass"]) != len(obj["alphabet"]):
         raise InputValidationError(
             "distribution: mass length does not match alphabet length"
@@ -134,6 +154,7 @@ def parse_subdist(obj) -> SubDist:
 
 def parse_joint(obj) -> JointDist:
     _validate(obj, _JOINT_SCHEMA, "joint")
+    _check_number_rows(obj["mass"], "joint", "mass")
     try:
         return JointDist(
             Alphabet(tuple(obj["alphabet"])),
@@ -146,6 +167,12 @@ def parse_joint(obj) -> JointDist:
 
 def parse_channel(obj) -> Channel:
     _validate(obj, _CHANNEL_SCHEMA, "channel")
+    if "matrix" in obj:
+        _check_number_rows(obj["matrix"], "channel", "matrix")
+    if "noise" in obj:
+        _check_numbers(obj["noise"]["mass"], "channel", "noise/mass")
+    if "joint" in obj:
+        _check_number_rows(obj["joint"]["mass"], "channel", "joint/mass")
     kind = obj.get("structure", "generic")
     try:
         if kind == "generic":

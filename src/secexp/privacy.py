@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import BLOCK_CELLS, JointDist, SizeLimitError, SubDist, range_alphabet
+from .dists import BLOCK_CELLS, JointDist, SizeLimitError, SubDist, fsum_rows, range_alphabet
 from .hashing import HashFamily, map_histograms
 
 __all__ = [
@@ -68,14 +68,14 @@ def _valid_map(f, size: int, m: int) -> np.ndarray:
 
 
 def _l1_rows(rows: np.ndarray, ref) -> list[float]:
-    """Compensated L1 distance of each row from `ref` (broadcast)."""
-    dev = np.abs(rows - ref).reshape(len(rows), -1)
-    return [math.fsum(row) for row in dev.tolist()]
+    """L1 distance of each row from `ref` (broadcast), each row summed as
+    math.fsum would (`fsum_rows`)."""
+    return fsum_rows(np.abs(rows - ref).reshape(len(rows), -1))
 
 
 def _d1_rows(rows: np.ndarray, m: int) -> list[float]:
     """Distance of each pushforward row from its total mass x uniform."""
-    totals = np.array([math.fsum(row) for row in rows.tolist()])
+    totals = np.array(fsum_rows(rows))
     return _l1_rows(rows, totals[:, None] / m)
 
 
@@ -167,7 +167,7 @@ def expected_d1_conditional(
     m = fam.output_size
     ref = j.mass.sum(axis=0) / m
     # parts of a block whose histograms hold at most BLOCK_CELLS cells (or
-    # one map's), so the rows summed as Python lists stay small for large |E|
+    # one map's), so a block's histograms stay small for large |E|
     step = max(1, BLOCK_CELLS // ref.size // m)
     values_of = lambda maps: [
         v
@@ -185,8 +185,7 @@ def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
     it is at most e^(-H_2(A)) + (total mass)^2 / M.
     """
     m = fam.output_size
-    squares = lambda maps: (map_histograms(maps, m, p.mass) ** 2).tolist()
-    return _exact_mean(fam, lambda maps: [math.fsum(row) for row in squares(maps)])
+    return _exact_mean(fam, lambda maps: fsum_rows(map_histograms(maps, m, p.mass) ** 2))
 
 
 def _omega_indices(p: SubDist, omega) -> list[int]:

@@ -28,6 +28,7 @@ from .dists import (
     JointDist,
     SizeLimitError,
     SubDist,
+    fsum_rows,
     log_fsum_by_order,
     product_alphabet,
     range_alphabet,
@@ -324,11 +325,8 @@ def error_prob(code: WiretapCode, wb: Channel) -> float:
     if code.decoder.shape[0] != wb.output_alphabet.size:
         raise ValueError("decoder must cover the channel output")
     out = code.encoders @ wb.matrix  # M x |Y|
-    errs = []
-    for i in range(code.m):
-        good = code.decoder == (i + 1)
-        errs.append(1.0 - math.fsum(out[i, good].tolist()))
-    return math.fsum(errs) / code.m
+    hits = np.where(code.decoder == np.arange(1, code.m + 1)[:, None], out, 0.0)
+    return math.fsum(1.0 - hit for hit in fsum_rows(hits)) / code.m
 
 
 def eve_distinguishability(code: WiretapCode, we: Channel) -> float:
@@ -541,8 +539,8 @@ def wiretap_ensemble_exact(
         d1.append(d)
     weight, eps, d1 = (np.concatenate(a) for a in (weights, eps, d1))
     return WiretapEnsembleResult(
-        avg_eps=math.fsum((weight * eps).tolist()),
-        avg_d1=math.fsum((weight * d1).tolist()),
+        avg_eps=fsum_rows((weight * eps)[None])[0],
+        avg_d1=fsum_rows((weight * d1)[None])[0],
         weight=weight,
         eps=eps,
         d1=d1,

@@ -379,6 +379,29 @@ class TestNonFiniteInput:
         assert res.exit_code == 2
         assert "not a finite number" in res.output
 
+    @pytest.mark.parametrize(
+        "flag, obj",
+        [
+            ("--dist", {"alphabet": ["a", "b"], "mass": [1, "HUGE"]}),
+            ("--joint", {"alphabet": ["a", "b"], "alphabet_e": ["u"], "mass": [[1], ["HUGE"]]}),
+            ("--wb", {"input_alphabet": ["0", "1"], "output_alphabet": ["0", "1"],
+                      "matrix": [[1, 0], [0, "HUGE"]]}),
+        ],
+    )
+    def test_huge_integer_mass_exit_2(self, runner, tmp_path, flag, obj):
+        # an integer past the float range is as non-finite as 1e999
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj).replace('"HUGE"', "1" + "0" * 330))
+        args = {
+            "--dist": ["exponent", "--dist", str(path), "--R", "0.1"],
+            "--joint": ["exponent", "--joint", str(path), "--R", "0.1", "--form", "cond"],
+            "--wb": ["simulate", "wiretap", "--wb", str(path), "--we", str(path),
+                     "--M", "2", "--L", "1"],
+        }[flag]
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 2, res.output
+        assert "not a finite number" in res.output
+
     def test_simulate_pa_rejects_nan_mass(self, runner, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"alphabet": ["a", "b"], "mass": [NaN, 0.5]}')

@@ -1,0 +1,152 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from secexp import dists, privacy
+from secexp.dists import BLOCK_CELLS, JointDist, fsum_rows, range_alphabet
+from secexp.exponents import universal_hash_d1_bound
+from secexp.hashing import ToeplitzFamily
+from secexp.privacy import expected_d1_conditional
+from secexp.wiretap import Channel, WiretapCode, error_prob
+
+from conftest import random_dist
+
+
+def reference_rows(a) -> list:
+    """math.fsum of each row's Python floats: the result, or the exception
+    type math.fsum raises."""
+    try:
+        return [repr(math.fsum(row)) for row in np.asarray(a, dtype=float).tolist()]
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def kernel_rows(a) -> list:
+    try:
+        return [repr(v) for v in fsum_rows(a)]
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def old_log_fsum_by_order(s, terms, cells: int):
+    """log_fsum_by_order as it summed each row: Python floats and math.fsum."""
+    orders = np.asarray(s, dtype=float)
+    step = max(1, BLOCK_CELLS // (8 * max(cells, 1)))
+    sums = []
+    for lo in range(0, orders.size, step):
+        sums.extend(map(math.fsum, terms(orders.reshape(-1)[lo : lo + step]).tolist()))
+    logs = list(map(math.log, sums))
+    return logs[0] if orders.ndim == 0 else np.array(logs).reshape(orders.shape)
+
+
+def old_error_prob(code, wb) -> float:
+    out = code.encoders @ wb.matrix
+    errs = []
+    for i in range(code.m):
+        good = code.decoder == (i + 1)
+        errs.append(1.0 - math.fsum(out[i, good].tolist()))
+    return math.fsum(errs) / code.m
+
+
+def old_l1_rows(rows, ref) -> list:
+    dev = np.abs(rows - ref).reshape(len(rows), -1)
+    return [math.fsum(row) for row in dev.tolist()]
+
+
+class TestFsumRows:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 6),
+        n=st.integers(1, 3 * dists._KERNEL_MIN_ROW),
+        low_exp=st.integers(-1080, 0),
+        signs=st.booleans(),
+        zero_row=st.booleans(),
+        special=st.sampled_from([None, math.inf, -math.inf, math.nan, 1e308]),
+    )
+    def test_equals_fsum_of_python_floats(self, seed, rows, n, low_exp, signs, zero_row, special):
+        # random mantissas at exponents from low_exp (subnormal below -1022)
+        # to about 1, on both sides of the kernel's row-length crossover
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(rng.random((rows, n)), rng.integers(low_exp, 2, (rows, n)))
+        if signs:
+            a *= rng.choice([-1.0, 1.0], a.shape)
+        if rows and zero_row:
+            a[rng.integers(rows)] = 0.0
+        if rows and special is not None:
+            a[rng.integers(rows), rng.integers(n)] = special
+        assert kernel_rows(a) == reference_rows(a)
+
+    def test_cancellation_and_half_way_cases(self):
+        n = 2 * dists._KERNEL_MIN_ROW
+        a = np.zeros((4, n))
+        a[0, :3] = [1.0, 1e-300, -1.0]  # exact total far below the terms
+        a[1, :3] = [1.0, 2.0**-53, 2.0**-106]  # just above a tie: rounds up
+        a[2, :2] = [1.0, 2.0**-53]  # a tie: rounds to even
+        a[3, :] = 5e-324  # subnormals only
+        assert kernel_rows(a) == reference_rows(a)
+
+    @pytest.mark.parametrize(
+        "head", [[1.5e308, 1.5e308, -1e308], [1.5e308, -1e308, 1.5e308, -1e308]]
+    )
+    def test_overflow_is_math_fsums(self, head):
+        # the second row's numpy sum is finite, its partial sums are not
+        a = np.zeros((2, dists._KERNEL_MIN_ROW))
+        a[1, : len(head)] = head
+        assert kernel_rows(a) == reference_rows(a) == OverflowError
+
+    def test_rows_from_the_crossover_length_use_the_kernel(self, monkeypatch):
+        # the kernel hands math.fsum a row's bucket parts, far fewer than
+        # its entries; shorter rows go to math.fsum whole
+        lengths = []
+        fsum = math.fsum
+        monkeypatch.setattr(dists.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+        n = dists._KERNEL_MIN_ROW
+        a = np.random.default_rng(1).random((3, n))
+        fsum_rows(a[:, :-1])
+        assert lengths == [n - 1] * 3
+        lengths.clear()
+        fsum_rows(a)
+        assert len(lengths) == 3 and max(lengths) < n // 2
+
+
+class TestOracles:
+    """Every functional gives, bit for bit, what it gave when each row was
+    summed by math.fsum of a Python list."""
+
+    def test_universal_hash_d1_bound(self, monkeypatch):
+        p = random_dist(np.random.default_rng(21), 1 << 14)
+        new = universal_hash_d1_bound(p, 64)
+        monkeypatch.setattr(dists, "log_fsum_by_order", old_log_fsum_by_order)
+        old = universal_hash_d1_bound(p, 64)
+        assert new.s_values.tobytes() == old.s_values.tobytes()
+        assert new.values.tobytes() == old.values.tobytes()
+        assert repr((new.min_value, new.argmin_s, new.value_s1)) == repr(
+            (old.min_value, old.argmin_s, old.value_s1)
+        )
+
+    def test_expected_d1_conditional_toeplitz(self, monkeypatch):
+        # rows of M |E| = 16 x 64 cells, past the crossover
+        fam = ToeplitzFamily(2, 8, 4)
+        assert fam.output_size * 64 >= dists._KERNEL_MIN_ROW
+        mass = np.random.default_rng(22).random((fam.input_alphabet.size, 64))
+        j = JointDist(fam.input_alphabet, range_alphabet(64), mass / mass.sum())
+        runs = lambda: (
+            expected_d1_conditional(j, fam),
+            expected_d1_conditional(j, fam, mode="mc", n_samples=50, seed=3),
+        )
+        new = runs()
+        monkeypatch.setattr(privacy, "_l1_rows", old_l1_rows)
+        assert repr(runs()) == repr(new)
+
+    def test_error_prob(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            nx, ny, m = rng.integers(2, 9), rng.integers(2, 40), rng.integers(1, 6)
+            mat = rng.random((nx, ny))
+            wb = Channel(range_alphabet(nx), range_alphabet(ny), mat / mat.sum(axis=1, keepdims=True))
+            enc = rng.random((m, nx))
+            code = WiretapCode(m, enc / enc.sum(axis=1, keepdims=True), rng.integers(0, m + 1, ny))
+            assert repr(error_prob(code, wb)) == repr(old_error_prob(code, wb))
