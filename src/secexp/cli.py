@@ -45,7 +45,6 @@ from .figures import figure_sweep
 from .gf import Module
 from .hashing import (
     FullyRandomFamily,
-    NonEnumerableError,
     ToeplitzFamily,
     check_balanced,
     check_strongly_universal2,
@@ -125,7 +124,7 @@ def _handle_errors(f):
         except SizeLimitError as e:
             click.echo(f"size limit exceeded: {e}", err=True)
             sys.exit(3)
-        except (InputValidationError, NonEnumerableError, ValueError) as e:
+        except ValueError as e:
             click.echo(f"invalid input: {e}", err=True)
             sys.exit(2)
 

@@ -57,9 +57,9 @@ class CorrelationTriple:
         self.module = module
 
     def iid_extend(self, n: int) -> "CorrelationTriple":
-        mod_n = Module(self.module.q, self.module.n * n)
         pab_n = self.pab.iid_extend(n)
         pae_n = self.pae.iid_extend(n)
+        mod_n = Module(self.module.q, self.module.n * n)
         alph = Alphabet(mod_n.labels())
         return CorrelationTriple(
             JointDist(alph, pab_n.alphabet_e, pab_n.mass),

@@ -25,6 +25,7 @@ __all__ = [
     "TypeClass",
     "AlphabetMismatchError",
     "SizeLimitError",
+    "capped_power",
     "range_alphabet",
     "product_alphabet",
     "fsum_rows",
@@ -58,7 +59,22 @@ class AlphabetMismatchError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An operation would materialize more cells than the configured cap."""
+    """A size read from outside, or the cells an operation would materialize,
+    exceeds the configured cap."""
+
+
+def capped_power(base: int, n: int, what: str, cap: int = DEFAULT_MAX_CELLS) -> int:
+    """base**n, refused with SizeLimitError at the first partial product over
+    cap: never more than log2(cap) + 1 multiplications, however large n is."""
+    if base <= 1:
+        return base**n
+    value = 1
+    for done in range(1, n + 1):
+        value *= base
+        if value > cap:
+            count = value if done == n else f"{base}^{n}"
+            raise SizeLimitError(f"{count} {what} exceed cap {cap}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -213,9 +229,7 @@ class JointDist:
         """Product distribution of n independent copies of the pair."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        cells = (self.alphabet_a.size * self.alphabet_e.size) ** n
-        if cells > max_cells:
-            raise SizeLimitError(f"{cells} joint cells exceed cap {max_cells}")
+        capped_power(self.alphabet_a.size * self.alphabet_e.size, n, "joint cells", max_cells)
         out = self.mass
         for _ in range(n - 1):
             # kron on both axes keeps (a, e) big-endian in both coordinates
@@ -404,9 +418,7 @@ def iid_extend(p: SubDist, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> SubDis
     """n-fold product distribution over the n-fold product alphabet."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cells = p.alphabet.size**n
-    if cells > max_cells:
-        raise SizeLimitError(f"{cells} cells exceed cap {max_cells}")
+    capped_power(p.alphabet.size, n, "cells", max_cells)
     mass = p.mass
     for _ in range(n - 1):
         mass = np.kron(mass, p.mass)
@@ -508,8 +520,7 @@ def strings_by_type(
     type the string indices are ascending.
     """
     size = alphabet.size
-    if size**n > max_cells:
-        raise SizeLimitError(f"{size**n} strings exceed cap {max_cells}")
+    capped_power(size, n, "strings", max_cells)
     buckets: dict[tuple[int, ...], list[int]] = {}
     for idx, word in enumerate(itertools.product(range(size), repeat=n)):
         counts = [0] * size

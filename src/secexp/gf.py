@@ -3,7 +3,7 @@
 Supports the prime fields F_q (q = 2, 3, 5, ...) via modular arithmetic and
 GF(4) via explicit tables.  Larger extension fields are intentionally out of
 scope: every consumer in this package enumerates exhaustively, so only tiny
-fields are ever needed.
+fields are ever needed: sizes over 2^20 raise `SizeLimitError` up front.
 
 GF(4) is represented on {0, 1, 2, 3} with 2 = x and 3 = x + 1 in
 GF(2)[x]/(x^2 + x + 1); addition is XOR of the 2-bit representations.
@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dists import capped_power
 
 __all__ = ["Field", "Module", "is_prime"]
 
@@ -48,6 +50,7 @@ class Field:
     q: int
 
     def __post_init__(self):
+        capped_power(self.q, 1, "field elements")
         if not (is_prime(self.q) or self.q == 4):
             raise ValueError(f"unsupported field size {self.q}: need a prime or 4")
 
@@ -100,6 +103,7 @@ class Module:
         if self.n < 1:
             raise ValueError("module length must be >= 1")
         object.__setattr__(self, "_field", Field(self.q))
+        capped_power(self.q, self.n, "module symbols")
 
     @property
     def field(self) -> Field:

@@ -29,9 +29,9 @@ import numpy as np
 
 from .dists import (
     BLOCK_CELLS,
-    DEFAULT_MAX_CELLS,
     Alphabet,
     SizeLimitError,
+    capped_power,
     product_alphabet,
 )
 from .gf import Field, Module
@@ -57,7 +57,7 @@ __all__ = [
 ENUMERATION_LIMIT = 2_000_000
 
 
-class NonEnumerableError(ValueError):
+class NonEnumerableError(SizeLimitError):
     """The seed space is too large for exact enumeration."""
 
 
@@ -166,9 +166,7 @@ class ToeplitzFamily(HashFamily):
         if not 1 <= m < k:
             raise ValueError("need 1 <= m < k")
         self.field = Field(q)
-        size = q**k
-        if size > DEFAULT_MAX_CELLS:
-            raise SizeLimitError(f"{size} input symbols exceed cap {DEFAULT_MAX_CELLS}")
+        capped_power(q, k, "input symbols")
         self.q = q
         self.k = k
         self.m = m

@@ -10,10 +10,11 @@ Channel:       {"input_alphabet": [...], "output_alphabet": [...],
                or {"structure": "general_additive", "joint": <joint>,
                    "module": {"q": 2, "n": 1}}
 
-Inputs are validated against JSON schemas first (field-level error paths),
-then constructed; malformed JSON surfaces the parser's line/column.  The
-schemas stop at the number arrays (masses, matrices): `_check_numbers` checks
-their entries in one pass, with jsonschema's messages.
+Inputs are checked field by field in one pass, each fault reported as
+"<what>: field <path>: <message>", then constructed; malformed JSON surfaces
+the parser's line/column.  Numbers are JSON numbers (bools refused) that
+convert to finite floats; module sizes are JSON integers (bools and integral
+floats refused).
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from __future__ import annotations
 import json
 import math
 
-import jsonschema
-
-from .dists import Alphabet, JointDist, SubDist
+from .dists import Alphabet, JointDist, SizeLimitError, SubDist
 from .gf import Module
 from .wiretap import Channel
 
@@ -39,162 +38,146 @@ __all__ = [
 
 
 class InputValidationError(ValueError):
-    """Input JSON failed schema or semantic validation."""
+    """Input JSON failed field or semantic validation."""
 
 
-_DIST_SCHEMA = {
-    "type": "object",
-    "required": ["alphabet", "mass"],
-    "additionalProperties": False,
-    "properties": {
-        "alphabet": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string"},
-        },
-        "mass": {"type": "array", "minItems": 1},
-    },
+# the fields each channel structure needs, in the order messages list them
+_KIND_FIELDS = {
+    "generic": ("input_alphabet", "output_alphabet", "matrix"),
+    "additive": ("module", "noise"),
+    "general_additive": ("module", "joint"),
 }
-
-_JOINT_SCHEMA = {
-    "type": "object",
-    "required": ["alphabet", "alphabet_e", "mass"],
-    "additionalProperties": False,
-    "properties": {
-        "alphabet": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string"},
-        },
-        "alphabet_e": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string"},
-        },
-        "mass": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1},
-        },
-    },
-}
-
-_MODULE_SCHEMA = {
-    "type": "object",
-    "required": ["q", "n"],
-    "additionalProperties": False,
-    "properties": {
-        "q": {"type": "integer", "minimum": 2},
-        "n": {"type": "integer", "minimum": 1},
-    },
-}
-
-_CHANNEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "structure": {
-            "type": "string",
-            "enum": ["generic", "additive", "general_additive"],
-        },
-        "input_alphabet": {"type": "array", "items": {"type": "string"}},
-        "output_alphabet": {"type": "array", "items": {"type": "string"}},
-        "matrix": {
-            "type": "array",
-            "items": {"type": "array"},
-        },
-        "noise": _DIST_SCHEMA,
-        "joint": _JOINT_SCHEMA,
-        "module": _MODULE_SCHEMA,
-    },
-    "additionalProperties": False,
-}
+_CHANNEL_FIELDS = {"structure"}.union(*_KIND_FIELDS.values())
 
 
-def _validate(obj, schema, what: str):
-    try:
-        jsonschema.validate(obj, schema)
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise InputValidationError(f"{what}: field {path}: {e.message}") from None
+def _fail(what: str, path: str, message: str):
+    """Refuse the field at path; an object's path may end in '/', as a prefix."""
+    raise InputValidationError(f"{what}: field {path.rstrip('/') or '(root)'}: {message}")
 
 
-def _check_numbers(values, what: str, path: str):
-    """Every entry is a JSON number (bool refused, as by jsonschema) that
-    converts to a finite float."""
+def _object(obj, what: str, path: str, required, allowed):
+    """A JSON object holding every required key and no key outside allowed."""
+    if not isinstance(obj, dict):
+        _fail(what, path, f"{obj!r} is not of type 'object'")
+    for key in required:
+        if key not in obj:
+            _fail(what, path, f"{key!r} is a required property")
+    extra = sorted(set(obj).difference(allowed), key=str)
+    if extra:
+        listed = ", ".join(map(repr, extra)) + (" was" if len(extra) == 1 else " were")
+        _fail(what, path, f"Additional properties are not allowed ({listed} unexpected)")
+
+
+def _array(values, what: str, path: str, nonempty: bool = True):
+    if not isinstance(values, list):
+        _fail(what, path, f"{values!r} is not of type 'array'")
+    if nonempty and not values:
+        _fail(what, path, "[] should be non-empty")
+
+
+def _strings(values, what: str, path: str, nonempty: bool = True):
+    _array(values, what, path, nonempty)
+    for i, v in enumerate(values):
+        if not isinstance(v, str):
+            _fail(what, f"{path}/{i}", f"{v!r} is not of type 'string'")
+
+
+def _check_numbers(values, what: str, path: str, nonempty: bool = True):
+    """An array of JSON numbers (bools refused) that convert to finite floats."""
+    _array(values, what, path, nonempty)
     for i, v in enumerate(values):
         if type(v) not in (int, float):
-            raise InputValidationError(
-                f"{what}: field {path}/{i}: {v!r} is not of type 'number'"
-            )
+            _fail(what, f"{path}/{i}", f"{v!r} is not of type 'number'")
         try:
             float(v)
         except OverflowError:
-            raise InputValidationError(
-                f"{what}: field {path}/{i}: integer too large, not a finite number"
-            ) from None
+            _fail(what, f"{path}/{i}", "integer too large, not a finite number")
 
 
-def _check_number_rows(rows, what: str, path: str):
+def _check_number_rows(rows, what: str, path: str, nonempty: bool = True):
+    _array(rows, what, path, nonempty)
     for i, row in enumerate(rows):
-        _check_numbers(row, what, f"{path}/{i}")
+        _check_numbers(row, what, f"{path}/{i}", nonempty)
 
 
-def parse_subdist(obj) -> SubDist:
-    _validate(obj, _DIST_SCHEMA, "distribution")
-    _check_numbers(obj["mass"], "distribution", "mass")
+def _integer(value, what: str, path: str, minimum: int):
+    if type(value) is not int:
+        _fail(what, path, f"{value!r} is not of type 'integer'")
+    if value < minimum:
+        _fail(what, path, f"{value!r} is less than the minimum of {minimum!r}")
+
+
+def _check_dist(obj, what: str, at: str = ""):
+    _object(obj, what, at, ("alphabet", "mass"), ("alphabet", "mass"))
+    _strings(obj["alphabet"], what, at + "alphabet")
+    _check_numbers(obj["mass"], what, at + "mass")
+
+
+def _check_joint(obj, what: str, at: str = ""):
+    keys = ("alphabet", "alphabet_e", "mass")
+    _object(obj, what, at, keys, keys)
+    _strings(obj["alphabet"], what, at + "alphabet")
+    _strings(obj["alphabet_e"], what, at + "alphabet_e")
+    _check_number_rows(obj["mass"], what, at + "mass")
+
+
+def _subdist(obj) -> SubDist:
     if len(obj["mass"]) != len(obj["alphabet"]):
-        raise InputValidationError(
-            "distribution: mass length does not match alphabet length"
-        )
+        raise InputValidationError("distribution: mass length does not match alphabet length")
     try:
         return SubDist(Alphabet(tuple(obj["alphabet"])), obj["mass"])
     except ValueError as e:
         raise InputValidationError(f"distribution: {e}") from None
 
 
-def parse_joint(obj) -> JointDist:
-    _validate(obj, _JOINT_SCHEMA, "joint")
-    _check_number_rows(obj["mass"], "joint", "mass")
+def _joint(obj) -> JointDist:
     try:
-        return JointDist(
-            Alphabet(tuple(obj["alphabet"])),
-            Alphabet(tuple(obj["alphabet_e"])),
-            obj["mass"],
-        )
+        alphabets = (Alphabet(tuple(obj[key])) for key in ("alphabet", "alphabet_e"))
+        return JointDist(*alphabets, obj["mass"])
     except ValueError as e:
         raise InputValidationError(f"joint: {e}") from None
 
 
+def parse_subdist(obj) -> SubDist:
+    _check_dist(obj, "distribution")
+    return _subdist(obj)
+
+
+def parse_joint(obj) -> JointDist:
+    _check_joint(obj, "joint")
+    return _joint(obj)
+
+
 def parse_channel(obj) -> Channel:
-    _validate(obj, _CHANNEL_SCHEMA, "channel")
-    if "matrix" in obj:
-        _check_number_rows(obj["matrix"], "channel", "matrix")
-    if "noise" in obj:
-        _check_numbers(obj["noise"]["mass"], "channel", "noise/mass")
-    if "joint" in obj:
-        _check_number_rows(obj["joint"]["mass"], "channel", "joint/mass")
+    _object(obj, "channel", "", (), _CHANNEL_FIELDS)
     kind = obj.get("structure", "generic")
+    if not isinstance(kind, str):
+        _fail("channel", "structure", f"{kind!r} is not of type 'string'")
+    if kind not in _KIND_FIELDS:
+        _fail("channel", "structure", f"{kind!r} is not one of {list(_KIND_FIELDS)!r}")
+    for key in ("input_alphabet", "output_alphabet"):
+        if key in obj:
+            _strings(obj[key], "channel", key, nonempty=False)
+    if "matrix" in obj:
+        _check_number_rows(obj["matrix"], "channel", "matrix", nonempty=False)
+    if "noise" in obj:
+        _check_dist(obj["noise"], "channel", "noise/")
+    if "joint" in obj:
+        _check_joint(obj["joint"], "channel", "joint/")
+    if "module" in obj:
+        _object(obj["module"], "channel", "module", ("q", "n"), ("q", "n"))
+        _integer(obj["module"]["q"], "channel", "module/q", 2)
+        _integer(obj["module"]["n"], "channel", "module/n", 1)
+    _object(obj, "channel", "", _KIND_FIELDS[kind], _CHANNEL_FIELDS)
     try:
         if kind == "generic":
-            for key in ("input_alphabet", "output_alphabet", "matrix"):
-                if key not in obj:
-                    raise InputValidationError(f"channel: field {key}: required")
-            return Channel(
-                Alphabet(tuple(obj["input_alphabet"])),
-                Alphabet(tuple(obj["output_alphabet"])),
-                obj["matrix"],
-            )
-        if "module" not in obj:
-            raise InputValidationError("channel: field module: required")
+            alphabets = (Alphabet(tuple(obj[key])) for key in ("input_alphabet", "output_alphabet"))
+            return Channel(*alphabets, obj["matrix"])
         module = Module(obj["module"]["q"], obj["module"]["n"])
         if kind == "additive":
-            if "noise" not in obj:
-                raise InputValidationError("channel: field noise: required")
-            return Channel.additive(parse_subdist(obj["noise"]), module)
-        if "joint" not in obj:
-            raise InputValidationError("channel: field joint: required")
-        return Channel.general_additive(parse_joint(obj["joint"]), module)
-    except InputValidationError:
+            return Channel.additive(_subdist(obj["noise"]), module)
+        return Channel.general_additive(_joint(obj["joint"]), module)
+    except (InputValidationError, SizeLimitError):
         raise
     except ValueError as e:
         raise InputValidationError(f"channel: {e}") from None

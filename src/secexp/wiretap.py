@@ -28,6 +28,7 @@ from .dists import (
     JointDist,
     SizeLimitError,
     SubDist,
+    capped_power,
     fsum_rows,
     log_fsum_by_order,
     product_alphabet,
@@ -189,9 +190,8 @@ class Channel:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        cells = (self.input_alphabet.size * self.output_alphabet.size) ** n
-        if cells > max_cells:
-            raise SizeLimitError(f"{cells} matrix cells exceed cap {max_cells}")
+        cells = self.input_alphabet.size * self.output_alphabet.size
+        capped_power(cells, n, "matrix cells", max_cells)
         if self.structure is not None:
             kind, payload = self.structure
             mod_n = Module(self.module.q, self.module.n * n)
@@ -334,7 +334,7 @@ def eve_distinguishability(code: WiretapCode, we: Channel) -> float:
     if code.encoders.shape[1] != we.input_alphabet.size:
         raise ValueError("encoder support must match the channel input")
     rows = code.encoders @ we.matrix  # M x |E|
-    mix = rows.mean(axis=0)
+    mix = np.array(fsum_rows(rows.T)) / code.m  # exact column sums: message order free
     return float(math.fsum((np.abs(rows - mix[None, :]) / code.m).ravel().tolist()))
 
 
@@ -714,16 +714,13 @@ def coset_code(c1: LinearCode, f_map, wb: Channel) -> WiretapCode:
     The cosets of the kernel are f's classes, so this is the hash-partition
     code of C1's codewords under f: message i is sent as a uniform draw from
     the codewords of the messages f sends to i, and decoding is maximum
-    likelihood over C1 (ties to the lowest codeword) followed by f.  Messages
-    are numbered by their cosets' smallest codewords."""
+    likelihood over C1 (ties to the lowest codeword) followed by f."""
     f_arr = np.asarray(f_map, dtype=np.int64)
     if f_arr.shape != (c1.size,):
         raise ValueError("map must assign every message of the code")
-    order = np.argsort(c1.message_codewords)
-    _, first, cls = np.unique(f_arr[order], return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[cls] + 1  # classes by first codeword
-    m = len(first)
-    return code_from_codebook(np.array(c1.codewords), labels, m, c1.size // m, wb)
+    order = np.argsort(c1.message_codewords)  # f on C1's codewords, ascending
+    m = int(f_arr.max())
+    return code_from_codebook(np.array(c1.codewords), f_arr[order], m, c1.size // m, wb)
 
 
 def coset_ensemble_d1(c1: LinearCode, m: int, we: Channel) -> EnsembleEstimate:

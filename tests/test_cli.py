@@ -285,6 +285,86 @@ class TestExtensionCap:
         assert "4194304 matrix cells exceed cap" in res.output
 
 
+def _additive_channel(tmp_path, module, name="w.json") -> str:
+    path = tmp_path / name
+    noise = {"alphabet": ["0", "1", "2"], "mass": [0.5, 0.25, 0.25]}
+    path.write_text(json.dumps({"structure": "additive", "noise": noise, "module": module}))
+    return str(path)
+
+
+# Each run asks for a size far past every cap; each used to run for minutes.
+_OVERSIZED = {
+    "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
+    "toeplitz-q": ["hash", "check", "--q", "1000000000000000003", "--k", "2", "--m", "1"],
+    "distill-q": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
+                  "--module-q", "1000000000000000003"],
+    "distill-n": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
+                  "--module-q", "3", "--module-n", "100000000"],
+    "intrinsic-n": ["intrinsic", "--dist", "{skew3}", "--n", "100000000", "--M", "4"],
+    "channel-q": ["simulate", "wiretap", "--wb", "{big_q}", "--we", "{big_q}",
+                  "--M", "2", "--L", "2"],
+    "channel-n": ["simulate", "wiretap", "--wb", "{big_n}", "--we", "{big_n}",
+                  "--M", "2", "--L", "2"],
+}
+
+_RUN_TIMED = """
+import json, sys, time
+from click.testing import CliRunner
+from secexp.cli import cli
+out = {}
+for name, args in json.loads(sys.argv[1]).items():
+    start = time.perf_counter()
+    res = CliRunner().invoke(cli, args)
+    out[name] = [res.exit_code, time.perf_counter() - start, res.output]
+print(json.dumps(out))
+"""
+
+
+class TestOversizedInputs:
+    def test_each_is_a_size_limit_within_two_seconds(self, tmp_path):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        files = {
+            "pab": str(inputs / "pab.json"),
+            "pae": str(inputs / "pae.json"),
+            "skew3": str(inputs / "skew3.json"),
+            "big_q": _additive_channel(tmp_path, {"q": 1000000000000000003, "n": 1}, "q.json"),
+            "big_n": _additive_channel(tmp_path, {"q": 3, "n": 100000000}, "n.json"),
+        }
+        runs = {
+            name: [a.format(**files) for a in args] for name, args in _OVERSIZED.items()
+        }
+        # one fresh interpreter, killed if any run hangs
+        src = str(Path(secexp.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_TIMED, json.dumps(runs)],
+            cwd=src, capture_output=True, text=True, timeout=60, check=True,
+        )
+        for name, (code, seconds, output) in json.loads(proc.stdout).items():
+            assert code == 3, (name, output)
+            assert "size limit exceeded" in output, name
+            assert seconds < 2.0, (name, seconds)
+
+    @pytest.mark.parametrize(
+        "module, shown",
+        [({"q": 3.0, "n": 1}, "module/q: 3.0"), ({"q": 3, "n": 1.0}, "module/n: 1.0"),
+         ({"q": True, "n": 1}, "module/q: True")],
+    )
+    def test_module_sizes_must_be_integers(self, runner, tmp_path, module, shown):
+        wb = _additive_channel(tmp_path, module)
+        res = runner.invoke(
+            cli, ["simulate", "wiretap", "--wb", wb, "--we", wb, "--M", "2", "--L", "2"]
+        )
+        assert res.exit_code == 2, res.output
+        assert f"{shown} is not of type 'integer'" in res.output
+
+    def test_enumeration_limit_is_a_size_limit(self, runner):
+        res = runner.invoke(
+            cli, ["hash", "check", "--family", "fullrandom", "--size", "8", "--M", "8"]
+        )
+        assert res.exit_code == 3, res.output
+        assert "16777216 seeds exceed enumeration limit" in res.output
+
+
 class TestIntrinsicCommand:
     def test_report(self, runner, bern_file):
         res = runner.invoke(
@@ -421,11 +501,11 @@ class TestNonFiniteInput:
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy is a test-only dependency: a fresh interpreter importing the
-    # CLI must not pull it in
+    # scipy is a test-only dependency and jsonschema none at all: a fresh
+    # interpreter importing the CLI must pull in neither
     src = str(Path(secexp.__file__).resolve().parents[1])
-    code = "import sys, secexp.cli; print('scipy' in sys.modules)"
+    code = "import sys, secexp.cli; print('scipy' in sys.modules, 'jsonschema' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

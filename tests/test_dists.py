@@ -12,6 +12,7 @@ from secexp.dists import (
     SizeLimitError,
     SubDist,
     TypeClass,
+    capped_power,
     d1_uniformity,
     enumerate_types,
     iid_extend,
@@ -238,6 +239,24 @@ class TestIidExtend:
         u = SubDist.uniform(Alphabet(("0", "1")))
         with pytest.raises(SizeLimitError):
             iid_extend(u, 8, max_cells=100)
+
+
+class TestCappedPower:
+    def test_powers_up_to_the_cap(self):
+        assert capped_power(2, 20, "cells") == 1 << 20
+        assert capped_power(1, 10**18, "cells") == 1
+        assert capped_power(0, 3, "cells") == 0
+
+    @pytest.mark.parametrize(
+        "base, n, message",
+        [(2, 21, "2097152 cells exceed cap 1048576"),
+         (3, 10**18, "3^1000000000000000000 cells exceed cap 1048576"),
+         (10**30, 1, f"{10**30} cells exceed cap 1048576")],
+    )
+    def test_refused_at_the_first_partial_product_over_the_cap(self, base, n, message):
+        with pytest.raises(SizeLimitError) as err:
+            capped_power(base, n, "cells")
+        assert str(err.value) == message
 
 
 class TestTypes:

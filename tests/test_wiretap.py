@@ -805,6 +805,24 @@ class TestCosetParity:
         assert rep.max_membership == _condition4_by_sets(c1, subcodes)
         assert rep.passed
 
+    @pytest.mark.parametrize("q,n,k,m", [(2, 4, 3, 2), (3, 3, 2, 1)])
+    def test_eve_distinguishability_ignores_message_order(self, q, n, k, m):
+        # Eve's mixture is an exact column sum, so renumbering the messages
+        # of a code leaves her distinguishability bit-identical
+        rng = np.random.default_rng(1000 * q + 100 * n + 10 * k + m)
+        c1 = _random_linear_code(rng, q, n, k)
+        wb = _random_channel(rng, q**n, 3)
+        we = _random_channel(rng, q**n, 4)
+        fam = ToeplitzFamily(q, k, m)
+        for f_map in fam.maps_of(fam.seeds()):
+            code = coset_code(c1, f_map, wb)
+            value = eve_distinguishability(code, we)
+            for perm in itertools.permutations(range(code.m)):
+                renumbered = np.argsort(perm)[code.decoder - 1] + 1
+                shuffled = WiretapCode(code.m, code.encoders[list(perm)], renumbered)
+                assert eve_distinguishability(shuffled, we) == value
+                assert error_prob(shuffled, wb) == error_prob(code, wb)
+
     def test_ensemble_reads_map_blocks(self, monkeypatch):
         # the ensemble is the same when the seed maps come in many blocks
         rng = np.random.default_rng(7)
