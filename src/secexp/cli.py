@@ -22,7 +22,6 @@ from . import intrinsic as intr
 from .dists import (
     SizeLimitError,
     SubDist,
-    iid_extend,
     range_alphabet,
     renyi,
     renyi_tilde,
@@ -238,7 +237,7 @@ def exponent(dist_path, joint_path, rate, form, out):
 
 
 @cli.command()
-@click.option("--id", "figure_id", required=True, type=click.Choice(["2", "3", "4"]))
+@click.option("--id", "figure_id", required=True, type=click.Choice(["2", "3", "4", "6"]))
 @click.option("--points", default=50, show_default=True, type=int)
 @click.option(
     "--format",
@@ -455,13 +454,12 @@ def intrinsic_cmd(dist_path, n_uses, big_m, out):
     """Source-specialized map: exact distance, guarantee, and floor."""
     p = load_subdist(dist_path)
     smap = intr.build_specialized(p, n_uses, big_m)
-    ext = iid_extend(p, n_uses)
     payload = {
         "n": n_uses,
         "M": big_m,
         "d1_exact": intr.specialized_map_d1(p, smap),
-        "bound_construction": intr.specialized_d1_bound(p, n_uses, big_m)["bound"],
-        "lower_bound_heavy_mass": intr.heavy_mass_lower_bound(ext, big_m),
+        "bound_construction": smap.d1_bound()["bound"],
+        "lower_bound_heavy_mass": smap.heavy_mass_floor(),
         "partition_summary": smap.partition_summary(),
         "cells_assigned": smap.cells_assigned(),
     }

@@ -26,6 +26,7 @@ __all__ = [
     "AlphabetMismatchError",
     "SizeLimitError",
     "capped_power",
+    "compositions",
     "range_alphabet",
     "product_alphabet",
     "fsum_rows",
@@ -492,14 +493,14 @@ class TypeClass:
         return self.multiplicity() * self.exact_prob_single(p)
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
     """All ways to write `total` as an ordered sum of `parts` nonnegative ints,
     in lexicographic order."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -507,7 +508,7 @@ def enumerate_types(alphabet: Alphabet, n: int) -> list[TypeClass]:
     """All empirical types of length-n strings, lexicographic in the counts."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [TypeClass(alphabet, c) for c in _compositions(n, alphabet.size)]
+    return [TypeClass(alphabet, c) for c in compositions(n, alphabet.size)]
 
 
 def strings_by_type(

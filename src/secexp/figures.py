@@ -6,7 +6,9 @@ Each sweep returns header scalars (echoed as CSV comments) and rows of
   * sweep 2: the Cramer exponent sits between the Holenstein-Renner lower
     and upper exponents on their validity window;
   * sweep 3: phi form >= Pinsker form >= order-2 form without smoothing;
-  * sweep 4: e_phi >= e_psi >= the psi/Pinsker form.
+  * sweep 4: e_phi >= e_psi >= the psi/Pinsker form;
+  * sweep 6: the heavy-mass floor's rate >= the specialized map's rate,
+    since the floor is below the map's exact distance at every n.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .exponents import (
     holenstein_renner_exponents,
     universal_exponent,
 )
+from .intrinsic import build_specialized, specialized_exponent, specialized_map_d1
 from .wiretap import (
     Channel,
     e_phi,
@@ -47,6 +50,8 @@ __all__ = [
 
 BERN_P = 0.2
 EXAMPLE_A = 0.05
+SPECIALIZED_R = 0.3
+SPECIALIZED_N_STEP = 20
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,35 @@ def _figure4(points: int) -> FigureData:
     return FigureData(4, header, rows)
 
 
+def _figure6(points: int) -> FigureData:
+    """-(1/n) log of the specialized map's exact distance and of the
+    heavy-mass floor, for Bern(0.2)^n into M = round(e^(R n)) cells at
+    n = 20, 40, .., beside the specialized exponent they approach."""
+    if points > 100:
+        raise ValueError("figure 6 sweeps n = 20, 40, .. up to 2000: at most 100 points")
+    p = SubDist.bernoulli(BERN_P)
+    res = specialized_exponent(p, SPECIALIZED_R)
+    header = {
+        "p": BERN_P,
+        "R": SPECIALIZED_R,
+        "M": "round(e^(R n))",
+        "specialized_exponent": res.value,
+        "exponent_authoritative": res.note is None,
+    }
+    rows = []
+    for n in range(SPECIALIZED_N_STEP, SPECIALIZED_N_STEP * points + 1, SPECIALIZED_N_STEP):
+        smap = build_specialized(p, n, round(math.exp(SPECIALIZED_R * n)))
+        for curve, value in (
+            ("d1", specialized_map_d1(p, smap)),
+            ("heavy_mass_floor", smap.heavy_mass_floor()),
+        ):
+            rows.append((n, curve, -math.log(value) / n if value > 0.0 else math.inf))
+        rows.append((n, "specialized_exponent", res.value))
+    return FigureData(6, header, rows)
+
+
 def figure_sweep(figure_id: int, points: int = 50) -> FigureData:
-    """Sweep the comparison curves for one of the reference figures (2, 3, 4)."""
+    """Sweep the comparison curves for one of the reference figures (2, 3, 4, 6)."""
     if points < 2:
         raise ValueError("need at least 2 sweep points")
     if figure_id == 2:
@@ -141,4 +173,6 @@ def figure_sweep(figure_id: int, points: int = 50) -> FigureData:
         return _figure3(points)
     if figure_id == 4:
         return _figure4(points)
+    if figure_id == 6:
+        return _figure6(points)
     raise ValueError(f"unknown figure id {figure_id}")

@@ -4,13 +4,15 @@ A specialized map squeezes a known i.i.d. source into {1, .., M} by grouping
 length-n strings into empirical types: types heavy enough that a single
 string already exceeds 1/M get injective treatment, mid-weight types get a
 balanced block of floor(M * P^n(type)) cells, and everything else is dumped
-into cell 1.  The module also provides the heavy-mass floor that no map can
-beat, the specialized exponent, and the constrained-minimization identity
-that backs it.
+into cell 1.  The map is built and evaluated type by type, in exact integers,
+never string by string, so binary n reaches the thousands.  The module also
+provides the heavy-mass floor that no map can beat, the specialized exponent,
+and the constrained-minimization identity that backs it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -18,20 +20,21 @@ from fractions import Fraction
 import numpy as np
 
 from .dists import (
+    Alphabet,
+    SizeLimitError,
     SubDist,
-    d1_uniformity,
-    enumerate_types,
-    iid_extend,
+    compositions,
     renyi_tilde,
     renyi_tilde_derivative,
     strings_by_type,
 )
 from .exponents import ExponentResult, cramer_exponent, cramer_exponent_restricted
-from .privacy import pushforward
 
 __all__ = [
     "SpecializedMap",
     "TypeRecord",
+    "MAX_N",
+    "MAX_RECORD_BYTES",
     "heavy_mass_lower_bound",
     "build_specialized",
     "specialized_map_d1",
@@ -41,6 +44,13 @@ __all__ = [
     "IdentityReport",
 ]
 
+# Caps on the type-level construction: one record per type, about 256 bytes
+# plus an exact string mass of n log2(d) bits (d: the common denominator of the
+# source).  Time grows with their size: a binary source of 53-bit floats takes
+# 0.4 s at n = 1,000 and 3 s at n = 2,000 (27 MB of records, 2-core machine).
+MAX_N = 10_000
+MAX_RECORD_BYTES = 1 << 25
+
 
 def heavy_mass_lower_bound(p: SubDist, m: int) -> float:
     """P{P(a) >= 2/M}: no map into {1..M} gets the output closer to uniform.
@@ -48,111 +58,162 @@ def heavy_mass_lower_bound(p: SubDist, m: int) -> float:
     (The mass of atoms at least twice the uniform cell weight must surface in
     the L1 distance of any pushforward.)
     """
-    if abs(p.total - 1.0) > 1e-9:
-        raise ValueError("requires a probability distribution")
-    if m < 1:
-        raise ValueError("output size must be >= 1")
+    if abs(p.total - 1.0) > 1e-9 or m < 1:
+        raise ValueError("requires a probability distribution and M >= 1")
     heavy = p.mass >= 2.0 / m
     return float(math.fsum(p.mass[heavy].tolist()))
 
 
+def _normalized(p: SubDist) -> tuple[tuple[int, ...], int]:
+    """Integer weights a and denominator d with a_i / d = P(i) / total exactly."""
+    exact = [Fraction(float(x)) for x in p.mass]
+    exact = [x / sum(exact) for x in exact]
+    denom = math.lcm(*(x.denominator for x in exact))
+    return tuple(x.numerator * (denom // x.denominator) for x in exact), denom
+
+
 @dataclass(frozen=True)
 class TypeRecord:
+    """A type of class_size strings, each of mass weight / denom^n."""
+
     counts: tuple[int, ...]
     category: str  # "T1" | "T2" | "T3"
     class_size: int
     n_cells: int
-    prob: float
+    weight: int
 
 
 @dataclass(frozen=True)
 class SpecializedMap:
-    """A concrete map from length-n strings to {1..M}, grouped by type."""
+    """A map from length-n strings to {1..M}, one record per type; the source
+    is held exactly, as integer weights over `denom`."""
 
     n: int
     m: int
     base_symbols: tuple[str, ...]
-    cells: np.ndarray  # cell index (1..M) per extended-alphabet string
+    weights: tuple[int, ...]
+    denom: int
     records: tuple[TypeRecord, ...]
 
     def partition_summary(self) -> dict:
-        out = {"T1": 0, "T2": 0, "T3": 0}
-        for rec in self.records:
-            out[rec.category] += 1
-        return out
+        return {c: sum(r.category == c for r in self.records) for c in ("T1", "T2", "T3")}
 
     def cells_assigned(self) -> int:
         """Distinct cells consumed by the injective and balanced groups."""
-        return sum(
-            rec.class_size if rec.category == "T1" else rec.n_cells
-            for rec in self.records
-            if rec.category in ("T1", "T2")
+        return sum(rec.n_cells for rec in self.records)
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """Cell index (1..M) per extended-alphabet string, built on request
+        under the string cap of `strings_by_type`."""
+        cells, next_cell = np.ones(len(self.base_symbols) ** self.n, dtype=np.int64), 1
+        groups = strings_by_type(Alphabet(self.base_symbols), self.n)
+        for rec, (_, idxs) in zip(self.records, groups):
+            if rec.n_cells:  # round-robin; T3 strings stay in cell 1
+                cells[idxs] = next_cell + np.arange(len(idxs)) % rec.n_cells
+                next_cell += rec.n_cells
+        cells.setflags(write=False)
+        return cells
+
+    def heavy_mass_floor(self) -> float:
+        """heavy_mass_lower_bound of p^n, P^n{P^n(a) >= 2/M}, from the types."""
+        scale = self.denom**self.n
+        heavy = sum(
+            r.class_size * r.weight
+            for r in self.records
+            if r.category == "T1" and self.m * r.weight >= 2 * scale
         )
+        return heavy / scale
+
+    def d1_bound(self) -> dict:
+        """`specialized_d1_bound` from the types; the middle sum in log space."""
+        scale = self.denom**self.n
+        heavy = sum(r.class_size * r.weight for r in self.records if r.category == "T1")
+        log_scale = math.log(scale)
+        logs = [
+            math.log(self.m * r.class_size) + 2.0 * (math.log(r.weight) - log_scale)
+            for r in self.records
+            if r.weight
+        ]
+        try:
+            middle = math.fsum(math.exp(v) for v in logs)
+        except OverflowError:
+            middle = math.inf
+        out = {"heavy_mass": heavy / scale, "middle_sum": middle}
+        out["type_count_term"] = len(self.records) / self.m
+        return {**out, "bound": 2.0 * sum(out.values())}
 
 
 def build_specialized(p: SubDist, n: int, m: int) -> SpecializedMap:
     """Construct the canonical type-grouped map for p^n into {1..M}.
 
-    Classification is exact (rational arithmetic on the dyadic float masses),
-    so boundary types land deterministically.  Cells are assigned in
-    ascending order over types in lexicographic order: injective types take
-    one fresh cell per string; balanced types take n_Q = floor(M * P^n(T))
-    fresh cells filled round-robin, which keeps their preimage sizes within
-    one of each other; residual types share cell 1.
+    Classification is exact: the float masses are divided by their exact
+    rational total (0.2 + 0.8 is 1 + 2^-54 as floats, which would break the
+    cell budget at large n), and types are compared in integers.  Cells are
+    assigned in ascending order over types in lexicographic order: injective
+    types take one fresh cell per string; balanced types take
+    n_Q = floor(M * P^n(T)) fresh cells filled round-robin, which keeps their
+    preimage sizes within one of each other; residual types share cell 1.
     """
-    if abs(p.total - 1.0) > 1e-9:
-        raise ValueError("requires a probability distribution")
-    if m < 1:
-        raise ValueError("output size must be >= 1")
-    groups = strings_by_type(p.alphabet, n)
-    size_ext = p.alphabet.size**n
-    cells = np.ones(size_ext, dtype=np.int64)
-    records: list[TypeRecord] = []
-    threshold = Fraction(1, m)
-    next_cell = 1
-    for tc, idxs in groups:
-        p_single = tc.exact_prob_single(p)
-        p_type = tc.multiplicity() * p_single
-        n_q = int(m * p_type)  # floor, exact
-        if p_single >= threshold:
-            for j, idx in enumerate(idxs):
-                cells[idx] = next_cell + j
-            used = len(idxs)
-            next_cell += used
-            records.append(
-                TypeRecord(tc.counts, "T1", len(idxs), used, float(p_type))
-            )
-        elif n_q >= 1:
-            for j, idx in enumerate(idxs):
-                cells[idx] = next_cell + (j % n_q)
-            next_cell += n_q
-            records.append(
-                TypeRecord(tc.counts, "T2", len(idxs), n_q, float(p_type))
-            )
+    if abs(p.total - 1.0) > 1e-9 or m < 1 or n < 1:
+        raise ValueError("requires a probability distribution, n >= 1 and M >= 1")
+    if n > MAX_N:
+        raise SizeLimitError(f"n = {n} exceeds cap {MAX_N}")
+    weights, denom = _normalized(p)
+    n_types = math.comb(n + len(weights) - 1, n)
+    if n_types * (256 + n * denom.bit_length() // 8) > MAX_RECORD_BYTES:
+        raise SizeLimitError(
+            f"{n_types} types of {n * denom.bit_length()}-bit string masses exceed "
+            f"the record cap of {MAX_RECORD_BYTES} bytes"
+        )
+    scale, records, last = denom**n, [], None
+    a, b = weights[-2:] if len(weights) > 1 else (0, 0)
+    for counts in compositions(n, len(weights)):
+        # weight prod a_i^c_i and class size n!/prod c_i!; where only the last
+        # two counts move, a short multiply and an exact divide replace powers
+        if b and last and counts[:-2] == last[:-2]:
+            weight, size = weight * a // b, size * last[-1] // counts[-2]
         else:
-            records.append(
-                TypeRecord(tc.counts, "T3", len(idxs), 0, float(p_type))
-            )
-    if next_cell - 1 > m:
+            weight = math.prod(x**c for x, c in zip(weights, counts))
+            size = math.prod(math.comb(sum(counts[: i + 1]), c) for i, c in enumerate(counts))
+        last = counts
+        if m * weight >= scale:  # one string already weighs at least 1/M
+            records.append(TypeRecord(counts, "T1", size, size, weight))
+        else:
+            n_q = m * size * weight // scale
+            records.append(TypeRecord(counts, "T2" if n_q else "T3", size, n_q, weight))
+    smap = SpecializedMap(n, m, p.alphabet.symbols, weights, denom, tuple(records))
+    if smap.cells_assigned() > m:
         # the counting argument guarantees this never triggers
         raise RuntimeError(
-            f"cell budget exceeded: {next_cell - 1} > {m}; construction invariant broken"
+            f"cell budget exceeded: {smap.cells_assigned()} > {m}; "
+            "construction invariant broken"
         )
-    cells.setflags(write=False)
-    return SpecializedMap(
-        n=n,
-        m=m,
-        base_symbols=p.alphabet.symbols,
-        cells=cells,
-        records=tuple(records),
-    )
+    return smap
 
 
 def specialized_map_d1(p: SubDist, smap: SpecializedMap) -> float:
-    """Exact distance from uniform of p^n pushed through the map."""
-    ext = iid_extend(p, smap.n)
-    hashed = pushforward(ext, smap.cells, smap.m)
-    return d1_uniformity(hashed)
+    """Exact distance from uniform of p^n pushed through the map, summed over
+    the types in integers scaled by M denom^n.
+
+    A T1 type fills |T| cells of one string; a T2 type with |T| = a n_Q + r
+    fills r cells of a + 1 strings and n_Q - r of a; cell 1 also takes every
+    T3 string; each unused cell adds 1/M.
+    """
+    if _normalized(p) != (smap.weights, smap.denom):
+        raise ValueError("the map was built for another source")
+    unit, groups = smap.denom**smap.n, []  # 1/M scaled; (cells, scaled mass of each)
+    for rec in smap.records:
+        if rec.n_cells:
+            a, r = divmod(rec.class_size, rec.n_cells)
+            low = a * smap.m * rec.weight
+            groups += [(r, low + smap.m * rec.weight), (rec.n_cells - r, low)]
+    t3 = smap.m * sum(rec.class_size * rec.weight for rec in smap.records if not rec.n_cells)
+    groups = [g for g in groups if g[0]] or [(1, 0)]
+    groups[0:1] = [(1, groups[0][1] + t3), (groups[0][0] - 1, groups[0][1])]
+    unused = smap.m - sum(count for count, _ in groups)
+    total = sum(count * abs(mass - unit) for count, mass in groups) + unused * unit
+    return total / (smap.m * unit)
 
 
 def specialized_d1_bound(p: SubDist, n: int, m: int) -> dict:
@@ -162,24 +223,7 @@ def specialized_d1_bound(p: SubDist, n: int, m: int) -> dict:
     where the middle sum ranges over all types and e^(-n(D+H)) is the
     per-string probability of the type.
     """
-    types = enumerate_types(p.alphabet, n)
-    threshold = Fraction(1, m)
-    heavy = 0.0
-    middle = 0.0
-    for tc in types:
-        p_single_frac = tc.exact_prob_single(p)
-        p_single = tc.prob_single(p)
-        p_type = tc.prob(p)
-        if p_single_frac >= threshold:
-            heavy += p_type
-        middle += m * p_type * p_single
-    tail = len(types) / m
-    return {
-        "heavy_mass": heavy,
-        "middle_sum": middle,
-        "type_count_term": tail,
-        "bound": 2.0 * (heavy + middle + tail),
-    }
+    return build_specialized(p, n, m).d1_bound()
 
 
 def specialized_exponent(p: SubDist, r: float) -> ExponentResult:
@@ -211,66 +255,38 @@ class IdentityReport:
     max_discrepancy: float
 
 
-def _plogp(q: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(q)
-    pos = q > 0.0
-    out[pos] = q[pos] * np.log(q[pos])
-    return out
-
-
 def _objective_grid(q_cols: list[np.ndarray], p: SubDist, r: float) -> np.ndarray:
     """2 * crossent(Q, P) - H(Q) - R over a batch of candidate Q columns;
     infeasible points (crossent < R) come back as +inf."""
     log_p = np.where(p.mass > 0.0, np.log(np.where(p.mass > 0.0, p.mass, 1.0)), -np.inf)
-    cross = np.zeros_like(q_cols[0])
-    ent = np.zeros_like(q_cols[0])
+    cross, ent = np.zeros_like(q_cols[0]), np.zeros_like(q_cols[0])
     for qc, lp in zip(q_cols, log_p):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             cross -= np.where(qc > 0.0, qc * lp, 0.0)
-        ent -= _plogp(qc)
+            ent -= np.where(qc > 0.0, qc * np.log(qc), 0.0)
     vals = 2.0 * cross - ent - r
-    vals[cross < r - 1e-13] = math.inf
-    vals[np.isnan(vals)] = math.inf
+    vals[(cross < r - 1e-13) | np.isnan(vals)] = math.inf
     return vals
 
 
-def _constrained_min_binary(p: SubDist, r: float) -> float:
-    lo, hi, num = 0.0, 1.0, 4001
-    best_x, best_v = 0.0, math.inf
+def _constrained_min(p: SubDist, r: float) -> float:
+    """Nested-grid minimum over the simplex of 2 or 3 symbols: six rounds,
+    each zoomed in around the best point so far."""
+    num, margin = (4001, 10) if p.alphabet.size == 2 else (161, 8)
+    lo, hi = np.zeros(p.alphabet.size - 1), np.ones(p.alphabet.size - 1)
+    best, best_v = lo, math.inf
     for _ in range(6):
-        xs = np.linspace(lo, hi, num)
-        vals = _objective_grid([xs, 1.0 - xs], p, r)
+        grids = np.meshgrid(*(np.linspace(a, b, num) for a, b in zip(lo, hi)), indexing="ij")
+        free = [g.ravel() for g in grids]
+        last = functools.reduce(np.subtract, free, 1.0)
+        vals = _objective_grid(free + [np.clip(last, 0.0, None)], p, r)
+        vals[last < 0.0] = math.inf
         i = int(np.argmin(vals))
         if vals[i] < best_v:
-            best_v, best_x = float(vals[i]), float(xs[i])
+            best_v, best = float(vals[i]), np.array([q[i] for q in free])
         step = (hi - lo) / (num - 1)
-        lo = max(0.0, best_x - 10 * step)
-        hi = min(1.0, best_x + 10 * step)
+        lo, hi = np.maximum(0.0, best - margin * step), np.minimum(1.0, best + margin * step)
     return best_v
-
-
-def _constrained_min_ternary(p: SubDist, r: float) -> float:
-    lo1, hi1, lo2, hi2 = 0.0, 1.0, 0.0, 1.0
-    num = 161
-    best = (0.0, 0.0, math.inf)
-    for _ in range(6):
-        xs = np.linspace(lo1, hi1, num)
-        ys = np.linspace(lo2, hi2, num)
-        g1, g2 = np.meshgrid(xs, ys, indexing="ij")
-        q1, q2 = g1.ravel(), g2.ravel()
-        q3 = 1.0 - q1 - q2
-        vals = _objective_grid([q1, q2, np.clip(q3, 0.0, None)], p, r)
-        vals[q3 < 0.0] = math.inf
-        i = int(np.argmin(vals))
-        if vals[i] < best[2]:
-            best = (float(q1[i]), float(q2[i]), float(vals[i]))
-        step1 = (hi1 - lo1) / (num - 1)
-        step2 = (hi2 - lo2) / (num - 1)
-        lo1 = max(0.0, best[0] - 8 * step1)
-        hi1 = min(1.0, best[0] + 8 * step1)
-        lo2 = max(0.0, best[1] - 8 * step2)
-        hi2 = min(1.0, best[1] + 8 * step2)
-    return best[2]
 
 
 def check_specialized_identity(p: SubDist, r: float) -> IdentityReport:
@@ -286,34 +302,17 @@ def check_specialized_identity(p: SubDist, r: float) -> IdentityReport:
     of H~_(1+s) - s R; otherwise it equals H~_2 - R, which also matches the
     s-restricted maximum.
     """
-    if p.alphabet.size == 2:
-        lhs = _constrained_min_binary(p, r)
-    elif p.alphabet.size == 3:
-        lhs = _constrained_min_ternary(p, r)
-    else:
+    if p.alphabet.size not in (2, 3):
         raise ValueError("identity check is grid-tractable only for 2-3 symbols")
+    lhs = _constrained_min(p, r)
     rhs_restricted = cramer_exponent_restricted(p, r).value
-    slope2 = renyi_tilde_derivative(p, 1.0)
-    if slope2 <= r:
-        rhs_unrestricted = cramer_exponent(p, r).value
-        disc = max(
-            abs(lhs - rhs_restricted), abs(lhs - rhs_unrestricted)
-        )
-        return IdentityReport(
-            branch="slope<=R",
-            lhs=lhs,
-            rhs_restricted=rhs_restricted,
-            rhs_unrestricted=rhs_unrestricted,
-            order2_value=None,
-            max_discrepancy=disc,
-        )
-    order2 = renyi_tilde(p, 1.0) - r
-    disc = max(abs(lhs - rhs_restricted), abs(lhs - order2))
+    slope_ok = renyi_tilde_derivative(p, 1.0) <= r
+    other = cramer_exponent(p, r).value if slope_ok else renyi_tilde(p, 1.0) - r
     return IdentityReport(
-        branch="slope>R",
+        branch="slope<=R" if slope_ok else "slope>R",
         lhs=lhs,
         rhs_restricted=rhs_restricted,
-        rhs_unrestricted=None,
-        order2_value=order2,
-        max_discrepancy=disc,
+        rhs_unrestricted=other if slope_ok else None,
+        order2_value=None if slope_ok else other,
+        max_discrepancy=max(abs(lhs - rhs_restricted), abs(lhs - other)),
     )

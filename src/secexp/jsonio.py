@@ -187,7 +187,7 @@ def _load(path: str):
     def finite(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
-            raise InputValidationError(f"{path}: {text} is not a finite number")
+            raise ValueError(f"{text} is not a finite number")
         return value
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,6 +197,8 @@ def _load(path: str):
             raise InputValidationError(
                 f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
+        except ValueError as e:  # a non-finite number, or an integer past the digit limit
+            raise InputValidationError(f"{path}: {e}") from None
 
 
 def load_subdist(path: str) -> SubDist:

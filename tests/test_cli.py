@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -292,6 +294,12 @@ def _additive_channel(tmp_path, module, name="w.json") -> str:
     return str(path)
 
 
+def _one_symbol(tmp_path) -> str:
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"alphabet": ["a"], "mass": [1.0]}))
+    return str(path)
+
+
 # Each run asks for a size far past every cap; each used to run for minutes.
 _OVERSIZED = {
     "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
@@ -301,6 +309,8 @@ _OVERSIZED = {
     "distill-n": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
                   "--module-q", "3", "--module-n", "100000000"],
     "intrinsic-n": ["intrinsic", "--dist", "{skew3}", "--n", "100000000", "--M", "4"],
+    "intrinsic-types": ["intrinsic", "--dist", "{skew3}", "--n", "2000", "--M", "4"],
+    "intrinsic-one-symbol": ["intrinsic", "--dist", "{one}", "--n", "20000", "--M", "4"],
     "channel-q": ["simulate", "wiretap", "--wb", "{big_q}", "--we", "{big_q}",
                   "--M", "2", "--L", "2"],
     "channel-n": ["simulate", "wiretap", "--wb", "{big_n}", "--we", "{big_n}",
@@ -327,6 +337,7 @@ class TestOversizedInputs:
             "pab": str(inputs / "pab.json"),
             "pae": str(inputs / "pae.json"),
             "skew3": str(inputs / "skew3.json"),
+            "one": _one_symbol(tmp_path),
             "big_q": _additive_channel(tmp_path, {"q": 1000000000000000003, "n": 1}, "q.json"),
             "big_n": _additive_channel(tmp_path, {"q": 3, "n": 100000000}, "n.json"),
         }
@@ -377,11 +388,37 @@ class TestIntrinsicCommand:
         assert payload["cells_assigned"] <= 4
 
     def test_size_limit_exit_code(self, runner, bern_file):
-        # 2^21 strings exceed the configured cell cap
-        res = runner.invoke(
-            cli, ["intrinsic", "--dist", bern_file, "--n", "21", "--M", "4"]
-        )
-        assert res.exit_code == 3
+        # n past MAX_N, and 9,501 types of 28,500-bit string masses past
+        # MAX_RECORD_BYTES
+        for n, shown in (("10001", "n = 10001 exceeds cap"), ("9500", "9501 types")):
+            res = runner.invoke(
+                cli, ["intrinsic", "--dist", bern_file, "--n", n, "--M", "4"]
+            )
+            assert res.exit_code == 3, res.output
+            assert shown in res.output
+
+    def test_reaches_n_1000_within_a_second(self, runner, bern_file):
+        m = str(round(math.exp(300.0)))
+        start = time.perf_counter()
+        res = runner.invoke(cli, ["intrinsic", "--dist", bern_file, "--n", "1000", "--M", m])
+        seconds = time.perf_counter() - start
+        assert res.exit_code == 0, res.output
+        assert seconds < 1.0
+        payload = json.loads(res.output)
+        floor, d1 = payload["lower_bound_heavy_mass"], payload["d1_exact"]
+        bound = payload["bound_construction"]
+        assert all(isinstance(v, float) and math.isfinite(v) for v in (floor, d1, bound))
+        assert 0.0 < floor <= d1 <= bound
+        assert payload["cells_assigned"] <= int(m)
+
+    @pytest.mark.parametrize("m", ["1000000000000", str(10**400)])
+    def test_output_size_needs_no_cap(self, runner, bern_file, m):
+        # nothing M-sized is built: M = 10^12 used to end in a MemoryError
+        res = runner.invoke(cli, ["intrinsic", "--dist", bern_file, "--n", "2", "--M", m])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["d1_exact"] == pytest.approx(2.0, abs=1e-9)
+        assert payload["lower_bound_heavy_mass"] == pytest.approx(1.0)
 
 
 class TestDistillCommand:
@@ -481,6 +518,14 @@ class TestNonFiniteInput:
         res = runner.invoke(cli, args)
         assert res.exit_code == 2, res.output
         assert "not a finite number" in res.output
+
+    def test_integer_past_digit_limit_names_the_file(self, runner, tmp_path):
+        # json.load's own ValueError for more than 4,300 digits gets the path
+        path = tmp_path / "digits.json"
+        path.write_text('{"alphabet": ["a", "b"], "mass": [1%s, 0.5]}' % ("0" * 4400))
+        res = runner.invoke(cli, ["entropy", "--dist", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"invalid input: {path}: Exceeds the limit" in res.output
 
     def test_simulate_pa_rejects_nan_mass(self, runner, tmp_path):
         path = tmp_path / "p.json"

@@ -34,6 +34,7 @@ CASES = {
         "exponent", "--joint", _in("joint.json"), "--R", "0.2", "--form", "cond",
     ],
     "figure-4.csv": ["figure", "--id", "4", "--points", "5"],
+    "figure-6.csv": ["figure", "--id", "6", "--points", "5"],
     "hash-toeplitz.json": [
         "hash", "check", "--family", "toeplitz", "--q", "2", "--k", "4", "--m", "2",
     ],

@@ -6,7 +6,10 @@ import pytest
 
 from secexp.dists import (
     Alphabet,
+    SizeLimitError,
     SubDist,
+    d1_uniformity,
+    enumerate_types,
     iid_extend,
     range_alphabet,
     renyi_tilde,
@@ -22,7 +25,30 @@ from secexp.intrinsic import (
     specialized_exponent,
     specialized_map_d1,
 )
-from secexp.privacy import d1_hashed
+from secexp.privacy import d1_hashed, pushforward
+
+from conftest import random_dist
+
+
+def _string_level_d1(p, smap):
+    """d1 of p^n pushed through smap.cells string by string.
+
+    Each cell's float string masses are summed exactly (math.fsum), so the
+    reference carries only the rounding of the products in iid_extend; the
+    running sums of `pushforward` drift by up to 8e-13 at 2^16 strings.
+    """
+    ext = iid_extend(p, smap.n)
+    cells = [[] for _ in range(smap.m)]
+    for cell, mass in zip(smap.cells.tolist(), ext.mass.tolist()):
+        cells[cell - 1].append(mass)
+    total = math.fsum(ext.mass.tolist())
+    return math.fsum(abs(math.fsum(c) - total / smap.m) for c in cells)
+
+
+def _sizes(n, size):
+    """Output sizes from 2 past the string count |A|^n."""
+    strings = size**n
+    return sorted({2, 7, strings // 3 + 1, strings, 3 * strings})
 
 
 class TestHeavyMassLowerBound:
@@ -148,6 +174,92 @@ class TestBuildSpecialized:
             smap = build_specialized(p, n, m)
             ext = iid_extend(p, n)
             assert specialized_map_d1(p, smap) >= heavy_mass_lower_bound(ext, m) - 1e-12
+
+
+class TestTypeLevel:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_d1_equals_string_level_binary(self, bern02, n):
+        rng = np.random.default_rng(n)
+        for p in (bern02, random_dist(rng, 2)):
+            for m in _sizes(n, 2):
+                smap = build_specialized(p, n, m)
+                assert specialized_map_d1(p, smap) == pytest.approx(
+                    _string_level_d1(p, smap), rel=0, abs=1e-13
+                ), (p, m)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_d1_equals_string_level_ternary(self, ternary, n):
+        rng = np.random.default_rng(100 + n)
+        for p in (ternary, random_dist(rng, 3)):
+            for m in _sizes(n, 3):
+                smap = build_specialized(p, n, m)
+                assert specialized_map_d1(p, smap) == pytest.approx(
+                    _string_level_d1(p, smap), rel=0, abs=1e-13
+                ), (p, m)
+
+    def test_d1_matches_pushforward_at_small_n(self, bern02, ternary):
+        for p, n_max in ((bern02, 10), (ternary, 6)):
+            for n in range(1, n_max + 1):
+                for m in _sizes(n, p.alphabet.size):
+                    smap = build_specialized(p, n, m)
+                    hashed = pushforward(iid_extend(p, n), smap.cells, m)
+                    assert specialized_map_d1(p, smap) == pytest.approx(
+                        d1_uniformity(hashed), rel=0, abs=1e-13
+                    )
+
+    def test_heavy_mass_floor_matches_extension(self, bern02, ternary):
+        for p, n_max in ((bern02, 12), (ternary, 7), (SubDist.bernoulli(0.5), 6)):
+            for n in range(1, n_max + 1):
+                for m in _sizes(n, p.alphabet.size):
+                    floor = build_specialized(p, n, m).heavy_mass_floor()
+                    expected = heavy_mass_lower_bound(iid_extend(p, n), m)
+                    assert floor == pytest.approx(expected, rel=1e-12, abs=1e-15), (p, n, m)
+
+    def test_bound_matches_float_formula(self, bern02, ternary):
+        for p, n in ((bern02, 9), (ternary, 5)):
+            types = enumerate_types(p.alphabet, n)
+            for m in (2, 5, 40, 1000):
+                got = specialized_d1_bound(p, n, m)
+                heavy = math.fsum(
+                    t.prob(p) for t in types if t.prob_single(p) >= 1.0 / m
+                )
+                middle = math.fsum(m * t.prob(p) * t.prob_single(p) for t in types)
+                assert got["heavy_mass"] == pytest.approx(heavy, rel=1e-12)
+                assert got["middle_sum"] == pytest.approx(middle, rel=1e-12)
+                assert got["type_count_term"] == len(types) / m
+
+    def test_normalized_bernoulli_is_exact(self, bern02):
+        # 0.2 and 0.8 sum to 1 + 2^-54 as floats; divided by that exact sum
+        # they are 1/5 and 4/5
+        smap = build_specialized(bern02, 3, 4)
+        assert (smap.weights, smap.denom) == ((1, 4), 5)
+
+    @pytest.mark.parametrize("n", [100, 500, 1000])
+    def test_cell_budget_holds_at_large_n(self, bern02, n):
+        m = round(math.exp(0.3 * n))
+        smap = build_specialized(bern02, n, m)  # raises RuntimeError past M
+        assert smap.cells_assigned() <= m
+        floor = smap.heavy_mass_floor()
+        d1 = specialized_map_d1(bern02, smap)
+        bound = specialized_d1_bound(bern02, n, m)["bound"]
+        assert 0.0 < floor <= d1 <= bound < 1.0
+
+    def test_bound_past_float_multiplicities(self, bern02):
+        # the exact multiplicities at n = 1100 are past the float range
+        res = specialized_d1_bound(bern02, 1100, round(math.exp(330.0)))
+        assert all(math.isfinite(v) for v in res.values())
+        assert 0.0 < res["bound"] < 1e-30
+
+    def test_cells_only_under_the_string_cap(self, bern02):
+        smap = build_specialized(bern02, 21, 4)
+        assert 0.0 < specialized_map_d1(bern02, smap) <= 2.0
+        with pytest.raises(SizeLimitError):
+            smap.cells
+
+    def test_refuses_another_source(self, bern02):
+        smap = build_specialized(bern02, 3, 4)
+        with pytest.raises(ValueError, match="another source"):
+            specialized_map_d1(SubDist.bernoulli(0.3), smap)
 
 
 class TestSpecializedExponent:
