@@ -47,6 +47,7 @@ from .hashing import (
     ExplicitFamily,
     FullyRandomFamily,
     HashFamily,
+    LinearFamily,
     ToeplitzFamily,
     check_balanced,
     check_strongly_universal2,

@@ -30,6 +30,7 @@ __all__ = [
     "range_alphabet",
     "product_alphabet",
     "fsum_rows",
+    "fsum_groups",
     "l1_distance",
     "d1_uniformity",
     "l2_distance",
@@ -89,9 +90,14 @@ class Alphabet:
             raise ValueError("alphabet needs at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
-        object.__setattr__(
-            self, "_index", {s: i for i, s in enumerate(self.symbols)}
-        )
+
+    @classmethod
+    def _distinct(cls, symbols: tuple[str, ...]) -> "Alphabet":
+        """An alphabet of symbols known to be distinct and nonempty by
+        construction, built without the distinctness set."""
+        alphabet = object.__new__(cls)
+        object.__setattr__(alphabet, "symbols", symbols)
+        return alphabet
 
     @property
     def size(self) -> int:
@@ -101,8 +107,13 @@ class Alphabet:
         return len(self.symbols)
 
     def index(self, symbol: str) -> int:
+        """Position of `symbol`; the lookup table is built on the first call."""
+        table = self.__dict__.get("_index")
+        if table is None:
+            table = {s: i for i, s in enumerate(self.symbols)}
+            object.__setattr__(self, "_index", table)
         try:
-            return self._index[symbol]
+            return table[symbol]
         except KeyError:
             raise KeyError(f"symbol {symbol!r} not in alphabet") from None
 
@@ -115,12 +126,16 @@ def range_alphabet(m: int) -> Alphabet:
 
 
 def product_alphabet(alphabet: Alphabet, n: int) -> Alphabet:
-    """n-fold product alphabet; labels are concatenations of the factors."""
+    """n-fold product alphabet; labels are concatenations of the factors.
+
+    Joined by "" when every factor label is one character and by "|"
+    otherwise.  When no factor label contains the separator, distinct
+    tuples give distinct labels, so only labels that do are checked."""
     sep = "" if all(len(s) == 1 for s in alphabet.symbols) else "|"
-    symbols = tuple(
-        sep.join(t) for t in itertools.product(alphabet.symbols, repeat=n)
-    )
-    return Alphabet(symbols)
+    symbols = tuple(map(sep.join, itertools.product(alphabet.symbols, repeat=n)))
+    if sep and any(sep in s for s in alphabet.symbols):
+        return Alphabet(symbols)
+    return Alphabet._distinct(symbols)
 
 
 class SubDist:
@@ -293,24 +308,73 @@ def fsum_rows(a) -> list[float]:
     if n < _KERNEL_MIN_ROW:
         return list(map(math.fsum, a.tolist()))
     assert n < 1 << 26, "bucket totals of such rows may exceed 2^53"
-    mant, exp = np.frexp(a)
+    work = _kernel_arrays(a)
+    exp = work[1]
     lo, hi = int(exp.min(initial=0)), int(exp.max(initial=0))
     if not (hi <= _KERNEL_MAX_EXP and math.isfinite(a.sum())):
         ok = np.isfinite(a).all(axis=1) & (exp.max(axis=1) <= _KERNEL_MAX_EXP)
         sums = iter(fsum_rows(a[ok]))
         return [next(sums) if good else math.fsum(row) for good, row in zip(ok.tolist(), a)]
+    return _bucket_fsums(work, lo, hi, np.arange(rows)[:, None], rows)
+
+
+def _kernel_arrays(a: np.ndarray):
+    """np.frexp(a), and room for the bucket index and the top mantissa
+    halves, as four arrays shaped like `a` in one allocation.
+
+    glibc returns a freed block of memory to the system unless an earlier
+    freed one was at least as large.  As four allocations, the kernel's
+    arrays were faulted in afresh on every block of a sweep (153,000 page
+    faults, half of `universal_hash_d1_bound` at 2^14 symbols); as one,
+    the first block's free keeps the pages for the rest."""
+    size = a.size
+    scratch = np.empty(4 * size)
+    mant, top = scratch[:size].reshape(a.shape), scratch[size : 2 * size].reshape(a.shape)
+    bucket = scratch[2 * size : 3 * size].view(np.intp)[:size].reshape(a.shape)
+    exp = scratch[3 * size :].view(np.intc)[:size].reshape(a.shape)
+    np.frexp(a, out=(mant, exp))
+    return mant, exp, top, bucket
+
+
+def _bucket_fsums(work, lo: int, hi: int, keys, groups: int) -> list[float]:
+    """math.fsum of the entries of each group, from `_kernel_arrays` of them
+    (exponents in lo .. hi); `keys` (broadcast against them) names each
+    entry's group.  The kernel of `fsum_rows`: exact while a group holds
+    fewer than 2^26 entries."""
+    mant, exp, top, bucket = work
     span = hi - lo + 1
-    bucket = ((np.arange(rows) * span - lo)[:, None] + exp).ravel()
+    np.add(keys * span - lo, exp, out=bucket)
     mant *= 2.0**27
-    top = np.floor(mant)
+    np.floor(mant, out=top)
     mant -= top
     mant *= 2.0**26
     scale = np.arange(lo, hi + 1)
     parts = [
-        np.ldexp(np.bincount(bucket, half.ravel(), rows * span).reshape(rows, span), scale - shift)
+        np.ldexp(np.bincount(bucket.ravel(), half.ravel(), groups * span).reshape(groups, span), scale - shift)
         for half, shift in ((top, 27), (mant, 53))
     ]
     return list(map(math.fsum, np.concatenate(parts, axis=1).tolist()))
+
+
+def fsum_groups(values, keys, groups: int) -> list[float]:
+    """[math.fsum(values[keys == g]) for g in range(groups)], bit for bit, for
+    integer keys in 0 .. groups - 1 shaped like the values.
+
+    By the bucket kernel of `fsum_rows` when the groups average at least
+    _KERNEL_MIN_ROW entries (fewer than 2^26 in all) and every value is
+    finite and below 2^_KERNEL_MAX_EXP in magnitude, else by one math.fsum
+    per group of the values sorted stably by key."""
+    values = np.asarray(values, dtype=float).ravel()
+    keys = np.asarray(keys).ravel()
+    if _KERNEL_MIN_ROW * groups <= values.size < 1 << 26 and math.isfinite(values.sum()):
+        work = _kernel_arrays(values)
+        lo, hi = int(work[1].min(initial=0)), int(work[1].max(initial=0))
+        if hi <= _KERNEL_MAX_EXP:
+            return _bucket_fsums(work, lo, hi, keys, groups)
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(groups + 1)).tolist()
+    ordered = values[order].tolist()
+    return [math.fsum(ordered[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # Rows shorter than this cost less through math.fsum: at this length one row

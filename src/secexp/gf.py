@@ -85,6 +85,25 @@ class Field:
             return e[:, None] ^ e, _GF4_MUL
         return (e[:, None] + e) % self.q, (e[:, None] * e) % self.q
 
+    @property
+    def prime(self) -> int:
+        """The characteristic p, with q = p^degree."""
+        return 2 if self.q == 4 else self.q
+
+    @property
+    def degree(self) -> int:
+        """e, with q = prime^e: the base-p digits of one element index."""
+        return 2 if self.q == 4 else 1
+
+    def digit_matrices(self) -> np.ndarray:
+        """(q, degree, degree): entry c is the matrix over F_p of b |-> c * b
+        on the big-endian base-p digits of the element index b (for GF(4),
+        index 2 = x is digits (1, 0)), so index addition stays digitwise."""
+        p, e = self.prime, self.degree
+        basis = p ** np.arange(e - 1, -1, -1)  # the index with digit j set
+        products = self.tables()[1][:, basis]  # [c, j]: index of c * basis_j
+        return products[:, None, :] // basis[:, None] % p  # [c, i, j]: its digit i
+
 
 @dataclass(frozen=True)
 class Module:

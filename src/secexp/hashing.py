@@ -5,7 +5,15 @@ string of `seed_len` digits in digit_low .. digit_low + digit_base - 1, ranked
 in itertools.product order.  A family defines only its digits and `maps_of`,
 which turns a (count x seed_len) block of seeds into the (count x |alphabet|)
 block of their maps; `HashFamily` derives `seeds(start, stop)`, `iter_maps`
-(blocks of at most BLOCK_CELLS cells), `sample_seed` and `as_map`.
+(blocks of at most BLOCK_CELLS cells), `sample_seed` and `as_map`, and
+`pushforward_blocks`, the seeds' images of a weight vector, from the maps.
+
+A linear family (`LinearFamily`, here Toeplitz) also gives each seed's matrix
+over the prime field, and computes pushforwards from it by the character
+transform of the weights instead of from maps: one transform of the weights,
+then per seed a gather of M values and one transform of size M.  This is the
+dual-code view of Tsurumaru and Hayashi, "Dual universality of hash functions
+and its applications to quantum cryptography" (arXiv:1101.0064).
 
 Three ensemble conditions are checkable by full seed enumeration:
 
@@ -29,6 +37,7 @@ import numpy as np
 
 from .dists import (
     BLOCK_CELLS,
+    DEFAULT_MAX_CELLS,
     Alphabet,
     SizeLimitError,
     capped_power,
@@ -39,6 +48,7 @@ from .gf import Field, Module
 __all__ = [
     "HashFamily",
     "FullyRandomFamily",
+    "LinearFamily",
     "ToeplitzFamily",
     "ExplicitFamily",
     "fit_toeplitz",
@@ -98,16 +108,38 @@ class HashFamily:
         digits = np.unravel_index(ranks, (self.digit_base,) * self.seed_len)
         return np.stack(digits, axis=1) + self.digit_low
 
-    def iter_maps(self, seeds: np.ndarray | None = None):
-        """The maps of every seed in rank order, or of the rows of `seeds`,
-        in blocks of at most BLOCK_CELLS cells (at least one map each)."""
-        step = max(1, BLOCK_CELLS // self.input_alphabet.size)
+    def seed_blocks(self, seeds: np.ndarray | None, cells: int):
+        """Every seed in rank order, or the rows of `seeds`, in blocks of at
+        most BLOCK_CELLS // cells seeds (at least one)."""
+        step = max(1, BLOCK_CELLS // cells)
         count = self.seed_count if seeds is None else len(seeds)
         for start in range(0, count, step):
             stop = min(start + step, count)
-            yield self.maps_of(
-                self.seeds(start, stop) if seeds is None else seeds[start:stop]
+            yield self.seeds(start, stop) if seeds is None else seeds[start:stop]
+
+    def iter_maps(self, seeds: np.ndarray | None = None):
+        """The maps of every seed in rank order, or of the rows of `seeds`,
+        in blocks of at most BLOCK_CELLS cells (at least one map each)."""
+        for block in self.seed_blocks(seeds, self.input_alphabet.size):
+            yield self.maps_of(block)
+
+    def pushforward_blocks(self, weights, seeds: np.ndarray | None = None):
+        """The pushforward rows of every seed in rank order, or of the rows of
+        `seeds`, in blocks: row s is `map_histograms` of seed s's map, the sum
+        of `weights` over each output's preimage (with a last axis of side
+        symbols if `weights` is 2-D).  A block holds at most BLOCK_CELLS
+        histogram cells, or one seed's; one seed's over DEFAULT_MAX_CELLS is
+        refused."""
+        m, side = self.output_size, int(np.prod(np.shape(weights)[1:]))
+        if m * side > DEFAULT_MAX_CELLS:
+            raise SizeLimitError(
+                f"{m} outputs x {side} side symbols exceed the cap of "
+                f"{DEFAULT_MAX_CELLS} histogram cells per seed"
             )
+        step = max(1, BLOCK_CELLS // (m * side))
+        for maps in self.iter_maps(seeds):
+            for start in range(0, len(maps), step):
+                yield map_histograms(maps[start : start + step], m, weights)
 
     def sample_seed(self, rng: np.random.Generator) -> tuple[int, ...]:
         """One uniform seed, its digits drawn by one rng.integers call."""
@@ -149,7 +181,110 @@ class FullyRandomFamily(HashFamily):
         return np.asarray(seeds, dtype=np.int64)
 
 
-class ToeplitzFamily(HashFamily):
+class LinearFamily(HashFamily):
+    """Linear maps F_q^k -> F_q^m, q = p^e, in systematic form (X | I).
+
+    Over the prime field a seed's map is an (m e) x (k e) matrix A = (X | I)
+    on the big-endian base-p digits of the symbol indices: a GF(4) digit is
+    two bits, and GF(4) addition is XOR of indices.  `matrices` gives these
+    per block of seeds; pushforwards and kernels are read from them.
+    """
+
+    field: Field
+    k: int
+    m: int
+
+    def matrices(self, seeds: np.ndarray) -> np.ndarray:
+        """The (count x m e x k e) digits over F_p of the seeds' matrices,
+        whose last m e columns are the identity."""
+        raise NotImplementedError
+
+    def pushforward_blocks(self, weights, seeds: np.ndarray | None = None):
+        """As `HashFamily.pushforward_blocks`, by the character transform.
+
+        With F(u) = sum_a w(a) chi(-u.a) over F_p^(k e) and chi(t) =
+        exp(2 pi i t / p), the pushforward under A is
+        P_A(y) = p^-(m e) sum_v chi(v.y) F(A^T v): one transform of the
+        weights, then per seed a gather of F at A^T v for all v (built from
+        the rows of A by linearity) and one inverse transform of size M.
+        A block's digit and gathered arrays hold at most BLOCK_CELLS cells,
+        M max(k e, side symbols) per seed."""
+        p, n = self.field.prime, self.k * self.field.degree
+        w = np.asarray(weights, dtype=float)
+        side_shape = w.shape[1:]
+        spec = _character_transform(w.reshape(len(w), -1).T, p, -1)  # side x p^n
+        for block in self.seed_blocks(seeds, self.output_size * max(n, len(spec))):
+            picked = spec[:, _combination_indices(self.matrices(block), p)]
+            hists = _character_transform(picked, p, 1).real / self.output_size
+            yield np.moveaxis(hists, 0, -1).reshape((len(block), self.output_size) + side_shape)
+
+    def kernel_counts(self) -> np.ndarray:
+        """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
+
+        The kernel of (X | I) is {(x, -X x)}, the span of the rows of
+        (I | -X^T), so each seed adds q^(k-m) kernel vectors."""
+        self.require_enumerable()
+        p, e = self.field.prime, self.field.degree
+        n, r = self.k * e, (self.k - self.m) * e
+        counts = np.zeros(p**n, dtype=np.int64)
+        for block in self.seed_blocks(None, n * max(p**r, self.m * e)):
+            x = self.matrices(block)[:, :, :r]
+            eye = np.broadcast_to(np.eye(r, dtype=np.int64), (len(block), r, r))
+            gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
+            counts += np.bincount(_combination_indices(gens, p).ravel(), minlength=p**n)
+        return counts
+
+
+def _combination_indices(gens: np.ndarray, p: int) -> np.ndarray:
+    """(count x p^r) indices over F_p^n of sum_i c_i gens[:, i] for every
+    c in F_p^r (big-endian order), from a (count x r x n) block of digits.
+
+    Built by linearity, one generator at a time: for p = 2 on the indices
+    themselves, where adding is XOR, otherwise on the digits mod p."""
+    count, r, n = gens.shape
+    places = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    if p == 2:
+        out = np.zeros((count, 1), dtype=np.int64)
+        for row in (gens @ places).T:
+            out = np.stack([out, out ^ row[:, None]], axis=2).reshape(count, -1)
+        return out
+    out = np.zeros((count, 1, n), dtype=np.int64)
+    for i in range(r):
+        multiples = np.arange(p)[:, None] * gens[:, i, None, :]  # count x p x n
+        out = ((out[:, :, None, :] + multiples[:, None]) % p).reshape(count, -1, n)
+    return out @ places
+
+
+# Most elements in one dense step of `_character_transform`: a step is then a
+# matrix product of width at most 32 (5 binary digits, 3 ternary, 2 of F_5).
+_TRANSFORM_GROUP = 32
+
+
+def _character_transform(x: np.ndarray, p: int, sign: int) -> np.ndarray:
+    """sum_t chi(sign u.t) x[..., t] for every u, over the last axis of x,
+    whose p^n entries are indexed by F_p^n in big-endian digits.
+
+    chi(t) = exp(2 pi i t / p), which is +-1 for p = 2 (a real Walsh-Hadamard
+    transform).  Each step multiplies the last group of digits by that
+    group's dense character matrix and rotates the group to the front, so n
+    digits take about n / log_p(32) steps."""
+    size = x.shape[-1]
+    n = round(math.log(size, p))
+    group = max(1, int(math.log(_TRANSFORM_GROUP, p) + 1e-9))
+    out = x.reshape(-1, size)
+    done = 0
+    while done < n:
+        width = min(group, n - done)
+        digits = np.stack(np.unravel_index(np.arange(p**width), (p,) * width), axis=1)
+        dots = digits @ digits.T % p
+        chars = 1.0 - 2.0 * dots if p == 2 else np.exp(sign * 2j * np.pi * dots / p)
+        g = p**width
+        out = (out.reshape(-1, g) @ chars).reshape(-1, size // g, g).transpose(0, 2, 1)
+        done += width
+    return out.reshape(x.shape)
+
+
+class ToeplitzFamily(LinearFamily):
     """Linear maps F_q^k -> F_q^m given by the block matrix (X | I).
 
     X is the m x (k-m) Toeplitz block built from k-1 seed digits and I is the
@@ -196,6 +331,17 @@ class ToeplitzFamily(HashFamily):
             sums = add[sums, term[seeds[:, t]]]
         out = add[sums[:, :, None], np.arange(q**m)]
         return out.reshape(len(seeds), q**self.k) + 1
+
+    def matrices(self, seeds: np.ndarray) -> np.ndarray:
+        """(X | I) over F_p: block (i, j) of X is the digit matrix of seed
+        digit (k - m - 1) + i - j."""
+        m, r, e = self.m, self.k - self.m, self.field.degree
+        seeds = np.asarray(seeds, dtype=np.int64)
+        at = (r - 1) + np.arange(m)[:, None] - np.arange(r)
+        x = self.field.digit_matrices()[seeds[:, at]]  # count x m x r x e x e
+        x = x.transpose(0, 1, 3, 2, 4).reshape(len(seeds), m * e, r * e)
+        eye = np.broadcast_to(np.eye(m * e, dtype=np.int64), (len(seeds), m * e, m * e))
+        return np.concatenate([x, eye], axis=2)
 
 
 def fit_toeplitz(m: int, l: int, q: int) -> ToeplitzFamily | None:
@@ -263,6 +409,18 @@ def _pair_counts(fam: HashFamily, joint: bool):
         yield a, counts.reshape(-1, width, n, width), upper
 
 
+def _gram_worst_pair(fam: HashFamily) -> tuple[float, tuple[int, int] | None]:
+    """The most collisions of a pair a < b, and the first such pair in
+    row-major order (None for a one-symbol alphabet), from the pair counts."""
+    best, worst = -1.0, None
+    for a, counts, upper in _pair_counts(fam, joint=False):
+        masked = np.where(upper, counts, -1.0)[:, 0, :, 0]
+        i, b = np.unravel_index(np.argmax(masked), masked.shape)
+        if masked[i, b] > best:
+            best, worst = float(masked[i, b]), (int(a[i]), int(b))
+    return best, worst
+
+
 @dataclass(frozen=True)
 class Universal2Report:
     passed: bool
@@ -291,13 +449,15 @@ def check_universal2(fam: HashFamily, tol: float = 1e-12) -> Universal2Report:
     """Exact worst-pair collision probability over the full seed space.
 
     The worst pair is the first pair a < b (in row-major order) with the most
-    collisions."""
-    best, worst = -1.0, None
-    for a, counts, upper in _pair_counts(fam, joint=False):
-        masked = np.where(upper, counts, -1.0)[:, 0, :, 0]
-        i, b = np.unravel_index(np.argmax(masked), masked.shape)
-        if masked[i, b] > best:
-            best, worst = float(masked[i, b]), (int(a[i]), int(b))
+    collisions.  A linear family's pair collides exactly when its difference
+    is in the kernel, so its counts are `kernel_counts` by difference and
+    its worst pair is (0, the lowest nonzero d with the top count)."""
+    if isinstance(fam, LinearFamily):
+        counts = fam.kernel_counts()
+        d = 1 + int(np.argmax(counts[1:]))
+        best, worst = float(counts[d]), (0, d)
+    else:
+        best, worst = _gram_worst_pair(fam)
     max_coll = best / fam.seed_count if worst is not None else 0.0
     bound = 1.0 / fam.output_size
     symbols = fam.input_alphabet.symbols

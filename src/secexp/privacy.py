@@ -3,10 +3,19 @@
 The unconditional distinguishability of a hashed source is the L1 distance of
 the pushforward from uniform; the conditional variant measures the joint
 against (uniform key) x (Eve's marginal).  Ensemble expectations over a hash
-family are computed exactly by seed enumeration when the seed space is small
-enough, or by Monte Carlo sampling otherwise, reading the seed maps in blocks.
-Seed reductions use compensated summation, so exact results do not depend on
-evaluation order.
+family are computed exactly, or by Monte Carlo sampling of seeds.  The family's
+type picks the exact route, each with its own cap on work:
+
+  subsets    FullyRandomFamily: each output's preimage holds each symbol
+             independently with probability 1/M, so the average is a sum over
+             the 2^|A| subsets (SUBSET_LIMIT), whatever M is;
+  transform  LinearFamily: every seed's pushforward by the character
+             transform (TRANSFORM_LIMIT);
+  maps       any other family: every seed's map (MAPS_LIMIT).
+
+The seed routes read the family's `pushforward_blocks`, in Monte Carlo mode for
+the sampled seeds.  Seed reductions use compensated summation, so exact results
+do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -16,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import BLOCK_CELLS, JointDist, SizeLimitError, SubDist, fsum_rows, range_alphabet
-from .hashing import HashFamily, map_histograms
+from .dists import JointDist, SizeLimitError, SubDist, capped_power, fsum_groups, fsum_rows, range_alphabet
+from .hashing import FullyRandomFamily, HashFamily, LinearFamily
 
 __all__ = [
     "EnsembleEstimate",
-    "EXACT_WORK_LIMIT",
+    "MAPS_LIMIT",
+    "TRANSFORM_LIMIT",
+    "SUBSET_LIMIT",
     "pushforward",
     "d1_hashed",
     "joint_pushforward",
@@ -34,8 +45,18 @@ __all__ = [
     "best_subset_lower_bound",
 ]
 
-# Exact mode refuses beyond this many weighted evaluations (seeds x alphabet).
-EXACT_WORK_LIMIT = 10_000_000
+# Exact mode refuses work past these caps, one per route, in that route's
+# units.  The seed routes stop near 20 s of work at the slowest cost per unit
+# measured on a 2-core machine (CHANGES.md): 46 ns per map cell, and 90 ns per
+# transform unit for a source without side symbols, whose short rows are
+# summed one `math.fsum` at a time (10-14 ns with side symbols).
+# Maps: seeds x symbols x side symbols.
+MAPS_LIMIT = 400_000_000
+# Transform: (k q^k + seeds q^m m) x side symbols, with q^k and q^m the input
+# and output sizes and k, m counted in digits over the prime field.
+TRANSFORM_LIMIT = 250_000_000
+# Subsets: 2^|A| x side symbols, about 45 ns each.
+SUBSET_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,9 +101,10 @@ def _d1_rows(rows: np.ndarray, m: int) -> list[float]:
 
 
 def pushforward(p: SubDist, f, m: int) -> SubDist:
-    """Image distribution of p under a concrete map into {1..m}."""
+    """Image distribution of p under a concrete map into {1..m}; each cell is
+    the correctly rounded sum of its masses."""
     f_map = _valid_map(f, p.alphabet.size, m)
-    return SubDist(range_alphabet(m), map_histograms(f_map[None], m, p.mass)[0])
+    return SubDist(range_alphabet(m), fsum_groups(p.mass, f_map - 1, m))
 
 
 def d1_hashed(p: SubDist, f, m: int) -> float:
@@ -93,7 +115,10 @@ def d1_hashed(p: SubDist, f, m: int) -> float:
 def joint_pushforward(j: JointDist, f, m: int) -> JointDist:
     """Push the secret coordinate of a joint through a concrete map."""
     f_map = _valid_map(f, j.alphabet_a.size, m)
-    return JointDist(range_alphabet(m), j.alphabet_e, map_histograms(f_map[None], m, j.mass)[0])
+    side = j.alphabet_e.size
+    cells = (f_map - 1)[:, None] * side + np.arange(side)
+    mass = np.reshape(fsum_groups(j.mass, cells, m * side), (m, side))
+    return JointDist(range_alphabet(m), j.alphabet_e, mass)
 
 
 def d1_conditional(j: JointDist, f, m: int) -> float:
@@ -113,28 +138,68 @@ def d1_conditional_prime(j: JointDist, f, m: int) -> float:
     return _l1_rows(hashed.mass[None], ref)[0]
 
 
-def _exact_mean(fam: HashFamily, values_of) -> float:
-    """Uniform average over every seed map of values_of(block of maps)."""
-    if fam.seed_count * fam.input_alphabet.size > EXACT_WORK_LIMIT:
+def _require_exact(fam: HashFamily, side: int):
+    """Refuse an exact seed route past its cap, or past the enumeration limit."""
+    if isinstance(fam, LinearFamily):
+        e = fam.field.degree
+        n, rows = fam.k * e, fam.m * e
+        units = (n * fam.input_alphabet.size + fam.seed_count * fam.output_size * rows) * side
+        what, cap = "transform units", TRANSFORM_LIMIT
+    else:
+        units = fam.seed_count * fam.input_alphabet.size * side
+        what, cap = "map cells", MAPS_LIMIT
+    if units > cap:
         raise SizeLimitError(
-            "exact mode would exceed the work limit; use Monte Carlo mode"
+            f"exact mode would take {units} {what}, over the cap {cap}; use Monte Carlo mode"
         )
     fam.require_enumerable()
-    return math.fsum(v for maps in fam.iter_maps() for v in values_of(maps)) / fam.seed_count
+
+
+def _subset_law(fam: FullyRandomFamily, weights, terms, empty: float) -> float:
+    """E sum_y terms(P_f(y)) summed over its cells, for a fully random f.
+
+    Each output's preimage S holds each symbol independently with probability
+    1/M, so the average is M sum_S M^-|S| (1 - 1/M)^(|A|-|S|) terms(P(S)).
+    The empty set adds (1 - 1/M)^|A| `empty` (M terms(0), given by the
+    caller); each other |S| = j carries the weight (M-1)^(|A|-j) / M^(|A|-1),
+    at most 1, rounded once from exact integers, so no M-sized number is a
+    float."""
+    m, size = fam.output_size, fam.input_alphabet.size
+    w = np.reshape(np.asarray(weights, dtype=float), (size, -1))
+    if capped_power(2, size, "subsets", SUBSET_LIMIT) * w.shape[1] > SUBSET_LIMIT:
+        raise SizeLimitError(
+            f"2^{size} subsets x {w.shape[1]} side symbols exceed the cap {SUBSET_LIMIT}"
+        )
+    masses, sizes = np.zeros((1, w.shape[1])), np.zeros(1, dtype=np.int64)
+    for row in w:
+        masses = np.concatenate([masses, masses + row])
+        sizes = np.concatenate([sizes, sizes + 1])
+    coef = np.array([(m - 1) ** (size - j) / m ** (size - 1) for j in range(1, size + 1)])
+    cells = terms(masses[1:]).reshape(len(sizes) - 1, -1) * coef[sizes[1:] - 1, None]
+    head = (m - 1) ** size / m**size * empty
+    return math.fsum([head, *fsum_rows(cells.reshape(1, -1))])
 
 
 def _ensemble(
-    fam: HashFamily, values_of, mode: str, n_samples: int, seed: int
+    fam: HashFamily, weights, values_of, terms, empty: float, mode: str, n_samples: int, seed: int
 ) -> EnsembleEstimate:
+    """The average over the seeds of values_of(block of pushforward rows),
+    or, exactly for a fully random family, of sum_y terms(P_f(y)) by the
+    subset law, whose empty preimage adds `empty` (see `_subset_law`)."""
+    if mode == "exact" and isinstance(fam, FullyRandomFamily):
+        value = _subset_law(fam, weights, terms, empty)
+        return EnsembleEstimate(value=value, stderr=None, mode="exact")
     if mode == "exact":
+        _require_exact(fam, int(np.prod(np.shape(weights)[1:])))
+        values = (v for rows in fam.pushforward_blocks(weights) for v in values_of(rows))
         return EnsembleEstimate(
-            value=_exact_mean(fam, values_of), stderr=None, mode="exact"
+            value=math.fsum(values) / fam.seed_count, stderr=None, mode="exact"
         )
     if mode == "mc":
         rng = np.random.default_rng(seed)
         seeds = np.array([fam.sample_seed(rng) for _ in range(n_samples)])
         return EnsembleEstimate.from_samples(
-            [v for maps in fam.iter_maps(seeds) for v in values_of(maps)]
+            [v for rows in fam.pushforward_blocks(weights, seeds) for v in values_of(rows)]
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -150,8 +215,11 @@ def expected_d1(
     if fam.input_alphabet != p.alphabet:
         raise ValueError("family input alphabet must match the distribution")
     m = fam.output_size
-    values_of = lambda maps: _d1_rows(map_histograms(maps, m, p.mass), m)
-    return _ensemble(fam, values_of, mode, n_samples, seed)
+    ref = p.total * (1 / m)  # 1 / m: no float of M, which may be huge
+    return _ensemble(
+        fam, p.mass, lambda rows: _d1_rows(rows, m), lambda c: np.abs(c - ref), p.total,
+        mode, n_samples, seed,
+    )
 
 
 def expected_d1_conditional(
@@ -165,16 +233,12 @@ def expected_d1_conditional(
     if fam.input_alphabet != j.alphabet_a:
         raise ValueError("family input alphabet must match the secret alphabet")
     m = fam.output_size
-    ref = j.mass.sum(axis=0) / m
-    # parts of a block whose histograms hold at most BLOCK_CELLS cells (or
-    # one map's), so a block's histograms stay small for large |E|
-    step = max(1, BLOCK_CELLS // ref.size // m)
-    values_of = lambda maps: [
-        v
-        for s in range(0, len(maps), step)
-        for v in _l1_rows(map_histograms(maps[s : s + step], m, j.mass), ref)
-    ]
-    return _ensemble(fam, values_of, mode, n_samples, seed)
+    pe = j.mass.sum(axis=0)
+    ref = pe * (1 / m)
+    return _ensemble(
+        fam, j.mass, lambda rows: _l1_rows(rows, pe / m), lambda c: np.abs(c - ref),
+        math.fsum(pe.tolist()), mode, n_samples, seed,
+    )
 
 
 def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
@@ -184,8 +248,8 @@ def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
     quantity controlled by the leftover hash lemma:  for a universal_2 family
     it is at most e^(-H_2(A)) + (total mass)^2 / M.
     """
-    m = fam.output_size
-    return _exact_mean(fam, lambda maps: fsum_rows(map_histograms(maps, m, p.mass) ** 2))
+    values_of = lambda rows: fsum_rows(rows**2)
+    return _ensemble(fam, p.mass, values_of, np.square, 0.0, "exact", 0, 0).value
 
 
 def _omega_indices(p: SubDist, omega) -> list[int]:

@@ -197,6 +197,20 @@ class TestSimulatePA:
         out2 = runner.invoke(cli, args).output
         assert out1 == out2
 
+    def test_huge_output_size(self, runner, dist_file):
+        # sampled maps need (samples x M) histograms, so M = 10^11 is a size
+        # limit; the exact subset law builds nothing M-sized
+        args = ["simulate", "pa", "--dist", dist_file, "--M", "100000000000"]
+        res = runner.invoke(cli, args + ["--mode", "mc"])
+        assert res.exit_code == 3, res.output
+        assert "100000000000 outputs" in res.output
+        res = runner.invoke(cli, args + ["--mode", "exact"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        # each atom gets an output of its own but for O(1/M): d1 -> 2 P(A)
+        assert payload["expected_d1"] == pytest.approx(2.0, abs=1e-9)
+        assert payload["lower_bound_subset_best"] <= payload["expected_d1"]
+
 
 class TestSimulateWiretap:
     def test_exact_with_bounds(self, runner, channel_files):

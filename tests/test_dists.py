@@ -19,6 +19,7 @@ from secexp.dists import (
     kl_divergence,
     l1_distance,
     l2_distance,
+    product_alphabet,
     renyi,
     renyi_tilde,
     renyi_tilde_derivative,
@@ -239,6 +240,26 @@ class TestIidExtend:
         u = SubDist.uniform(Alphabet(("0", "1")))
         with pytest.raises(SizeLimitError):
             iid_extend(u, 8, max_cells=100)
+
+
+class TestProductAlphabet:
+    def test_labels_with_the_separator_still_collide(self):
+        # "a|" x "b" and "a" x "|b" both read "a||b"
+        with pytest.raises(ValueError, match="distinct"):
+            product_alphabet(Alphabet(("a", "b", "a|", "|b")), 2)
+
+    def test_labels_without_the_separator(self):
+        alph = product_alphabet(Alphabet(("ab", "c")), 2)
+        assert alph.symbols == ("ab|ab", "ab|c", "c|ab", "c|c")
+        assert alph == Alphabet(("ab|ab", "ab|c", "c|ab", "c|c"))
+        assert [alph.index(s) for s in alph.symbols] == [0, 1, 2, 3]
+        with pytest.raises(KeyError):
+            alph.index("abc")
+
+    def test_one_character_labels(self):
+        alph = product_alphabet(Alphabet(("0", "1", "2")), 3)
+        assert alph.size == 27 and len(set(alph.symbols)) == 27
+        assert alph.index("120") == 15
 
 
 class TestCappedPower:

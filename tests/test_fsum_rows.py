@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secexp import dists, privacy
-from secexp.dists import BLOCK_CELLS, JointDist, fsum_rows, range_alphabet
+from secexp.dists import BLOCK_CELLS, JointDist, fsum_groups, fsum_rows, range_alphabet
 from secexp.exponents import universal_hash_d1_bound
 from secexp.hashing import ToeplitzFamily
 from secexp.privacy import expected_d1_conditional
@@ -110,6 +110,44 @@ class TestFsumRows:
         lengths.clear()
         fsum_rows(a)
         assert len(lengths) == 3 and max(lengths) < n // 2
+
+
+class TestFsumGroups:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        groups=st.integers(1, 5),
+        n=st.integers(0, 6 * dists._KERNEL_MIN_ROW),
+        low_exp=st.integers(-1080, 0),
+        signs=st.booleans(),
+        special=st.sampled_from([None, math.inf, math.nan, 1e308]),
+    )
+    def test_equals_fsum_per_group(self, seed, groups, n, low_exp, signs, special):
+        # on both sides of the kernel's crossover (groups of _KERNEL_MIN_ROW
+        # entries on average), groups left empty included
+        rng = np.random.default_rng(seed)
+        values = np.ldexp(rng.random(n), rng.integers(low_exp, 2, n))
+        if signs:
+            values *= rng.choice([-1.0, 1.0], n)
+        if n and special is not None:
+            values[rng.integers(n)] = special
+        keys = rng.integers(0, groups, n)
+        expect = [repr(math.fsum(values[keys == g].tolist())) for g in range(groups)]
+        assert [repr(v) for v in fsum_groups(values, keys, groups)] == expect
+
+    def test_kernel_and_sorted_paths(self, monkeypatch):
+        # a group of 2 * _KERNEL_MIN_ROW entries goes to the kernel, which
+        # hands math.fsum far fewer parts than entries
+        lengths = []
+        fsum = math.fsum
+        monkeypatch.setattr(dists.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+        values = np.random.default_rng(2).random(2 * dists._KERNEL_MIN_ROW)
+        keys = np.arange(values.size) % 2
+        fsum_groups(values, keys, 2)
+        assert len(lengths) == 2 and max(lengths) < dists._KERNEL_MIN_ROW // 2
+        lengths.clear()
+        fsum_groups(values, keys, 3)
+        assert lengths == [dists._KERNEL_MIN_ROW, dists._KERNEL_MIN_ROW, 0]
 
 
 class TestOracles:

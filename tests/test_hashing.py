@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestField:
         for a, b in itertools.product(range(q), repeat=2):
             assert add[a, b] == f.add(a, b)
             assert mul[a, b] == f.mul(a, b)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+    def test_digit_matrices_multiply_base_p_digits(self, q):
+        f = Field(q)
+        p, e = f.prime, f.degree
+        assert p**e == q
+        digits = lambda i: [i // p ** (e - 1 - j) % p for j in range(e)]
+        for c, b in itertools.product(range(q), repeat=2):
+            got = f.digit_matrices()[c] @ digits(b) % p
+            assert got.tolist() == digits(f.mul(c, b))
 
 
 class TestModule:
@@ -151,6 +162,23 @@ class TestToeplitzEval:
         expect = [toeplitz_reference_map(fam, seed) for seed in seeds.tolist()]
         assert fam.maps_of(seeds).tolist() == expect
 
+    @pytest.mark.parametrize(
+        "q,k,m", [(2, 2, 1), (2, 6, 3), (3, 4, 2), (4, 3, 1), (4, 4, 2), (5, 3, 2)]
+    )
+    def test_matrices_give_the_maps(self, q, k, m):
+        # A = (X | I) over F_p on the digits of the input index gives the
+        # digits of the output index
+        fam = ToeplitzFamily(q, k, m)
+        p, e = fam.field.prime, fam.field.degree
+        seeds = fam.seeds()
+        mats = fam.matrices(seeds)
+        assert mats.shape == (len(seeds), m * e, k * e)
+        np.testing.assert_array_equal(mats[:, :, (k - m) * e :], np.eye(m * e)[None].repeat(len(seeds), 0))
+        inputs = np.stack(np.unravel_index(np.arange(q**k), (p,) * (k * e)), axis=1)
+        outputs = np.einsum("sij,aj->sai", mats, inputs) % p
+        index = outputs @ p ** np.arange(m * e - 1, -1, -1)
+        np.testing.assert_array_equal(index + 1, fam.maps_of(seeds))
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             ToeplitzFamily(2, 2, 2)
@@ -202,6 +230,22 @@ class TestConditions:
         rep = check_universal2(fam)
         assert rep.passed, (q, k, m, rep)
         assert check_balanced(fam).passed
+
+    @pytest.mark.parametrize(
+        "q,k,m", all_toeplitz_instances() + [(2, 5, 2), (2, 8, 3), (3, 5, 2), (5, 3, 1), (5, 4, 2)]
+    )
+    def test_toeplitz_differences_match_the_gram_kernel(self, q, k, m):
+        # by differences (the kernel counts) and by pair counts of the same
+        # maps as an explicit family: the same report
+        fam = ToeplitzFamily(q, k, m)
+        explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
+        assert check_universal2(fam) == check_universal2(explicit)
+
+    def test_toeplitz_2_12_4_within_a_second(self):
+        start = time.perf_counter()
+        rep = check_universal2(ToeplitzFamily(2, 12, 4))
+        assert time.perf_counter() - start < 1.0
+        assert rep.passed and rep.max_collision == 1 / 16
 
     def test_fully_random_collision_exact(self):
         for size, m in ((2, 2), (3, 2), (3, 3), (4, 3)):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from secexp.exponents import (
     hash_d1_bound_at,
     order2_d1_bound,
 )
-from secexp.hashing import FullyRandomFamily, ToeplitzFamily
+from secexp.hashing import ExplicitFamily, FullyRandomFamily, HashFamily, ToeplitzFamily
 from secexp.privacy import (
     best_subset_lower_bound,
     d1_conditional,
@@ -28,6 +29,7 @@ from secexp.privacy import (
     expected_collision_mass,
     expected_d1,
     expected_d1_conditional,
+    joint_pushforward,
     pushforward,
     subset_lower_bound,
 )
@@ -60,6 +62,19 @@ class TestConcreteHash:
         with pytest.raises(ValueError):
             d1_hashed(skew3(), [1, 3, 1], 2)
 
+    def test_cells_are_correctly_rounded(self):
+        # 531,441 strings onto 2 cells: each cell is math.fsum of its masses
+        # (summed in sequence, the total came to 1.000000000003992 > 1)
+        p = iid_extend(SubDist(Alphabet(("a", "b", "c")), [0.5, 0.3, 0.2]), 12)
+        f = np.random.default_rng(4).integers(1, 3, size=p.alphabet.size)
+        q = pushforward(p, f, 2)
+        assert q.mass.tolist() == [math.fsum(p.mass[f == y].tolist()) for y in (1, 2)]
+        side = np.array([0.25, 0.75])
+        j = JointDist(p.alphabet, Alphabet(("u", "v")), np.outer(p.mass, side))
+        hashed = joint_pushforward(j, f, 2)
+        expect = [[math.fsum(j.mass[f == y, e].tolist()) for e in (0, 1)] for y in (1, 2)]
+        assert hashed.mass.tolist() == expect
+
 
 class TestExpectedD1Oracle:
     def test_all_eight_seed_maps_by_hand(self):
@@ -88,10 +103,23 @@ class TestExpectedD1Oracle:
         values = [d1_hashed(p, fam.as_map(seed), 2) for seed in fam.seeds()]
         assert expected_d1(p, fam).value == math.fsum(values) / fam.seed_count
 
-    def test_work_limit(self):
-        fam = FullyRandomFamily(range_alphabet(12), 4)
-        with pytest.raises(SizeLimitError):
-            expected_d1(SubDist.uniform(range_alphabet(12)), fam)
+    def test_work_limit(self, monkeypatch):
+        # each exact route has its own cap: subsets for fully random
+        # families, the transform for linear ones, maps for the rest
+        u12, u21 = (SubDist.uniform(range_alphabet(n)) for n in (12, 21))
+        assert expected_d1(u12, FullyRandomFamily(u12.alphabet, 4)).value >= 0.0
+        with pytest.raises(SizeLimitError, match="2097152 subsets"):
+            expected_d1(u21, FullyRandomFamily(u21.alphabet, 4))
+        toep = ToeplitzFamily(2, 6, 2)  # 6 x 64 + 32 x 4 x 2 = 640 units
+        ut = SubDist.uniform(toep.input_alphabet)
+        monkeypatch.setattr(privacy, "TRANSFORM_LIMIT", 639)
+        with pytest.raises(SizeLimitError, match="640 transform units"):
+            expected_d1(ut, toep)
+        assert expected_d1(ut, toep, mode="mc", n_samples=4).value == pytest.approx(0.0, abs=1e-15)
+        explicit = ExplicitFamily(u12.alphabet, 2, np.ones((5, 12), dtype=int))
+        monkeypatch.setattr(privacy, "MAPS_LIMIT", 59)
+        with pytest.raises(SizeLimitError, match="60 map cells"):
+            expected_d1(u12, explicit)
 
 
 def fixture_instances():
@@ -292,22 +320,32 @@ class TestMonteCarlo:
         assert abs(est.value - exact) <= 3.0 * max(est.stderr, 1e-12)
 
 
-def d1_oracle(mass, f_map, m):
-    q = np.bincount(f_map - 1, weights=mass, minlength=m)
-    ref = math.fsum(q.tolist()) / m
-    return math.fsum(np.abs(q - ref).tolist())
+def sequential_cells(mass, f_map, m):
+    """Each output's mass summed in symbol order, as `map_histograms` sums it."""
+    out = np.zeros((m,) + mass.shape[1:])
+    np.add.at(out, f_map - 1, mass)
+    return out
 
 
-def conditional_oracle(jmass, f_map, m):
-    out = np.zeros((m, jmass.shape[1]))
-    np.add.at(out, f_map - 1, jmass)
-    ref = jmass.sum(axis=0)[None, :] / m
-    return math.fsum(np.abs(out - ref).ravel().tolist())
+def rounded_cells(mass, f_map, m):
+    """Each output's mass rounded once, as `pushforward` sums it."""
+    cols = mass.reshape(len(mass), -1)
+    sums = [[math.fsum(c) for c in cols[f_map == y].T.tolist()] for y in range(1, m + 1)]
+    return np.array(sums).reshape((m,) + mass.shape[1:])
 
 
-def collision_oracle(mass, f_map, m):
-    q = np.bincount(f_map - 1, weights=mass, minlength=m)
-    return math.fsum((q**2).tolist())
+def d1_oracle(cells):
+    ref = math.fsum(cells.tolist()) / len(cells)
+    return math.fsum(np.abs(cells - ref).tolist())
+
+
+def conditional_oracle(cells, jmass):
+    ref = jmass.sum(axis=0)[None, :] / len(cells)
+    return math.fsum(np.abs(cells - ref).ravel().tolist())
+
+
+def collision_oracle(cells):
+    return math.fsum((cells**2).tolist())
 
 
 def block_families():
@@ -335,24 +373,35 @@ class TestBlockKernel:
     @pytest.mark.parametrize("fam", block_families(), ids=lambda f: type(f).__name__)
     @pytest.mark.parametrize("cells", [1 << 19, 37])
     def test_exact_means_are_fsums_of_one_map_values(self, fam, cells, monkeypatch):
+        # the maps route (the same maps as an explicit family) is bit for bit;
+        # the family's own route (transform or subsets) agrees within 1e-15
         monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
-        monkeypatch.setattr(privacy, "BLOCK_CELLS", cells)
         p, j = self.sources(fam, 3)
         m, count = fam.output_size, fam.seed_count
         maps = fam.maps_of(fam.seeds())
-        d1 = [d1_oracle(p.mass, f, m) for f in maps]
-        assert [d1_hashed(p, f, m) for f in maps] == d1
-        assert expected_d1(p, fam).value == math.fsum(d1) / count
-        cond = [conditional_oracle(j.mass, f, m) for f in maps]
-        assert [d1_conditional(j, f, m) for f in maps] == cond
-        assert expected_d1_conditional(j, fam).value == math.fsum(cond) / count
-        coll = [collision_oracle(p.mass, f, m) for f in maps]
-        assert expected_collision_mass(p, fam) == math.fsum(coll) / count
+        by_maps = ExplicitFamily(fam.input_alphabet, m, maps)
+        d1 = [d1_oracle(sequential_cells(p.mass, f, m)) for f in maps]
+        assert [d1_hashed(p, f, m) for f in maps] == [
+            d1_oracle(rounded_cells(p.mass, f, m)) for f in maps
+        ]
+        assert expected_d1(p, by_maps).value == math.fsum(d1) / count
+        assert expected_d1(p, fam).value == pytest.approx(math.fsum(d1) / count, abs=1e-15)
+        cond = [conditional_oracle(sequential_cells(j.mass, f, m), j.mass) for f in maps]
+        assert [d1_conditional(j, f, m) for f in maps] == [
+            conditional_oracle(rounded_cells(j.mass, f, m), j.mass) for f in maps
+        ]
+        assert expected_d1_conditional(j, by_maps).value == math.fsum(cond) / count
+        assert expected_d1_conditional(j, fam).value == pytest.approx(
+            math.fsum(cond) / count, abs=1e-15
+        )
+        coll = [collision_oracle(sequential_cells(p.mass, f, m)) for f in maps]
+        assert expected_collision_mass(p, by_maps) == math.fsum(coll) / count
+        assert expected_collision_mass(p, fam) == pytest.approx(math.fsum(coll) / count, abs=1e-15)
 
     @pytest.mark.parametrize("cells", [1 << 19, 5 * 256 + 3])
     def test_toeplitz_mc_equals_per_sample_loop(self, cells, monkeypatch):
+        # the same sampled seeds; the transform agrees with the maps within 1e-15
         monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
-        monkeypatch.setattr(privacy, "BLOCK_CELLS", cells)
         fam = ToeplitzFamily(2, 8, 3)
         p, j = self.sources(fam, 8)
         m = fam.output_size
@@ -365,4 +414,88 @@ class TestBlockKernel:
             mean = math.fsum(values) / 60
             var = math.fsum((v - mean) ** 2 for v in values) / 59
             est = func(data, fam, mode="mc", n_samples=60, seed=9)
-            assert (est.value, est.stderr) == (mean, math.sqrt(var / 60))
+            assert est.value == pytest.approx(mean, abs=1e-15)
+            assert est.stderr == pytest.approx(math.sqrt(var / 60), abs=1e-15)
+
+
+def engine_sources(fam, rng):
+    """A source with zero atoms and total mass below 1, and a joint whose
+    secret marginal has zero atoms too."""
+    n = fam.input_alphabet.size
+    mass = rng.random(n) * (rng.random(n) > 0.3)
+    p = SubDist(fam.input_alphabet, 0.8 * mass / mass.sum())
+    jmass = rng.random((n, 3)) * (rng.random((n, 1)) > 0.3)
+    j = JointDist(fam.input_alphabet, range_alphabet(3), jmass / jmass.sum())
+    return p, j
+
+
+class TestTransformRoute:
+    """The character transform of a linear family against a per-seed oracle:
+    `map_histograms` of `maps_of`, the maps route of the same seeds."""
+
+    @pytest.mark.parametrize(
+        "q,k,m", [(2, 3, 1), (2, 6, 2), (2, 8, 5), (3, 4, 2), (3, 5, 1), (4, 3, 2), (4, 4, 1), (5, 3, 1), (5, 4, 2)]
+    )
+    def test_pushforward_rows_match_the_maps(self, q, k, m):
+        fam = ToeplitzFamily(q, k, m)
+        p, j = engine_sources(fam, np.random.default_rng(q * 100 + k * 10 + m))
+        for weights in (p.mass, j.mass):
+            got = np.concatenate(list(fam.pushforward_blocks(weights)))
+            oracle = np.concatenate(list(HashFamily.pushforward_blocks(fam, weights)))
+            assert got.shape == oracle.shape == (fam.seed_count, fam.output_size) + weights.shape[1:]
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("q,k,m", [(2, 6, 2), (3, 4, 2), (4, 3, 1), (5, 3, 2)])
+    def test_ensembles_match_the_maps(self, q, k, m):
+        fam = ToeplitzFamily(q, k, m)
+        p, j = engine_sources(fam, np.random.default_rng(q + k + m))
+        by_maps = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
+        close = lambda a, b: a == pytest.approx(b, rel=0, abs=1e-15)
+        assert close(expected_d1(p, fam).value, expected_d1(p, by_maps).value)
+        assert close(
+            expected_d1_conditional(j, fam).value, expected_d1_conditional(j, by_maps).value
+        )
+        assert close(expected_collision_mass(p, fam), expected_collision_mass(p, by_maps))
+        # Monte Carlo: the same sampled seeds, each value from the maps
+        for func, one_map, data in ((expected_d1, d1_hashed, p), (expected_d1_conditional, d1_conditional, j)):
+            rng = np.random.default_rng(5)
+            values = [one_map(data, fam.as_map(fam.sample_seed(rng)), fam.output_size) for _ in range(30)]
+            est = func(data, fam, mode="mc", n_samples=30, seed=5)
+            assert close(est.value, math.fsum(values) / 30)
+
+    def test_bern_20_exactly(self):
+        # 2^19 seeds x 2^20 strings: past any per-seed sweep, and the
+        # closest instance of the paper's i.i.d. setting computed exactly
+        start = time.perf_counter()
+        p = iid_extend(SubDist.bernoulli(0.2), 20)
+        fam = ToeplitzFamily(2, 20, 4)
+        exact = expected_d1(p, fam).value
+        assert time.perf_counter() - start < 10.0
+        assert 0.0 < exact <= order2_d1_bound(p, fam.output_size)
+
+
+class TestSubsetLaw:
+    """The subset law of a fully random family against every seed map."""
+
+    @pytest.mark.parametrize("size,m", [(1, 3), (2, 2), (3, 1), (3, 3), (4, 2), (4, 5), (5, 3)])
+    def test_matches_enumeration(self, size, m):
+        fam = FullyRandomFamily(range_alphabet(size), m)
+        p, j = engine_sources(fam, np.random.default_rng(10 * size + m))
+        by_maps = ExplicitFamily(fam.input_alphabet, m, fam.maps_of(fam.seeds()))
+        close = lambda a, b: a == pytest.approx(b, rel=0, abs=1e-15)
+        assert close(expected_d1(p, fam).value, expected_d1(p, by_maps).value)
+        assert close(
+            expected_d1_conditional(j, fam).value, expected_d1_conditional(j, by_maps).value
+        )
+        assert close(expected_collision_mass(p, fam), expected_collision_mass(p, by_maps))
+
+    @pytest.mark.parametrize("m", [10**11, 10**400], ids=["1e11", "1e400"])
+    def test_any_output_size(self, m):
+        # 2^20 subsets, whatever M: as M grows every atom gets an output of
+        # its own, and d1 tends to 2 P(A)
+        p = random_dist(np.random.default_rng(3), 20)
+        fam = FullyRandomFamily(p.alphabet, m)
+        assert expected_d1(p, fam).value == pytest.approx(2.0, abs=1e-9)
+        assert expected_collision_mass(p, fam) == pytest.approx(
+            math.fsum((p.mass**2).tolist()), abs=1e-9
+        )

@@ -21,7 +21,7 @@ from secexp.figures import (
 from secexp.gf import Module
 
 from conftest import assert_matches_scalar_optimizer, assert_order_parity
-from secexp import hashing, privacy
+from secexp import hashing
 from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
     Channel,
@@ -831,7 +831,6 @@ class TestCosetParity:
         whole = coset_ensemble_d1(c1, 2, we).value
         whole_rep = condition4_report(c1, 2)
         monkeypatch.setattr(hashing, "BLOCK_CELLS", 40)
-        monkeypatch.setattr(privacy, "BLOCK_CELLS", 40)
         assert coset_ensemble_d1(c1, 2, we).value == whole
         assert condition4_report(c1, 2) == whole_rep
 
