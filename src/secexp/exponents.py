@@ -120,13 +120,20 @@ def maximize_on_interval(
 # ---------------------------------------------------------------------------
 
 
+def _through_log(c: float, m: int, t, decay):
+    """c M^t e^decay through log M, for M past 2^1023: inf past the floats."""
+    with np.errstate(over="ignore"):
+        return c * np.exp(np.multiply(t, math.log(m)) + decay)
+
+
 def hash_d1_bound_at(p: SubDist, m: int, s):
     """3 M^(s/(1+s)) e^(-H~_(1+s)/(1+s)): the per-s hashing bound; s may be
     an array of orders."""
     orders = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all((orders >= 0.0) & (orders <= 1.0)):
         raise ValueError("s must be in [0, 1]")
-    value = 3.0 * m ** (orders / (1.0 + orders)) * np.exp(-renyi_tilde(p, orders) / (1.0 + orders))
+    exps, decay = orders / (1.0 + orders), -renyi_tilde(p, orders) / (1.0 + orders)
+    value = _through_log(3.0, m, exps, decay) if m > 2**1023 else 3.0 * m**exps * np.exp(decay)
     return float(value[0]) if np.ndim(s) == 0 else value
 
 
@@ -158,7 +165,10 @@ def universal_hash_d1_bound(
 
 def order2_d1_bound(p: SubDist, m: int) -> float:
     """sqrt(M) e^(-H_2/2): the collision-entropy bound without smoothing."""
-    return math.sqrt(m) * math.exp(-renyi_tilde(p, 1.0) / 2.0)
+    decay = -renyi_tilde(p, 1.0) / 2.0
+    if m > 2**1023:
+        return float(_through_log(1.0, m, 0.5, decay))
+    return math.sqrt(m) * math.exp(decay)
 
 
 def _require_inputs(r: float, p: SubDist | None = None):

@@ -8,10 +8,11 @@ block of their maps; `HashFamily` derives `seeds(start, stop)`, `iter_maps`
 (blocks of at most BLOCK_CELLS cells), `sample_seed` and `as_map`, and
 `pushforward_blocks`, the seeds' images of a weight vector, from the maps.
 
-A linear family (`LinearFamily`, here Toeplitz) also gives each seed's matrix
-over the prime field, and computes pushforwards from it by the character
-transform of the weights instead of from maps: one transform of the weights,
-then per seed a gather of M values and one transform of size M.  This is the
+A linear family (`LinearFamily`, here Toeplitz) defines its digits and each
+seed's matrix A over the prime field; its maps (x to A x) and kernels are
+combinations of A's columns and rows, and its pushforwards come by the
+character transform of the weights: one transform of the weights, then per
+seed a gather of M values and one transform of size M.  This is the
 dual-code view of Tsurumaru and Hayashi, "Dual universality of hash functions
 and its applications to quantum cryptography" (arXiv:1101.0064).
 
@@ -43,7 +44,7 @@ from .dists import (
     capped_power,
     product_alphabet,
 )
-from .gf import Field, Module
+from .gf import Field
 
 __all__ = [
     "HashFamily",
@@ -127,19 +128,17 @@ class HashFamily:
         """The pushforward rows of every seed in rank order, or of the rows of
         `seeds`, in blocks: row s is `map_histograms` of seed s's map, the sum
         of `weights` over each output's preimage (with a last axis of side
-        symbols if `weights` is 2-D).  A block holds at most BLOCK_CELLS
-        histogram cells, or one seed's; one seed's over DEFAULT_MAX_CELLS is
-        refused."""
+        symbols if `weights` is 2-D).  A block's maps and histograms hold at
+        most BLOCK_CELLS cells each, or one seed's; one seed's histogram over
+        DEFAULT_MAX_CELLS is refused."""
         m, side = self.output_size, int(np.prod(np.shape(weights)[1:]))
         if m * side > DEFAULT_MAX_CELLS:
             raise SizeLimitError(
                 f"{m} outputs x {side} side symbols exceed the cap of "
                 f"{DEFAULT_MAX_CELLS} histogram cells per seed"
             )
-        step = max(1, BLOCK_CELLS // (m * side))
-        for maps in self.iter_maps(seeds):
-            for start in range(0, len(maps), step):
-                yield map_histograms(maps[start : start + step], m, weights)
+        for block in self.seed_blocks(seeds, max(self.input_alphabet.size, m * side)):
+            yield map_histograms(self.maps_of(block), m, weights)
 
     def sample_seed(self, rng: np.random.Generator) -> tuple[int, ...]:
         """One uniform seed, its digits drawn by one rng.integers call."""
@@ -187,7 +186,7 @@ class LinearFamily(HashFamily):
     Over the prime field a seed's map is an (m e) x (k e) matrix A = (X | I)
     on the big-endian base-p digits of the symbol indices: a GF(4) digit is
     two bits, and GF(4) addition is XOR of indices.  `matrices` gives these
-    per block of seeds; pushforwards and kernels are read from them.
+    per block of seeds; maps, pushforwards and kernels are read from them.
     """
 
     field: Field
@@ -198,6 +197,11 @@ class LinearFamily(HashFamily):
         """The (count x m e x k e) digits over F_p of the seeds' matrices,
         whose last m e columns are the identity."""
         raise NotImplementedError
+
+    def maps_of(self, seeds: np.ndarray) -> np.ndarray:
+        """Seed A sends the symbol of digits x to A x, a combination of A's columns."""
+        columns = self.matrices(seeds).transpose(0, 2, 1)
+        return _combination_indices(columns, self.field.prime) + 1
 
     def pushforward_blocks(self, weights, seeds: np.ndarray | None = None):
         """As `HashFamily.pushforward_blocks`, by the character transform.
@@ -239,20 +243,23 @@ def _combination_indices(gens: np.ndarray, p: int) -> np.ndarray:
     """(count x p^r) indices over F_p^n of sum_i c_i gens[:, i] for every
     c in F_p^r (big-endian order), from a (count x r x n) block of digits.
 
-    Built by linearity, one generator at a time: for p = 2 on the indices
-    themselves, where adding is XOR, otherwise on the digits mod p."""
+    Built by linearity, one generator at a time, each new one the leading
+    digit of c: for p = 2 on the indices, where adding is XOR, otherwise on
+    small unsigned digits, one plane per coordinate, where a sum d >= p
+    becomes d - p, the minimum of d and d - p (which wraps above d < p)."""
     count, r, n = gens.shape
-    places = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     if p == 2:
         out = np.zeros((count, 1), dtype=np.int64)
-        for row in (gens @ places).T:
-            out = np.stack([out, out ^ row[:, None]], axis=2).reshape(count, -1)
+        for row in (gens @ (1 << np.arange(n - 1, -1, -1))).T[::-1]:
+            out = np.concatenate([out, out ^ row[:, None]], axis=1)
         return out
-    out = np.zeros((count, 1, n), dtype=np.int64)
-    for i in range(r):
-        multiples = np.arange(p)[:, None] * gens[:, i, None, :]  # count x p x n
-        out = ((out[:, :, None, :] + multiples[:, None]) % p).reshape(count, -1, n)
-    return out @ places
+    small = np.min_scalar_type(2 * p)
+    digits = np.zeros((n, count, 1), dtype=small)
+    for i in reversed(range(r)):
+        multiples = (gens[:, i].T[:, :, None] * np.arange(p) % p).astype(small)  # n x count x p
+        sums = multiples[:, :, :, None] + digits[:, :, None, :]
+        digits = np.minimum(sums, sums - small.type(p)).reshape(n, count, -1)
+    return np.einsum("i,ijk->jk", p ** np.arange(n - 1, -1, -1, dtype=np.int64), digits)
 
 
 # Most elements in one dense step of `_character_transform`: a step is then a
@@ -311,27 +318,6 @@ class ToeplitzFamily(LinearFamily):
         self.output_size = q**m
         self.seed_len, self.digit_low, self.digit_base = k - 1, 0, q
 
-    def maps_of(self, seeds: np.ndarray) -> np.ndarray:
-        """Input a = (x, y), x its first k-m digits, maps to X x + y.  X x is
-        summed one seed digit t at a time: each step adds digit t times the
-        window of x it meets in X to the partial sums (F_q^m indices, one per
-        seed and x) by a gather from the addition table; a last gather adds y."""
-        q, m, r = self.q, self.m, self.k - self.m
-        seeds = np.asarray(seeds, dtype=np.int64)
-        sub = Module(q, m).sub_table()
-        add = sub[:, sub[0]]  # add[i, j] is the index of i + j
-        mul = self.field.tables()[1]
-        x = np.stack(np.unravel_index(np.arange(q**r), (q,) * r), axis=1)
-        places = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        sums = np.zeros((len(seeds), q**r), dtype=np.int64)
-        for t in range(self.k - 1):
-            cols = r - 1 + np.arange(m) - t  # X[i, cols[i]] holds seed digit t
-            hit = (cols >= 0) & (cols < r)
-            term = mul[:, x[:, cols[hit]]] @ places[hit]  # [d, x]: index of d X_t x
-            sums = add[sums, term[seeds[:, t]]]
-        out = add[sums[:, :, None], np.arange(q**m)]
-        return out.reshape(len(seeds), q**self.k) + 1
-
     def matrices(self, seeds: np.ndarray) -> np.ndarray:
         """(X | I) over F_p: block (i, j) of X is the digit matrix of seed
         digit (k - m - 1) + i - j."""
@@ -385,10 +371,13 @@ def _pair_counts(fam: HashFamily, joint: bool):
     counts the seeds with f(a[i]) = u + 1 and f(b) = v + 1 if `joint`, else
     (u = v = 0) those with f(a[i]) = f(b); `upper` masks the pairs b > a[i].
     counts is the Gram matrix of the one-hot seed maps summed over blocks of
-    seeds; a tile holds at most BLOCK_CELLS counts, or one symbol's."""
+    seeds; a tile holds at most BLOCK_CELLS counts, or one symbol's, and one
+    symbol's over DEFAULT_MAX_CELLS is refused."""
     fam.require_enumerable()
     n, m = fam.input_alphabet.size, fam.output_size
     width = m if joint else 1
+    if width * n * width > DEFAULT_MAX_CELLS:
+        raise SizeLimitError(f"{width} x {n} x {width} pair counts exceed {DEFAULT_MAX_CELLS}")
     step = max(1, BLOCK_CELLS // (n * width * width))
     outputs = np.arange(1, m + 1)
     for a0 in range(0, n, step):

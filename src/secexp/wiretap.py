@@ -698,11 +698,10 @@ def condition4_report(c1: LinearCode, m: int, tol: float = 1e-12) -> Condition4R
     at most L / |C1| = 1 / q^m over the Toeplitz seeds.
 
     A seed's subcode C2 is the kernel of its map on the messages, the
-    messages it sends to output 1; the zero message is always there."""
+    messages it sends to output 1, so the frequencies are the family's
+    kernel counts; the zero message is always there."""
     fam = ToeplitzFamily(c1.module.q, c1.k, m)
-    fam.require_enumerable()
-    hits = sum((maps == 1).sum(axis=0) for maps in fam.iter_maps())
-    worst = float(hits[1:].max()) / fam.seed_count
+    worst = float(fam.kernel_counts()[1:].max()) / fam.seed_count
     bound = 1.0 / fam.output_size
     return Condition4Report(passed=worst <= bound + tol, max_membership=worst, bound=bound)
 

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,22 @@ class TestSimulatePA:
         assert payload["expected_d1"] == pytest.approx(2.0, abs=1e-9)
         assert payload["lower_bound_subset_best"] <= payload["expected_d1"]
 
+    @pytest.mark.parametrize(
+        "digits, order2", [(400, pytest.approx(6.12372435696e199, rel=1e-11)), (1000, "inf")]
+    )
+    def test_output_size_past_the_float_range(self, runner, dist_file, digits, order2):
+        # M's powers go through log M: the best bound is 3 at s = 0, and the
+        # order-2 bound sqrt(M) e^(-H_2/2) is inf once it leaves the floats
+        args = ["simulate", "pa", "--dist", dist_file, "--M", str(10**digits), "--mode", "exact"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(cli, args)
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["bound_universal_hash"] == 3.0
+        assert payload["bound_order2"] == order2
+        assert payload["expected_d1"] == pytest.approx(2.0, abs=1e-9)
+
 
 class TestSimulateWiretap:
     def test_exact_with_bounds(self, runner, channel_files):
@@ -318,6 +335,7 @@ def _one_symbol(tmp_path) -> str:
 _OVERSIZED = {
     "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
     "toeplitz-q": ["hash", "check", "--q", "1000000000000000003", "--k", "2", "--m", "1"],
+    "pair-counts": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "12", "--m", "9"],
     "distill-q": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
                   "--module-q", "1000000000000000003"],
     "distill-n": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",

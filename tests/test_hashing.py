@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,13 +155,26 @@ class TestToeplitzEval:
 
     @pytest.mark.parametrize(
         "q,k,m",
-        [(2, 2, 1), (2, 5, 2), (2, 6, 3), (2, 6, 5), (3, 3, 1), (3, 4, 2), (4, 3, 1), (4, 4, 2), (4, 4, 3)],
+        [(2, 2, 1), (2, 5, 2), (2, 6, 3), (2, 6, 5), (3, 3, 1), (3, 4, 2), (3, 5, 2),
+         (4, 3, 1), (4, 4, 2), (4, 4, 3), (5, 3, 2), (7, 3, 1)],
     )
     def test_maps_of_matches_field_loops(self, q, k, m):
         fam = ToeplitzFamily(q, k, m)
         seeds = fam.seeds()
         expect = [toeplitz_reference_map(fam, seed) for seed in seeds.tolist()]
         assert fam.maps_of(seeds).tolist() == expect
+
+    def test_one_map_builds_no_output_table(self):
+        # a map is combined from its matrix's columns: nothing M x M is built
+        fam = ToeplitzFamily(2, 12, 10)
+        seed = fam.seeds(1234, 1235)
+        tracemalloc.start()
+        try:
+            fam.maps_of(seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     @pytest.mark.parametrize(
         "q,k,m", [(2, 2, 1), (2, 6, 3), (3, 4, 2), (4, 3, 1), (4, 4, 2), (5, 3, 2)]

@@ -823,6 +823,18 @@ class TestCosetParity:
                 assert eve_distinguishability(shuffled, we) == value
                 assert error_prob(shuffled, wb) == error_prob(code, wb)
 
+    @pytest.mark.parametrize(
+        "q,k,m", [(2, 3, 1), (2, 5, 2), (2, 6, 4), (3, 3, 1), (3, 4, 2), (4, 3, 2), (5, 3, 1)]
+    )
+    def test_condition4_is_the_kernel_counts(self, q, k, m):
+        # oracle: walk every seed map and count the messages sent to output 1
+        c1 = _random_linear_code(np.random.default_rng(10 * q + k), q, k, k)
+        fam = ToeplitzFamily(q, k, m)
+        hits = sum((maps == 1).sum(axis=0) for maps in fam.iter_maps())
+        rep = condition4_report(c1, m)
+        assert rep.max_membership == float(hits[1:].max()) / fam.seed_count
+        assert rep.passed
+
     def test_ensemble_reads_map_blocks(self, monkeypatch):
         # the ensemble is the same when the seed maps come in many blocks
         rng = np.random.default_rng(7)
