@@ -7,9 +7,13 @@ exponents, and the conditional (side-information) exponents built from the
 phi functional.  Everything is in nats.
 
 1-D optimizations evaluate the objective on a 1024-interval uniform grid in
-one array call, then refine around the best grid point by a scalar
-golden-section search, keeping the grid answer when refinement does not
-improve on it; so objectives and their functionals take arrays of orders.
+one array call, then refine around the best grid point by a golden-section
+search, keeping the grid answer when refinement does not improve on it; so
+objectives and their functionals take arrays of orders.  The exponents that
+the figures sweep (`universal_exponent`, `cramer_exponent_restricted`, and
+`e_phi`, `e_psi`, `psi_pinsker_exponent` in `wiretap`) also take a 1-D array
+of rates: all rates share one grid call of the functional, and every rate's
+bracket is polished in lockstep, one array call per step.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "HashBoundCurve",
     "HRExponents",
     "maximize_on_interval",
+    "maximize_over_rates",
     "hash_d1_bound_at",
     "universal_hash_d1_bound",
     "order2_d1_bound",
@@ -62,34 +67,68 @@ class ExponentResult:
 
     `argmax` is the optimizing scalar parameter when the optimization is 1-D;
     `witness` carries a distribution witness where one exists.  A diverging
-    objective is flagged rather than returned as a large number.
+    objective is flagged rather than returned as a large number.  An
+    exponent evaluated at an array of rates holds arrays in `value` and
+    `argmax`.
     """
 
-    value: float
-    argmax: float | None
+    value: float | np.ndarray
+    argmax: float | np.ndarray | None
     method: str
     witness: SubDist | None = None
     diverges: bool = False
     note: str | None = None
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = GOLDEN_TOL):
+def _golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float = GOLDEN_TOL):
+    """Golden-section search for a maximum on every bracket [a_i, b_i] in
+    lockstep: each step is one call of `fn` on one point per row, and a row
+    whose bracket has closed keeps its state.  Row i follows the points, and
+    ends at the answer, of a search on [a_i, b_i] alone."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
+    while (live := b - a > tol).any():
+        left = fc >= fd  # the maximum is in [a, d], else in [c, b]
+        a = np.where(live & ~left, c, a)
+        b = np.where(live & left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = fn(x)
+        c, d = np.where(live, np.where(left, x, d), c), np.where(live, np.where(left, c, x), d)
+        fc, fd = (
+            np.where(live, np.where(left, fx, fd), fc),
+            np.where(live, np.where(left, fc, fx), fd),
+        )
     x = (a + b) / 2.0
     return x, fn(x)
+
+
+def _maximize_rows(fn, lo: float, hi: float, one: bool, intervals: int, refine: bool):
+    """Grid scan plus golden-section polish of B objectives (rows) at once;
+    each keeps its grid answer where the polish does not improve it.
+
+    With `one` there is one objective: `fn` gets the grid as a 1-D array,
+    then floats.  Otherwise `fn` gets the grid shaped (K, 1) and returns
+    (K, B) values, then gets one point per row (B,), or a float for every
+    row.  Each row's best grid point is evaluated again as a float, one call
+    per distinct point, since numpy's power over many orders can differ by
+    an ulp from its one-order paths (exponents 2, 1/2).  Returns the (B,)
+    maximizers and maxima.
+    """
+    xs = np.linspace(lo, hi, intervals + 1)
+    grid = np.asarray(fn(xs if one else xs[:, None]), dtype=float)
+    i = np.argmax(grid.reshape(intervals + 1, -1), axis=0)
+    best_x, best_v = xs[i], np.empty(i.size)
+    for point in np.unique(i):
+        hit = i == point
+        best_v[hit] = np.broadcast_to(fn(float(xs[point])), i.shape)[hit]
+    if refine and hi > lo:
+        at = (lambda x: np.array([fn(float(x[0]))], dtype=float)) if one else fn
+        x, v = _golden_rows(at, xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, intervals)])
+        won = v > best_v
+        best_x, best_v = np.where(won, x, best_x), np.where(won, v, best_v)
+    return best_x, best_v
 
 
 def maximize_on_interval(
@@ -98,21 +137,26 @@ def maximize_on_interval(
     """Grid scan plus local golden-section polish; keeps the grid answer if
     the polish does not improve it (guards non-unimodal objectives).
 
-    `fn` gets the whole grid as one array, then floats.  The best grid point
-    is evaluated again as a float, since numpy's power loop over many orders
-    can differ by an ulp from its scalar fast paths (exponents 2, 1/2).
+    `fn` gets the whole grid as one array, then floats, and the result is a
+    pair of floats; the one-objective case of the batched optimizer.
     """
-    xs = np.linspace(lo, hi, intervals + 1)
-    i = int(np.argmax(np.asarray(fn(xs), dtype=float)))
-    best_x = float(xs[i])
-    best_v = float(fn(best_x))
-    if refine and hi > lo:
-        a = float(xs[max(i - 1, 0)])
-        b = float(xs[min(i + 1, intervals)])
-        x, v = _golden_max(fn, a, b)
-        if v > best_v:
-            best_x, best_v = x, float(v)
-    return best_x, best_v
+    x, v = _maximize_rows(fn, lo, hi, True, intervals, refine)
+    return float(x[0]), float(v[0])
+
+
+def maximize_over_rates(fn, lo: float, hi: float, r):
+    """max over x in [lo, hi] of an objective that closes over the rate r.
+
+    A float r is `maximize_on_interval`.  For a 1-D array of rates, `fn`
+    broadcasts its points against r: every rate is solved in one optimizer
+    call that shares the grid and polishes all brackets in lockstep, with
+    the per-rate answers bit for bit.  Returns floats, or (len(r),) arrays.
+    """
+    if np.ndim(r) == 0:
+        return maximize_on_interval(fn, lo, hi)
+    if np.ndim(r) != 1:
+        raise ValueError("rates must be a float or a 1-D array")
+    return _maximize_rows(fn, lo, hi, False, GRID_INTERVALS, True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +215,26 @@ def order2_d1_bound(p: SubDist, m: int) -> float:
     return math.sqrt(m) * math.exp(decay)
 
 
-def _require_inputs(r: float, p: SubDist | None = None):
-    """R finite and >= 0; p, when given, a probability distribution."""
+def _require_inputs(r, p: SubDist | None = None):
+    """R (every rate of an array) finite and >= 0; p, when given, a
+    probability distribution."""
     if p is not None and abs(p.total - 1.0) > 1e-9:
         raise ValueError("exponent requires a probability distribution")
-    if not (math.isfinite(r) and r >= 0.0):
+    rates = np.asarray(r, dtype=float)
+    if not (np.isfinite(rates).all() and (rates >= 0.0).all()):
         raise ValueError("rate must be finite and >= 0")
 
 
-def universal_exponent(p: SubDist, r: float) -> ExponentResult:
+def universal_exponent(p: SubDist, r) -> ExponentResult:
     """max over s in [0,1] of (H~_(1+s) - s R) / (1+s).
 
     The exponential decay rate of the hashing bound under i.i.d. extension at
-    key rate R; zero when R is at least the Shannon entropy.
+    key rate R; zero when R is at least the Shannon entropy.  For a 1-D
+    array of rates, `value` and `argmax` are arrays, one entry per rate.
     """
     _require_inputs(r, p)
     fn = lambda s: (renyi_tilde(p, s) - s * r) / (1.0 + s)
-    s_star, val = maximize_on_interval(fn, 0.0, 1.0)
+    s_star, val = maximize_over_rates(fn, 0.0, 1.0, r)
     return ExponentResult(value=val, argmax=s_star, method="grid+golden[0,1]")
 
 
@@ -351,16 +398,18 @@ def cramer_exponent(p: SubDist, r: float, s_cap: float = 100.0) -> ExponentResul
     return res
 
 
-def cramer_exponent_restricted(p: SubDist, r: float) -> ExponentResult:
+def cramer_exponent_restricted(p: SubDist, r) -> ExponentResult:
     """The same objective restricted to s in [0, 1]; matches the unrestricted
-    maximum whenever H'_2 <= R' <= H(A)."""
+    maximum whenever H'_2 <= R' <= H(A).  For a 1-D array of rates, `value`
+    and `argmax` are arrays, one entry per rate."""
     _require_inputs(r)
     return _cramer_search(p, r, 1.0)
 
 
-def _cramer_search(p: SubDist, r: float, s_cap: float) -> ExponentResult:
-    """max over s in [0, s_cap] of H~_(1+s) - s R'."""
-    s_star, val = maximize_on_interval(lambda s: renyi_tilde(p, s) - s * r, 0.0, s_cap)
+def _cramer_search(p: SubDist, r, s_cap: float) -> ExponentResult:
+    """max over s in [0, s_cap] of H~_(1+s) - s R', at a rate or an array of rates."""
+    fn = lambda s: renyi_tilde(p, s) - s * r
+    s_star, val = maximize_over_rates(fn, 0.0, s_cap, r)
     return ExponentResult(value=val, argmax=s_star, method=f"grid+golden[0,{s_cap:g}]")
 
 

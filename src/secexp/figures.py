@@ -96,10 +96,11 @@ def _figure2(points: int) -> FigureData:
         "h2_prime": h2p,
         "window_start": window_start,
     }
+    rates = np.linspace(window_start, h, points)
+    cramer = cramer_exponent_restricted(p, rates).value
     rows = []
-    for r in np.linspace(window_start, h, points):
-        r = float(r)
-        rows.append((r, "cramer", cramer_exponent_restricted(p, r).value))
+    for r, value in zip(rates.tolist(), cramer.tolist()):
+        rows.append((r, "cramer", value))
         hr = holenstein_renner_exponents(p, r)
         rows.append((r, "hr_lower", hr.lower))
         rows.append((r, "hr_upper", hr.upper))
@@ -111,12 +112,13 @@ def _figure3(points: int) -> FigureData:
     h = shannon_entropy(p)
     h2 = renyi_tilde(p, 1.0)
     header = {"p": BERN_P, "h": h, "critical_rate": critical_rate(p)}
+    rates = np.linspace(0.0, h, points)
+    phi = universal_exponent(p, rates).value
+    pinsker = cramer_exponent_restricted(p, rates).value / 2.0
     rows = []
-    for r in np.linspace(0.0, h, points):
-        r = float(r)
-        rows.append((r, "phi_form", universal_exponent(p, r).value))
-        pins = cramer_exponent_restricted(p, r).value / 2.0
-        rows.append((r, "pinsker_form", pins))
+    for r, phi_r, pinsker_r in zip(rates.tolist(), phi.tolist(), pinsker.tolist()):
+        rows.append((r, "phi_form", phi_r))
+        rows.append((r, "pinsker_form", pinsker_r))
         rows.append((r, "no_smoothing", (h2 - r) / 2.0))
     return FigureData(3, header, rows)
 
@@ -127,12 +129,13 @@ def _figure4(points: int) -> FigureData:
     i_reported = example_channel_reported_info()
     i_matrix = mutual_information(p, w)
     header = {"a": EXAMPLE_A, "i_reported": i_reported, "i_matrix": i_matrix}
+    rates = np.linspace(i_reported, math.log(2.0), points)
+    phi, psi, pinsker = (form(rates, w, p).tolist() for form in (e_phi, e_psi, psi_pinsker_exponent))
     rows = []
-    for r in np.linspace(i_reported, math.log(2.0), points):
-        r = float(r)
-        rows.append((r, "e_phi", e_phi(r, w, p)))
-        rows.append((r, "e_psi", e_psi(r, w, p)))
-        rows.append((r, "psi_pinsker", psi_pinsker_exponent(r, w, p)))
+    for r, phi_r, psi_r, pinsker_r in zip(rates.tolist(), phi, psi, pinsker):
+        rows.append((r, "e_phi", phi_r))
+        rows.append((r, "e_psi", psi_r))
+        rows.append((r, "psi_pinsker", pinsker_r))
     return FigureData(4, header, rows)
 
 

@@ -35,7 +35,7 @@ from .dists import (
     range_alphabet,
     renyi_tilde,
 )
-from .exponents import cond_renyi_tilde, maximize_on_interval, phi_cond
+from .exponents import cond_renyi_tilde, maximize_on_interval, maximize_over_rates, phi_cond
 from .gf import Module
 from .hashing import HashFamily, ToeplitzFamily, check_balanced, check_universal2
 from .privacy import EnsembleEstimate, expected_d1_conditional
@@ -75,6 +75,13 @@ __all__ = [
 # Exact ensembles refuse more (codebook, seed) entries than this: binary
 # M=2, L=8 (524,288 entries) takes about a second.
 ENSEMBLE_COMBO_LIMIT = 1 << 20
+
+
+def _refuse_matrix_cells(cells: int):
+    """SizeLimitError for a channel matrix past DEFAULT_MAX_CELLS, before it
+    or its |X| x |X| difference table is built."""
+    if cells > DEFAULT_MAX_CELLS:
+        raise SizeLimitError(f"{cells} matrix cells exceed cap {DEFAULT_MAX_CELLS}")
 
 
 class Channel:
@@ -126,6 +133,7 @@ class Channel:
             raise ValueError("noise alphabet must match the module size")
         if abs(noise.total - 1.0) > 1e-12:
             raise ValueError("noise must be a probability distribution")
+        _refuse_matrix_cells(module.size * module.size)
         alph = Alphabet(module.labels())
         mat = noise.mass[module.sub_table().T]
         return cls(alph, alph, mat, structure=("additive", noise), module=module)
@@ -140,6 +148,7 @@ class Channel:
             raise ValueError("joint's first alphabet must match the module size")
         nx = module.size
         nz2 = joint.alphabet_e.size
+        _refuse_matrix_cells(nx * nx * nz2)
         in_alph = Alphabet(module.labels())
         out_alph = Alphabet(
             tuple(
@@ -266,24 +275,25 @@ def mutual_information(p: SubDist, w: Channel) -> float:
     return float(math.fsum(acc))
 
 
-def e_phi(r: float, w: Channel, p: SubDist) -> float:
+def e_phi(r, w: Channel, p: SubDist):
     """max over t in [0, 1/2] of t R - phi(t): Eve-side exponent at sacrifice
-    rate R.  Positive exactly when R exceeds I(p; W)."""
+    rate R.  Positive exactly when R exceeds I(p; W).  R may be a 1-D array
+    of rates (as for the two exponents below), giving one value per rate."""
     fn = lambda t: t * r - phi_channel(w, p, t)
-    return maximize_on_interval(fn, 0.0, 0.5)[1]
+    return maximize_over_rates(fn, 0.0, 0.5, r)[1]
 
 
-def e_psi(r: float, w: Channel, p: SubDist) -> float:
+def e_psi(r, w: Channel, p: SubDist):
     """max over s in [0, 1] of (s R - psi(s)) / (1 + s); never above e_phi."""
     fn = lambda s: (s * r - psi_channel(w, p, s)) / (1.0 + s)
-    return maximize_on_interval(fn, 0.0, 1.0)[1]
+    return maximize_over_rates(fn, 0.0, 1.0, r)[1]
 
 
-def psi_pinsker_exponent(r: float, w: Channel, p: SubDist) -> float:
+def psi_pinsker_exponent(r, w: Channel, p: SubDist):
     """max over s in [0, 1] of (s R - psi(s)) / 2: the mutual-information
     route through Pinsker's inequality."""
     fn = lambda s: (s * r - psi_channel(w, p, s)) / 2.0
-    return maximize_on_interval(fn, 0.0, 1.0)[1]
+    return maximize_over_rates(fn, 0.0, 1.0, r)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from secexp.dists import Alphabet, SubDist
+from secexp.exponents import GOLDEN_TOL
 
 
 @pytest.fixture
@@ -46,18 +49,38 @@ def assert_order_parity(fn, orders, cells):
     np.testing.assert_array_max_ulp(values, np.array(scalars), maxulp=2)
 
 
-def scalar_maximize(fn, lo, hi, intervals=1024):
-    """The 1-D optimizer with its grid evaluated one float at a time: the
-    reference for `maximize_on_interval`, which evaluates the grid as one
-    array.  The golden-section polish is the library's own."""
-    from secexp.exponents import _golden_max
+def golden_max(fn, lo, hi, tol=GOLDEN_TOL):
+    """Scalar golden-section search for a maximum on [lo, hi], one float call
+    per step: the reference for the library's lockstep polish of many
+    brackets."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = (a + b) / 2.0
+    return x, fn(x)
 
+
+def scalar_maximize(fn, lo, hi, intervals=1024):
+    """The 1-D optimizer evaluated one float at a time, grid and polish: the
+    reference for `maximize_on_interval`, which evaluates the grid as one
+    array and polishes through the batched optimizer."""
     xs = np.linspace(lo, hi, intervals + 1)
     vals = [fn(float(x)) for x in xs]
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), vals[i]
     if hi > lo:
-        x, v = _golden_max(fn, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, intervals)]))
+        x, v = golden_max(fn, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, intervals)]))
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v

@@ -318,9 +318,10 @@ class TestExtensionCap:
         assert "4194304 matrix cells exceed cap" in res.output
 
 
-def _additive_channel(tmp_path, module, name="w.json") -> str:
+def _additive_channel(tmp_path, module, name="w.json", noise=None) -> str:
     path = tmp_path / name
-    noise = {"alphabet": ["0", "1", "2"], "mass": [0.5, 0.25, 0.25]}
+    if noise is None:
+        noise = {"alphabet": ["0", "1", "2"], "mass": [0.5, 0.25, 0.25]}
     path.write_text(json.dumps({"structure": "additive", "noise": noise, "module": module}))
     return str(path)
 
@@ -336,6 +337,8 @@ _OVERSIZED = {
     "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
     "toeplitz-q": ["hash", "check", "--q", "1000000000000000003", "--k", "2", "--m", "1"],
     "pair-counts": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "12", "--m", "9"],
+    "pair-counts-first": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "17",
+                          "--m", "16"],
     "distill-q": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
                   "--module-q", "1000000000000000003"],
     "distill-n": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
@@ -347,6 +350,8 @@ _OVERSIZED = {
                   "--M", "2", "--L", "2"],
     "channel-n": ["simulate", "wiretap", "--wb", "{big_n}", "--we", "{big_n}",
                   "--M", "2", "--L", "2"],
+    "channel-cells": ["simulate", "wiretap", "--wb", "{cells}", "--we", "{cells}",
+                      "--M", "2", "--L", "2", "--mode", "mc"],
 }
 
 _RUN_TIMED = """
@@ -372,6 +377,10 @@ class TestOversizedInputs:
             "one": _one_symbol(tmp_path),
             "big_q": _additive_channel(tmp_path, {"q": 1000000000000000003, "n": 1}, "q.json"),
             "big_n": _additive_channel(tmp_path, {"q": 3, "n": 100000000}, "n.json"),
+            # 2^11 symbols: a 2^22-cell matrix
+            "cells": _additive_channel(tmp_path, {"q": 2, "n": 11}, "cells.json", {
+                "alphabet": [str(i) for i in range(2048)], "mass": [1.0 / 2048] * 2048,
+            }),
         }
         runs = {
             name: [a.format(**files) for a in args] for name, args in _OVERSIZED.items()

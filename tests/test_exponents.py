@@ -28,6 +28,7 @@ from secexp.exponents import (
     hash_d1_bound_at,
     holenstein_renner_exponents,
     maximize_on_interval,
+    maximize_over_rates,
     phi_cond,
     universal_exponent,
     universal_hash_d1_bound,
@@ -484,3 +485,65 @@ class TestGridAsOneArrayCall:
         for r in np.linspace(0.0, conditional_shannon_entropy(j) + 0.2, 20):
             form(j, float(r))
         assert_matches_scalar_optimizer(optimizer_calls, 20)
+
+
+class TestRateArrays:
+    """An exponent at an array of rates equals, bit for bit, the same
+    exponent at each rate alone (one `maximize_on_interval` call each)."""
+
+    @pytest.mark.parametrize("form", [universal_exponent, cramer_exponent_restricted])
+    def test_equals_per_rate(self, form):
+        rng = np.random.default_rng(61)
+        at_one = 0
+        for size in (2, 3, 7, 40):
+            p = random_dist(rng, size)
+            rates = np.concatenate([[0.0], rng.uniform(0.0, math.log(size), 24)])
+            batch = form(p, rates)
+            assert batch.value.shape == batch.argmax.shape == rates.shape
+            for k, r in enumerate(rates.tolist()):
+                one = form(p, r)
+                assert (batch.value[k], batch.argmax[k]) == (one.value, one.argmax)
+            at_one += int((batch.argmax == 1.0).sum())
+        assert at_one >= 4  # rates whose maximizer is the interval end s = 1
+
+    def test_bernoulli_sweep(self, bern02):
+        # the figure 3 sweep: a two-atom source, where 0.2 ** 2.0 at s = 1
+        # rounds differently over many orders than over one
+        rates = np.linspace(0.0, shannon_entropy(bern02), 40)
+        for form in (universal_exponent, cramer_exponent_restricted):
+            values = form(bern02, rates).value
+            assert values.tolist() == [form(bern02, r).value for r in rates.tolist()]
+
+    def test_one_grid_call_and_one_call_per_polish_step(self, bern02):
+        shapes = []
+
+        def fn(s):
+            shapes.append(np.shape(s))
+            return renyi_tilde(bern02, s) - s * rates
+
+        rates = np.linspace(0.0, 0.5, 30)
+        maximize_over_rates(fn, 0.0, 1.0, rates)
+        assert shapes[0] == (1025, 1)
+        points = shapes[1:]
+        assert all(shape in ((), (30,)) for shape in points)
+        assert points.count((30,)) < 60  # the polish, in lockstep over all rates
+        assert points.count(()) <= 30  # each distinct best grid point, as a float
+
+    def test_rows_match_one_objective_runs(self):
+        # a maximum inside an end interval has a one-interval bracket, which
+        # closes a step or two before the others: each row still ends where
+        # its own run does
+        h = 1.0 / 1024
+        rates = np.array([0.3 * h, 0.123456, 0.5, 1.0 - 0.3 * h, 1.0, 2.0])
+        fn = lambda x, r: -(x - r) * (x - r)
+        xs, vs = maximize_over_rates(lambda x: fn(x, rates), 0.0, 1.0, rates)
+        for k, r in enumerate(rates.tolist()):
+            assert (xs[k], vs[k]) == maximize_on_interval(lambda x: fn(x, r), 0.0, 1.0)
+
+    def test_invalid_rates(self, bern02):
+        with pytest.raises(ValueError):
+            universal_exponent(bern02, np.array([0.1, -0.1]))
+        with pytest.raises(ValueError):
+            cramer_exponent_restricted(bern02, np.array([0.1, np.inf]))
+        with pytest.raises(ValueError):
+            universal_exponent(bern02, np.zeros((2, 2)))

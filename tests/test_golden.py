@@ -33,6 +33,8 @@ CASES = {
     "exponent-cond.json": [
         "exponent", "--joint", _in("joint.json"), "--R", "0.2", "--form", "cond",
     ],
+    "figure-2.csv": ["figure", "--id", "2", "--points", "7"],
+    "figure-3.csv": ["figure", "--id", "3", "--points", "9"],
     "figure-4.csv": ["figure", "--id", "4", "--points", "5"],
     "figure-6.csv": ["figure", "--id", "6", "--points", "5"],
     "hash-toeplitz.json": [

@@ -178,6 +178,15 @@ class TestChannelTables:
             _loop_general_additive(joint.mass, mod),
         )
 
+    def test_matrices_past_the_cell_cap_are_refused(self):
+        mod = Module(2, 10)
+        labels = Alphabet(mod.labels())
+        noise = SubDist(labels, np.full(mod.size, 1.0 / mod.size))
+        assert Channel.additive(noise, mod).matrix.size == 1 << 20
+        joint = JointDist(labels, Alphabet(("u", "v")), np.full((mod.size, 2), 0.5 / mod.size))
+        with pytest.raises(SizeLimitError, match="2097152 matrix cells exceed cap"):
+            Channel.general_additive(joint, mod)
+
 
 class TestPhiPsi:
     def test_zero_at_zero(self):
@@ -974,3 +983,32 @@ class TestGridAsOneArrayCall:
             coset_d1_bound_closed(bsc(0.2), l)
             coset_d1_bound_closed(Channel.general_additive(j, Module(2, 1)), l)
         assert_matches_scalar_optimizer(optimizer_calls, 20)
+
+
+class TestRateArrays:
+    """The figure 4 exponents at an array of rates equal, bit for bit, the
+    same exponent at each rate alone."""
+
+    @pytest.mark.parametrize("form", [e_phi, e_psi, psi_pinsker_exponent])
+    def test_equals_per_rate(self, form):
+        rng = np.random.default_rng(67)
+        w = example_channel()
+        cases = [(w, uniform_input(w))]
+        for nx, ny in ((2, 2), (2, 4), (3, 3), (4, 2), (4, 4)):
+            mat = rng.random((nx, ny)) + 0.01
+            w = Channel(range_alphabet(nx), range_alphabet(ny), mat / mat.sum(1, keepdims=True))
+            raw = rng.random(nx) + 0.05
+            cases.append((w, SubDist(w.input_alphabet, raw / raw.sum())))
+        for w, p in cases:
+            # the top rates put the maximizer at the interval end (t = 1/2, s = 1)
+            rates = np.linspace(0.0, 2.0 * math.log(w.output_alphabet.size) + 1.0, 20)
+            values = form(rates, w, p)
+            assert values.shape == rates.shape
+            assert values.tolist() == [form(r, w, p) for r in rates.tolist()]
+
+    def test_top_rates_end_at_the_interval_end(self):
+        w = example_channel()
+        p = uniform_input(w)
+        r = np.array([3.0, 4.0])
+        assert e_phi(r, w, p).tolist() == [x * 0.5 - phi_channel(w, p, 0.5) for x in r.tolist()]
+        assert e_psi(r, w, p).tolist() == [(x - psi_channel(w, p, 1.0)) / 2.0 for x in r.tolist()]
