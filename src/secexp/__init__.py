@@ -10,6 +10,7 @@ asymptotic exponents.  All logarithms are natural.
 from .dists import (
     Alphabet,
     AlphabetMismatchError,
+    InvariantError,
     JointDist,
     SizeLimitError,
     SubDist,
@@ -90,6 +91,7 @@ from .wiretap import (
     phi_channel,
     psi_channel,
     random_wiretap_code,
+    wiretap_ensemble,
     wiretap_ensemble_exact,
 )
 

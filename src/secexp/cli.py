@@ -5,7 +5,8 @@ intrinsic, distill, hash check.  Outputs are JSON (sorted keys) or CSV with
 12 significant digits and '\\n' line endings, so identical invocations with
 the same seed produce byte-identical files.
 
-Exit codes: 0 success, 2 validation error, 3 size-limit error.
+Exit codes: 0 success, 2 validation error, 3 size-limit error, 4 broken
+internal invariant (the message names it).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import intrinsic as intr
 from .dists import (
+    InvariantError,
     SizeLimitError,
     SubDist,
     range_alphabet,
@@ -52,13 +54,7 @@ from .hashing import (
 )
 from .jsonio import InputValidationError, load_channel, load_joint, load_subdist
 from .privacy import best_subset_lower_bound, expected_d1
-from .wiretap import (
-    markov_select,
-    random_coding_d1_bound,
-    random_coding_error_bound,
-    wiretap_ensemble_exact,
-    wiretap_ensemble_mc,
-)
+from .wiretap import random_coding_d1_bound, random_coding_error_bound, wiretap_ensemble
 
 _FLOAT_FMT = ".12g"
 
@@ -126,6 +122,9 @@ def _handle_errors(f):
         except ValueError as e:
             click.echo(f"invalid input: {e}", err=True)
             sys.exit(2)
+        except InvariantError as e:
+            click.echo(f"internal invariant broken: {e}", err=True)
+            sys.exit(4)
 
     return wrapper
 
@@ -383,7 +382,7 @@ def simulate_pa(dist_path, family, q, k, m, big_m, mode, samples, seed, out):
     "--mode", type=click.Choice(["exact", "mc"]), default="exact", show_default=True
 )
 @click.option("--samples", default=200, show_default=True, type=int)
-@click.option("--q", type=int, help="Hash family field size (default 2).")
+@click.option("--q", type=int, help="Hash field size (default: first fit of 2, 3, 5, 7).")
 @seed_option
 @out_option
 @_handle_errors
@@ -400,48 +399,28 @@ def simulate_wiretap(
     if n > 1:
         wb = wb.iid_extend(n)
         we = we.iid_extend(n)
-    ml = big_m * big_l
-    base = q if q is not None else 2
-    fam = fit_toeplitz(big_m, big_l, base)
+    fam = fit_toeplitz(big_m, big_l, q)
     if fam is None:
+        fields = "F_2, F_3, F_5 or F_7" if q is None else f"F_{q}"
         raise InputValidationError(
-            f"M={big_m}, L={big_l} do not fit a Toeplitz family over F_{base}"
+            f"M={big_m}, L={big_l} do not fit a Toeplitz family over {fields}"
         )
     p_mix = SubDist.uniform(wb.input_alphabet)
     payload = {
         "M": big_m,
         "L": big_l,
         "n": n,
-        "bound_eps_ensemble": random_coding_error_bound(wb, p_mix, ml),
+        "bound_eps_ensemble": random_coding_error_bound(wb, p_mix, big_m * big_l),
         "bound_d1_ensemble": random_coding_d1_bound(we, p_mix, big_l),
     }
     payload["bound_eps_code"] = 2.0 * payload["bound_eps_ensemble"]
     payload["bound_d1_code"] = 2.0 * payload["bound_d1_ensemble"]
-    if mode == "exact":
-        res = wiretap_ensemble_exact(p_mix, big_m, big_l, fam, wb, we)
-        chosen = markov_select(res)
-        payload.update(
-            {
-                "eps_b": res.avg_eps,
-                "d1": res.avg_d1,
-                "mode": "exact",
-                "selected_eps": chosen.eps,
-                "selected_d1": chosen.d1,
-            }
-        )
+    eps, d1, chosen = wiretap_ensemble(p_mix, big_m, big_l, fam, wb, we, mode, samples, seed)
+    payload.update({"eps_b": eps.value, "d1": d1.value, "mode": mode})
+    if chosen is None:
+        payload.update({"eps_stderr": eps.stderr, "d1_stderr": d1.stderr})
     else:
-        stats = wiretap_ensemble_mc(
-            p_mix, big_m, big_l, fam, wb, we, n_samples=samples, seed=seed
-        )
-        payload.update(
-            {
-                "eps_b": stats["eps"],
-                "eps_stderr": stats["eps_stderr"],
-                "d1": stats["d1"],
-                "d1_stderr": stats["d1_stderr"],
-                "mode": "mc",
-            }
-        )
+        payload.update({"selected_eps": chosen.eps, "selected_d1": chosen.d1})
     _emit_json(payload, out)
 
 

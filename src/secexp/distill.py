@@ -2,9 +2,10 @@
 
 Alice draws a fresh uniform x over the module alphabet and publishes
 x' = x - a.  Bob then sees (b, x') and Eve sees (e, x'), which turns the
-correlated triple into a pair of general-additive channels; the wiretap
-machinery applies directly, and the achievable key rate is
-H(A|E) - H(A|B).
+correlated triple into a pair of general-additive channels, and distillation
+is the wiretap pipeline on them (`wiretap.wiretap_ensemble`, the family of
+`fit_toeplitz`, Eve's bound `side_information_d1_bound` on P(A,E)).  The
+achievable key rate is H(A|E) - H(A|B).
 """
 
 from __future__ import annotations
@@ -22,12 +23,8 @@ from .dists import (
 from .exponents import maximize_on_interval, phi_cond
 from .gf import Module
 from .hashing import HashFamily, fit_toeplitz
-from .wiretap import (
-    Channel,
-    markov_select,
-    wiretap_ensemble_exact,
-    wiretap_ensemble_mc,
-)
+from .wiretap import Channel, wiretap_ensemble
+from .wiretap import side_information_d1_bound as distillation_d1_bound
 
 __all__ = [
     "CorrelationTriple",
@@ -105,16 +102,6 @@ def distillation_error_bound(pab: JointDist, m: int, l: int) -> float:
     return -maximize_on_interval(fn, 0.0, 1.0)[1]
 
 
-def distillation_d1_bound(pae: JointDist, l: int) -> float:
-    """3 min over t in [0,1/2] of |A|^t e^(-(1-t) H~_(1/(1-t))(A|E)) / L^t:
-    the ensemble guarantee on Eve's distinguishability; a selected concrete
-    code is guaranteed twice this.
-    """
-    size_a = pae.alphabet_a.size
-    fn = lambda t: -(size_a**t * np.exp(phi_cond(pae, t)) / l**t)
-    return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
-
-
 @dataclass(frozen=True)
 class DistillationReport:
     m: int
@@ -135,16 +122,6 @@ class DistillationReport:
     h_a_given_b: float
 
 
-def _default_family(m: int, l: int) -> HashFamily:
-    for q in (2, 3, 5, 7):
-        fam = fit_toeplitz(m, l, q)
-        if fam is not None:
-            return fam
-    raise ValueError(
-        f"no built-in balanced universal_2 family for M={m}, L={l}; pass one explicitly"
-    )
-
-
 def run_distillation(
     tri: CorrelationTriple,
     m: int,
@@ -158,45 +135,34 @@ def run_distillation(
     conditional-entropy bound displays.
 
     The code draws ML codewords i.i.d. uniform on the module alphabet and
-    hashes them down to M messages with a balanced universal_2 family.  In
-    exact mode the ensemble is enumerated and a realization within twice
-    both averages is selected; in mc mode the averages are sampled.
+    hashes them down to M messages with a balanced universal_2 family, by
+    default `fit_toeplitz(M, L)`.  The ensemble is `wiretap_ensemble` on the
+    reduced channels: enumerated with a realization within twice both
+    averages selected (exact mode), or sampled (mc mode).
     """
-    if fam is None:
-        fam = _default_family(m, l)
+    if fam is None and (fam := fit_toeplitz(m, l)) is None:
+        raise ValueError(
+            f"no built-in balanced universal_2 family for M={m}, L={l}; pass one explicitly"
+        )
     wb, we = channels_from_joint(tri)
     p_mix = SubDist.uniform(wb.input_alphabet)
-    if mode == "exact":
-        res = wiretap_ensemble_exact(p_mix, m, l, fam, wb, we)
-        chosen = markov_select(res)
-        eps, d1 = res.avg_eps, res.avg_d1
-        eps_se = d1_se = None
-        sel_eps, sel_d1 = chosen.eps, chosen.d1
-    elif mode == "mc":
-        stats = wiretap_ensemble_mc(
-            p_mix, m, l, fam, wb, we, n_samples=n_samples, seed=seed
-        )
-        eps, d1 = stats["eps"], stats["d1"]
-        eps_se, d1_se = stats["eps_stderr"], stats["d1_stderr"]
-        sel_eps = sel_d1 = None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    eps, d1, chosen = wiretap_ensemble(p_mix, m, l, fam, wb, we, mode, n_samples, seed)
     bound_eps = distillation_error_bound(tri.pab, m, l)
     bound_d1 = distillation_d1_bound(tri.pae, l)
     return DistillationReport(
         m=m,
         l=l,
         mode=mode,
-        eps=eps,
-        d1=d1,
-        eps_stderr=eps_se,
-        d1_stderr=d1_se,
+        eps=eps.value,
+        d1=d1.value,
+        eps_stderr=eps.stderr,
+        d1_stderr=d1.stderr,
         bound_eps_ensemble=bound_eps,
         bound_eps_code=2.0 * bound_eps,
         bound_d1_ensemble=bound_d1,
         bound_d1_code=2.0 * bound_d1,
-        selected_eps=sel_eps,
-        selected_d1=sel_d1,
+        selected_eps=None if chosen is None else chosen.eps,
+        selected_d1=None if chosen is None else chosen.d1,
         rate=tri.rate(),
         h_a_given_e=conditional_shannon_entropy(tri.pae),
         h_a_given_b=conditional_shannon_entropy(tri.pab),

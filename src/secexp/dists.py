@@ -25,6 +25,7 @@ __all__ = [
     "TypeClass",
     "AlphabetMismatchError",
     "SizeLimitError",
+    "InvariantError",
     "capped_power",
     "compositions",
     "range_alphabet",
@@ -63,6 +64,11 @@ class AlphabetMismatchError(ValueError):
 class SizeLimitError(ValueError):
     """A size read from outside, or the cells an operation would materialize,
     exceeds the configured cap."""
+
+
+class InvariantError(RuntimeError):
+    """A guarantee the mathematics proves, found broken at run time; the
+    message names it."""
 
 
 def capped_power(base: int, n: int, what: str, cap: int = DEFAULT_MAX_CELLS) -> int:

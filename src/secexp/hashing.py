@@ -330,10 +330,13 @@ class ToeplitzFamily(LinearFamily):
         return np.concatenate([x, eye], axis=2)
 
 
-def fit_toeplitz(m: int, l: int, q: int) -> ToeplitzFamily | None:
+def fit_toeplitz(m: int, l: int, q: int | None = None) -> ToeplitzFamily | None:
     """The Toeplitz family over F_q from M*L = q^k inputs onto M = q^m
-    outputs, or None when M and L are not such powers with 1 <= m < k."""
-    if q < 2:
+    outputs, or None when M and L are not such powers with 1 <= m < k.
+    Without q, the family over the first of F_2, F_3, F_5 and F_7 that fits."""
+    if q is None:
+        return next(filter(None, (fit_toeplitz(m, l, b) for b in (2, 3, 5, 7))), None)
+    if q < 2 or m < 1 or l < 1:
         return None
     k = round(math.log(m * l, q))
     mm = round(math.log(m, q))

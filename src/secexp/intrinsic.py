@@ -21,6 +21,7 @@ import numpy as np
 
 from .dists import (
     Alphabet,
+    InvariantError,
     SizeLimitError,
     SubDist,
     compositions,
@@ -185,9 +186,8 @@ def build_specialized(p: SubDist, n: int, m: int) -> SpecializedMap:
     smap = SpecializedMap(n, m, p.alphabet.symbols, weights, denom, tuple(records))
     if smap.cells_assigned() > m:
         # the counting argument guarantees this never triggers
-        raise RuntimeError(
-            f"cell budget exceeded: {smap.cells_assigned()} > {m}; "
-            "construction invariant broken"
+        raise InvariantError(
+            f"specialized-map cell budget exceeded: {smap.cells_assigned()} > {m}"
         )
     return smap
 

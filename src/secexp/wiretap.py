@@ -5,7 +5,9 @@ receiver alphabet with a reject cell).  The module evaluates the average
 decoding error and Eve's distinguishability exactly, builds hash-based
 random codes and nested-linear-code (coset) codes, and provides the phi/psi
 channel functionals, their exponents, the additive-channel closed forms, and
-the reverse-Holder ordering between them.
+the reverse-Holder ordering between them.  `wiretap_ensemble` is the one
+entry to the random-coding ensemble, exact or sampled, for `simulate
+wiretap` and distillation alike.
 
 A coset code is a hash-partition code: a subcode C2 of a linear code C1 is
 named by the Toeplitz seed map f on C1's messages whose kernel it is, and
@@ -25,6 +27,7 @@ from .dists import (
     BLOCK_CELLS,
     DEFAULT_MAX_CELLS,
     Alphabet,
+    InvariantError,
     JointDist,
     SizeLimitError,
     SubDist,
@@ -57,6 +60,7 @@ __all__ = [
     "wiretap_ensemble_exact",
     "wiretap_ensemble_mc",
     "markov_select",
+    "wiretap_ensemble",
     "random_coding_error_bound",
     "random_coding_d1_bound",
     "uniform_on_subset",
@@ -66,6 +70,7 @@ __all__ = [
     "coset_ensemble_d1",
     "coset_d1_bound",
     "coset_d1_bound_closed",
+    "side_information_d1_bound",
     "additive_identities",
     "holder_ordering",
     "EnsembleEntry",
@@ -75,6 +80,8 @@ __all__ = [
 # Exact ensembles refuse more (codebook, seed) entries than this: binary
 # M=2, L=8 (524,288 entries) takes about a second.
 ENSEMBLE_COMBO_LIMIT = 1 << 20
+# Float slack of markov_select's twice-the-average tests.
+MARKOV_SLACK = 1e-12
 
 
 def _refuse_matrix_cells(cells: int):
@@ -568,9 +575,9 @@ def wiretap_ensemble_mc(
     we: Channel,
     n_samples: int = 200,
     seed: int = 0,
-):
-    """Monte Carlo estimate of the ensemble averages; returns a dict with
-    means and standard errors for both metrics.
+) -> tuple[EnsembleEstimate, EnsembleEstimate]:
+    """Monte Carlo estimates of the ensemble averages of eps and d1, each
+    with its standard error.
 
     Each sample draws a codebook, then a seed, from one random stream; the
     drawn codes are evaluated together afterwards."""
@@ -593,28 +600,48 @@ def wiretap_ensemble_mc(
         eps_vals[block], d1_vals[block] = _pair_metrics(
             codebooks[block], maps[block], m, l, wb, we
         )
-    eps = EnsembleEstimate.from_samples(eps_vals.tolist())
-    d1 = EnsembleEstimate.from_samples(d1_vals.tolist())
-    return {
-        "eps": eps.value,
-        "eps_stderr": eps.stderr,
-        "d1": d1.value,
-        "d1_stderr": d1.stderr,
-        "n_samples": n_samples,
-    }
+    return (
+        EnsembleEstimate.from_samples(eps_vals.tolist()),
+        EnsembleEstimate.from_samples(d1_vals.tolist()),
+    )
 
 
-def markov_select(result: WiretapEnsembleResult, slack: float = 1e-12) -> EnsembleEntry:
+def markov_select(result: WiretapEnsembleResult) -> EnsembleEntry:
     """First realization meeting both twice-the-average guarantees.
 
     Existence follows from two Markov bounds, each excluding less than half
     of the ensemble mass."""
-    ok = (result.eps <= 2.0 * result.avg_eps + slack) & (
-        result.d1 <= 2.0 * result.avg_d1 + slack
+    ok = (result.eps <= 2.0 * result.avg_eps + MARKOV_SLACK) & (
+        result.d1 <= 2.0 * result.avg_d1 + MARKOV_SLACK
     )
     if not ok.any():
-        raise RuntimeError("no realization within twice both averages; invariant broken")
+        raise InvariantError(
+            "Markov selection found no realization within twice both averages"
+        )
     return result.entries[int(ok.argmax())]
+
+
+def wiretap_ensemble(
+    p: SubDist,
+    m: int,
+    l: int,
+    fam: HashFamily,
+    wb: Channel,
+    we: Channel,
+    mode: str = "exact",
+    n_samples: int = 200,
+    seed: int = 0,
+) -> tuple[EnsembleEstimate, EnsembleEstimate, EnsembleEntry | None]:
+    """The ensemble averages of eps and d1, and the selected realization:
+    enumerated with `markov_select`'s entry (exact mode), or sampled with
+    none (mc mode)."""
+    if mode == "exact":
+        res = wiretap_ensemble_exact(p, m, l, fam, wb, we)
+        exact = lambda v: EnsembleEstimate(value=v, stderr=None, mode="exact")
+        return exact(res.avg_eps), exact(res.avg_d1), markov_select(res)
+    if mode == "mc":
+        return (*wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples, seed), None)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def random_coding_error_bound(wb: Channel, p: SubDist, ml: int) -> float:
@@ -757,21 +784,28 @@ def coset_d1_bound(we: Channel, c1: LinearCode, l: int) -> float:
 def coset_d1_bound_closed(we: Channel, l: int) -> float:
     """The additive / general-additive closed form of the coset guarantee:
     3 min over t of |X|^t e^(-(1-t) H~_(1/(1-t))) / L^t, with the conditional
-    version of the entropy for general-additive channels."""
+    version of the entropy for general-additive channels
+    (`side_information_d1_bound`)."""
     kind = we.structure_kind()
-    nx = we.input_alphabet.size
-
-    if kind == "additive":
-        noise = we.structure[1]
-        inner = lambda t: nx**t * np.exp(
-            -(1.0 - t) * renyi_tilde(noise, t / (1.0 - t))
-        )
-    elif kind == "general_additive":
-        joint = we.structure[1]
-        inner = lambda t: nx**t * np.exp(phi_cond(joint, t))
-    else:
+    if kind == "general_additive":
+        return side_information_d1_bound(we.structure[1], l)
+    if kind != "additive":
         raise ValueError("closed form needs an additive or general-additive tag")
+    nx = we.input_alphabet.size
+    noise = we.structure[1]
+    inner = lambda t: nx**t * np.exp(
+        -(1.0 - t) * renyi_tilde(noise, t / (1.0 - t))
+    )
     fn = lambda t: -(inner(t) / l**t)
+    return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
+
+
+def side_information_d1_bound(joint: JointDist, l: int) -> float:
+    """3 min over t in [0,1/2] of |A|^t e^(phi(t | joint)) / L^t: the ensemble
+    guarantee on Eve's distinguishability over the general-additive channel of
+    `joint` (distillation's, on P(A,E)); a selected code is guaranteed twice this."""
+    size_a = joint.alphabet_a.size
+    fn = lambda t: -(size_a**t * np.exp(phi_cond(joint, t)) / l**t)
     return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
 
 

@@ -249,6 +249,18 @@ class TestSimulateWiretap:
             ["simulate", "wiretap", "--wb", wb, "--we", we, "--M", "3", "--L", "2"],
         )
         assert res.exit_code == 2
+        assert "do not fit a Toeplitz family over F_2, F_3, F_5 or F_7" in res.output
+
+    def test_family_is_the_first_field_that_fits(self, runner, channel_files):
+        # without --q, M = L = 3 runs over F_3, the family distill picks
+        wb, we = channel_files
+        args = ["simulate", "wiretap", "--wb", wb, "--we", we, "--M", "3", "--L", "3"]
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 0, res.output
+        assert res.output == runner.invoke(cli, [*args, "--q", "3"]).output
+        res = runner.invoke(cli, [*args, "--q", "2"])
+        assert res.exit_code == 2
+        assert "over F_2" in res.output
 
     def test_exact_binary_m2_l8(self, runner):
         # 2^16 codebooks x 8 seeds = 524,288 entries, under the exact limit
@@ -491,6 +503,109 @@ class TestDistillCommand:
         payload = json.loads(res.output)
         assert payload["d1"] <= payload["bound_d1_ensemble"] + 1e-12
         assert payload["rate"] > 0
+
+
+def _channel_file(path, w) -> str:
+    """A channel written as its plain matrix; json floats round-trip exactly."""
+    path.write_text(json.dumps({
+        "input_alphabet": list(w.input_alphabet.symbols),
+        "output_alphabet": list(w.output_alphabet.symbols),
+        "matrix": w.matrix.tolist(),
+    }))
+    return str(path)
+
+
+def _ternary_triple(tmp_path):
+    """P(A,B) and P(A,E) over F_3 with a skewed A marginal (0.5, 0.3, 0.2), so
+    that the reduced channels' negation of A is not the identity."""
+    paths = []
+    for name, mass in (
+        ("pab3.json", [[0.4, 0.1], [0.05, 0.25], [0.05, 0.15]]),
+        ("pae3.json", [[0.3, 0.2], [0.1, 0.2], [0.1, 0.1]]),
+    ):
+        (tmp_path / name).write_text(json.dumps(
+            {"alphabet": ["0", "1", "2"], "alphabet_e": ["u", "v"], "mass": mass}
+        ))
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+MC_FLAGS = ["--mode", "mc", "--samples", "40", "--seed", "3"]
+
+
+class TestDistillIsTheWiretapPipeline:
+    """`distill` equals `simulate wiretap` run on its reduced channels
+    (`channels_from_joint`): same family, ensemble, selection and samples."""
+
+    @pytest.mark.parametrize("mode", [[], MC_FLAGS], ids=["exact", "mc"])
+    @pytest.mark.parametrize("triple", ["golden", "ternary"])
+    def test_same_numbers(self, runner, tmp_path, monkeypatch, triple, mode):
+        from secexp import cli as cli_module
+        from secexp.distill import CorrelationTriple, channels_from_joint
+        from secexp.gf import Module
+        from secexp.jsonio import load_joint
+
+        monkeypatch.setattr(cli_module, "_FLOAT_FMT", ".17g")  # floats round-trip
+        if triple == "golden":
+            inputs = Path(__file__).parent / "golden" / "inputs"
+            pab, pae, q, m, l = str(inputs / "pab.json"), str(inputs / "pae.json"), 2, 2, 2
+        else:
+            (pab, pae), q, m, l = _ternary_triple(tmp_path), 3, 3, 3
+        sizes = ["--M", str(m), "--L", str(l)]
+        res = runner.invoke(
+            cli, ["distill", "--pab", pab, "--pae", pae, "--module-q", str(q), *sizes, *mode]
+        )
+        assert res.exit_code == 0, res.output
+        dist = json.loads(res.output)
+        tri = CorrelationTriple(load_joint(pab), load_joint(pae), Module(q, 1))
+        wb, we = channels_from_joint(tri)
+        res = runner.invoke(cli, [
+            "simulate", "wiretap", "--wb", _channel_file(tmp_path / "wb.json", wb),
+            "--we", _channel_file(tmp_path / "we.json", we), *sizes, *mode,
+        ])
+        assert res.exit_code == 0, res.output
+        wire = json.loads(res.output)
+        assert dist["mode"] == wire["mode"] == ("mc" if mode else "exact")
+        for key, wire_key in (("eps", "eps_b"), ("d1", "d1"), ("selected_eps", None),
+                              ("selected_d1", None), ("eps_stderr", None),
+                              ("d1_stderr", None)):
+            assert dist[key] == wire.get(wire_key or key), key
+        for key in ("bound_eps_ensemble", "bound_d1_ensemble"):
+            assert abs(dist[key] - wire[key]) <= 1e-12, key
+        if triple == "golden" and not mode:
+            assert (dist["eps"], dist["d1"], dist["selected_eps"]) == (0.375, 0.1875, 0.5)
+            assert dist["bound_eps_ensemble"] == 1.0
+            assert dist["bound_d1_ensemble"] == 2.3717082451262845
+
+
+class TestBrokenInvariantExit4:
+    """A broken internal invariant exits 4 with a message naming it."""
+
+    @pytest.mark.parametrize("command", ["wiretap", "distill"])
+    def test_markov_selection(self, runner, channel_files, monkeypatch, command):
+        # a negative slack leaves no realization within twice both averages
+        monkeypatch.setattr(secexp.wiretap, "MARKOV_SLACK", -1.0)
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        wb, we = channel_files
+        args = {
+            "wiretap": ["simulate", "wiretap", "--wb", wb, "--we", we],
+            "distill": ["distill", "--pab", str(inputs / "pab.json"),
+                        "--pae", str(inputs / "pae.json")],
+        }[command]
+        res = runner.invoke(cli, [*args, "--M", "2", "--L", "2"])
+        assert res.exit_code == 4, res.output
+        assert (
+            "internal invariant broken: Markov selection found no realization "
+            "within twice both averages"
+        ) in res.output
+
+    def test_specialized_cell_budget(self, runner, bern_file, monkeypatch):
+        monkeypatch.setattr(
+            secexp.intrinsic.SpecializedMap, "cells_assigned", lambda self: self.m + 1
+        )
+        res = runner.invoke(cli, ["intrinsic", "--dist", bern_file, "--n", "4", "--M", "4"])
+        assert res.exit_code == 4, res.output
+        assert "internal invariant broken: specialized-map cell budget exceeded: 5 > 4" in res.output
 
 
 class TestErrorsAndDeterminism:

@@ -221,6 +221,16 @@ class TestToeplitzEval:
             (2, 3, 2, None),  # M*L not a power of q
             (4, 1, 2, None),  # needs m < k
             (2, 2, 1, None),  # no field of size 1
+            (0, 2, 2, None),  # no logarithm of 0 or of a negative size
+            (2, -4, 2, None),
+            # without q: the first of F_2, F_3, F_5, F_7 that fits
+            (2, 8, None, (2, 4, 1)),
+            (3, 3, None, (3, 2, 1)),
+            (25, 5, None, (5, 3, 2)),
+            (7, 49, None, (7, 3, 1)),
+            (4, 1, None, None),
+            (3, 2, None, None),
+            (11, 11, None, None),
         ],
     )
     def test_fit_toeplitz(self, m, l, q, shape):

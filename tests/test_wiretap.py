@@ -381,9 +381,9 @@ class TestRandomCodingEnsemble:
     def test_mc_tracks_exact(self):
         p, m, l, fam, wb, we = exhaustive_instances()[0]
         res = wiretap_ensemble_exact(p, m, l, fam, wb, we)
-        stats = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=800, seed=2)
-        assert abs(stats["eps"] - res.avg_eps) <= 4 * max(stats["eps_stderr"], 1e-9)
-        assert abs(stats["d1"] - res.avg_d1) <= 4 * max(stats["d1_stderr"], 1e-9)
+        eps, d1 = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=800, seed=2)
+        assert abs(eps.value - res.avg_eps) <= 4 * max(eps.stderr, 1e-9)
+        assert abs(d1.value - res.avg_d1) <= 4 * max(d1.stderr, 1e-9)
 
     def test_sampled_code_shape(self):
         p, m, l, fam, wb, we = exhaustive_instances()[0]
@@ -472,7 +472,7 @@ def _parity_instance(q, m, l):
     if q == 3 and m * l > 4:
         mass[-1] = 0.0
     p = SubDist(range_alphabet(q), mass / mass.sum())
-    fam = fit_toeplitz(m, l, 2) or fit_toeplitz(m, l, 3)
+    fam = fit_toeplitz(m, l)
     return p, fam, _random_channel(rng, q, 3), _random_channel(rng, q, 4)
 
 
@@ -534,7 +534,7 @@ class TestBatchedEnsembleParity:
     @pytest.mark.parametrize("q,m,l", PARITY_CASES)
     def test_mc_matches_per_sample_loop(self, q, m, l):
         p, fam, wb, we = _parity_instance(q, m, l)
-        stats = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=300, seed=4)
+        estimates = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=300, seed=4)
         rng = np.random.default_rng(4)
         eps_vals, d1_vals = [], []
         for _ in range(300):
@@ -543,12 +543,13 @@ class TestBatchedEnsembleParity:
             code = code_from_codebook(cb, f_map, m, l, wb)
             eps_vals.append(error_prob(code, wb))
             d1_vals.append(eve_distinguishability(code, we))
-        for key, vals in (("eps", eps_vals), ("d1", d1_vals)):
+        for est, vals in zip(estimates, (eps_vals, d1_vals)):
             mean = math.fsum(vals) / len(vals)
             var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
             se = math.sqrt(var / len(vals))
-            assert abs(stats[key] - mean) <= 1e-15
-            assert abs(stats[f"{key}_stderr"] - se) <= 1e-15
+            assert abs(est.value - mean) <= 1e-15
+            assert abs(est.stderr - se) <= 1e-15
+            assert (est.mode, est.n_samples) == ("mc", 300)
 
     def test_entries_are_a_read_only_lazy_view(self):
         p, fam, wb, we = _parity_instance(2, 2, 2)
