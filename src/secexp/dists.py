@@ -183,11 +183,6 @@ class SubDist:
             raise ValueError("p must be in [0, 1]")
         return cls(Alphabet(("0", "1")), np.array([p, 1.0 - p]))
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "SubDist":
-        symbols, values = zip(*pairs)
-        return cls(Alphabet(tuple(symbols)), np.array(values, dtype=float))
-
     def p(self, symbol: str) -> float:
         return float(self.mass[self.alphabet.index(symbol)])
 
@@ -247,11 +242,12 @@ class JointDist:
         out[:, pos] = self.mass[:, pos] / pe[pos]
         return out
 
-    def iid_extend(self, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> "JointDist":
-        """Product distribution of n independent copies of the pair."""
+    def iid_extend(self, n: int) -> "JointDist":
+        """Product distribution of n independent copies of the pair, refused
+        beyond DEFAULT_MAX_CELLS cells."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        capped_power(self.alphabet_a.size * self.alphabet_e.size, n, "joint cells", max_cells)
+        capped_power(self.alphabet_a.size * self.alphabet_e.size, n, "joint cells")
         out = self.mass
         for _ in range(n - 1):
             # kron on both axes keeps (a, e) big-endian in both coordinates

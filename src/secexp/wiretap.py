@@ -4,10 +4,10 @@ A code is (M, encoder distributions Q_1..Q_M, decoder partition of the
 receiver alphabet with a reject cell).  The module evaluates the average
 decoding error and Eve's distinguishability exactly, builds hash-based
 random codes and nested-linear-code (coset) codes, and provides the phi/psi
-channel functionals, their exponents, the additive-channel closed forms, and
-the reverse-Holder ordering between them.  `wiretap_ensemble` is the one
-entry to the random-coding ensemble, exact or sampled, for `simulate
-wiretap` and distillation alike.
+channel functionals, their exponents, one closed form for additive and
+general-additive channels, and the reverse-Holder ordering between them.
+`wiretap_ensemble` is the one entry to the random-coding ensemble, exact or
+sampled, for `simulate wiretap` and distillation alike.
 
 A coset code is a hash-partition code: a subcode C2 of a linear code C1 is
 named by the Toeplitz seed map f on C1's messages whose kernel it is, and
@@ -36,7 +36,6 @@ from .dists import (
     log_fsum_by_order,
     product_alphabet,
     range_alphabet,
-    renyi_tilde,
 )
 from .exponents import cond_renyi_tilde, maximize_on_interval, maximize_over_rates, phi_cond
 from .gf import Module
@@ -94,20 +93,21 @@ def _refuse_matrix_cells(cells: int):
 class Channel:
     """A stochastic matrix from an input alphabet to an output alphabet.
 
-    Channels may carry an additive tag (the output is input + noise over a
-    finite module) or a general-additive tag (an additively masked output
-    plus a correlated side output); tagged channels reproduce their matrix
+    A tagged channel carries `noise`, a joint P(Z, Z') over the `module`'s
+    symbols and a side alphabet: input x gives output (x + z, z') with
+    probability P(z, z') (general-additive); an additive channel is one whose
+    side alphabet has one symbol.  Tagged channels reproduce their matrix
     from the tag exactly.
     """
 
-    __slots__ = ("input_alphabet", "output_alphabet", "matrix", "structure", "module")
+    __slots__ = ("input_alphabet", "output_alphabet", "matrix", "noise", "module")
 
     def __init__(
         self,
         input_alphabet: Alphabet,
         output_alphabet: Alphabet,
         matrix,
-        structure=None,
+        noise: JointDist | None = None,
         module: Module | None = None,
     ):
         arr = np.array(matrix, dtype=float)
@@ -128,65 +128,50 @@ class Channel:
         self.input_alphabet = input_alphabet
         self.output_alphabet = output_alphabet
         self.matrix = arr
-        self.structure = structure
+        self.noise = noise
         self.module = module
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def additive(cls, noise: SubDist, module: Module) -> "Channel":
-        """W_x(z) = noise(z - x) over the module's symbol set."""
-        if noise.alphabet.size != module.size:
-            raise ValueError("noise alphabet must match the module size")
+        """W_x(z) = noise(z - x): the general-additive channel of the
+        one-column joint."""
         if abs(noise.total - 1.0) > 1e-12:
             raise ValueError("noise must be a probability distribution")
-        _refuse_matrix_cells(module.size * module.size)
-        alph = Alphabet(module.labels())
-        mat = noise.mass[module.sub_table().T]
-        return cls(alph, alph, mat, structure=("additive", noise), module=module)
+        joint = JointDist(noise.alphabet, Alphabet(("0",)), noise.mass[:, None])
+        return cls.general_additive(joint, module)
 
     @classmethod
     def general_additive(cls, joint: JointDist, module: Module) -> "Channel":
         """W_x(z, z') = joint(z - x, z'): masked copy plus side coordinate.
 
-        Output symbols are (z, z') pairs indexed z-major.
+        Output symbols are (z, z') pairs indexed z-major, or the module's
+        labels when the side alphabet has one symbol.
         """
         if joint.alphabet_a.size != module.size:
-            raise ValueError("joint's first alphabet must match the module size")
+            raise ValueError("noise alphabet must match the module size")
         nx = module.size
         nz2 = joint.alphabet_e.size
         _refuse_matrix_cells(nx * nx * nz2)
         in_alph = Alphabet(module.labels())
-        out_alph = Alphabet(
-            tuple(
-                f"{z},{z2}"
-                for z in in_alph.symbols
-                for z2 in joint.alphabet_e.symbols
-            )
-        )
+        pairs = (f"{z},{z2}" for z in in_alph.symbols for z2 in joint.alphabet_e.symbols)
+        out_alph = in_alph if nz2 == 1 else Alphabet(tuple(pairs))
         mat = joint.mass[module.sub_table().T].reshape(nx, nx * nz2)
-        return cls(
-            in_alph, out_alph, mat, structure=("general_additive", joint), module=module
-        )
+        return cls(in_alph, out_alph, mat, noise=joint, module=module)
 
     # -- structure ----------------------------------------------------------
 
     def structure_kind(self) -> str:
-        if self.structure is None:
+        if self.noise is None:
             return "generic"
-        return self.structure[0]
+        return "additive" if self.noise.alphabet_e.size == 1 else "general_additive"
 
     def verify_structure(self) -> float:
         """Max abs difference between the matrix and its tag reconstruction."""
-        if self.structure is None:
+        if self.noise is None:
             return 0.0
-        kind, payload = self.structure
-        if kind == "additive":
-            rebuilt = Channel.additive(payload, self.module)
-        elif kind == "general_additive":
-            rebuilt = Channel.general_additive(payload, self.module)
-        else:
-            raise ValueError(f"unknown structure {kind!r}")
+        rebuilt = Channel.general_additive(self.noise, self.module)
         return float(np.abs(rebuilt.matrix - self.matrix).max())
 
     # -- basic channel quantities -------------------------------------------
@@ -196,28 +181,21 @@ class Channel:
             raise ValueError("input distribution alphabet mismatch")
         return p.mass @ self.matrix
 
-    def iid_extend(self, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> "Channel":
-        """The n-fold memoryless extension, refused beyond max_cells matrix
-        cells.
+    def iid_extend(self, n: int) -> "Channel":
+        """The n-fold memoryless extension, refused beyond DEFAULT_MAX_CELLS
+        matrix cells.
 
-        Tagged channels keep their tag: outputs are regrouped canonically
-        (additive coordinates first), which only permutes output labels and
-        changes none of the functionals evaluated here.
+        Tagged channels keep their tag, the n-fold noise joint: outputs are
+        regrouped canonically (masked coordinates first), which only permutes
+        output labels and changes none of the functionals evaluated here.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
         cells = self.input_alphabet.size * self.output_alphabet.size
-        capped_power(cells, n, "matrix cells", max_cells)
-        if self.structure is not None:
-            kind, payload = self.structure
+        capped_power(cells, n, "matrix cells")
+        if self.noise is not None:
             mod_n = Module(self.module.q, self.module.n * n)
-            if kind == "additive":
-                from .dists import iid_extend as _iid
-
-                noise_n = _iid(payload, n, max_cells)
-                noise_n = SubDist(Alphabet(mod_n.labels()), noise_n.mass)
-                return Channel.additive(noise_n, mod_n)
-            joint_n = payload.iid_extend(n)
+            joint_n = self.noise.iid_extend(n)
             joint_n = JointDist(
                 Alphabet(mod_n.labels()), joint_n.alphabet_e, joint_n.mass
             )
@@ -782,22 +760,12 @@ def coset_d1_bound(we: Channel, c1: LinearCode, l: int) -> float:
 
 
 def coset_d1_bound_closed(we: Channel, l: int) -> float:
-    """The additive / general-additive closed form of the coset guarantee:
-    3 min over t of |X|^t e^(-(1-t) H~_(1/(1-t))) / L^t, with the conditional
-    version of the entropy for general-additive channels
-    (`side_information_d1_bound`)."""
-    kind = we.structure_kind()
-    if kind == "general_additive":
-        return side_information_d1_bound(we.structure[1], l)
-    if kind != "additive":
+    """The closed form of the coset guarantee for a tagged channel:
+    `side_information_d1_bound` of its noise joint.  For an additive channel
+    this is 3 min over t of |X|^t e^(-(1-t) H~_(1/(1-t))(noise)) / L^t."""
+    if we.noise is None:
         raise ValueError("closed form needs an additive or general-additive tag")
-    nx = we.input_alphabet.size
-    noise = we.structure[1]
-    inner = lambda t: nx**t * np.exp(
-        -(1.0 - t) * renyi_tilde(noise, t / (1.0 - t))
-    )
-    fn = lambda t: -(inner(t) / l**t)
-    return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
+    return side_information_d1_bound(we.noise, l)
 
 
 def side_information_d1_bound(joint: JointDist, l: int) -> float:
@@ -820,7 +788,7 @@ class AdditiveIdentityReport:
     phi_form: float
     closed_form: float
     max_discrepancy: float
-    escort_form: float | None = None  # |X|^t e^(phi of the conditional joint)
+    escort_form: float  # |X|^t e^(phi of the noise joint)
 
 
 def additive_identities(w: Channel, t: float) -> AdditiveIdentityReport:
@@ -828,21 +796,20 @@ def additive_identities(w: Channel, t: float) -> AdditiveIdentityReport:
 
         e^((1-t) psi(t/(1-t))),   e^(phi(t)),   |X|^t e^(-(1-t) H~_(1/(1-t)))
 
-    where for general-additive tags the entropy is the conditional order-
-    (1/(1-t)) form (side-information average taken outside the power).
+    where the entropy is the conditional order-(1/(1-t)) form of the noise
+    joint (side-information average taken outside the power), and the escort
+    combination |X|^t e^(phi of the noise joint) in `escort_form`.
 
-    For plain additive channels the three coincide to working precision.
-    For general-additive channels only the psi expression equals the closed
-    form exactly; the phi expression instead equals the escort combination
-    |X|^t e^(phi of the conditional joint) reported in `escort_form`, and the
-    reverse-Holder comparison makes it strictly smaller whenever the
-    conditional collision sums vary with the side symbol, so the three-way
-    discrepancy is genuinely nonzero there.
+    For additive channels (one side symbol) all four coincide to working
+    precision.  For general-additive channels only the psi expression equals
+    the closed form exactly; the phi expression instead equals the escort
+    form, and the reverse-Holder comparison makes it strictly smaller
+    whenever the conditional collision sums vary with the side symbol, so
+    the three-way discrepancy is genuinely nonzero there.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("t must be in [0, 1)")
-    kind = w.structure_kind()
-    if kind == "generic":
+    if w.noise is None:
         raise ValueError("identities require an additive or general-additive tag")
     p_mix = SubDist.uniform(w.input_alphabet)
     nx = w.input_alphabet.size
@@ -851,17 +818,8 @@ def additive_identities(w: Channel, t: float) -> AdditiveIdentityReport:
     else:
         psi_form = math.exp((1.0 - t) * psi_channel(w, p_mix, t / (1.0 - t)))
     phi_form = math.exp(phi_channel(w, p_mix, t))
-    escort = None
-    if kind == "additive":
-        noise = w.structure[1]
-        # t = 0 means order-1 entropy of a probability vector, which is 0
-        closed = nx**t * math.exp(-(1.0 - t) * renyi_tilde(noise, t / (1.0 - t)))
-    else:
-        joint = w.structure[1]
-        closed = nx**t * math.exp(
-            -(1.0 - t) * cond_renyi_tilde(joint, t / (1.0 - t))
-        )
-        escort = nx**t * math.exp(phi_cond(joint, t))
+    closed = nx**t * math.exp(-(1.0 - t) * cond_renyi_tilde(w.noise, t / (1.0 - t)))
+    escort = nx**t * math.exp(phi_cond(w.noise, t))
     vals = (psi_form, phi_form, closed)
     disc = max(abs(a - b) for a in vals for b in vals)
     return AdditiveIdentityReport(psi_form, phi_form, closed, disc, escort)

@@ -55,6 +55,10 @@ CASES = {
         "simulate", "wiretap", "--wb", _in("wb.json"), "--we", _in("we.json"),
         "--M", "2", "--L", "2",
     ],
+    "wiretap-exact-n3.json": [
+        "simulate", "wiretap", "--wb", _in("wb.json"), "--we", _in("we.json"),
+        "--M", "2", "--L", "2", "--n", "3",
+    ],
     "wiretap-mc.json": [
         "simulate", "wiretap", "--wb", _in("wb.json"), "--we", _in("we.json"),
         "--M", "2", "--L", "2", "--mode", "mc", "--samples", "200", "--seed", "3",

@@ -13,7 +13,7 @@ from secexp.dists import (
     range_alphabet,
     renyi_tilde,
 )
-from secexp.exponents import phi_cond
+from secexp.exponents import maximize_on_interval, phi_cond
 from secexp.figures import (
     example_channel,
     example_channel_reported_info,
@@ -83,9 +83,12 @@ class TestChannel:
 
     def test_iid_extension_additive_matches_kron(self):
         w = bsc(0.1)
-        ext = w.iid_extend(2)
-        assert ext.structure_kind() == "additive"
-        np.testing.assert_allclose(ext.matrix, np.kron(w.matrix, w.matrix), atol=1e-15)
+        kron = w.matrix
+        for n in (2, 3):
+            kron = np.kron(kron, w.matrix)
+            ext = w.iid_extend(n)
+            assert ext.structure_kind() == "additive"
+            assert np.array_equal(ext.matrix, kron)
 
     def test_iid_extension_general_additive_preserves_phi(self):
         j = JointDist(range_alphabet(2), Alphabet(("u", "v")), [[0.4, 0.1], [0.2, 0.3]])
@@ -177,6 +180,20 @@ class TestChannelTables:
             Channel.general_additive(joint, mod).matrix,
             _loop_general_additive(joint.mass, mod),
         )
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_additive_is_general_additive_with_one_side_symbol(self, q):
+        mod = Module(q, 1)
+        mass = np.random.default_rng(q).random(mod.size)
+        noise = SubDist(Alphabet(mod.labels()), mass / mass.sum())
+        w = Channel.additive(noise, mod)
+        one_column = JointDist(noise.alphabet, Alphabet(("e",)), noise.mass[:, None])
+        g = Channel.general_additive(one_column, mod)
+        assert np.array_equal(w.matrix, g.matrix)
+        assert (w.input_alphabet, w.output_alphabet) == (g.input_alphabet, g.output_alphabet)
+        assert w.output_alphabet.symbols == mod.labels()
+        assert w.structure_kind() == g.structure_kind() == "additive"
+        assert w.verify_structure() == g.verify_structure() == 0.0
 
     def test_matrices_past_the_cell_cap_are_refused(self):
         mod = Module(2, 10)
@@ -855,6 +872,42 @@ class TestCosetParity:
         monkeypatch.setattr(hashing, "BLOCK_CELLS", 40)
         assert coset_ensemble_d1(c1, 2, we).value == whole
         assert condition4_report(c1, 2) == whole_rep
+
+
+def _renyi_closed_form(noise: SubDist, t: float) -> float:
+    """|X|^t e^(-(1-t) H~_(1/(1-t))(noise)): the unconditional closed form of
+    an additive channel."""
+    return noise.alphabet.size**t * np.exp(-(1.0 - t) * renyi_tilde(noise, t / (1.0 - t)))
+
+
+def _additive_noises():
+    rng = np.random.default_rng(16)
+    for q in (2, 3, 4):
+        for _ in range(3):
+            mass = rng.random(q)
+            yield SubDist(range_alphabet(q), mass / mass.sum())
+    yield SubDist(range_alphabet(2), [1.0, 0.0])
+
+
+class TestAdditiveClosedForms:
+    """A plain additive channel's closed forms, read off its one-column noise
+    joint, equal the unconditional Renyi expressions."""
+
+    @pytest.mark.parametrize("l", [2, 3, 5])
+    def test_coset_bound_matches_renyi_form(self, l):
+        for noise in _additive_noises():
+            we = Channel.additive(noise, Module(noise.alphabet.size, 1))
+            fn = lambda t: -(_renyi_closed_form(noise, t) / l**t)
+            reference = -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
+            assert coset_d1_bound_closed(we, l) == pytest.approx(reference, abs=1e-12)
+
+    def test_identities_match_renyi_form_and_escort(self):
+        for noise in _additive_noises():
+            w = Channel.additive(noise, Module(noise.alphabet.size, 1))
+            for t in (0.0, 0.25, 0.5, 0.75):
+                rep = additive_identities(w, t)
+                assert rep.closed_form == pytest.approx(_renyi_closed_form(noise, t), abs=1e-12)
+                assert rep.escort_form == pytest.approx(rep.phi_form, abs=1e-12)
 
 
 class TestAdditiveIdentities:
