@@ -21,7 +21,7 @@ from .dists import (
     conditional_shannon_entropy,
 )
 from .exponents import maximize_on_interval, phi_cond
-from .gf import Module
+from .gf import Module, combination_indices
 from .hashing import HashFamily, fit_toeplitz
 from .wiretap import Channel, wiretap_ensemble
 from .wiretap import side_information_d1_bound as distillation_d1_bound
@@ -72,9 +72,12 @@ class CorrelationTriple:
 
 
 def _negated_joint(j: JointDist, module: Module) -> JointDist:
-    """Permute the first axis by group negation (identity in characteristic 2)."""
-    perm = [module.neg_idx(i) for i in range(module.size)]
-    return JointDist(j.alphabet_a, j.alphabet_e, j.mass[perm, :])
+    """Permute the first axis by group negation (identity in characteristic 2):
+    -x is x's digits over F_p combining the negated unit vectors, so no
+    |X| x |X| table is built before the channel's size is checked."""
+    p, n = module.field.prime, module.n * module.field.degree
+    neg = combination_indices(-np.eye(n, dtype=np.int64)[None] % p, p)[0]
+    return JointDist(j.alphabet_a, j.alphabet_e, j.mass[neg, :])
 
 
 def channels_from_joint(tri: CorrelationTriple) -> tuple[Channel, Channel]:

@@ -20,12 +20,14 @@ import numpy as np
 
 from .dists import (
     Alphabet,
+    SizeLimitError,
     SubDist,
     renyi_tilde,
     renyi_tilde_derivative,
     shannon_entropy,
 )
 from .exponents import (
+    GRID_INTERVALS,
     cramer_exponent_restricted,
     critical_rate,
     holenstein_renner_exponents,
@@ -52,6 +54,9 @@ BERN_P = 0.2
 EXAMPLE_A = 0.05
 SPECIALIZED_R = 0.3
 SPECIALIZED_N_STEP = 20
+# Figures 2-4 solve every sweep point in one optimizer call, whose order
+# grid holds (GRID_INTERVALS + 1) x points cells: at most 1,023 points.
+MAX_SWEEP_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -168,14 +173,12 @@ def _figure6(points: int) -> FigureData:
 
 def figure_sweep(figure_id: int, points: int = 50) -> FigureData:
     """Sweep the comparison curves for one of the reference figures (2, 3, 4, 6)."""
+    sweeps = {2: _figure2, 3: _figure3, 4: _figure4, 6: _figure6}
+    if figure_id not in sweeps:
+        raise ValueError(f"unknown figure id {figure_id}")
     if points < 2:
         raise ValueError("need at least 2 sweep points")
-    if figure_id == 2:
-        return _figure2(points)
-    if figure_id == 3:
-        return _figure3(points)
-    if figure_id == 4:
-        return _figure4(points)
-    if figure_id == 6:
-        return _figure6(points)
-    raise ValueError(f"unknown figure id {figure_id}")
+    if figure_id != 6 and (GRID_INTERVALS + 1) * points > MAX_SWEEP_CELLS:
+        raise SizeLimitError(f"{points} sweep points x {GRID_INTERVALS + 1} orders exceed "
+                             f"the cap of {MAX_SWEEP_CELLS} grid cells")
+    return sweeps[figure_id](points)

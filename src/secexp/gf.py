@@ -7,6 +7,8 @@ fields are ever needed: sizes over 2^20 raise `SizeLimitError` up front.
 
 GF(4) is represented on {0, 1, 2, 3} with 2 = x and 3 = x + 1 in
 GF(2)[x]/(x^2 + x + 1); addition is XOR of the 2-bit representations.
+`combination_indices` lists the F_p-linear combinations of generator rows:
+linear codes, the module's difference table and linear hash maps.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import capped_power
+from .dists import Alphabet, capped_power, product_alphabet
 
-__all__ = ["Field", "Module", "is_prime"]
+__all__ = ["Field", "Module", "combination_indices", "is_prime"]
 
 # Multiplication table for GF(4) on {0, 1, x, x+1}.
 _GF4_MUL = np.array(
@@ -53,10 +55,6 @@ class Field:
         capped_power(self.q, 1, "field elements")
         if not (is_prime(self.q) or self.q == 4):
             raise ValueError(f"unsupported field size {self.q}: need a prime or 4")
-
-    @property
-    def char2(self) -> bool:
-        return self.q in (2, 4)
 
     def add(self, a: int, b: int) -> int:
         if self.q == 4:
@@ -158,22 +156,43 @@ class Module:
         )
 
     def sub_table(self) -> np.ndarray:
-        """The difference table: entry [i, j] is the index of i - j."""
-        idx = np.arange(self.size, dtype=np.int64)
-        if self.field.char2:
-            # digitwise XOR on base-2 or base-4 digits is XOR of the indices
-            return idx[:, None] ^ idx[None, :]
-        table = np.zeros((self.size, self.size), dtype=np.int64)
-        for place in self.q ** np.arange(self.n, dtype=np.int64):
-            d = idx // place % self.q
-            table += (d[:, None] - d[None, :]) % self.q * place
-        return table
+        """The difference table: entry [i, j] is the index of i - j, the
+        combination over F_p of the unit vectors with i's digits and of
+        their negatives with j's."""
+        p, n = self.field.prime, self.n * self.field.degree
+        units = np.eye(n, dtype=np.int64)
+        gens = np.concatenate([units, -units % p])[None]
+        return combination_indices(gens, p)[0].reshape(self.size, self.size)
 
     def neg_idx(self, i: int) -> int:
         f = self.field
         return self.index(f.neg(a) for a in self.digits(i))
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(
-            "".join(str(d) for d in self.digits(i)) for i in range(self.size)
-        )
+        """The symbols' digit strings in index order, as `product_alphabet`
+        labels them: joined by "|" once q > 10, so they stay distinct."""
+        digits = Alphabet(tuple(str(d) for d in range(self.q)))
+        return product_alphabet(digits, self.n).symbols
+
+
+def combination_indices(gens: np.ndarray, p: int) -> np.ndarray:
+    """(count x p^r) indices over F_p^n of sum_i c_i gens[:, i] for every
+    c in F_p^r (big-endian order), from a (count x r x n) block of digits.
+
+    Built by linearity, one generator at a time, each new one the leading
+    digit of c: for p = 2 on the indices, where adding is XOR, otherwise on
+    small unsigned digits, one plane per coordinate, where a sum d >= p
+    becomes d - p, the minimum of d and d - p (which wraps above d < p)."""
+    count, r, n = gens.shape
+    if p == 2:
+        out = np.zeros((count, 1), dtype=np.int64)
+        for row in (gens @ (1 << np.arange(n - 1, -1, -1))).T[::-1]:
+            out = np.concatenate([out, out ^ row[:, None]], axis=1)
+        return out
+    small = np.min_scalar_type(2 * p)
+    digits = np.zeros((n, count, 1), dtype=small)
+    for i in reversed(range(r)):
+        multiples = (gens[:, i].T[:, :, None] * np.arange(p) % p).astype(small)  # n x count x p
+        sums = multiples[:, :, :, None] + digits[:, :, None, :]
+        digits = np.minimum(sums, sums - small.type(p)).reshape(n, count, -1)
+    return np.einsum("i,ijk->jk", p ** np.arange(n - 1, -1, -1, dtype=np.int64), digits)

@@ -44,7 +44,7 @@ from .dists import (
     capped_power,
     product_alphabet,
 )
-from .gf import Field
+from .gf import Field, combination_indices
 
 __all__ = [
     "HashFamily",
@@ -201,7 +201,7 @@ class LinearFamily(HashFamily):
     def maps_of(self, seeds: np.ndarray) -> np.ndarray:
         """Seed A sends the symbol of digits x to A x, a combination of A's columns."""
         columns = self.matrices(seeds).transpose(0, 2, 1)
-        return _combination_indices(columns, self.field.prime) + 1
+        return combination_indices(columns, self.field.prime) + 1
 
     def pushforward_blocks(self, weights, seeds: np.ndarray | None = None):
         """As `HashFamily.pushforward_blocks`, by the character transform.
@@ -218,7 +218,7 @@ class LinearFamily(HashFamily):
         side_shape = w.shape[1:]
         spec = _character_transform(w.reshape(len(w), -1).T, p, -1)  # side x p^n
         for block in self.seed_blocks(seeds, self.output_size * max(n, len(spec))):
-            picked = spec[:, _combination_indices(self.matrices(block), p)]
+            picked = spec[:, combination_indices(self.matrices(block), p)]
             hists = _character_transform(picked, p, 1).real / self.output_size
             yield np.moveaxis(hists, 0, -1).reshape((len(block), self.output_size) + side_shape)
 
@@ -235,31 +235,8 @@ class LinearFamily(HashFamily):
             x = self.matrices(block)[:, :, :r]
             eye = np.broadcast_to(np.eye(r, dtype=np.int64), (len(block), r, r))
             gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
-            counts += np.bincount(_combination_indices(gens, p).ravel(), minlength=p**n)
+            counts += np.bincount(combination_indices(gens, p).ravel(), minlength=p**n)
         return counts
-
-
-def _combination_indices(gens: np.ndarray, p: int) -> np.ndarray:
-    """(count x p^r) indices over F_p^n of sum_i c_i gens[:, i] for every
-    c in F_p^r (big-endian order), from a (count x r x n) block of digits.
-
-    Built by linearity, one generator at a time, each new one the leading
-    digit of c: for p = 2 on the indices, where adding is XOR, otherwise on
-    small unsigned digits, one plane per coordinate, where a sum d >= p
-    becomes d - p, the minimum of d and d - p (which wraps above d < p)."""
-    count, r, n = gens.shape
-    if p == 2:
-        out = np.zeros((count, 1), dtype=np.int64)
-        for row in (gens @ (1 << np.arange(n - 1, -1, -1))).T[::-1]:
-            out = np.concatenate([out, out ^ row[:, None]], axis=1)
-        return out
-    small = np.min_scalar_type(2 * p)
-    digits = np.zeros((n, count, 1), dtype=small)
-    for i in reversed(range(r)):
-        multiples = (gens[:, i].T[:, :, None] * np.arange(p) % p).astype(small)  # n x count x p
-        sums = multiples[:, :, :, None] + digits[:, :, None, :]
-        digits = np.minimum(sums, sums - small.type(p)).reshape(n, count, -1)
-    return np.einsum("i,ijk->jk", p ** np.arange(n - 1, -1, -1, dtype=np.int64), digits)
 
 
 # Most elements in one dense step of `_character_transform`: a step is then a

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import JointDist, SizeLimitError, SubDist, capped_power, fsum_groups, fsum_rows, range_alphabet
-from .hashing import FullyRandomFamily, HashFamily, LinearFamily
+from .hashing import ENUMERATION_LIMIT, FullyRandomFamily, HashFamily, LinearFamily, NonEnumerableError
 
 __all__ = [
     "EnsembleEstimate",
@@ -138,21 +138,20 @@ def d1_conditional_prime(j: JointDist, f, m: int) -> float:
     return _l1_rows(hashed.mass[None], ref)[0]
 
 
-def _require_exact(fam: HashFamily, side: int):
-    """Refuse an exact seed route past its cap, or past the enumeration limit."""
+def _require_work(fam: HashFamily, side: int, seeds: int):
+    """Refuse a seed route past its cap or past ENUMERATION_LIMIT seeds, for
+    every seed in exact mode and for the sampled ones in Monte Carlo mode."""
+    size = fam.input_alphabet.size
     if isinstance(fam, LinearFamily):
         e = fam.field.degree
-        n, rows = fam.k * e, fam.m * e
-        units = (n * fam.input_alphabet.size + fam.seed_count * fam.output_size * rows) * side
+        units = (fam.k * e * size + seeds * fam.output_size * fam.m * e) * side
         what, cap = "transform units", TRANSFORM_LIMIT
     else:
-        units = fam.seed_count * fam.input_alphabet.size * side
-        what, cap = "map cells", MAPS_LIMIT
+        units, what, cap = seeds * size * side, "map cells", MAPS_LIMIT
     if units > cap:
-        raise SizeLimitError(
-            f"exact mode would take {units} {what}, over the cap {cap}; use Monte Carlo mode"
-        )
-    fam.require_enumerable()
+        raise SizeLimitError(f"{seeds} seeds would take {units} {what}, over the cap {cap}")
+    if seeds > ENUMERATION_LIMIT:
+        raise NonEnumerableError(f"{seeds} seeds exceed enumeration limit {ENUMERATION_LIMIT}")
 
 
 def _subset_law(fam: FullyRandomFamily, weights, terms, empty: float) -> float:
@@ -189,13 +188,15 @@ def _ensemble(
     if mode == "exact" and isinstance(fam, FullyRandomFamily):
         value = _subset_law(fam, weights, terms, empty)
         return EnsembleEstimate(value=value, stderr=None, mode="exact")
+    side = int(np.prod(np.shape(weights)[1:]))
     if mode == "exact":
-        _require_exact(fam, int(np.prod(np.shape(weights)[1:])))
+        _require_work(fam, side, fam.seed_count)
         values = (v for rows in fam.pushforward_blocks(weights) for v in values_of(rows))
         return EnsembleEstimate(
             value=math.fsum(values) / fam.seed_count, stderr=None, mode="exact"
         )
     if mode == "mc":
+        _require_work(fam, side, n_samples)
         rng = np.random.default_rng(seed)
         seeds = np.array([fam.sample_seed(rng) for _ in range(n_samples)])
         return EnsembleEstimate.from_samples(
@@ -280,14 +281,18 @@ def subset_lower_bound(p: SubDist, m: int, omega) -> float:
 
 
 def best_subset_lower_bound(p: SubDist, m: int) -> tuple[float, tuple[str, ...]]:
-    """Maximize the subset bound; the best size-k subset takes the k heaviest atoms."""
+    """Maximize the subset bound; the best size-k subset takes the k heaviest
+    atoms.  One pass over k: P(omega) is the exact prefix sum of the top-k
+    masses as an integer over 2^1074 (every float is a multiple of 2^-1074),
+    which int / int rounds once, as `math.fsum` does."""
     order = np.argsort(-p.mass, kind="stable")
-    best = 0.0
-    best_omega: tuple[str, ...] = ()
-    for k in range(min(m - 1, p.alphabet.size) + 1):
-        idx = order[:k]
-        val = subset_lower_bound(p, m, idx.tolist())
+    heaviest = p.mass[order[: min(m - 1, p.alphabet.size)]].tolist()
+    best, best_k, total = 0.0, 0, 0
+    for k, x in enumerate(heaviest, 1):
+        num, den = x.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+        frac = 1.0 - k / m
+        val = frac * frac * (total / (1 << 1074))
         if val > best:
-            best = val
-            best_omega = tuple(p.alphabet.symbols[i] for i in idx)
-    return best, best_omega
+            best, best_k = val, k
+    return best, tuple(p.alphabet.symbols[i] for i in order[:best_k])

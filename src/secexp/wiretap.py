@@ -38,7 +38,7 @@ from .dists import (
     range_alphabet,
 )
 from .exponents import cond_renyi_tilde, maximize_on_interval, maximize_over_rates, phi_cond
-from .gf import Module
+from .gf import Module, combination_indices
 from .hashing import HashFamily, ToeplitzFamily, check_balanced, check_universal2
 from .privacy import EnsembleEstimate, expected_d1_conditional
 
@@ -81,13 +81,6 @@ __all__ = [
 ENSEMBLE_COMBO_LIMIT = 1 << 20
 # Float slack of markov_select's twice-the-average tests.
 MARKOV_SLACK = 1e-12
-
-
-def _refuse_matrix_cells(cells: int):
-    """SizeLimitError for a channel matrix past DEFAULT_MAX_CELLS, before it
-    or its |X| x |X| difference table is built."""
-    if cells > DEFAULT_MAX_CELLS:
-        raise SizeLimitError(f"{cells} matrix cells exceed cap {DEFAULT_MAX_CELLS}")
 
 
 class Channel:
@@ -153,7 +146,8 @@ class Channel:
             raise ValueError("noise alphabet must match the module size")
         nx = module.size
         nz2 = joint.alphabet_e.size
-        _refuse_matrix_cells(nx * nx * nz2)
+        if nx * nx * nz2 > DEFAULT_MAX_CELLS:  # before the matrix or its difference table
+            raise SizeLimitError(f"{nx * nx * nz2} matrix cells exceed cap {DEFAULT_MAX_CELLS}")
         in_alph = Alphabet(module.labels())
         pairs = (f"{z},{z2}" for z in in_alph.symbols for z2 in joint.alphabet_e.symbols)
         out_alph = in_alph if nz2 == 1 else Alphabet(tuple(pairs))
@@ -426,8 +420,7 @@ def _block_pairs(m: int, l: int, wb: Channel, we: Channel) -> int:
 def _codebook_digits(codes: np.ndarray, nx: int, ml: int) -> np.ndarray:
     """Codebook number c as its ML base-|X| digits, most significant first,
     so that consecutive numbers follow itertools.product order."""
-    powers = nx ** np.arange(ml - 1, -1, -1, dtype=np.int64)
-    return (codes[:, None] // powers) % nx
+    return np.stack(np.unravel_index(codes, (nx,) * ml), axis=1)
 
 
 @dataclass(frozen=True)
@@ -557,26 +550,25 @@ def wiretap_ensemble_mc(
     """Monte Carlo estimates of the ensemble averages of eps and d1, each
     with its standard error.
 
-    Each sample draws a codebook, then a seed, from one random stream; the
-    drawn codes are evaluated together afterwards."""
+    Each sample draws a codebook, then a seed, from one random stream and is
+    one (codebook, seed) entry of the exact ensemble, so at most
+    ENSEMBLE_COMBO_LIMIT samples are taken; the drawn codes are evaluated a
+    kernel block at a time."""
+    if n_samples > ENSEMBLE_COMBO_LIMIT:
+        raise SizeLimitError(f"{n_samples} samples exceed the cap of {ENSEMBLE_COMBO_LIMIT} entries")
     _require_conditions(p, m, l, fam)
     if n_samples < 2:
         raise ValueError("Monte Carlo mode needs at least 2 samples")
     ml = m * l
     rng = np.random.default_rng(seed)
-    codebooks = np.empty((n_samples, ml), dtype=np.int64)
-    seeds = []
-    for k in range(n_samples):
-        codebooks[k], s = _draw(p, ml, fam, rng)
-        seeds.append(s)
-    maps = fam.maps_of(np.array(seeds))
     eps_vals = np.empty(n_samples)
     d1_vals = np.empty(n_samples)
     step = _block_pairs(m, l, wb, we)
     for start in range(0, n_samples, step):
-        block = slice(start, start + step)
+        block = slice(start, min(start + step, n_samples))
+        codebooks, seeds = zip(*(_draw(p, ml, fam, rng) for _ in range(block.start, block.stop)))
         eps_vals[block], d1_vals[block] = _pair_metrics(
-            codebooks[block], maps[block], m, l, wb, we
+            np.array(codebooks), fam.maps_of(np.array(seeds)), m, l, wb, we
         )
     return (
         EnsembleEstimate.from_samples(eps_vals.tolist()),
@@ -677,14 +669,13 @@ class LinearCode:
                 raise ValueError("generator length must match the module")
             if any(not 0 <= d < module.q for d in g):
                 raise ValueError("generator digit out of range")
-        q = module.q
-        add, mul = module.field.tables()
-        # one row of codeword digits per message, the last generator's
-        # coefficient varying fastest
-        digits = np.zeros((1, module.n), dtype=np.int64)
-        for g in gens:
-            digits = add[digits[:, None, :], mul[:, g]].reshape(-1, module.n)
-        words = digits @ q ** np.arange(module.n - 1, -1, -1, dtype=np.int64)
+        # over F_p, with q = p^e, g becomes the e generators x^(e-1) g, .., g
+        # (the column of each digit's matrix for that basis element), the
+        # last generator's last digit varying fastest
+        f, e = module.field, module.field.degree
+        x = f.digit_matrices()[np.array(gens, dtype=np.int64).reshape(len(gens), module.n)]
+        rows = x.transpose(0, 3, 1, 2).reshape(len(gens) * e, module.n * e)
+        words = combination_indices(rows[None], f.prime)[0]
         if np.unique(words).size != words.size:
             raise ValueError("generators are not linearly independent")
         self.module = module
@@ -714,11 +705,10 @@ def condition4_report(c1: LinearCode, m: int, tol: float = 1e-12) -> Condition4R
 
     A seed's subcode C2 is the kernel of its map on the messages, the
     messages it sends to output 1, so the frequencies are the family's
-    kernel counts; the zero message is always there."""
-    fam = ToeplitzFamily(c1.module.q, c1.k, m)
-    worst = float(fam.kernel_counts()[1:].max()) / fam.seed_count
-    bound = 1.0 / fam.output_size
-    return Condition4Report(passed=worst <= bound + tol, max_membership=worst, bound=bound)
+    kernel counts, the collision counts of `check_universal2`; the zero
+    message is always there."""
+    rep = check_universal2(ToeplitzFamily(c1.module.q, c1.k, m), tol)
+    return Condition4Report(rep.passed, rep.max_collision, rep.bound)
 
 
 def coset_code(c1: LinearCode, f_map, wb: Channel) -> WiretapCode:

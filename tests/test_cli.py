@@ -308,6 +308,21 @@ class TestSimulateWiretap:
         assert res.exit_code == 2
         assert "--n must be at least 1" in res.output
 
+    def test_additive_channel_past_ten_field_elements(self, runner, tmp_path):
+        # the module labels of F_13^2 join digits by "|": unjoined, the
+        # digits (1, 12) and (11, 2) both read "112"
+        weights = [i % 7 + 1 for i in range(169)]
+        noise = {"alphabet": [f"z{i}" for i in range(169)],
+                 "mass": [w / sum(weights) for w in weights]}
+        w = _additive_channel(tmp_path, {"q": 13, "n": 2}, noise=noise)
+        res = runner.invoke(
+            cli,
+            ["simulate", "wiretap", "--wb", w, "--we", w, "--M", "13", "--L", "13",
+             "--q", "13", "--mode", "mc", "--samples", "20"],
+        )
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["mode"] == "mc"
+
 
 class TestExtensionCap:
     def test_hash_check_alphabet_over_cap(self, runner):
@@ -364,6 +379,16 @@ _OVERSIZED = {
                   "--M", "2", "--L", "2"],
     "channel-cells": ["simulate", "wiretap", "--wb", "{cells}", "--we", "{cells}",
                       "--M", "2", "--L", "2", "--mode", "mc"],
+    "figure-points": ["figure", "--id", "2", "--points", "1000000"],
+    "pa-samples": ["simulate", "pa", "--dist", "{skew3}", "--M", "2", "--mode", "mc",
+                   "--samples", "1000000000000"],
+    "pa-samples-toeplitz": ["simulate", "pa", "--dist", "{src8}", "--family", "toeplitz",
+                            "--q", "2", "--k", "3", "--m", "1", "--mode", "mc",
+                            "--samples", "100000000"],
+    "wiretap-samples": ["simulate", "wiretap", "--wb", "{wb}", "--we", "{we}", "--M", "2",
+                        "--L", "2", "--mode", "mc", "--samples", "100000000"],
+    "distill-samples": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
+                        "--mode", "mc", "--samples", "100000000"],
 }
 
 _RUN_TIMED = """
@@ -386,6 +411,9 @@ class TestOversizedInputs:
             "pab": str(inputs / "pab.json"),
             "pae": str(inputs / "pae.json"),
             "skew3": str(inputs / "skew3.json"),
+            "src8": str(inputs / "src8.json"),
+            "wb": str(inputs / "wb.json"),
+            "we": str(inputs / "we.json"),
             "one": _one_symbol(tmp_path),
             "big_q": _additive_channel(tmp_path, {"q": 1000000000000000003, "n": 1}, "q.json"),
             "big_n": _additive_channel(tmp_path, {"q": 3, "n": 100000000}, "n.json"),

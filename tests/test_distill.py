@@ -11,6 +11,7 @@ from secexp.dists import (
 )
 from secexp.distill import (
     CorrelationTriple,
+    _negated_joint,
     channels_from_joint,
     distillation_d1_bound,
     distillation_error_bound,
@@ -99,6 +100,15 @@ class TestReducedChannels:
         np.testing.assert_allclose(wb.matrix[0], [p[0, 0], p[0, 1], p[1, 0], p[1, 1]])
         # x = 1: x - x' flips
         np.testing.assert_allclose(wb.matrix[1], [p[1, 0], p[1, 1], p[0, 0], p[0, 1]])
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_negation_is_the_neg_idx_permutation(self, q, n):
+        mod = Module(q, n)
+        mass = np.random.default_rng(10 * q + n).random((mod.size, 2))
+        j = JointDist(Alphabet(mod.labels()), Alphabet(("u", "v")), mass / mass.sum())
+        perm = [mod.neg_idx(i) for i in range(mod.size)]
+        assert np.array_equal(_negated_joint(j, mod).mass, j.mass[perm])
 
     def test_perfect_correlation_noiseless_up_to_masking(self):
         wb, _ = channels_from_joint(triple_perfect())

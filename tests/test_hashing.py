@@ -77,6 +77,15 @@ class TestModule:
             assert mod.sub_idx(mod.add_idx(i, 5), 5) == i
             assert mod.add_idx(i, mod.neg_idx(i)) == 0
 
+    @pytest.mark.parametrize("q", [2, 3, 11, 13])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_labels_are_the_toeplitz_input_labels(self, q, n):
+        # past q = 10 the digits are joined by "|", so (1, 12) and (11, 2)
+        # stay apart
+        labels = Module(q, n).labels()
+        assert labels == ToeplitzFamily(q, n, 1).input_alphabet.symbols
+        assert len(set(labels)) == q**n
+
 
 class TestFullyRandomEval:
     def test_seed_listing_lookup(self):

@@ -216,6 +216,32 @@ class TestSubsetLowerBound:
                     for omega in itertools.combinations(range(n), k):
                         assert exact >= subset_lower_bound(p, m, omega) - 1e-12
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "tiny"])
+    def test_best_subset_is_the_per_k_loop(self, kind):
+        # the one-pass prefix sums give the per-k fsum loop's value and
+        # subset bit for bit, ties to the first strict maximum
+        def per_k(p, m):
+            order = np.argsort(-p.mass, kind="stable")
+            best, omega = 0.0, ()
+            for k in range(min(m - 1, p.alphabet.size) + 1):
+                val = subset_lower_bound(p, m, order[:k].tolist())
+                if val > best:
+                    best, omega = val, tuple(p.alphabet.symbols[i] for i in order[:k])
+            return best, omega
+
+        rng = np.random.default_rng(["random", "tied", "tiny"].index(kind))
+        for _ in range(40):
+            size = int(rng.integers(1, 50))
+            if kind == "random":
+                p = random_subdist(rng, size)
+            else:
+                tied = rng.integers(1, 4, size) / size / 3.0
+                tiny = np.exp(-745.0 * rng.random(size)) / size  # down to subnormals
+                symbols = tuple(f"x{i}" for i in range(size))
+                p = SubDist(Alphabet(symbols), tied if kind == "tied" else tiny)
+            for m in (1, 2, 3, size, size + 4, 10**30):
+                assert best_subset_lower_bound(p, m) == per_k(p, m)
+
     def test_best_subset_matches_exhaustive(self):
         p = skew3()
         best, omega = best_subset_lower_bound(p, 3)

@@ -676,7 +676,7 @@ class TestLinearCosetCodes:
         with pytest.raises(ValueError):
             LinearCode(Module(2, 2), [(1, 1), (1, 1)])
 
-    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_codewords_match_scalar_field_loop(self, q):
         rng = np.random.default_rng(q)
         for n, k in ((1, 1), (3, 2), (4, 3), (3, 3)):
