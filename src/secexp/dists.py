@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -395,14 +396,133 @@ def log_fsum_by_order(s, terms, cells: int):
     building at most `cells` cells per order; each row is summed by
     `fsum_rows`.  Blocks hold at most BLOCK_CELLS / 8 cells, or one order,
     which bounds the summands and the kernel's temporaries.
+
+    Contract: the exact value F(o) = log sum of the terms is convex in the
+    order o.  Every caller's is: a log-sum of exp-affine terms (`renyi_tilde`,
+    `cond_renyi_tilde`, `psi_channel`), or of perspectives (1-t) h(1/(1-t))
+    of convex log-sums h (`phi_cond`, `phi_channel`).  Inside `screening`,
+    a call on the screen's number of orders with at least _KERNEL_MIN_ROW
+    cells sums one order in the screen's stride exactly and returns a side
+    of the bracket `_convex_bracket` builds from them, widened by its
+    derived rounding margin, instead of the exact values (see `_Screen`).
     """
     orders = np.asarray(s, dtype=float)
+    flat = orders.reshape(-1)
+    if _screen is not None and flat.size == _screen.points and cells >= _KERNEL_MIN_ROW:
+        logs = _screen.serve(flat, terms, cells)
+    else:
+        logs = _log_fsums(flat, terms, cells)
+    return float(logs[0]) if orders.ndim == 0 else logs.reshape(orders.shape)
+
+
+def _log_fsums(orders: np.ndarray, terms, cells: int) -> np.ndarray:
+    """The exact path of `log_fsum_by_order` on a 1-D array of orders."""
     step = max(1, BLOCK_CELLS // (8 * max(cells, 1)))
     sums = []
     for lo in range(0, orders.size, step):
-        sums.extend(fsum_rows(terms(orders.reshape(-1)[lo : lo + step])))
-    logs = list(map(math.log, sums))
-    return logs[0] if orders.ndim == 0 else np.array(logs).reshape(orders.shape)
+        sums.extend(fsum_rows(terms(orders[lo : lo + step])))
+    return np.array(list(map(math.log, sums)))
+
+
+# Below this lower bound a log-sum may hold summands that underflowed and
+# were then raised to a power under 1, an error the bracket's margin does not
+# cover; such grids are summed exactly.
+_SCREEN_FLOOR = -300.0
+
+
+def _convex_bracket(orders: np.ndarray, knots: np.ndarray, f: np.ndarray, cells: int):
+    """(lower, upper) bounds on the exact-path logs at every order, from their
+    values f at the knot indices (0, the stride's multiples, the last), for a
+    log-sum F convex in the order; None if they cannot be trusted.
+
+    The exact path's value G differs from F by at most delta.  A summand is
+    a chain of a few correctly rounded or libm operations: an inner numpy sum
+    of at most `cells` terms raised to an outer power of at most 2 (relative
+    error 2 cells u, u = 2^-53), the rounding of each power's exponent
+    (2u |e log x| <= 1490u while the power is nonzero), and a few ulps for
+    the powers and products; fsum adds u and math.log 2u |F|.  So
+    |G - F| <= 4.1 (cells + 1024) u + 2u |F|, which delta doubles.  Between
+    knots a and b, F lies below its chord and above both neighbouring
+    secants extended, so with those taken through the knots' G:
+    G <= chord + 2 delta, and G >= secant - (2 + 2r) delta, where r is the
+    distance from the secant's near knot over its span (the secant's ends
+    move by delta each).  One more delta (times 1 + r) covers the rounding
+    of the chord and secant arithmetic.  Orders that are not strictly
+    monotone, values that are not finite, fewer than three knots, or a lower
+    bound under _SCREEN_FLOOR (where summands may have underflowed) give None.
+    """
+    steps = np.diff(orders)
+    if len(knots) < 3 or not (np.isfinite(f).all() and ((steps > 0).all() or (steps < 0).all())):
+        return None
+    u = 2.0**-53
+    delta = 8.0 * (cells + 1024) * u + 16.0 * u * float(np.abs(f).max())
+    x = orders[knots]
+    span = np.diff(x)
+    slope = np.diff(f) / span
+    last = len(knots) - 2
+    seg = np.minimum(np.arange(orders.size) // (knots[1] - knots[0]), last)
+    lead = orders - x[seg]  # from each point's segment start
+    upper = f[seg] + slope[seg] * lead + 3.0 * delta
+    prev, nxt = np.maximum(seg - 1, 0), np.minimum(seg + 1, last)
+    trail = orders - x[nxt]  # from the next segment's start
+    r_prev, r_next = np.abs(lead / span[prev]), np.abs(trail / span[nxt])
+    from_prev = np.where(seg > 0, f[seg] + slope[prev] * lead - (3.0 + 3.0 * r_prev) * delta, -np.inf)
+    from_next = np.where(seg < last, f[nxt] + slope[nxt] * trail - (3.0 + 3.0 * r_next) * delta, -np.inf)
+    lower = np.maximum(from_prev, from_next)
+    lower[knots], upper[knots] = f - 3.0 * delta, f + 3.0 * delta
+    if not lower.min() >= _SCREEN_FLOOR:
+        return None
+    return lower, upper
+
+
+class _Screen:
+    """The state of one screened grid call of the 1-D optimizer.
+
+    The first kernel call on `points` orders of at least _KERNEL_MIN_ROW
+    cells sums only the knots (every `stride`-th order and the last)
+    exactly; if `_convex_bracket` holds there it keeps the bracket and
+    returns its lower side, else it sums the other orders too and returns
+    the exact values.  After `side` is set to 1 (and `calls` to 0) the
+    first such call returns the upper side.  Every later one is summed
+    exactly; `calls` counts them all, so the optimizer can tell an
+    objective that made more than one."""
+
+    def __init__(self, points: int, stride: int):
+        self.points, self.stride = points, stride
+        self.calls, self.side = 0, 0
+        self.bracket = None
+
+    def serve(self, orders: np.ndarray, terms, cells: int) -> np.ndarray:
+        self.calls += 1
+        if self.side == 1 and self.calls == 1:
+            return self.bracket[1]
+        if self.side == 1 or self.calls > 1:
+            return _log_fsums(orders, terms, cells)
+        knots = np.unique(np.append(np.arange(0, orders.size, self.stride), orders.size - 1))
+        at_knots = _log_fsums(orders[knots], terms, cells)
+        bracket = _convex_bracket(orders, knots, at_knots, cells)
+        if bracket is not None:
+            self.bracket = bracket
+            return bracket[0]
+        logs = np.empty(orders.size)
+        rest = np.setdiff1d(np.arange(orders.size), knots)
+        logs[knots], logs[rest] = at_knots, _log_fsums(orders[rest], terms, cells)
+        return logs
+
+
+_screen: _Screen | None = None
+
+
+@contextmanager
+def screening(points: int, stride: int):
+    """Screen the kernel calls on `points` orders made inside the block (see
+    `_Screen`); yields the screen."""
+    global _screen
+    outer, _screen = _screen, _Screen(points, stride)
+    try:
+        yield _screen
+    finally:
+        _screen = outer
 
 
 def renyi_tilde(p: SubDist, s):

@@ -9,11 +9,16 @@ phi functional.  Everything is in nats.
 1-D optimizations evaluate the objective on a 1024-interval uniform grid in
 one array call, then refine around the best grid point by a golden-section
 search, keeping the grid answer when refinement does not improve on it; so
-objectives and their functionals take arrays of orders.  The exponents that
-the figures sweep (`universal_exponent`, `cramer_exponent_restricted`, and
-`e_phi`, `e_psi`, `psi_pinsker_exponent` in `wiretap`) also take a 1-D array
-of rates: all rates share one grid call of the functional, and every rate's
-bracket is polished in lockstep, one array call per step.
+objectives and their functionals take arrays of orders.  On a functional of
+at least 1024 cells the grid call is screened: the kernel sums one order in
+SCREEN_STRIDE exactly and brackets the rest by convexity, and only the grid
+points whose bracket can hold the maximum are then summed exactly, which
+gives the exhaustive grid's argmax bit for bit (`_grid_argmax`).  The
+exponents that the figures sweep (`universal_exponent`,
+`cramer_exponent_restricted`, and `e_phi`, `e_psi`, `psi_pinsker_exponent`
+in `wiretap`) also take a 1-D array of rates: all rates share one grid call
+of the functional, and every rate's bracket is polished in lockstep, one
+array call per step.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .dists import (
     log_fsum_by_order,
     renyi_tilde,
     renyi_tilde_derivative,
+    screening,
     shannon_entropy,
     tilt,
 )
@@ -57,6 +63,8 @@ __all__ = [
 ]
 
 GRID_INTERVALS = 1024
+# The grid orders the kernel sums exactly under screening: one in this many (see `_grid_argmax`).
+SCREEN_STRIDE = 16
 GOLDEN_TOL = 1e-10
 TILT_CAP = 1e6  # largest tilt order tried before the top-atom branch
 
@@ -104,6 +112,37 @@ def _golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float = GOLDEN_TOL):
     return x, fn(x)
 
 
+def _grid_argmax(fn, grid: np.ndarray) -> np.ndarray:
+    """Each row's first argmax of `fn` over the grid, as the exhaustive grid
+    call gives it, from exact values at few points.
+
+    The grid call runs under `screening`: a functional of at least
+    _KERNEL_MIN_ROW cells sums every SCREEN_STRIDE-th order exactly and
+    returns a side of a convexity bracket in between (`log_fsum_by_order`).
+    Each objective is monotone in its one kernel value, so a second call,
+    served the other side, brackets every objective value of the exhaustive
+    grid.  A row's first argmax is among the points whose bracket reaches the
+    row's best lower end, and one array call evaluates those exactly.  An
+    objective without a screened kernel call has given the exhaustive grid
+    already; one with more than one, or with a value that is not finite,
+    is evaluated on the whole grid again, outside the screen.
+    """
+    k = len(grid)
+    with screening(k, SCREEN_STRIDE) as screen:
+        first = np.asarray(fn(grid), dtype=float).reshape(k, -1)
+        if screen.bracket is None:
+            return np.argmax(first, axis=0)
+        if screen.calls == 1:
+            screen.calls, screen.side = 0, 1
+            second = np.asarray(fn(grid), dtype=float).reshape(k, -1)
+    if screen.calls != 1 or not np.isfinite([first, second]).all():
+        return np.argmax(np.asarray(fn(grid), dtype=float).reshape(k, -1), axis=0)
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    points = np.flatnonzero((high >= low.max(axis=0)).any(axis=1))
+    exact = np.asarray(fn(grid[points]), dtype=float).reshape(len(points), -1)
+    return points[np.argmax(exact, axis=0)]
+
+
 def _maximize_rows(fn, lo: float, hi: float, one: bool, intervals: int, refine: bool):
     """Grid scan plus golden-section polish of B objectives (rows) at once;
     each keeps its grid answer where the polish does not improve it.
@@ -111,14 +150,18 @@ def _maximize_rows(fn, lo: float, hi: float, one: bool, intervals: int, refine: 
     With `one` there is one objective: `fn` gets the grid as a 1-D array,
     then floats.  Otherwise `fn` gets the grid shaped (K, 1) and returns
     (K, B) values, then gets one point per row (B,), or a float for every
-    row.  Each row's best grid point is evaluated again as a float, one call
-    per distinct point, since numpy's power over many orders can differ by
-    an ulp from its one-order paths (exponents 2, 1/2).  Returns the (B,)
-    maximizers and maxima.
+    row.  The grid's argmax is `_grid_argmax`'s: each objective must be
+    monotone in the one kernel value its array call makes on the whole grid.
+    The exhaustive grid is kept when that call has fewer than
+    _KERNEL_MIN_ROW cells or too few orders to screen, and summed again
+    when the objective makes more than one screened kernel call or a value
+    is not finite; the exact path raises what it raised.  Each row's best grid
+    point is evaluated again as a float, one call per distinct point, since
+    numpy's power over many orders can differ by an ulp from its one-order
+    paths (exponents 2, 1/2).  Returns the (B,) maximizers and maxima.
     """
     xs = np.linspace(lo, hi, intervals + 1)
-    grid = np.asarray(fn(xs if one else xs[:, None]), dtype=float)
-    i = np.argmax(grid.reshape(intervals + 1, -1), axis=0)
+    i = _grid_argmax(fn, xs if one else xs[:, None])
     best_x, best_v = xs[i], np.empty(i.size)
     for point in np.unique(i):
         hit = i == point
@@ -183,28 +226,18 @@ def hash_d1_bound_at(p: SubDist, m: int, s):
 
 @dataclass(frozen=True)
 class HashBoundCurve:
-    s_values: np.ndarray
-    values: np.ndarray
+    """The minimum of the per-s hashing bound over s in [0, 1], and its s."""
+
     min_value: float
     argmin_s: float
-    value_s1: float  # the order-2 specialization 3 sqrt(M) e^(-H_2/2)
 
 
-def universal_hash_d1_bound(
-    p: SubDist, m: int, s_grid: np.ndarray | None = None
-) -> HashBoundCurve:
-    """Best hashing bound over s in [0, 1], with the full per-s curve."""
+def universal_hash_d1_bound(p: SubDist, m: int) -> HashBoundCurve:
+    """Best hashing bound over s in [0, 1]."""
     if m < 1:
         raise ValueError("output size must be >= 1")
-    s_grid = np.linspace(0.0, 1.0, 101) if s_grid is None else np.asarray(s_grid, dtype=float)
     s_star, neg_min = maximize_on_interval(lambda s: -hash_d1_bound_at(p, m, s), 0.0, 1.0)
-    return HashBoundCurve(
-        s_values=s_grid,
-        values=hash_d1_bound_at(p, m, s_grid),
-        min_value=-neg_min,
-        argmin_s=s_star,
-        value_s1=hash_d1_bound_at(p, m, 1.0),
-    )
+    return HashBoundCurve(min_value=-neg_min, argmin_s=s_star)
 
 
 def order2_d1_bound(p: SubDist, m: int) -> float:

@@ -344,6 +344,15 @@ class ExplicitFamily(HashFamily):
         return self._maps[np.asarray(seeds, dtype=np.int64)[:, 0]]
 
 
+def _pair_count_cap(fam: HashFamily, width: int):
+    """Refuse pair counts of a family past the enumeration limit, or with
+    one symbol's width x |alphabet| x width counts over DEFAULT_MAX_CELLS."""
+    fam.require_enumerable()
+    n = fam.input_alphabet.size
+    if width * n * width > DEFAULT_MAX_CELLS:
+        raise SizeLimitError(f"{width} x {n} x {width} pair counts exceed {DEFAULT_MAX_CELLS}")
+
+
 def _pair_counts(fam: HashFamily, joint: bool):
     """Exact pair counts of the seed maps, for one tile of symbols at a time.
 
@@ -353,11 +362,9 @@ def _pair_counts(fam: HashFamily, joint: bool):
     counts is the Gram matrix of the one-hot seed maps summed over blocks of
     seeds; a tile holds at most BLOCK_CELLS counts, or one symbol's, and one
     symbol's over DEFAULT_MAX_CELLS is refused."""
-    fam.require_enumerable()
     n, m = fam.input_alphabet.size, fam.output_size
     width = m if joint else 1
-    if width * n * width > DEFAULT_MAX_CELLS:
-        raise SizeLimitError(f"{width} x {n} x {width} pair counts exceed {DEFAULT_MAX_CELLS}")
+    _pair_count_cap(fam, width)
     step = max(1, BLOCK_CELLS // (n * width * width))
     outputs = np.arange(1, m + 1)
     for a0 in range(0, n, step):
@@ -452,19 +459,39 @@ def check_balanced(fam: HashFamily) -> BalancedReport:
     return BalancedReport(True, None, None)
 
 
+def _linear_top_count(fam: LinearFamily) -> float:
+    """The largest pair count of a linear family, from one histogram.
+
+    Every seed sends symbol 0 to output 1, so the seeds with f(0) = 1 and
+    f(b) = v are those with f(b) = v: no pair count exceeds the top entry of
+    the per-symbol output histogram of the maps, and the pairs (0, b) reach
+    it.  Refused past the pair counts' cap."""
+    _pair_count_cap(fam, fam.output_size)
+    hist = sum(map_histograms(maps.T, fam.output_size) for maps in fam.iter_maps())
+    return float(hist[1:].max())
+
+
 def check_strongly_universal2(
     fam: HashFamily, tol: float = 1e-12
 ) -> StronglyUniversal2Report:
-    """Exact check of single-output uniformity and pairwise independence."""
+    """Exact check of single-output uniformity and pairwise independence.
+
+    For a linear family the deviations are those of the pairs (0, b): symbol
+    0's count s against s/M, the top count of `_linear_top_count` against
+    s/M^2 (every other pair deviates less, and (0, b)'s zero counts by
+    s/M^2).  Other families' come from the pair counts."""
     s, m_out = fam.seed_count, fam.output_size
     target_single = s / m_out
     target_pair = s / (m_out * m_out)
     max_single = max_pair = 0.0
-    for a, counts, upper in _pair_counts(fam, joint=True):
-        hist = counts[np.arange(len(a)), :, a, :].diagonal(axis1=1, axis2=2)
-        max_single = max(max_single, float(np.abs(hist - target_single).max()))
-        dev = np.abs(counts - target_pair).max(initial=0.0, where=upper)
-        max_pair = max(max_pair, float(dev))
+    if isinstance(fam, LinearFamily):
+        max_single, max_pair = s - target_single, _linear_top_count(fam) - target_pair
+    else:
+        for a, counts, upper in _pair_counts(fam, joint=True):
+            hist = counts[np.arange(len(a)), :, a, :].diagonal(axis1=1, axis2=2)
+            max_single = max(max_single, float(np.abs(hist - target_single).max()))
+            dev = np.abs(counts - target_pair).max(initial=0.0, where=upper)
+            max_pair = max(max_pair, float(dev))
     max_single /= s
     max_pair /= s
     single_ok = max_single <= tol

@@ -44,7 +44,8 @@ class TestHashBound:
         m = 4
         u = SubDist.uniform(range_alphabet(m))
         curve = universal_hash_d1_bound(u, m)
-        np.testing.assert_allclose(curve.values, np.full(101, 3.0), atol=1e-12)
+        values = hash_d1_bound_at(u, m, np.linspace(0.0, 1.0, 101))
+        np.testing.assert_allclose(values, np.full(101, 3.0), atol=1e-12)
         assert curve.min_value == pytest.approx(3.0, abs=1e-9)
 
     def test_smaller_output_gives_decreasing_curve(self):
@@ -52,15 +53,16 @@ class TestHashBound:
         # 3 e^(-s log 2 / (1+s)) strictly decreases to 3/sqrt(2) at s = 1
         u = SubDist.uniform(range_alphabet(4))
         curve = universal_hash_d1_bound(u, 2)
-        assert curve.values[0] == pytest.approx(3.0)
-        assert np.all(np.diff(curve.values) < 0.0)
+        values = hash_d1_bound_at(u, 2, np.linspace(0.0, 1.0, 101))
+        assert values[0] == pytest.approx(3.0)
+        assert np.all(np.diff(values) < 0.0)
         assert curve.min_value == pytest.approx(3.0 / math.sqrt(2), abs=1e-9)
 
     def test_s1_specialization(self, skew3):
         val = hash_d1_bound_at(skew3, 2, 1.0)
         expect = 3.0 * math.sqrt(2) * math.exp(-renyi_tilde(skew3, 1.0) / 2.0)
         assert val == pytest.approx(expect, abs=1e-15)
-        assert universal_hash_d1_bound(skew3, 2).value_s1 == pytest.approx(expect)
+        assert hash_d1_bound_at(skew3, 2, 1.0) == pytest.approx(expect)
 
     def test_reference_hand_value(self, skew3):
         assert hash_d1_bound_at(skew3, 2, 1.0) == pytest.approx(2.598, abs=1e-3)

@@ -274,6 +274,21 @@ class TestConditions:
         explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
         assert check_universal2(fam) == check_universal2(explicit)
 
+    @pytest.mark.parametrize(
+        "q,k,m", [(2, 4, 2), (2, 8, 3), (3, 4, 2), (4, 3, 1), (5, 3, 2), (2, 6, 1), (2, 3, 2)]
+    )
+    def test_toeplitz_histogram_matches_the_pair_counts(self, q, k, m):
+        # one per-symbol histogram of the maps, and the pair counts of the
+        # same maps as an explicit family: the same report, bit for bit
+        fam = ToeplitzFamily(q, k, m)
+        explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
+        assert repr(check_strongly_universal2(fam)) == repr(check_strongly_universal2(explicit))
+
+    def test_toeplitz_strong_universality_refused_past_the_pair_cap(self):
+        # the pair counts' cell cap stays in front of the histogram route
+        with pytest.raises(SizeLimitError):
+            check_strongly_universal2(ToeplitzFamily(2, 12, 9))
+
     def test_toeplitz_2_12_4_within_a_second(self):
         start = time.perf_counter()
         rep = check_universal2(ToeplitzFamily(2, 12, 4))
