@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import (
-    Alphabet,
-    JointDist,
-    SubDist,
-    conditional_shannon_entropy,
-)
+from .dists import JointDist, SubDist, conditional_shannon_entropy
 from .exponents import maximize_on_interval, phi_cond
 from .gf import Module, combination_indices
 from .hashing import HashFamily, fit_toeplitz
@@ -54,15 +49,9 @@ class CorrelationTriple:
         self.module = module
 
     def iid_extend(self, n: int) -> "CorrelationTriple":
-        pab_n = self.pab.iid_extend(n)
-        pae_n = self.pae.iid_extend(n)
-        mod_n = Module(self.module.q, self.module.n * n)
-        alph = Alphabet(mod_n.labels())
-        return CorrelationTriple(
-            JointDist(alph, pab_n.alphabet_e, pab_n.mass),
-            JointDist(alph, pae_n.alphabet_e, pae_n.mass),
-            mod_n,
-        )
+        """n independent copies of the triple, over F_q^(n0 n)."""
+        pab_n, mod_n = self.module.extend(self.pab, n)
+        return CorrelationTriple(pab_n, self.module.extend(self.pae, n)[0], mod_n)
 
     def rate(self) -> float:
         """Achievable key rate H(A|E) - H(A|B)."""

@@ -43,6 +43,7 @@ __all__ = [
     "kl_divergence",
     "tilt",
     "smooth_truncate",
+    "kron_power",
     "iid_extend",
     "conditional_shannon_entropy",
     "enumerate_types",
@@ -184,12 +185,6 @@ class SubDist:
             raise ValueError("p must be in [0, 1]")
         return cls(Alphabet(("0", "1")), np.array([p, 1.0 - p]))
 
-    def p(self, symbol: str) -> float:
-        return float(self.mass[self.alphabet.index(symbol)])
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.mass > 0.0)
-
     def scaled_uniform(self) -> "SubDist":
         """The reference `total * uniform` that uniformity is measured against."""
         n = self.alphabet.size
@@ -242,25 +237,6 @@ class JointDist:
         pos = pe > 0.0
         out[:, pos] = self.mass[:, pos] / pe[pos]
         return out
-
-    def iid_extend(self, n: int) -> "JointDist":
-        """Product distribution of n independent copies of the pair, refused
-        beyond DEFAULT_MAX_CELLS cells."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        capped_power(self.alphabet_a.size * self.alphabet_e.size, n, "joint cells")
-        out = self.mass
-        for _ in range(n - 1):
-            # kron on both axes keeps (a, e) big-endian in both coordinates
-            out = np.kron(out, self.mass).reshape(
-                out.shape[0] * self.alphabet_a.size,
-                out.shape[1] * self.alphabet_e.size,
-            )
-        return JointDist(
-            product_alphabet(self.alphabet_a, n),
-            product_alphabet(self.alphabet_e, n),
-            out,
-        )
 
 
 def _require_same_alphabet(p: SubDist, q: SubDist):
@@ -601,14 +577,22 @@ def smooth_truncate(p: SubDist, r: float) -> tuple[SubDist, float]:
     return SubDist(p.alphabet, kept), tail
 
 
-def iid_extend(p: SubDist, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> SubDist:
-    """n-fold product distribution over the n-fold product alphabet."""
+def kron_power(a: np.ndarray, n: int, what: str) -> np.ndarray:
+    """The n-fold Kronecker power a (x) ... (x) a, folded from the left, so
+    indices are big-endian in the factors; refused beyond DEFAULT_MAX_CELLS
+    cells (counted as `what`).  The one builder of every n-fold product."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    capped_power(p.alphabet.size, n, "cells", max_cells)
-    mass = p.mass
+    capped_power(a.size, n, what)
+    out = a
     for _ in range(n - 1):
-        mass = np.kron(mass, p.mass)
+        out = np.kron(out, a)
+    return out
+
+
+def iid_extend(p: SubDist, n: int) -> SubDist:
+    """n-fold product distribution over the n-fold product alphabet."""
+    mass = kron_power(p.mass, n, "cells")
     return SubDist(product_alphabet(p.alphabet, n), mass)
 
 
@@ -681,13 +665,11 @@ class TypeClass:
 
 def compositions(total: int, parts: int):
     """All ways to write `total` as an ordered sum of `parts` nonnegative ints,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    in lexicographic order: the gaps between parts - 1 bars placed among
+    total + parts - 1 slots, whose positions come in lexicographic order."""
+    end = (total + parts - 1,)
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in itertools.pairwise((-1,) + bars + end))
 
 
 def enumerate_types(alphabet: Alphabet, n: int) -> list[TypeClass]:
@@ -697,9 +679,7 @@ def enumerate_types(alphabet: Alphabet, n: int) -> list[TypeClass]:
     return [TypeClass(alphabet, c) for c in compositions(n, alphabet.size)]
 
 
-def strings_by_type(
-    alphabet: Alphabet, n: int, max_cells: int = DEFAULT_MAX_CELLS
-) -> list[tuple[TypeClass, list[int]]]:
+def strings_by_type(alphabet: Alphabet, n: int) -> list[tuple[TypeClass, list[int]]]:
     """Group the indices of all length-n strings by their type.
 
     String indices follow the big-endian product order used by
@@ -707,7 +687,7 @@ def strings_by_type(
     type the string indices are ascending.
     """
     size = alphabet.size
-    capped_power(size, n, "strings", max_cells)
+    capped_power(size, n, "strings")
     buckets: dict[tuple[int, ...], list[int]] = {}
     for idx, word in enumerate(itertools.product(range(size), repeat=n)):
         counts = [0] * size

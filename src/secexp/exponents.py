@@ -67,6 +67,8 @@ GRID_INTERVALS = 1024
 SCREEN_STRIDE = 16
 GOLDEN_TOL = 1e-10
 TILT_CAP = 1e6  # largest tilt order tried before the top-atom branch
+CRAMER_S_CAP = 100.0  # largest order the unrestricted Cramer search tries
+DIVERGENCE_RESTARTS = 8  # random starts of the scipy divergence oracle
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def _grid_argmax(fn, grid: np.ndarray) -> np.ndarray:
     return points[np.argmax(exact, axis=0)]
 
 
-def _maximize_rows(fn, lo: float, hi: float, one: bool, intervals: int, refine: bool):
+def _maximize_rows(fn, lo: float, hi: float, one: bool):
     """Grid scan plus golden-section polish of B objectives (rows) at once;
     each keeps its grid answer where the polish does not improve it.
 
@@ -160,30 +162,29 @@ def _maximize_rows(fn, lo: float, hi: float, one: bool, intervals: int, refine: 
     numpy's power over many orders can differ by an ulp from its one-order
     paths (exponents 2, 1/2).  Returns the (B,) maximizers and maxima.
     """
-    xs = np.linspace(lo, hi, intervals + 1)
+    xs = np.linspace(lo, hi, GRID_INTERVALS + 1)
     i = _grid_argmax(fn, xs if one else xs[:, None])
     best_x, best_v = xs[i], np.empty(i.size)
     for point in np.unique(i):
         hit = i == point
         best_v[hit] = np.broadcast_to(fn(float(xs[point])), i.shape)[hit]
-    if refine and hi > lo:
+    if hi > lo:
         at = (lambda x: np.array([fn(float(x[0]))], dtype=float)) if one else fn
-        x, v = _golden_rows(at, xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, intervals)])
+        x, v = _golden_rows(at, xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, GRID_INTERVALS)])
         won = v > best_v
         best_x, best_v = np.where(won, x, best_x), np.where(won, v, best_v)
     return best_x, best_v
 
 
-def maximize_on_interval(
-    fn, lo: float, hi: float, intervals: int = GRID_INTERVALS, refine: bool = True
-) -> tuple[float, float]:
-    """Grid scan plus local golden-section polish; keeps the grid answer if
-    the polish does not improve it (guards non-unimodal objectives).
+def maximize_on_interval(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Grid scan (GRID_INTERVALS intervals) plus local golden-section polish;
+    keeps the grid answer if the polish does not improve it (guards
+    non-unimodal objectives).
 
     `fn` gets the whole grid as one array, then floats, and the result is a
     pair of floats; the one-objective case of the batched optimizer.
     """
-    x, v = _maximize_rows(fn, lo, hi, True, intervals, refine)
+    x, v = _maximize_rows(fn, lo, hi, True)
     return float(x[0]), float(v[0])
 
 
@@ -199,7 +200,7 @@ def maximize_over_rates(fn, lo: float, hi: float, r):
         return maximize_on_interval(fn, lo, hi)
     if np.ndim(r) != 1:
         raise ValueError("rates must be a float or a 1-D array")
-    return _maximize_rows(fn, lo, hi, False, GRID_INTERVALS, True)
+    return _maximize_rows(fn, lo, hi, False)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +326,9 @@ def _top_atom_witness(p: SubDist, r: float) -> SubDist:
     return mix(_bisect_entropy(mix, r, 1.0))
 
 
-def _projected_divergence_search(p: SubDist, r: float, restarts: int = 8) -> tuple[float, SubDist] | None:
-    """Constrained minimization of D(Q||P) s.t. H(Q) <= R from random restarts.
+def _projected_divergence_search(p: SubDist, r: float) -> tuple[float, SubDist] | None:
+    """Constrained minimization of D(Q||P) s.t. H(Q) <= R from
+    DIVERGENCE_RESTARTS random starts.
 
     A test oracle for `divergence_exponent`, which never calls it; it is the
     only user of scipy.
@@ -355,7 +357,7 @@ def _projected_divergence_search(p: SubDist, r: float, restarts: int = 8) -> tup
 
     best: tuple[float, SubDist] | None = None
     k = int(supp.sum())
-    for _ in range(restarts):
+    for _ in range(DIVERGENCE_RESTARTS):
         x0 = rng.dirichlet(np.ones(k))
         res = optimize.minimize(
             f,
@@ -404,9 +406,10 @@ def divergence_exponent(p: SubDist, r: float) -> ExponentResult:
     )
 
 
-def cramer_exponent(p: SubDist, r: float, s_cap: float = 100.0) -> ExponentResult:
+def cramer_exponent(p: SubDist, r: float) -> ExponentResult:
     """max over s >= 0 of H~_(1+s) - s R': the large-deviation rate of the
-    heavy-atom probability P^n{P^n(a) > e^(-nR')}.
+    heavy-atom probability P^n{P^n(a) > e^(-nR')}, searched up to
+    s = CRAMER_S_CAP (a maximizer there is noted).
 
     Returns 0 when R' is at least the Shannon entropy, and flags divergence
     when R' is below -log(max atom), where the objective grows without bound
@@ -425,9 +428,9 @@ def cramer_exponent(p: SubDist, r: float, s_cap: float = 100.0) -> ExponentResul
             diverges=True,
             note="objective unbounded: rate below -log(max atom)",
         )
-    res = _cramer_search(p, r, s_cap)
-    if s_cap - res.argmax < 1e-6:
-        return replace(res, note=f"maximizer at search cap s = {s_cap}")
+    res = _cramer_search(p, r, CRAMER_S_CAP)
+    if CRAMER_S_CAP - res.argmax < 1e-6:
+        return replace(res, note=f"maximizer at search cap s = {CRAMER_S_CAP}")
     return res
 
 

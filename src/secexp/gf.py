@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Alphabet, capped_power, product_alphabet
+from .dists import Alphabet, JointDist, capped_power, kron_power, product_alphabet
 
 __all__ = ["Field", "Module", "combination_indices", "is_prime"]
 
@@ -173,6 +173,15 @@ class Module:
         labels them: joined by "|" once q > 10, so they stay distinct."""
         digits = Alphabet(tuple(str(d) for d in range(self.q)))
         return product_alphabet(digits, self.n).symbols
+
+    def extend(self, joint: JointDist, n: int) -> tuple[JointDist, "Module"]:
+        """The n-fold product of a joint whose secret alphabet is this
+        module's symbols, as a joint over F_q^(n0 n) (n0 = self.n) with that
+        module's labels, and the module; refused beyond DEFAULT_MAX_CELLS
+        joint cells."""
+        mass = kron_power(joint.mass, n, "joint cells")
+        module = Module(self.q, self.n * n)
+        return JointDist(Alphabet(module.labels()), product_alphabet(joint.alphabet_e, n), mass), module
 
 
 def combination_indices(gens: np.ndarray, p: int) -> np.ndarray:

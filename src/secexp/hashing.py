@@ -66,6 +66,8 @@ __all__ = [
 
 # Refuse exhaustive checks beyond this many seed maps.
 ENUMERATION_LIMIT = 2_000_000
+# Float slack of the universal_2 and strongly universal_2 checks.
+CHECK_TOL = 1e-12
 
 
 class NonEnumerableError(SizeLimitError):
@@ -155,10 +157,10 @@ class HashFamily:
             raise ValueError("seed digit out of range")
         return self.maps_of(arr[None])[0]
 
-    def require_enumerable(self, limit: int = ENUMERATION_LIMIT):
-        if self.seed_count > limit:
+    def require_enumerable(self):
+        if self.seed_count > ENUMERATION_LIMIT:
             raise NonEnumerableError(
-                f"{self.seed_count} seeds exceed enumeration limit {limit}"
+                f"{self.seed_count} seeds exceed enumeration limit {ENUMERATION_LIMIT}"
             )
 
 
@@ -421,7 +423,7 @@ class StronglyUniversal2Report:
     max_pair_deviation: float
 
 
-def check_universal2(fam: HashFamily, tol: float = 1e-12) -> Universal2Report:
+def check_universal2(fam: HashFamily) -> Universal2Report:
     """Exact worst-pair collision probability over the full seed space.
 
     The worst pair is the first pair a < b (in row-major order) with the most
@@ -438,7 +440,7 @@ def check_universal2(fam: HashFamily, tol: float = 1e-12) -> Universal2Report:
     bound = 1.0 / fam.output_size
     symbols = fam.input_alphabet.symbols
     return Universal2Report(
-        passed=max_coll <= bound + tol,
+        passed=max_coll <= bound + CHECK_TOL,
         max_collision=max_coll,
         bound=bound,
         worst_pair=None if worst is None else (symbols[worst[0]], symbols[worst[1]]),
@@ -471,9 +473,7 @@ def _linear_top_count(fam: LinearFamily) -> float:
     return float(hist[1:].max())
 
 
-def check_strongly_universal2(
-    fam: HashFamily, tol: float = 1e-12
-) -> StronglyUniversal2Report:
+def check_strongly_universal2(fam: HashFamily) -> StronglyUniversal2Report:
     """Exact check of single-output uniformity and pairwise independence.
 
     For a linear family the deviations are those of the pairs (0, b): symbol
@@ -494,8 +494,8 @@ def check_strongly_universal2(
             max_pair = max(max_pair, float(dev))
     max_single /= s
     max_pair /= s
-    single_ok = max_single <= tol
-    pair_ok = max_pair <= tol
+    single_ok = max_single <= CHECK_TOL
+    pair_ok = max_pair <= CHECK_TOL
     return StronglyUniversal2Report(
         passed=single_ok and pair_ok,
         single_uniform=single_ok,

@@ -13,6 +13,7 @@ and the constrained-minimization identity that backs it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,7 +69,8 @@ def heavy_mass_lower_bound(p: SubDist, m: int) -> float:
 def _normalized(p: SubDist) -> tuple[tuple[int, ...], int]:
     """Integer weights a and denominator d with a_i / d = P(i) / total exactly."""
     exact = [Fraction(float(x)) for x in p.mass]
-    exact = [x / sum(exact) for x in exact]
+    total = sum(exact)
+    exact = [x / total for x in exact]
     denom = math.lcm(*(x.denominator for x in exact))
     return tuple(x.numerator * (denom // x.denominator) for x in exact), denom
 
@@ -176,7 +178,7 @@ def build_specialized(p: SubDist, n: int, m: int) -> SpecializedMap:
             weight, size = weight * a // b, size * last[-1] // counts[-2]
         else:
             weight = math.prod(x**c for x, c in zip(weights, counts))
-            size = math.prod(math.comb(sum(counts[: i + 1]), c) for i, c in enumerate(counts))
+            size = math.prod(map(math.comb, itertools.accumulate(counts), counts))
         last = counts
         if m * weight >= scale:  # one string already weighs at least 1/M
             records.append(TypeRecord(counts, "T1", size, size, weight))

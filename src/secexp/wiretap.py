@@ -33,6 +33,7 @@ from .dists import (
     SubDist,
     capped_power,
     fsum_rows,
+    kron_power,
     log_fsum_by_order,
     product_alphabet,
     range_alphabet,
@@ -79,8 +80,14 @@ __all__ = [
 # Exact ensembles refuse more (codebook, seed) entries than this: binary
 # M=2, L=8 (524,288 entries) takes about a second.
 ENSEMBLE_COMBO_LIMIT = 1 << 20
+# Both modes refuse more kernel cells than this in all, entries times the
+# ML (M + |Y| + |Z|) cells `_pair_metrics` spends on each: 5 to 20 s at the
+# 5-20 ns per cell measured on a 2-core machine.
+ENSEMBLE_CELL_LIMIT = 1 << 30
 # Float slack of markov_select's twice-the-average tests.
 MARKOV_SLACK = 1e-12
+# Float slack of holder_ordering's margin.
+HOLDER_SLACK = 1e-12
 
 
 class Channel:
@@ -185,22 +192,13 @@ class Channel:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        cells = self.input_alphabet.size * self.output_alphabet.size
-        capped_power(cells, n, "matrix cells")
+        capped_power(self.matrix.size, n, "matrix cells")
         if self.noise is not None:
-            mod_n = Module(self.module.q, self.module.n * n)
-            joint_n = self.noise.iid_extend(n)
-            joint_n = JointDist(
-                Alphabet(mod_n.labels()), joint_n.alphabet_e, joint_n.mass
-            )
-            return Channel.general_additive(joint_n, mod_n)
-        mat = self.matrix
-        for _ in range(n - 1):
-            mat = np.kron(mat, self.matrix)
+            return Channel.general_additive(*self.module.extend(self.noise, n))
         return Channel(
             product_alphabet(self.input_alphabet, n),
             product_alphabet(self.output_alphabet, n),
-            mat,
+            kron_power(self.matrix, n, "matrix cells"),
         )
 
 
@@ -410,11 +408,24 @@ def _pair_metrics(codebooks, maps, m: int, l: int, wb: Channel, we: Channel):
     return eps, d1
 
 
+def _kernel_cells(m: int, l: int, wb: Channel, we: Channel) -> int:
+    """The kernel's largest arrays hold about ML (M + |Y| + |Z|) floats per pair."""
+    return m * l * (m + wb.output_alphabet.size + we.output_alphabet.size)
+
+
 def _block_pairs(m: int, l: int, wb: Channel, we: Channel) -> int:
-    """Pairs per kernel call: the kernel's largest arrays hold about
-    ML (M + |Y| + |Z|) floats per pair, kept under BLOCK_CELLS."""
-    cells = m * l * (m + wb.output_alphabet.size + we.output_alphabet.size)
-    return max(1, BLOCK_CELLS // cells)
+    """Pairs per kernel call, their cells kept under BLOCK_CELLS."""
+    return max(1, BLOCK_CELLS // _kernel_cells(m, l, wb, we))
+
+
+def _require_kernel_work(entries: int, m: int, l: int, wb: Channel, we: Channel):
+    """Refuse an ensemble whose entries would pass ENSEMBLE_CELL_LIMIT
+    kernel cells, before any is enumerated or drawn."""
+    per_entry = _kernel_cells(m, l, wb, we)
+    if entries * per_entry > ENSEMBLE_CELL_LIMIT:
+        raise SizeLimitError(
+            f"{entries} entries of {per_entry} kernel cells exceed the cap of {ENSEMBLE_CELL_LIMIT} cells"
+        )
 
 
 def _codebook_digits(codes: np.ndarray, nx: int, ml: int) -> np.ndarray:
@@ -499,7 +510,9 @@ def wiretap_ensemble_exact(
 
     Codebooks are weighted by their i.i.d. probability under p; seeds are
     uniform.  Zero-probability codebooks are skipped.  Codebooks are
-    enumerated in blocks, each block paired with every seed map.
+    enumerated in blocks, each block paired with every seed map.  More than
+    ENSEMBLE_COMBO_LIMIT entries, or ENSEMBLE_CELL_LIMIT kernel cells, are
+    refused.
     """
     _require_conditions(p, m, l, fam)
     ml = m * l
@@ -508,6 +521,7 @@ def wiretap_ensemble_exact(
     n_codebooks = nx**ml
     if n_codebooks * n_seeds > ENSEMBLE_COMBO_LIMIT:
         raise SizeLimitError("ensemble too large for exact enumeration")
+    _require_kernel_work(n_codebooks * n_seeds, m, l, wb, we)
     maps = np.concatenate(list(fam.iter_maps()))
     per_block = max(1, _block_pairs(m, l, wb, we) // n_seeds)
     codebooks, weights, eps, d1 = [], [], [], []
@@ -552,10 +566,12 @@ def wiretap_ensemble_mc(
 
     Each sample draws a codebook, then a seed, from one random stream and is
     one (codebook, seed) entry of the exact ensemble, so at most
-    ENSEMBLE_COMBO_LIMIT samples are taken; the drawn codes are evaluated a
-    kernel block at a time."""
+    ENSEMBLE_COMBO_LIMIT samples are taken, and at most ENSEMBLE_CELL_LIMIT
+    kernel cells spent on them; the drawn codes are evaluated a kernel block
+    at a time."""
     if n_samples > ENSEMBLE_COMBO_LIMIT:
         raise SizeLimitError(f"{n_samples} samples exceed the cap of {ENSEMBLE_COMBO_LIMIT} entries")
+    _require_kernel_work(n_samples, m, l, wb, we)
     _require_conditions(p, m, l, fam)
     if n_samples < 2:
         raise ValueError("Monte Carlo mode needs at least 2 samples")
@@ -699,7 +715,7 @@ class Condition4Report:
     bound: float
 
 
-def condition4_report(c1: LinearCode, m: int, tol: float = 1e-12) -> Condition4Report:
+def condition4_report(c1: LinearCode, m: int) -> Condition4Report:
     """Check: every nonzero codeword joins the kernel subcode with frequency
     at most L / |C1| = 1 / q^m over the Toeplitz seeds.
 
@@ -707,7 +723,7 @@ def condition4_report(c1: LinearCode, m: int, tol: float = 1e-12) -> Condition4R
     messages it sends to output 1, so the frequencies are the family's
     kernel counts, the collision counts of `check_universal2`; the zero
     message is always there."""
-    rep = check_universal2(ToeplitzFamily(c1.module.q, c1.k, m), tol)
+    rep = check_universal2(ToeplitzFamily(c1.module.q, c1.k, m))
     return Condition4Report(rep.passed, rep.max_collision, rep.bound)
 
 
@@ -822,9 +838,7 @@ class HolderReport:
     t_grid: tuple[float, ...]
 
 
-def holder_ordering(
-    w: Channel, p: SubDist, t_grid=None, tol: float = 1e-12
-) -> HolderReport:
+def holder_ordering(w: Channel, p: SubDist, t_grid=None) -> HolderReport:
     """Assert e^((1-t) psi(t/(1-t))) >= e^(phi(t)) on a grid of t in [0, 1/2].
 
     This is the reverse Holder comparison that makes the phi exponent
@@ -832,4 +846,4 @@ def holder_ordering(
     t = np.linspace(0.0, 0.5, 26) if t_grid is None else np.asarray(t_grid, dtype=float)
     lhs = np.exp((1.0 - t) * psi_channel(w, p, t / (1.0 - t)))
     margin = float(np.min(lhs - np.exp(phi_channel(w, p, t))))
-    return HolderReport(passed=margin >= -tol, min_margin=margin, t_grid=tuple(t.tolist()))
+    return HolderReport(passed=margin >= -HOLDER_SLACK, min_margin=margin, t_grid=tuple(t.tolist()))

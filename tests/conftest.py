@@ -112,3 +112,18 @@ def assert_matches_scalar_optimizer(calls, expected_calls):
         ref_x, ref_v = scalar_maximize(fn, lo, hi)
         assert x == pytest.approx(ref_x, abs=1e-15)
         assert v == pytest.approx(ref_v, abs=1e-15)
+
+
+def kron_loop(a, n):
+    """The n-fold Kronecker power as each extension once built it, by its
+    own left fold of np.kron: the oracle for `dists.kron_power`."""
+    out = a
+    for _ in range(n - 1):
+        out = np.kron(out, a)
+    return out
+
+
+def assert_bit_equal(got, expected):
+    """Same dtype, shape and bytes."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

@@ -60,6 +60,10 @@ CASES = {
         "simulate", "wiretap", "--wb", _in("wb.json"), "--we", _in("we.json"),
         "--M", "2", "--L", "2", "--n", "3",
     ],
+    "wiretap-generic-n2.json": [
+        "simulate", "wiretap", "--wb", _in("gb.json"), "--we", _in("ge.json"),
+        "--M", "2", "--L", "2", "--n", "2",
+    ],
     "wiretap-mc.json": [
         "simulate", "wiretap", "--wb", _in("wb.json"), "--we", _in("we.json"),
         "--M", "2", "--L", "2", "--mode", "mc", "--samples", "200", "--seed", "3",

@@ -359,6 +359,17 @@ def _one_symbol(tmp_path) -> str:
     return str(path)
 
 
+def _wide_channel(tmp_path) -> str:
+    """A generic binary-input channel with 256 outputs."""
+    path = tmp_path / "wide.json"
+    rows = [[1 + (x + y) % 3 for y in range(256)] for x in range(2)]
+    rows = [[v / sum(row) for v in row] for row in rows]
+    path.write_text(json.dumps({
+        "input_alphabet": ["0", "1"], "output_alphabet": [f"y{y}" for y in range(256)], "matrix": rows,
+    }))
+    return str(path)
+
+
 # Each run asks for a size far past every cap; each used to run for minutes.
 _OVERSIZED = {
     "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
@@ -389,6 +400,12 @@ _OVERSIZED = {
                         "--L", "2", "--mode", "mc", "--samples", "100000000"],
     "distill-samples": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
                         "--mode", "mc", "--samples", "100000000"],
+    # 2^16 codebooks x 8 seeds = 2^19 entries, under the entry cap, of
+    # 16 (2 + 256 + 256) kernel cells each: 4 times the cell cap
+    "wiretap-cells-exact": ["simulate", "wiretap", "--wb", "{wide}", "--we", "{wide}",
+                            "--M", "2", "--L", "8"],
+    "wiretap-cells-mc": ["simulate", "wiretap", "--wb", "{wide}", "--we", "{wide}",
+                         "--M", "2", "--L", "8", "--mode", "mc", "--samples", "1000000"],
 }
 
 _RUN_TIMED = """
@@ -421,6 +438,7 @@ class TestOversizedInputs:
             "cells": _additive_channel(tmp_path, {"q": 2, "n": 11}, "cells.json", {
                 "alphabet": [str(i) for i in range(2048)], "mass": [1.0 / 2048] * 2048,
             }),
+            "wide": _wide_channel(tmp_path),
         }
         runs = {
             name: [a.format(**files) for a in args] for name, args in _OVERSIZED.items()
@@ -491,6 +509,22 @@ class TestIntrinsicCommand:
         assert all(isinstance(v, float) and math.isfinite(v) for v in (floor, d1, bound))
         assert 0.0 < floor <= d1 <= bound
         assert payload["cells_assigned"] <= int(m)
+
+    def test_wide_source_within_two_seconds(self, runner, tmp_path):
+        # 1,200 symbols: the types once came from one recursion per symbol
+        # (a RecursionError) and the exact normalization re-summed the source
+        # for every symbol
+        path = tmp_path / "wide.json"
+        size = 1200
+        path.write_text(json.dumps({"alphabet": [f"s{i}" for i in range(size)], "mass": [1.0 / size] * size}))
+        start = time.perf_counter()
+        res = runner.invoke(cli, ["intrinsic", "--dist", str(path), "--n", "1", "--M", "4"])
+        seconds = time.perf_counter() - start
+        assert res.exit_code == 0, res.output
+        assert seconds < 2.0
+        payload = json.loads(res.output)
+        assert payload["partition_summary"] == {"T1": 0, "T2": 0, "T3": size}
+        assert payload["d1_exact"] == pytest.approx(1.5)
 
     @pytest.mark.parametrize("m", ["1000000000000", str(10**400)])
     def test_output_size_needs_no_cap(self, runner, bern_file, m):

@@ -8,6 +8,7 @@ from secexp.dists import (
     JointDist,
     SubDist,
     conditional_shannon_entropy,
+    product_alphabet,
 )
 from secexp.distill import (
     CorrelationTriple,
@@ -21,7 +22,7 @@ from secexp.exponents import cond_renyi_tilde, phi_cond
 from secexp.gf import Module
 from secexp.wiretap import phi_channel
 
-from conftest import assert_matches_scalar_optimizer
+from conftest import assert_bit_equal, assert_matches_scalar_optimizer, kron_loop
 
 
 def bit_alphabet():
@@ -68,6 +69,33 @@ class TestCorrelationTriple:
             tri.pab
         )
         assert tri.rate() == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_iid_extension_bit_identical_to_the_kron_loop(self, q, n):
+        # the old path: each joint's own Kronecker loop, relabelled by F_q^n
+        rng = np.random.default_rng(10 * q + n)
+        mod = Module(q, 1)
+        pa = rng.random(q)
+        pa /= pa.sum()
+        sides = []
+        for width in (3, 2):
+            cond = rng.random((q, width))
+            sides.append(cond / cond.sum(axis=1, keepdims=True) * pa[:, None])
+        a = Alphabet(mod.labels())
+        tri = CorrelationTriple(
+            JointDist(a, Alphabet(("b0", "b1", "b2")), sides[0]),
+            JointDist(a, Alphabet(("e0", "e1")), sides[1]),
+            mod,
+        )
+        ext = tri.iid_extend(n)
+        assert ext.module == Module(q, n)
+        for got, joint in ((ext.pab, tri.pab), (ext.pae, tri.pae)):
+            assert_bit_equal(got.mass, kron_loop(joint.mass, n))
+            assert got.alphabet_a.symbols == Module(q, n).labels()
+            assert got.alphabet_e == product_alphabet(joint.alphabet_e, n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            tri.iid_extend(0)
 
     def test_iid_extension_additivity(self):
         tri = triple_noisy()

@@ -13,10 +13,12 @@ from secexp.dists import (
     SubDist,
     TypeClass,
     capped_power,
+    compositions,
     d1_uniformity,
     enumerate_types,
     iid_extend,
     kl_divergence,
+    kron_power,
     l1_distance,
     l2_distance,
     product_alphabet,
@@ -29,7 +31,7 @@ from secexp.dists import (
     tilt,
 )
 
-from conftest import random_subdist
+from conftest import assert_bit_equal, kron_loop, random_subdist
 
 
 def subdist(*mass):
@@ -237,9 +239,27 @@ class TestIidExtend:
         np.testing.assert_allclose(p.mass, np.full(8, 0.125))
 
     def test_size_limit(self):
-        u = SubDist.uniform(Alphabet(("0", "1")))
-        with pytest.raises(SizeLimitError):
-            iid_extend(u, 8, max_cells=100)
+        # 4^11 = 2^22 cells pass the 2^20 cap: refused before any product
+        u = SubDist.uniform(Alphabet(tuple("abcd")))
+        with pytest.raises(SizeLimitError, match="4194304 cells exceed cap 1048576"):
+            iid_extend(u, 11)
+        assert iid_extend(u, 10).mass.size == 1 << 20
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            iid_extend(u, 0)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_to_the_kron_loop(self, q, n):
+        p = random_subdist(np.random.default_rng(10 * q + n), q, total=1.0)
+        ext = iid_extend(p, n)
+        assert_bit_equal(ext.mass, kron_loop(p.mass, n))
+        assert ext.alphabet == product_alphabet(p.alphabet, n)
+
+    def test_kron_power_of_a_matrix(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert_bit_equal(kron_power(a, 3, "cells"), kron_loop(a, 3))
+        with pytest.raises(SizeLimitError, match="6\\^9 matrix cells exceed"):
+            kron_power(a, 9, "matrix cells")
 
 
 class TestProductAlphabet:
@@ -325,6 +345,25 @@ class TestTypes:
             assert t.prob(bern02) == pytest.approx(
                 t.multiplicity() * math.exp(expo), rel=1e-12
             )
+
+    def test_compositions_match_the_recursion(self):
+        def recursive(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(total + 1):
+                for rest in recursive(total - first, parts - 1):
+                    yield (first,) + rest
+
+        for total in range(7):
+            for parts in range(1, 6):
+                assert list(compositions(total, parts)) == list(recursive(total, parts))
+
+    def test_compositions_of_many_parts(self):
+        # one bar per part, no recursion: 2,000 parts is past the recursion limit
+        got = list(compositions(1, 2000))
+        assert len(got) == 2000
+        assert got[0] == (0,) * 1999 + (1,) and got[-1] == (1,) + (0,) * 1999
 
     def test_strings_by_type_partition(self):
         alph = Alphabet(("0", "1", "2"))

@@ -453,10 +453,9 @@ class TestGridAsOneArrayCall:
         # the grid only picks the point: an array evaluation that is off by
         # a constant does not reach the result
         fn = lambda x: -((x - 0.3) ** 2) + (1.0 if np.ndim(x) else 0.0)
-        for refine in (True, False):
-            x, v = maximize_on_interval(fn, 0.0, 1.0, refine=refine)
-            assert x == pytest.approx(0.3, abs=1e-3)
-            assert v == fn(x)
+        x, v = maximize_on_interval(fn, 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=1e-3)
+        assert v == fn(x)
 
     def test_universal_exponent(self, bern02, optimizer_calls):
         for r in np.linspace(0.0, 0.5, 20):

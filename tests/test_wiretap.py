@@ -10,6 +10,7 @@ from secexp.dists import (
     SizeLimitError,
     SubDist,
     iid_extend,
+    product_alphabet,
     range_alphabet,
     renyi_tilde,
 )
@@ -20,8 +21,9 @@ from secexp.figures import (
 )
 from secexp.gf import Module
 
-from conftest import assert_matches_scalar_optimizer, assert_order_parity
+from conftest import assert_bit_equal, assert_matches_scalar_optimizer, assert_order_parity, kron_loop
 from secexp import hashing
+from secexp import wiretap as wiretap_module
 from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
     Channel,
@@ -107,8 +109,8 @@ class TestChannel:
             )
 
     def test_extension_cap_holds_for_every_kind(self):
-        # (|X| |Y|)^n cells are checked before any branch: 4^11 and
-        # (2 * 2)^11 exceed the 2^20 cap, for tagged channels too
+        # n >= 1 and (|X| |Y|)^n cells are checked before any branch: 4^11
+        # and (2 * 2)^11 exceed the 2^20 cap, for tagged channels too
         side = JointDist(range_alphabet(2), Alphabet(("u",)), [[0.6], [0.4]])
         w = bsc(0.1)
         generic = Channel(w.input_alphabet, w.output_alphabet, w.matrix)
@@ -116,6 +118,46 @@ class TestChannel:
             with pytest.raises(SizeLimitError, match="4194304 matrix cells"):
                 w.iid_extend(11)
             assert w.iid_extend(10).matrix.size == 1 << 20
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                w.iid_extend(0)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_extension_bit_identical_to_the_kron_loops(self, q, n):
+        # the loops each extension ran before one Kronecker power built them
+        rng = np.random.default_rng(10 * q + n)
+        mod = Module(q, 1)
+        mat = rng.random((q, q + 1))
+        generic = Channel(Alphabet(mod.labels()), range_alphabet(q + 1), mat / mat.sum(axis=1, keepdims=True))
+        ext = generic.iid_extend(n)
+        assert_bit_equal(ext.matrix, kron_loop(generic.matrix, n))
+        assert ext.input_alphabet == product_alphabet(generic.input_alphabet, n)
+        assert ext.output_alphabet == product_alphabet(generic.output_alphabet, n)
+        assert ext.structure_kind() == "generic"
+        noise = rng.random(q)
+        joint = rng.random((q, 2))
+        for w in (
+            Channel.additive(SubDist(Alphabet(mod.labels()), noise / noise.sum()), mod),
+            Channel.general_additive(JointDist(Alphabet(mod.labels()), Alphabet(("u", "v")), joint / joint.sum()), mod),
+        ):
+            mod_n = Module(q, n)
+            old = Channel.general_additive(
+                JointDist(
+                    Alphabet(mod_n.labels()),
+                    product_alphabet(w.noise.alphabet_e, n),
+                    kron_loop(w.noise.mass, n),
+                ),
+                mod_n,
+            )
+            ext = w.iid_extend(n)
+            assert_bit_equal(ext.matrix, old.matrix)
+            assert_bit_equal(ext.noise.mass, old.noise.mass)
+            assert ext.input_alphabet == old.input_alphabet
+            assert ext.output_alphabet == old.output_alphabet
+            assert ext.noise.alphabet_a == old.noise.alphabet_a
+            assert ext.noise.alphabet_e == old.noise.alphabet_e
+            assert ext.module == mod_n and ext.structure_kind() == w.structure_kind()
+            assert ext.verify_structure() == 0.0
 
     def test_phi_additivity_under_extension(self):
         w = bsc(0.15)
@@ -541,12 +583,25 @@ class TestBatchedEnsembleParity:
         p, fam, wb, we = _parity_instance(q, m, l)
         whole = wiretap_ensemble_exact(p, m, l, fam, wb, we)
         mc = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2)
+        # both the seed maps and the kernel split: a few pairs per kernel call
         monkeypatch.setattr(hashing, "BLOCK_CELLS", 2 * m * l + 1)
+        monkeypatch.setattr(wiretap_module, "BLOCK_CELLS", 3 * wiretap_module._kernel_cells(m, l, wb, we))
+        kernel = wiretap_module._pair_metrics
+        sizes = []
+
+        def counted(codebooks, *args):
+            sizes.append(len(codebooks))
+            return kernel(codebooks, *args)
+
+        monkeypatch.setattr(wiretap_module, "_pair_metrics", counted)
         split = wiretap_ensemble_exact(p, m, l, fam, wb, we)
         for key in ("weight", "eps", "d1", "codebooks"):
             np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
         assert (split.avg_eps, split.avg_d1) == (whole.avg_eps, whole.avg_d1)
+        assert len(sizes) > 1 and max(sizes) <= fam.seed_count
+        sizes.clear()
         assert wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2) == mc
+        assert len(sizes) == 17 and max(sizes) == 3
 
     @pytest.mark.parametrize("q,m,l", PARITY_CASES)
     def test_mc_matches_per_sample_loop(self, q, m, l):
