@@ -298,7 +298,7 @@ def hash_check(family, q, k, m, size, big_m, out):
     alphabet = range_alphabet(size) if size is not None else None
     fam = _family_from_flags(family, q, k, m, big_m, alphabet)
     rep1 = check_universal2(fam)
-    # before the balanced sweep over every seed, so its pair-count cap refuses at once
+    # before the balanced sweep over every seed, so its cell caps refuse at once
     rep3 = check_strongly_universal2(fam)
     rep2 = check_balanced(fam)
     _emit_json(

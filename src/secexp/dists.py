@@ -28,6 +28,7 @@ __all__ = [
     "SizeLimitError",
     "InvariantError",
     "capped_power",
+    "blocks",
     "compositions",
     "range_alphabet",
     "product_alphabet",
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CELLS = 1 << 20
-# Cell budget of one block of the order functionals and of the wiretap ensemble kernel.
+# Cell budget of one block of every sweep (see `blocks`).
 BLOCK_CELLS = 1 << 19
 
 _MASS_SLACK = 1e-12
@@ -85,6 +86,15 @@ def capped_power(base: int, n: int, what: str, cap: int = DEFAULT_MAX_CELLS) -> 
             count = value if done == n else f"{base}^{n}"
             raise SizeLimitError(f"{count} {what} exceed cap {cap}")
     return value
+
+
+def blocks(count: int, cells: int):
+    """The slices of range(count) in order, each of at most BLOCK_CELLS //
+    cells items (at least one): how every sweep of `cells` cells per item
+    cuts its work."""
+    step = max(1, BLOCK_CELLS // cells)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 @dataclass(frozen=True)
@@ -393,10 +403,9 @@ def log_fsum_by_order(s, terms, cells: int):
 
 def _log_fsums(orders: np.ndarray, terms, cells: int) -> np.ndarray:
     """The exact path of `log_fsum_by_order` on a 1-D array of orders."""
-    step = max(1, BLOCK_CELLS // (8 * max(cells, 1)))
     sums = []
-    for lo in range(0, orders.size, step):
-        sums.extend(fsum_rows(terms(orders[lo : lo + step])))
+    for block in blocks(orders.size, 8 * cells):
+        sums.extend(fsum_rows(terms(orders[block])))
     return np.array(list(map(math.log, sums)))
 
 
@@ -673,10 +682,14 @@ def compositions(total: int, parts: int):
 
 
 def enumerate_types(alphabet: Alphabet, n: int) -> list[TypeClass]:
-    """All empirical types of length-n strings, lexicographic in the counts."""
+    """All empirical types of length-n strings, lexicographic in the counts;
+    more than DEFAULT_MAX_CELLS counts in all are refused before any is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [TypeClass(alphabet, c) for c in compositions(n, alphabet.size)]
+    size = alphabet.size
+    if (types := math.comb(n + size - 1, n)) * size > DEFAULT_MAX_CELLS:
+        raise SizeLimitError(f"{types} types of {size} counts exceed cap {DEFAULT_MAX_CELLS}")
+    return [TypeClass(alphabet, c) for c in compositions(n, size)]
 
 
 def strings_by_type(alphabet: Alphabet, n: int) -> list[tuple[TypeClass, list[int]]]:
@@ -688,12 +701,11 @@ def strings_by_type(alphabet: Alphabet, n: int) -> list[tuple[TypeClass, list[in
     """
     size = alphabet.size
     capped_power(size, n, "strings")
+    types = enumerate_types(alphabet, n)
     buckets: dict[tuple[int, ...], list[int]] = {}
     for idx, word in enumerate(itertools.product(range(size), repeat=n)):
         counts = [0] * size
         for a in word:
             counts[a] += 1
         buckets.setdefault(tuple(counts), []).append(idx)
-    return [
-        (tc, buckets[tc.counts]) for tc in enumerate_types(alphabet, n)
-    ]
+    return [(tc, buckets[tc.counts]) for tc in types]

@@ -90,7 +90,7 @@ class ExponentResult:
     note: str | None = None
 
 
-def _golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float = GOLDEN_TOL):
+def _golden_rows(fn, a: np.ndarray, b: np.ndarray):
     """Golden-section search for a maximum on every bracket [a_i, b_i] in
     lockstep: each step is one call of `fn` on one point per row, and a row
     whose bracket has closed keeps its state.  Row i follows the points, and
@@ -99,7 +99,7 @@ def _golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float = GOLDEN_TOL):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while (live := b - a > tol).any():
+    while (live := b - a > GOLDEN_TOL).any():
         left = fc >= fd  # the maximum is in [a, d], else in [c, b]
         a = np.where(live & ~left, c, a)
         b = np.where(live & left, d, b)

@@ -5,7 +5,7 @@ string of `seed_len` digits in digit_low .. digit_low + digit_base - 1, ranked
 in itertools.product order.  A family defines only its digits and `maps_of`,
 which turns a (count x seed_len) block of seeds into the (count x |alphabet|)
 block of their maps; `HashFamily` derives `seeds(start, stop)`, `iter_maps`
-(blocks of at most BLOCK_CELLS cells), `sample_seed` and `as_map`, and
+(blocks cut by `dists.blocks`), `sample_seed` and `as_map`, and
 `pushforward_blocks`, the seeds' images of a weight vector, from the maps.
 
 A linear family (`LinearFamily`, here Toeplitz) defines its digits and each
@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import (
-    BLOCK_CELLS,
     DEFAULT_MAX_CELLS,
     Alphabet,
     SizeLimitError,
+    blocks,
     capped_power,
     product_alphabet,
 )
@@ -66,6 +66,12 @@ __all__ = [
 
 # Refuse exhaustive checks beyond this many seed maps.
 ENUMERATION_LIMIT = 2_000_000
+# The checks' sweeps stop near 20 s at their slowest cost per unit measured on
+# a 2-core machine (CHANGES.md): 84 ns per kernel vector (seeds x q^(k-m), in
+# `kernel_counts`) and 21 ns per map cell (seeds x |alphabet|, in
+# `check_balanced` and the linear route of `check_strongly_universal2`).
+KERNEL_VECTOR_LIMIT = 250_000_000
+MAP_CELL_LIMIT = 1_000_000_000
 # Float slack of the universal_2 and strongly universal_2 checks.
 CHECK_TOL = 1e-12
 
@@ -112,27 +118,27 @@ class HashFamily:
         return np.stack(digits, axis=1) + self.digit_low
 
     def seed_blocks(self, seeds: np.ndarray | None, cells: int):
-        """Every seed in rank order, or the rows of `seeds`, in blocks of at
-        most BLOCK_CELLS // cells seeds (at least one)."""
-        step = max(1, BLOCK_CELLS // cells)
-        count = self.seed_count if seeds is None else len(seeds)
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            yield self.seeds(start, stop) if seeds is None else seeds[start:stop]
+        """Every seed in rank order, or the rows of `seeds`, in the
+        `dists.blocks` of `cells` cells per seed."""
+        for block in blocks(self.seed_count if seeds is None else len(seeds), cells):
+            yield self.seeds(block.start, block.stop) if seeds is None else seeds[block]
 
-    def iter_maps(self, seeds: np.ndarray | None = None):
-        """The maps of every seed in rank order, or of the rows of `seeds`,
-        in blocks of at most BLOCK_CELLS cells (at least one map each)."""
-        for block in self.seed_blocks(seeds, self.input_alphabet.size):
+    def iter_maps(self):
+        """The maps of every seed in rank order, in the `dists.blocks` of
+        |alphabet| cells per map; refused past the enumeration limit or
+        MAP_CELL_LIMIT map cells in all."""
+        self.require_enumerable()
+        _require_work(self.seed_count * self.input_alphabet.size, "map cells", MAP_CELL_LIMIT)
+        for block in self.seed_blocks(None, self.input_alphabet.size):
             yield self.maps_of(block)
 
     def pushforward_blocks(self, weights, seeds: np.ndarray | None = None):
         """The pushforward rows of every seed in rank order, or of the rows of
         `seeds`, in blocks: row s is `map_histograms` of seed s's map, the sum
         of `weights` over each output's preimage (with a last axis of side
-        symbols if `weights` is 2-D).  A block's maps and histograms hold at
-        most BLOCK_CELLS cells each, or one seed's; one seed's histogram over
-        DEFAULT_MAX_CELLS is refused."""
+        symbols if `weights` is 2-D), in the blocks of the larger of a map's
+        and a histogram's cells; one seed's histogram over DEFAULT_MAX_CELLS
+        is refused."""
         m, side = self.output_size, int(np.prod(np.shape(weights)[1:]))
         if m * side > DEFAULT_MAX_CELLS:
             raise SizeLimitError(
@@ -212,9 +218,9 @@ class LinearFamily(HashFamily):
         exp(2 pi i t / p), the pushforward under A is
         P_A(y) = p^-(m e) sum_v chi(v.y) F(A^T v): one transform of the
         weights, then per seed a gather of F at A^T v for all v (built from
-        the rows of A by linearity) and one inverse transform of size M.
-        A block's digit and gathered arrays hold at most BLOCK_CELLS cells,
-        M max(k e, side symbols) per seed."""
+        the rows of A by linearity) and one inverse transform of size M, in
+        the blocks of M max(k e, side symbols) digit and gathered cells per
+        seed."""
         p, n = self.field.prime, self.k * self.field.degree
         w = np.asarray(weights, dtype=float)
         side_shape = w.shape[1:]
@@ -228,13 +234,19 @@ class LinearFamily(HashFamily):
         """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
 
         The kernel of (X | I) is {(x, -X x)}, the span of the rows of
-        (I | -X^T), so each seed adds q^(k-m) kernel vectors."""
+        (I | -X^T), so each seed adds q^(k-m) kernel vectors.  More than
+        KERNEL_VECTOR_LIMIT in all, or a matrix whose last m e columns are
+        not the identity, is refused."""
         self.require_enumerable()
         p, e = self.field.prime, self.field.degree
         n, r = self.k * e, (self.k - self.m) * e
+        _require_work(self.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)
         counts = np.zeros(p**n, dtype=np.int64)
         for block in self.seed_blocks(None, n * max(p**r, self.m * e)):
-            x = self.matrices(block)[:, :, :r]
+            a = self.matrices(block)
+            if (a[:, :, r:] != np.eye(n - r, dtype=np.int64)).any():
+                raise ValueError("kernel counts need matrices of the form (X | I)")
+            x = a[:, :, :r]
             eye = np.broadcast_to(np.eye(r, dtype=np.int64), (len(block), r, r))
             gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
             counts += np.bincount(combination_indices(gens, p).ravel(), minlength=p**n)
@@ -346,13 +358,10 @@ class ExplicitFamily(HashFamily):
         return self._maps[np.asarray(seeds, dtype=np.int64)[:, 0]]
 
 
-def _pair_count_cap(fam: HashFamily, width: int):
-    """Refuse pair counts of a family past the enumeration limit, or with
-    one symbol's width x |alphabet| x width counts over DEFAULT_MAX_CELLS."""
-    fam.require_enumerable()
-    n = fam.input_alphabet.size
-    if width * n * width > DEFAULT_MAX_CELLS:
-        raise SizeLimitError(f"{width} x {n} x {width} pair counts exceed {DEFAULT_MAX_CELLS}")
+def _require_work(units: int, what: str, cap: int):
+    """Refuse a sweep of more than `cap` units of work before it starts."""
+    if units > cap:
+        raise SizeLimitError(f"{units} {what} exceed {cap}")
 
 
 def _pair_counts(fam: HashFamily, joint: bool):
@@ -361,42 +370,29 @@ def _pair_counts(fam: HashFamily, joint: bool):
     Yields (a, counts, upper) per tile of symbols a.  counts[i, u, b, v]
     counts the seeds with f(a[i]) = u + 1 and f(b) = v + 1 if `joint`, else
     (u = v = 0) those with f(a[i]) = f(b); `upper` masks the pairs b > a[i].
-    counts is the Gram matrix of the one-hot seed maps summed over blocks of
-    seeds; a tile holds at most BLOCK_CELLS counts, or one symbol's, and one
-    symbol's over DEFAULT_MAX_CELLS is refused."""
+    counts is the Gram matrix of the one-hot seed maps summed over seed
+    blocks; tiles and seed blocks are the `dists.blocks` of one symbol's
+    counts and of one one-hot map.  One symbol's counts over
+    DEFAULT_MAX_CELLS, or seeds past the enumeration limit, are refused."""
     n, m = fam.input_alphabet.size, fam.output_size
     width = m if joint else 1
-    _pair_count_cap(fam, width)
-    step = max(1, BLOCK_CELLS // (n * width * width))
+    fam.require_enumerable()
+    _require_work(width * n * width, f"{width} x {n} x {width} pair counts", DEFAULT_MAX_CELLS)
     outputs = np.arange(1, m + 1)
-    for a0 in range(0, n, step):
-        a = np.arange(a0, min(a0 + step, n))
-        cols = slice(a0 * width, (a[-1] + 1) * width)
+    for tile in blocks(n, n * width * width):
+        a = np.arange(tile.start, tile.stop)
+        cols = slice(tile.start * width, tile.stop * width)
         counts = 0.0
-        for block in fam.iter_maps():
-            # parts whose one-hot encoding holds at most BLOCK_CELLS cells;
-            # float32 sums of 0/1 products are exact below 2^24 seeds a part
-            for maps in np.array_split(block, -(-block.size * m // BLOCK_CELLS)):
-                hot = (maps[:, :, None] == outputs).astype(np.float32)
-                if joint:
-                    enc = hot.reshape(len(maps), n * m)
-                else:
-                    enc = hot.transpose(0, 2, 1).reshape(-1, n)
-                counts = counts + (enc[:, cols].T @ enc).astype(float)
+        # float32 sums of 0/1 products are exact below 2^24 seeds a block
+        for maps in map(fam.maps_of, fam.seed_blocks(None, n * m)):
+            hot = (maps[:, :, None] == outputs).astype(np.float32)
+            if joint:
+                enc = hot.reshape(len(maps), n * m)
+            else:
+                enc = hot.transpose(0, 2, 1).reshape(-1, n)
+            counts = counts + (enc[:, cols].T @ enc).astype(float)
         upper = (np.arange(n) > a[:, None])[:, None, :, None]
         yield a, counts.reshape(-1, width, n, width), upper
-
-
-def _gram_worst_pair(fam: HashFamily) -> tuple[float, tuple[int, int] | None]:
-    """The most collisions of a pair a < b, and the first such pair in
-    row-major order (None for a one-symbol alphabet), from the pair counts."""
-    best, worst = -1.0, None
-    for a, counts, upper in _pair_counts(fam, joint=False):
-        masked = np.where(upper, counts, -1.0)[:, 0, :, 0]
-        i, b = np.unravel_index(np.argmax(masked), masked.shape)
-        if masked[i, b] > best:
-            best, worst = float(masked[i, b]), (int(a[i]), int(b))
-    return best, worst
 
 
 @dataclass(frozen=True)
@@ -427,15 +423,22 @@ def check_universal2(fam: HashFamily) -> Universal2Report:
     """Exact worst-pair collision probability over the full seed space.
 
     The worst pair is the first pair a < b (in row-major order) with the most
-    collisions.  A linear family's pair collides exactly when its difference
-    is in the kernel, so its counts are `kernel_counts` by difference and
-    its worst pair is (0, the lowest nonzero d with the top count)."""
+    collisions (None for a one-symbol alphabet).  A linear family's pair
+    collides exactly when its difference is in the kernel, so its counts are
+    `kernel_counts` by difference and its worst pair is (0, the lowest
+    nonzero d with the top count).  Other families' come from the pair
+    counts."""
     if isinstance(fam, LinearFamily):
         counts = fam.kernel_counts()
         d = 1 + int(np.argmax(counts[1:]))
         best, worst = float(counts[d]), (0, d)
     else:
-        best, worst = _gram_worst_pair(fam)
+        best, worst = -1.0, None
+        for a, counts, upper in _pair_counts(fam, joint=False):
+            masked = np.where(upper, counts, -1.0)[:, 0, :, 0]
+            i, b = np.unravel_index(np.argmax(masked), masked.shape)
+            if masked[i, b] > best:
+                best, worst = float(masked[i, b]), (int(a[i]), int(b))
     max_coll = best / fam.seed_count if worst is not None else 0.0
     bound = 1.0 / fam.output_size
     symbols = fam.input_alphabet.symbols
@@ -449,7 +452,6 @@ def check_universal2(fam: HashFamily) -> Universal2Report:
 
 def check_balanced(fam: HashFamily) -> BalancedReport:
     """Pass iff every seed's preimage sizes are all equal."""
-    fam.require_enumerable()
     start = 0
     for maps in fam.iter_maps():
         sizes = map_histograms(maps, fam.output_size)
@@ -461,31 +463,26 @@ def check_balanced(fam: HashFamily) -> BalancedReport:
     return BalancedReport(True, None, None)
 
 
-def _linear_top_count(fam: LinearFamily) -> float:
-    """The largest pair count of a linear family, from one histogram.
-
-    Every seed sends symbol 0 to output 1, so the seeds with f(0) = 1 and
-    f(b) = v are those with f(b) = v: no pair count exceeds the top entry of
-    the per-symbol output histogram of the maps, and the pairs (0, b) reach
-    it.  Refused past the pair counts' cap."""
-    _pair_count_cap(fam, fam.output_size)
-    hist = sum(map_histograms(maps.T, fam.output_size) for maps in fam.iter_maps())
-    return float(hist[1:].max())
-
-
 def check_strongly_universal2(fam: HashFamily) -> StronglyUniversal2Report:
     """Exact check of single-output uniformity and pairwise independence.
 
-    For a linear family the deviations are those of the pairs (0, b): symbol
-    0's count s against s/M, the top count of `_linear_top_count` against
-    s/M^2 (every other pair deviates less, and (0, b)'s zero counts by
-    s/M^2).  Other families' come from the pair counts."""
+    Every seed of a linear family sends symbol 0 to output 1, so the seeds
+    with f(0) = 1 and f(b) = v are those with f(b) = v: no pair count
+    exceeds the top entry of the per-symbol output histogram of the maps
+    (|alphabet| x M cells, refused over DEFAULT_MAX_CELLS), and the pairs
+    (0, b) reach it.  So the deviations are those of the pairs (0, b):
+    symbol 0's count s against s/M, that top count against s/M^2 (every
+    other pair deviates less, and (0, b)'s zero counts by s/M^2).  Other
+    families' come from the pair counts."""
     s, m_out = fam.seed_count, fam.output_size
     target_single = s / m_out
     target_pair = s / (m_out * m_out)
     max_single = max_pair = 0.0
     if isinstance(fam, LinearFamily):
-        max_single, max_pair = s - target_single, _linear_top_count(fam) - target_pair
+        n = fam.input_alphabet.size
+        _require_work(n * m_out, f"{n} x {m_out} histogram cells", DEFAULT_MAX_CELLS)
+        hist = sum(map_histograms(maps.T, m_out) for maps in fam.iter_maps())
+        max_single, max_pair = s - target_single, float(hist[1:].max()) - target_pair
     else:
         for a, counts, upper in _pair_counts(fam, joint=True):
             hist = counts[np.arange(len(a)), :, a, :].diagonal(axis1=1, axis2=2)

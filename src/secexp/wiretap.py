@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dists import (
-    BLOCK_CELLS,
     DEFAULT_MAX_CELLS,
     Alphabet,
     InvariantError,
     JointDist,
     SizeLimitError,
     SubDist,
+    blocks,
     capped_power,
     fsum_rows,
     kron_power,
@@ -413,9 +413,14 @@ def _kernel_cells(m: int, l: int, wb: Channel, we: Channel) -> int:
     return m * l * (m + wb.output_alphabet.size + we.output_alphabet.size)
 
 
-def _block_pairs(m: int, l: int, wb: Channel, we: Channel) -> int:
-    """Pairs per kernel call, their cells kept under BLOCK_CELLS."""
-    return max(1, BLOCK_CELLS // _kernel_cells(m, l, wb, we))
+def _kernel_sweep(entries: int, pick, m: int, l: int, wb: Channel, we: Channel):
+    """eps and d1 of `entries` (codebook, seed map) pairs, filled in the
+    `dists.blocks` of kernel cells: pick(i) gives the pairs of entries i."""
+    eps, d1 = np.empty(entries), np.empty(entries)
+    for block in blocks(entries, _kernel_cells(m, l, wb, we)):
+        i = np.arange(block.start, block.stop)
+        eps[block], d1[block] = _pair_metrics(*pick(i), m, l, wb, we)
+    return eps, d1
 
 
 def _require_kernel_work(entries: int, m: int, l: int, wb: Channel, we: Channel):
@@ -509,44 +514,31 @@ def wiretap_ensemble_exact(
     """Exact ensemble averages over all codebooks and all hash seeds.
 
     Codebooks are weighted by their i.i.d. probability under p; seeds are
-    uniform.  Zero-probability codebooks are skipped.  Codebooks are
-    enumerated in blocks, each block paired with every seed map.  More than
+    uniform.  Zero-probability codebooks are skipped.  Entry i pairs
+    nonzero codebook i // n_seeds with seed map i % n_seeds.  More than
     ENSEMBLE_COMBO_LIMIT entries, or ENSEMBLE_CELL_LIMIT kernel cells, are
-    refused.
+    refused before any codebook is enumerated.
     """
     _require_conditions(p, m, l, fam)
-    ml = m * l
-    nx = p.alphabet.size
-    n_seeds = fam.seed_count
+    nx, ml, n_seeds = p.alphabet.size, m * l, fam.seed_count
     n_codebooks = nx**ml
     if n_codebooks * n_seeds > ENSEMBLE_COMBO_LIMIT:
         raise SizeLimitError("ensemble too large for exact enumeration")
     _require_kernel_work(n_codebooks * n_seeds, m, l, wb, we)
     maps = np.concatenate(list(fam.iter_maps()))
-    per_block = max(1, _block_pairs(m, l, wb, we) // n_seeds)
-    codebooks, weights, eps, d1 = [], [], [], []
-    for start in range(0, n_codebooks, per_block):
-        cbs = _codebook_digits(
-            np.arange(start, min(start + per_block, n_codebooks)), nx, ml
-        )
-        w_cb = np.prod(p.mass[cbs], axis=1)
-        keep = w_cb != 0.0
-        cbs = cbs[keep]
-        e, d = _pair_metrics(
-            np.repeat(cbs, n_seeds, axis=0), np.tile(maps, (len(cbs), 1)), m, l, wb, we
-        )
-        codebooks.append(cbs)
-        weights.append(np.repeat(w_cb[keep] / n_seeds, n_seeds))
-        eps.append(e)
-        d1.append(d)
-    weight, eps, d1 = (np.concatenate(a) for a in (weights, eps, d1))
+    cbs = _codebook_digits(np.arange(n_codebooks), nx, ml)
+    w_cb = np.prod(p.mass[cbs], axis=1)
+    keep = w_cb != 0.0
+    cbs, weight = cbs[keep], np.repeat(w_cb[keep] / n_seeds, n_seeds)
+    pick = lambda i: (cbs[i // n_seeds], maps[i % n_seeds])
+    eps, d1 = _kernel_sweep(len(weight), pick, m, l, wb, we)
     return WiretapEnsembleResult(
         avg_eps=fsum_rows((weight * eps)[None])[0],
         avg_d1=fsum_rows((weight * d1)[None])[0],
         weight=weight,
         eps=eps,
         d1=d1,
-        codebooks=np.concatenate(codebooks),
+        codebooks=cbs,
         n_seeds=n_seeds,
     )
 
@@ -575,17 +567,13 @@ def wiretap_ensemble_mc(
     _require_conditions(p, m, l, fam)
     if n_samples < 2:
         raise ValueError("Monte Carlo mode needs at least 2 samples")
-    ml = m * l
     rng = np.random.default_rng(seed)
-    eps_vals = np.empty(n_samples)
-    d1_vals = np.empty(n_samples)
-    step = _block_pairs(m, l, wb, we)
-    for start in range(0, n_samples, step):
-        block = slice(start, min(start + step, n_samples))
-        codebooks, seeds = zip(*(_draw(p, ml, fam, rng) for _ in range(block.start, block.stop)))
-        eps_vals[block], d1_vals[block] = _pair_metrics(
-            np.array(codebooks), fam.maps_of(np.array(seeds)), m, l, wb, we
-        )
+
+    def pick(i):  # a codebook, then a seed, per entry in stream order
+        codebooks, seeds = zip(*(_draw(p, m * l, fam, rng) for _ in i))
+        return np.array(codebooks), fam.maps_of(np.array(seeds))
+
+    eps_vals, d1_vals = _kernel_sweep(n_samples, pick, m, l, wb, we)
     return (
         EnsembleEstimate.from_samples(eps_vals.tolist()),
         EnsembleEstimate.from_samples(d1_vals.tolist()),

@@ -167,6 +167,16 @@ class TestHashCheck:
         assert payload["condition3"] == "fail"
         assert payload["max_collision"] <= 0.5 + 1e-12
 
+    def test_toeplitz_histogram_under_its_own_cap(self, runner):
+        # 4096 x 64 histogram cells, though 64 x 4096 x 64 pair counts
+        # would exceed the cap
+        res = runner.invoke(
+            cli, ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "12", "--m", "6"]
+        )
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert [payload[f"condition{i}"] for i in (1, 2, 3)] == ["pass", "pass", "fail"]
+
     def test_fullrandom_report(self, runner):
         res = runner.invoke(
             cli, ["hash", "check", "--family", "fullrandom", "--size", "3", "--M", "2"]
@@ -375,6 +385,9 @@ _OVERSIZED = {
     "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
     "toeplitz-q": ["hash", "check", "--q", "1000000000000000003", "--k", "2", "--m", "1"],
     "pair-counts": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "12", "--m", "9"],
+    # 2^19 seeds x 2^19 kernel vectors each
+    "toeplitz-kernel": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "20",
+                        "--m", "1"],
     "pair-counts-first": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "17",
                           "--m", "16"],
     "distill-q": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",

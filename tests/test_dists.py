@@ -1,17 +1,22 @@
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import secexp
 from secexp.dists import (
+    BLOCK_CELLS,
     Alphabet,
     AlphabetMismatchError,
     JointDist,
     SizeLimitError,
     SubDist,
     TypeClass,
+    blocks,
     capped_power,
     compositions,
     d1_uniformity,
@@ -22,6 +27,7 @@ from secexp.dists import (
     l1_distance,
     l2_distance,
     product_alphabet,
+    range_alphabet,
     renyi,
     renyi_tilde,
     renyi_tilde_derivative,
@@ -282,6 +288,25 @@ class TestProductAlphabet:
         assert alph.index("120") == 15
 
 
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "count, cells", [(0, 5), (1, 1 << 20), (10, 1), (1000, 1 << 10), (7, 1 << 17), (9, 3 << 17)]
+    )
+    def test_slices_cover_the_range_in_order(self, count, cells):
+        got = list(blocks(count, cells))
+        step = max(1, BLOCK_CELLS // cells)
+        assert [i for b in got for i in range(count)[b]] == list(range(count))
+        assert all(1 <= b.stop - b.start <= step for b in got)
+        assert all(b.stop - b.start == step for b in got[:-1])
+
+    def test_only_dists_names_the_block_budget(self):
+        # every sweep cuts its work through dists.blocks, so one patch of
+        # dists.BLOCK_CELLS reaches them all
+        src = Path(secexp.__file__).parent
+        named = sorted(f.name for f in src.glob("*.py") if "BLOCK_CELLS" in f.read_text())
+        assert named == ["dists.py"]
+
+
 class TestCappedPower:
     def test_powers_up_to_the_cap(self):
         assert capped_power(2, 20, "cells") == 1 << 20
@@ -364,6 +389,21 @@ class TestTypes:
         got = list(compositions(1, 2000))
         assert len(got) == 2000
         assert got[0] == (0,) * 1999 + (1,) and got[-1] == (1,) + (0,) * 1999
+
+    def test_type_lists_are_capped(self, monkeypatch):
+        # 45,760 types x 64 counts: 2.9M cells, refused before any is built,
+        # and in strings_by_type before the loop over the 64^3 strings
+        with pytest.raises(SizeLimitError, match="45760 types of 64 counts exceed cap 1048576"):
+            enumerate_types(range_alphabet(64), 3)
+
+        def no_strings(*args, **kwargs):
+            raise AssertionError("strings enumerated before the type cap")
+
+        monkeypatch.setattr(itertools, "product", no_strings)
+        with pytest.raises(SizeLimitError, match="45760 types"):
+            strings_by_type(range_alphabet(64), 3)
+        # 64 x 64 = 4,096 cells at n = 1 pass
+        assert len(enumerate_types(range_alphabet(64), 1)) == 64
 
     def test_strings_by_type_partition(self):
         alph = Alphabet(("0", "1", "2"))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from secexp import hashing
+from secexp import dists, hashing
 from secexp.dists import Alphabet, SizeLimitError, range_alphabet
 from secexp.gf import Field, Module
 from secexp.hashing import (
@@ -247,6 +247,19 @@ class TestToeplitzEval:
         assert (None if fam is None else (fam.q, fam.k, fam.m)) == shape
 
 
+class FullToeplitzFamily(ToeplitzFamily):
+    """Binary maps x -> T x by the full m x k Toeplitz matrix T of k + m - 1
+    seed digits: a linear family not in the systematic form (X | I)."""
+
+    def __init__(self, k: int, m: int):
+        super().__init__(2, k, m)
+        self.seed_len = k + m - 1
+
+    def matrices(self, seeds):
+        at = (self.k - 1) + np.arange(self.m)[:, None] - np.arange(self.k)
+        return np.asarray(seeds, dtype=np.int64)[:, at]
+
+
 def all_toeplitz_instances():
     out = []
     for q in (2, 3, 4):
@@ -285,9 +298,36 @@ class TestConditions:
         assert repr(check_strongly_universal2(fam)) == repr(check_strongly_universal2(explicit))
 
     def test_toeplitz_strong_universality_refused_past_the_pair_cap(self):
-        # the pair counts' cell cap stays in front of the histogram route
-        with pytest.raises(SizeLimitError):
+        # the histogram's own cell cap: 4096 x 512 cells
+        with pytest.raises(SizeLimitError, match="4096 x 512 histogram cells"):
             check_strongly_universal2(ToeplitzFamily(2, 12, 9))
+
+    def test_kernel_vectors_are_capped(self, monkeypatch):
+        fam = ToeplitzFamily(2, 5, 2)  # 16 seeds x 2^3 kernel vectors
+        monkeypatch.setattr(hashing, "KERNEL_VECTOR_LIMIT", 128)
+        assert check_universal2(fam).passed
+        monkeypatch.setattr(hashing, "KERNEL_VECTOR_LIMIT", 127)
+        with pytest.raises(SizeLimitError, match="128 kernel vectors exceed 127"):
+            check_universal2(fam)
+
+    @pytest.mark.parametrize("check", [check_balanced, check_strongly_universal2])
+    def test_map_cells_are_capped(self, check, monkeypatch):
+        fam = ToeplitzFamily(2, 5, 2)  # 16 seeds x 32 symbols
+        monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 512)
+        check(fam)
+        monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 511)
+        with pytest.raises(SizeLimitError, match="512 map cells exceed 511"):
+            check(fam)
+
+    @pytest.mark.parametrize("k,m", [(4, 2), (5, 2), (6, 3)])
+    def test_kernel_counts_need_the_systematic_form(self, k, m):
+        # the kernel is read as {(x, -X x)}, which a full Toeplitz matrix
+        # does not have; its maps still check by their pair counts
+        fam = FullToeplitzFamily(k, m)
+        with pytest.raises(ValueError, match=r"\(X \| I\)"):
+            check_universal2(fam)
+        explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
+        assert check_universal2(explicit).worst_pair is not None
 
     def test_toeplitz_2_12_4_within_a_second(self):
         start = time.perf_counter()
@@ -415,14 +455,10 @@ class TestSeedInterface:
         every = fam.maps_of(fam.seeds())
         n = fam.input_alphabet.size
         for cells in (1, 2 * n + 1, 5 * n, 1 << 19):
-            monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+            monkeypatch.setattr(dists, "BLOCK_CELLS", cells)
             blocks = list(fam.iter_maps())
             assert all(b.size <= max(cells, n) for b in blocks)
             np.testing.assert_array_equal(np.concatenate(blocks), every)
-            picked = fam.seeds()[::-1]
-            np.testing.assert_array_equal(
-                np.concatenate(list(fam.iter_maps(picked))), fam.maps_of(picked)
-            )
 
     @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
     def test_sample_seed_is_one_integers_call(self, fam):
@@ -491,7 +527,7 @@ def random_explicit_families():
 class TestCheckersAgainstPairLoops:
     @pytest.mark.parametrize("cells", [1 << 19, 7])
     def test_random_explicit_families(self, cells, monkeypatch):
-        monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(dists, "BLOCK_CELLS", cells)
         outcomes = set()
         for fam in random_explicit_families():
             maps = fam.maps_of(fam.seeds())
@@ -523,6 +559,6 @@ class TestCheckersAgainstPairLoops:
     def test_toeplitz_checks_split_into_blocks(self, monkeypatch):
         fam = ToeplitzFamily(2, 5, 2)
         whole = (check_universal2(fam), check_balanced(fam), check_strongly_universal2(fam))
-        monkeypatch.setattr(hashing, "BLOCK_CELLS", 3 * 32 + 5)
+        monkeypatch.setattr(dists, "BLOCK_CELLS", 3 * 32 + 5)
         split = (check_universal2(fam), check_balanced(fam), check_strongly_universal2(fam))
         assert split == whole

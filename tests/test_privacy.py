@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from secexp import hashing, privacy
+from secexp import dists, privacy
 from secexp.dists import (
     Alphabet,
     JointDist,
@@ -401,7 +401,7 @@ class TestBlockKernel:
     def test_exact_means_are_fsums_of_one_map_values(self, fam, cells, monkeypatch):
         # the maps route (the same maps as an explicit family) is bit for bit;
         # the family's own route (transform or subsets) agrees within 1e-15
-        monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(dists, "BLOCK_CELLS", cells)
         p, j = self.sources(fam, 3)
         m, count = fam.output_size, fam.seed_count
         maps = fam.maps_of(fam.seeds())
@@ -427,7 +427,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("cells", [1 << 19, 5 * 256 + 3])
     def test_toeplitz_mc_equals_per_sample_loop(self, cells, monkeypatch):
         # the same sampled seeds; the transform agrees with the maps within 1e-15
-        monkeypatch.setattr(hashing, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(dists, "BLOCK_CELLS", cells)
         fam = ToeplitzFamily(2, 8, 3)
         p, j = self.sources(fam, 8)
         m = fam.output_size

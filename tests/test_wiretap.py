@@ -22,7 +22,7 @@ from secexp.figures import (
 from secexp.gf import Module
 
 from conftest import assert_bit_equal, assert_matches_scalar_optimizer, assert_order_parity, kron_loop
-from secexp import hashing
+from secexp import dists
 from secexp import wiretap as wiretap_module
 from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
@@ -583,9 +583,8 @@ class TestBatchedEnsembleParity:
         p, fam, wb, we = _parity_instance(q, m, l)
         whole = wiretap_ensemble_exact(p, m, l, fam, wb, we)
         mc = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2)
-        # both the seed maps and the kernel split: a few pairs per kernel call
-        monkeypatch.setattr(hashing, "BLOCK_CELLS", 2 * m * l + 1)
-        monkeypatch.setattr(wiretap_module, "BLOCK_CELLS", 3 * wiretap_module._kernel_cells(m, l, wb, we))
+        # the kernel splits: three pairs per kernel call
+        monkeypatch.setattr(dists, "BLOCK_CELLS", 3 * wiretap_module._kernel_cells(m, l, wb, we))
         kernel = wiretap_module._pair_metrics
         sizes = []
 
@@ -598,7 +597,7 @@ class TestBatchedEnsembleParity:
         for key in ("weight", "eps", "d1", "codebooks"):
             np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
         assert (split.avg_eps, split.avg_d1) == (whole.avg_eps, whole.avg_d1)
-        assert len(sizes) > 1 and max(sizes) <= fam.seed_count
+        assert len(sizes) == -(-len(whole.eps) // 3) and max(sizes) == 3
         sizes.clear()
         assert wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2) == mc
         assert len(sizes) == 17 and max(sizes) == 3
@@ -924,7 +923,7 @@ class TestCosetParity:
         we = _random_channel(rng, 32, 3)
         whole = coset_ensemble_d1(c1, 2, we).value
         whole_rep = condition4_report(c1, 2)
-        monkeypatch.setattr(hashing, "BLOCK_CELLS", 40)
+        monkeypatch.setattr(dists, "BLOCK_CELLS", 40)
         assert coset_ensemble_d1(c1, 2, we).value == whole
         assert condition4_report(c1, 2) == whole_rep
 
