@@ -27,6 +27,7 @@ __all__ = [
     "AlphabetMismatchError",
     "SizeLimitError",
     "InvariantError",
+    "require_work",
     "capped_power",
     "blocks",
     "compositions",
@@ -72,6 +73,13 @@ class SizeLimitError(ValueError):
 class InvariantError(RuntimeError):
     """A guarantee the mathematics proves, found broken at run time; the
     message names it."""
+
+
+def require_work(units: int, what: str, cap: int = DEFAULT_MAX_CELLS):
+    """Refuse `units` of work or cells past `cap` before any is done: with
+    `capped_power`'s walk, the one form of every size refusal."""
+    if units > cap:
+        raise SizeLimitError(f"{units} {what} exceed cap {cap}")
 
 
 def capped_power(base: int, n: int, what: str, cap: int = DEFAULT_MAX_CELLS) -> int:
@@ -687,8 +695,8 @@ def enumerate_types(alphabet: Alphabet, n: int) -> list[TypeClass]:
     if n < 1:
         raise ValueError("n must be >= 1")
     size = alphabet.size
-    if (types := math.comb(n + size - 1, n)) * size > DEFAULT_MAX_CELLS:
-        raise SizeLimitError(f"{types} types of {size} counts exceed cap {DEFAULT_MAX_CELLS}")
+    types = math.comb(n + size - 1, n)
+    require_work(types * size, f"type counts ({types} types x {size} symbols)")
     return [TypeClass(alphabet, c) for c in compositions(n, size)]
 
 

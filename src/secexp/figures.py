@@ -20,10 +20,10 @@ import numpy as np
 
 from .dists import (
     Alphabet,
-    SizeLimitError,
     SubDist,
     renyi_tilde,
     renyi_tilde_derivative,
+    require_work,
     shannon_entropy,
 )
 from .exponents import (
@@ -54,9 +54,6 @@ BERN_P = 0.2
 EXAMPLE_A = 0.05
 SPECIALIZED_R = 0.3
 SPECIALIZED_N_STEP = 20
-# Figures 2-4 solve every sweep point in one optimizer call, whose order
-# grid holds (GRID_INTERVALS + 1) x points cells: at most 1,023 points.
-MAX_SWEEP_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,7 @@ def _figure6(points: int) -> FigureData:
     """-(1/n) log of the specialized map's exact distance and of the
     heavy-mass floor, for Bern(0.2)^n into M = round(e^(R n)) cells at
     n = 20, 40, .., beside the specialized exponent they approach."""
-    if points > 100:
-        raise ValueError("figure 6 sweeps n = 20, 40, .. up to 2000: at most 100 points")
+    require_work(points, "points of figure 6 (n = 20, 40, .. up to 2000)", 100)
     p = SubDist.bernoulli(BERN_P)
     res = specialized_exponent(p, SPECIALIZED_R)
     header = {
@@ -178,7 +174,7 @@ def figure_sweep(figure_id: int, points: int = 50) -> FigureData:
         raise ValueError(f"unknown figure id {figure_id}")
     if points < 2:
         raise ValueError("need at least 2 sweep points")
-    if figure_id != 6 and (GRID_INTERVALS + 1) * points > MAX_SWEEP_CELLS:
-        raise SizeLimitError(f"{points} sweep points x {GRID_INTERVALS + 1} orders exceed "
-                             f"the cap of {MAX_SWEEP_CELLS} grid cells")
+    if figure_id != 6:  # one optimizer call over all points: at most 1,023
+        what = f"grid cells ({points} points x {GRID_INTERVALS + 1} orders)"
+        require_work((GRID_INTERVALS + 1) * points, what)
     return sweeps[figure_id](points)

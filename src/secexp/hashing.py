@@ -37,12 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import (
-    DEFAULT_MAX_CELLS,
     Alphabet,
     SizeLimitError,
     blocks,
     capped_power,
     product_alphabet,
+    require_work,
 )
 from .gf import Field, combination_indices
 
@@ -128,7 +128,7 @@ class HashFamily:
         |alphabet| cells per map; refused past the enumeration limit or
         MAP_CELL_LIMIT map cells in all."""
         self.require_enumerable()
-        _require_work(self.seed_count * self.input_alphabet.size, "map cells", MAP_CELL_LIMIT)
+        require_work(self.seed_count * self.input_alphabet.size, "map cells", MAP_CELL_LIMIT)
         for block in self.seed_blocks(None, self.input_alphabet.size):
             yield self.maps_of(block)
 
@@ -140,11 +140,7 @@ class HashFamily:
         and a histogram's cells; one seed's histogram over DEFAULT_MAX_CELLS
         is refused."""
         m, side = self.output_size, int(np.prod(np.shape(weights)[1:]))
-        if m * side > DEFAULT_MAX_CELLS:
-            raise SizeLimitError(
-                f"{m} outputs x {side} side symbols exceed the cap of "
-                f"{DEFAULT_MAX_CELLS} histogram cells per seed"
-            )
+        require_work(m * side, f"histogram cells ({m} outputs x {side} side symbols)")
         for block in self.seed_blocks(seeds, max(self.input_alphabet.size, m * side)):
             yield map_histograms(self.maps_of(block), m, weights)
 
@@ -240,7 +236,7 @@ class LinearFamily(HashFamily):
         self.require_enumerable()
         p, e = self.field.prime, self.field.degree
         n, r = self.k * e, (self.k - self.m) * e
-        _require_work(self.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)
+        require_work(self.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)
         counts = np.zeros(p**n, dtype=np.int64)
         for block in self.seed_blocks(None, n * max(p**r, self.m * e)):
             a = self.matrices(block)
@@ -358,12 +354,6 @@ class ExplicitFamily(HashFamily):
         return self._maps[np.asarray(seeds, dtype=np.int64)[:, 0]]
 
 
-def _require_work(units: int, what: str, cap: int):
-    """Refuse a sweep of more than `cap` units of work before it starts."""
-    if units > cap:
-        raise SizeLimitError(f"{units} {what} exceed {cap}")
-
-
 def _pair_counts(fam: HashFamily, joint: bool):
     """Exact pair counts of the seed maps, for one tile of symbols at a time.
 
@@ -377,7 +367,7 @@ def _pair_counts(fam: HashFamily, joint: bool):
     n, m = fam.input_alphabet.size, fam.output_size
     width = m if joint else 1
     fam.require_enumerable()
-    _require_work(width * n * width, f"{width} x {n} x {width} pair counts", DEFAULT_MAX_CELLS)
+    require_work(width * n * width, f"pair counts of one symbol ({width} x {n} x {width})")
     outputs = np.arange(1, m + 1)
     for tile in blocks(n, n * width * width):
         a = np.arange(tile.start, tile.stop)
@@ -480,7 +470,7 @@ def check_strongly_universal2(fam: HashFamily) -> StronglyUniversal2Report:
     max_single = max_pair = 0.0
     if isinstance(fam, LinearFamily):
         n = fam.input_alphabet.size
-        _require_work(n * m_out, f"{n} x {m_out} histogram cells", DEFAULT_MAX_CELLS)
+        require_work(n * m_out, f"histogram cells ({n} symbols x {m_out} outputs)")
         hist = sum(map_histograms(maps.T, m_out) for maps in fam.iter_maps())
         max_single, max_pair = s - target_single, float(hist[1:].max()) - target_pair
     else:

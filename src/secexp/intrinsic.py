@@ -23,11 +23,11 @@ import numpy as np
 from .dists import (
     Alphabet,
     InvariantError,
-    SizeLimitError,
     SubDist,
     compositions,
     renyi_tilde,
     renyi_tilde_derivative,
+    require_work,
     strings_by_type,
 )
 from .exponents import ExponentResult, cramer_exponent, cramer_exponent_restricted
@@ -160,15 +160,11 @@ def build_specialized(p: SubDist, n: int, m: int) -> SpecializedMap:
     """
     if abs(p.total - 1.0) > 1e-9 or m < 1 or n < 1:
         raise ValueError("requires a probability distribution, n >= 1 and M >= 1")
-    if n > MAX_N:
-        raise SizeLimitError(f"n = {n} exceeds cap {MAX_N}")
+    require_work(n, "trials (n)", MAX_N)
     weights, denom = _normalized(p)
-    n_types = math.comb(n + len(weights) - 1, n)
-    if n_types * (256 + n * denom.bit_length() // 8) > MAX_RECORD_BYTES:
-        raise SizeLimitError(
-            f"{n_types} types of {n * denom.bit_length()}-bit string masses exceed "
-            f"the record cap of {MAX_RECORD_BYTES} bytes"
-        )
+    n_types, bits = math.comb(n + len(weights) - 1, n), n * denom.bit_length()
+    what = f"record bytes ({n_types} types of {bits}-bit string masses)"
+    require_work(n_types * (256 + bits // 8), what, MAX_RECORD_BYTES)
     scale, records, last = denom**n, [], None
     a, b = weights[-2:] if len(weights) > 1 else (0, 0)
     for counts in compositions(n, len(weights)):

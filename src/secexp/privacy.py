@@ -8,7 +8,7 @@ type picks the exact route, each with its own cap on work:
 
   subsets    FullyRandomFamily: each output's preimage holds each symbol
              independently with probability 1/M, so the average is a sum over
-             the 2^|A| subsets (SUBSET_LIMIT), whatever M is;
+             the 2^|A| subsets (DEFAULT_MAX_CELLS), whatever M is;
   transform  LinearFamily: every seed's pushforward by the character
              transform (TRANSFORM_LIMIT);
   maps       any other family: every seed's map (MAPS_LIMIT).
@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import JointDist, SizeLimitError, SubDist, capped_power, fsum_groups, fsum_rows, range_alphabet
-from .hashing import ENUMERATION_LIMIT, FullyRandomFamily, HashFamily, LinearFamily, NonEnumerableError
+from .dists import JointDist, SubDist, capped_power, fsum_groups, fsum_rows, range_alphabet, require_work
+from .hashing import ENUMERATION_LIMIT, FullyRandomFamily, HashFamily, LinearFamily
 
 __all__ = [
     "EnsembleEstimate",
     "MAPS_LIMIT",
     "TRANSFORM_LIMIT",
-    "SUBSET_LIMIT",
     "pushforward",
     "d1_hashed",
     "joint_pushforward",
@@ -45,8 +44,9 @@ __all__ = [
     "best_subset_lower_bound",
 ]
 
-# Exact mode refuses work past these caps, one per route, in that route's
-# units.  The seed routes stop near 20 s of work at the slowest cost per unit
+# Exact mode refuses work past these caps, one per seed route, in that route's
+# units (and the subset route past DEFAULT_MAX_CELLS cells, about 45 ns each).
+# The seed routes stop near 20 s of work at the slowest cost per unit
 # measured on a 2-core machine (CHANGES.md): 46 ns per map cell, and 90 ns per
 # transform unit for a source without side symbols, whose short rows are
 # summed one `math.fsum` at a time (10-14 ns with side symbols).
@@ -55,8 +55,6 @@ MAPS_LIMIT = 400_000_000
 # Transform: (k q^k + seeds q^m m) x side symbols, with q^k and q^m the input
 # and output sizes and k, m counted in digits over the prime field.
 TRANSFORM_LIMIT = 250_000_000
-# Subsets: 2^|A| x side symbols, about 45 ns each.
-SUBSET_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,12 +66,17 @@ class EnsembleEstimate:
     mode: str
     n_samples: int | None = None
 
+    @staticmethod
+    def require_samples(n: int):
+        """Refuse a Monte Carlo count below 2, before any sample is drawn."""
+        if n < 2:
+            raise ValueError("Monte Carlo mode needs at least 2 samples")
+
     @classmethod
     def from_samples(cls, values) -> "EnsembleEstimate":
         """Sample mean with the standard error from the unbiased variance."""
         n = len(values)
-        if n < 2:
-            raise ValueError("Monte Carlo mode needs at least 2 samples")
+        cls.require_samples(n)
         mean = math.fsum(values) / n
         var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
         return cls(value=mean, stderr=math.sqrt(var / n), mode="mc", n_samples=n)
@@ -138,9 +141,9 @@ def d1_conditional_prime(j: JointDist, f, m: int) -> float:
     return _l1_rows(hashed.mass[None], ref)[0]
 
 
-def _require_work(fam: HashFamily, side: int, seeds: int):
-    """Refuse a seed route past its cap or past ENUMERATION_LIMIT seeds, for
-    every seed in exact mode and for the sampled ones in Monte Carlo mode."""
+def _require_route_work(fam: HashFamily, side: int, seeds: int):
+    """Refuse a seed route past its cap, for every seed in exact mode and for
+    the sampled ones in Monte Carlo mode."""
     size = fam.input_alphabet.size
     if isinstance(fam, LinearFamily):
         e = fam.field.degree
@@ -148,10 +151,7 @@ def _require_work(fam: HashFamily, side: int, seeds: int):
         what, cap = "transform units", TRANSFORM_LIMIT
     else:
         units, what, cap = seeds * size * side, "map cells", MAPS_LIMIT
-    if units > cap:
-        raise SizeLimitError(f"{seeds} seeds would take {units} {what}, over the cap {cap}")
-    if seeds > ENUMERATION_LIMIT:
-        raise NonEnumerableError(f"{seeds} seeds exceed enumeration limit {ENUMERATION_LIMIT}")
+    require_work(units, f"{what} ({seeds} seeds)", cap)
 
 
 def _subset_law(fam: FullyRandomFamily, weights, terms, empty: float) -> float:
@@ -165,10 +165,8 @@ def _subset_law(fam: FullyRandomFamily, weights, terms, empty: float) -> float:
     float."""
     m, size = fam.output_size, fam.input_alphabet.size
     w = np.reshape(np.asarray(weights, dtype=float), (size, -1))
-    if capped_power(2, size, "subsets", SUBSET_LIMIT) * w.shape[1] > SUBSET_LIMIT:
-        raise SizeLimitError(
-            f"2^{size} subsets x {w.shape[1]} side symbols exceed the cap {SUBSET_LIMIT}"
-        )
+    what = f"subset cells (2^{size} subsets x {w.shape[1]} side symbols)"
+    require_work(capped_power(2, size, "subsets") * w.shape[1], what)
     masses, sizes = np.zeros((1, w.shape[1])), np.zeros(1, dtype=np.int64)
     for row in w:
         masses = np.concatenate([masses, masses + row])
@@ -190,13 +188,16 @@ def _ensemble(
         return EnsembleEstimate(value=value, stderr=None, mode="exact")
     side = int(np.prod(np.shape(weights)[1:]))
     if mode == "exact":
-        _require_work(fam, side, fam.seed_count)
+        _require_route_work(fam, side, fam.seed_count)
+        fam.require_enumerable()
         values = (v for rows in fam.pushforward_blocks(weights) for v in values_of(rows))
         return EnsembleEstimate(
             value=math.fsum(values) / fam.seed_count, stderr=None, mode="exact"
         )
     if mode == "mc":
-        _require_work(fam, side, n_samples)
+        EnsembleEstimate.require_samples(n_samples)
+        _require_route_work(fam, side, n_samples)
+        require_work(n_samples, "samples", ENUMERATION_LIMIT)
         rng = np.random.default_rng(seed)
         seeds = np.array([fam.sample_seed(rng) for _ in range(n_samples)])
         return EnsembleEstimate.from_samples(

@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dists import (
-    DEFAULT_MAX_CELLS,
     Alphabet,
     InvariantError,
     JointDist,
-    SizeLimitError,
     SubDist,
     blocks,
     capped_power,
@@ -37,6 +35,7 @@ from .dists import (
     log_fsum_by_order,
     product_alphabet,
     range_alphabet,
+    require_work,
 )
 from .exponents import cond_renyi_tilde, maximize_on_interval, maximize_over_rates, phi_cond
 from .gf import Module, combination_indices
@@ -77,10 +76,9 @@ __all__ = [
     "WiretapEnsembleResult",
 ]
 
-# Exact ensembles refuse more (codebook, seed) entries than this: binary
-# M=2, L=8 (524,288 entries) takes about a second.
-ENSEMBLE_COMBO_LIMIT = 1 << 20
-# Both modes refuse more kernel cells than this in all, entries times the
+# Both modes refuse more (codebook, seed) entries than DEFAULT_MAX_CELLS, the
+# cells of each per-entry array (binary M=2, L=8, 524,288 entries, takes about
+# a second), and more kernel cells than this in all, entries times the
 # ML (M + |Y| + |Z|) cells `_pair_metrics` spends on each: 5 to 20 s at the
 # 5-20 ns per cell measured on a 2-core machine.
 ENSEMBLE_CELL_LIMIT = 1 << 30
@@ -153,8 +151,7 @@ class Channel:
             raise ValueError("noise alphabet must match the module size")
         nx = module.size
         nz2 = joint.alphabet_e.size
-        if nx * nx * nz2 > DEFAULT_MAX_CELLS:  # before the matrix or its difference table
-            raise SizeLimitError(f"{nx * nx * nz2} matrix cells exceed cap {DEFAULT_MAX_CELLS}")
+        require_work(nx * nx * nz2, "matrix cells")  # before the matrix or its difference table
         in_alph = Alphabet(module.labels())
         pairs = (f"{z},{z2}" for z in in_alph.symbols for z2 in joint.alphabet_e.symbols)
         out_alph = in_alph if nz2 == 1 else Alphabet(tuple(pairs))
@@ -423,14 +420,12 @@ def _kernel_sweep(entries: int, pick, m: int, l: int, wb: Channel, we: Channel):
     return eps, d1
 
 
-def _require_kernel_work(entries: int, m: int, l: int, wb: Channel, we: Channel):
-    """Refuse an ensemble whose entries would pass ENSEMBLE_CELL_LIMIT
-    kernel cells, before any is enumerated or drawn."""
-    per_entry = _kernel_cells(m, l, wb, we)
-    if entries * per_entry > ENSEMBLE_CELL_LIMIT:
-        raise SizeLimitError(
-            f"{entries} entries of {per_entry} kernel cells exceed the cap of {ENSEMBLE_CELL_LIMIT} cells"
-        )
+def _require_entries(entries: int, what: str, m: int, l: int, wb: Channel, we: Channel):
+    """Refuse more than DEFAULT_MAX_CELLS entries (counted as `what`) or
+    ENSEMBLE_CELL_LIMIT kernel cells, before any is enumerated or drawn."""
+    require_work(entries, what)
+    cells = _kernel_cells(m, l, wb, we)
+    require_work(entries * cells, f"kernel cells ({entries} entries x {cells})", ENSEMBLE_CELL_LIMIT)
 
 
 def _codebook_digits(codes: np.ndarray, nx: int, ml: int) -> np.ndarray:
@@ -515,16 +510,14 @@ def wiretap_ensemble_exact(
 
     Codebooks are weighted by their i.i.d. probability under p; seeds are
     uniform.  Zero-probability codebooks are skipped.  Entry i pairs
-    nonzero codebook i // n_seeds with seed map i % n_seeds.  More than
-    ENSEMBLE_COMBO_LIMIT entries, or ENSEMBLE_CELL_LIMIT kernel cells, are
-    refused before any codebook is enumerated.
+    nonzero codebook i // n_seeds with seed map i % n_seeds.  Too many
+    entries (`_require_entries`) are refused before the family is checked or
+    any codebook is enumerated.
     """
-    _require_conditions(p, m, l, fam)
     nx, ml, n_seeds = p.alphabet.size, m * l, fam.seed_count
-    n_codebooks = nx**ml
-    if n_codebooks * n_seeds > ENSEMBLE_COMBO_LIMIT:
-        raise SizeLimitError("ensemble too large for exact enumeration")
-    _require_kernel_work(n_codebooks * n_seeds, m, l, wb, we)
+    n_codebooks = capped_power(nx, ml, "codebooks")  # refused only past the entry cap
+    _require_entries(n_codebooks * n_seeds, "(codebook, seed) entries", m, l, wb, we)
+    _require_conditions(p, m, l, fam)
     maps = np.concatenate(list(fam.iter_maps()))
     cbs = _codebook_digits(np.arange(n_codebooks), nx, ml)
     w_cb = np.prod(p.mass[cbs], axis=1)
@@ -557,16 +550,12 @@ def wiretap_ensemble_mc(
     with its standard error.
 
     Each sample draws a codebook, then a seed, from one random stream and is
-    one (codebook, seed) entry of the exact ensemble, so at most
-    ENSEMBLE_COMBO_LIMIT samples are taken, and at most ENSEMBLE_CELL_LIMIT
-    kernel cells spent on them; the drawn codes are evaluated a kernel block
-    at a time."""
-    if n_samples > ENSEMBLE_COMBO_LIMIT:
-        raise SizeLimitError(f"{n_samples} samples exceed the cap of {ENSEMBLE_COMBO_LIMIT} entries")
-    _require_kernel_work(n_samples, m, l, wb, we)
+    one (codebook, seed) entry of the exact ensemble, under the same caps,
+    checked after the count and before the family; the drawn codes are
+    evaluated a kernel block at a time."""
+    EnsembleEstimate.require_samples(n_samples)
+    _require_entries(n_samples, "samples", m, l, wb, we)
     _require_conditions(p, m, l, fam)
-    if n_samples < 2:
-        raise ValueError("Monte Carlo mode needs at least 2 samples")
     rng = np.random.default_rng(seed)
 
     def pick(i):  # a codebook, then a seed, per entry in stream order

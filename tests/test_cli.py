@@ -144,6 +144,17 @@ class TestFigure:
         res = runner.invoke(cli, ["figure", "--id", "7"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "fig_id, points, shown",
+        [("2", "1024", "1049600 grid cells (1024 points x 1025 orders) exceed cap 1048576"),
+         ("6", "101", "101 points of figure 6 (n = 20, 40, .. up to 2000) exceed cap 100")],
+    )
+    def test_points_past_the_cap_are_a_size_limit(self, runner, fig_id, points, shown):
+        # both are work caps: exit 3, before any point is solved
+        res = runner.invoke(cli, ["figure", "--id", fig_id, "--points", points])
+        assert res.exit_code == 3, res.output
+        assert f"size limit exceeded: {shown}" in res.output
+
     def test_json_format(self, runner):
         res = runner.invoke(
             cli, ["figure", "--id", "3", "--points", "4", "--format", "json"]
@@ -305,7 +316,7 @@ class TestSimulateWiretap:
              "--M", "2", "--L", "8"],
         )
         assert res.exit_code == 3, res.output
-        assert "too large for exact enumeration" in res.output
+        assert "3^16 codebooks exceed cap 1048576" in res.output
 
     @pytest.mark.parametrize("uses", ["0", "-3"])
     def test_rejects_nonpositive_uses(self, runner, channel_files, uses):
@@ -502,7 +513,10 @@ class TestIntrinsicCommand:
     def test_size_limit_exit_code(self, runner, bern_file):
         # n past MAX_N, and 9,501 types of 28,500-bit string masses past
         # MAX_RECORD_BYTES
-        for n, shown in (("10001", "n = 10001 exceeds cap"), ("9500", "9501 types")):
+        for n, shown in (
+            ("10001", "10001 trials (n) exceed cap 10000"),
+            ("9500", "36274818 record bytes (9501 types of 28500-bit string masses) exceed cap 33554432"),
+        ):
             res = runner.invoke(
                 cli, ["intrinsic", "--dist", bern_file, "--n", n, "--M", "4"]
             )

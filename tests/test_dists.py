@@ -393,7 +393,7 @@ class TestTypes:
     def test_type_lists_are_capped(self, monkeypatch):
         # 45,760 types x 64 counts: 2.9M cells, refused before any is built,
         # and in strings_by_type before the loop over the 64^3 strings
-        with pytest.raises(SizeLimitError, match="45760 types of 64 counts exceed cap 1048576"):
+        with pytest.raises(SizeLimitError, match=r"2928640 type counts \(45760 types x 64 symbols\) exceed cap 1048576"):
             enumerate_types(range_alphabet(64), 3)
 
         def no_strings(*args, **kwargs):

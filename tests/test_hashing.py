@@ -299,7 +299,7 @@ class TestConditions:
 
     def test_toeplitz_strong_universality_refused_past_the_pair_cap(self):
         # the histogram's own cell cap: 4096 x 512 cells
-        with pytest.raises(SizeLimitError, match="4096 x 512 histogram cells"):
+        with pytest.raises(SizeLimitError, match=r"2097152 histogram cells \(4096 symbols x 512 outputs\) exceed cap 1048576"):
             check_strongly_universal2(ToeplitzFamily(2, 12, 9))
 
     def test_kernel_vectors_are_capped(self, monkeypatch):
@@ -307,7 +307,7 @@ class TestConditions:
         monkeypatch.setattr(hashing, "KERNEL_VECTOR_LIMIT", 128)
         assert check_universal2(fam).passed
         monkeypatch.setattr(hashing, "KERNEL_VECTOR_LIMIT", 127)
-        with pytest.raises(SizeLimitError, match="128 kernel vectors exceed 127"):
+        with pytest.raises(SizeLimitError, match="128 kernel vectors exceed cap 127"):
             check_universal2(fam)
 
     @pytest.mark.parametrize("check", [check_balanced, check_strongly_universal2])
@@ -316,7 +316,7 @@ class TestConditions:
         monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 512)
         check(fam)
         monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 511)
-        with pytest.raises(SizeLimitError, match="512 map cells exceed 511"):
+        with pytest.raises(SizeLimitError, match="512 map cells exceed cap 511"):
             check(fam)
 
     @pytest.mark.parametrize("k,m", [(4, 2), (5, 2), (6, 3)])

@@ -103,6 +103,17 @@ class TestExpectedD1Oracle:
         values = [d1_hashed(p, fam.as_map(seed), 2) for seed in fam.seeds()]
         assert expected_d1(p, fam).value == math.fsum(values) / fam.seed_count
 
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_mc_count_is_checked_before_any_draw(self, n_samples, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("seed drawn before the sample count was checked")
+
+        monkeypatch.setattr(HashFamily, "sample_seed", no_draw)
+        p = skew3()
+        for fam in (FullyRandomFamily(p.alphabet, 2), ExplicitFamily(p.alphabet, 2, [[1, 2, 1]])):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                expected_d1(p, fam, mode="mc", n_samples=n_samples)
+
     def test_work_limit(self, monkeypatch):
         # each exact route has its own cap: subsets for fully random
         # families, the transform for linear ones, maps for the rest

@@ -24,7 +24,7 @@ from secexp.gf import Module
 from conftest import assert_bit_equal, assert_matches_scalar_optimizer, assert_order_parity, kron_loop
 from secexp import dists
 from secexp import wiretap as wiretap_module
-from secexp.hashing import FullyRandomFamily, ToeplitzFamily, fit_toeplitz
+from secexp.hashing import FullyRandomFamily, HashFamily, ToeplitzFamily, fit_toeplitz
 from secexp.wiretap import (
     Channel,
     LinearCode,
@@ -636,10 +636,29 @@ class TestBatchedEnsembleParity:
             res.entries = ()
 
     @pytest.mark.parametrize("n_samples", [1, 0, -3])
-    def test_mc_needs_two_samples(self, n_samples):
+    def test_mc_needs_two_samples(self, n_samples, monkeypatch):
+        # refused before the family is checked or any seed is drawn
+        def no_work(*args):
+            raise AssertionError("work done before the sample count was checked")
+
         p, fam, wb, we = _parity_instance(2, 2, 2)
+        for name in ("check_universal2", "check_balanced"):
+            monkeypatch.setattr(wiretap_module, name, no_work)
+        monkeypatch.setattr(HashFamily, "sample_seed", no_work)
         with pytest.raises(ValueError, match="at least 2 samples"):
             wiretap_ensemble_mc(p, 2, 2, fam, wb, we, n_samples=n_samples)
+
+    def test_exact_caps_come_before_the_family_checks(self, monkeypatch):
+        # 2^16 codebooks x 8 seeds of 16 (2 + 256 + 256) kernel cells each
+        def no_check(*args):
+            raise AssertionError("family checked before the caps")
+
+        for name in ("check_universal2", "check_balanced"):
+            monkeypatch.setattr(wiretap_module, name, no_check)
+        wide = Channel(range_alphabet(2), range_alphabet(256), np.full((2, 256), 1 / 256))
+        u = SubDist.uniform(range_alphabet(2))
+        with pytest.raises(SizeLimitError, match=r"4311744512 kernel cells \(524288 entries"):
+            wiretap_ensemble_exact(u, 2, 8, ToeplitzFamily(2, 4, 1), wide, wide)
 
 
 def _scalar_linear_code(module, generators):
