@@ -5,7 +5,8 @@ intrinsic, distill, hash check.  Outputs are JSON (sorted keys) or CSV with
 12 significant digits and '\\n' line endings, so identical invocations with
 the same seed produce byte-identical files.
 
-Exit codes: 0 success, 2 validation error, 3 size-limit error, 4 broken
+Exit codes: 0 success, 2 validation error (an input that cannot be read or an
+--out path that cannot be written included), 3 size-limit error, 4 broken
 internal invariant (the message names it).
 """
 
@@ -84,9 +85,12 @@ def _jsonify(obj):
 def _write(text: str, out: str):
     if out == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as e:
+        raise InputValidationError(f"{out}: cannot be written: {e.strerror or e}") from None
 
 
 def _emit_json(payload, out: str):

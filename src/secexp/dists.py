@@ -29,6 +29,7 @@ __all__ = [
     "InvariantError",
     "require_work",
     "capped_power",
+    "count_text",
     "blocks",
     "compositions",
     "range_alphabet",
@@ -75,11 +76,18 @@ class InvariantError(RuntimeError):
     message names it."""
 
 
+def count_text(n: int) -> str:
+    """A count for a message: its digits below 10^100, else "about 10^D",
+    since Python refuses to print an int of more than 4,300 digits."""
+    n = int(n)
+    return str(n) if n < 10**100 else f"about 10^{round(math.log10(n))}"
+
+
 def require_work(units: int, what: str, cap: int = DEFAULT_MAX_CELLS):
     """Refuse `units` of work or cells past `cap` before any is done: with
     `capped_power`'s walk, the one form of every size refusal."""
     if units > cap:
-        raise SizeLimitError(f"{units} {what} exceed cap {cap}")
+        raise SizeLimitError(f"{count_text(units)} {what} exceed cap {cap}")
 
 
 def capped_power(base: int, n: int, what: str, cap: int = DEFAULT_MAX_CELLS) -> int:
@@ -91,7 +99,7 @@ def capped_power(base: int, n: int, what: str, cap: int = DEFAULT_MAX_CELLS) -> 
     for done in range(1, n + 1):
         value *= base
         if value > cap:
-            count = value if done == n else f"{base}^{n}"
+            count = count_text(value) if done == n else f"{base}^{n}"
             raise SizeLimitError(f"{count} {what} exceed cap {cap}")
     return value
 
@@ -696,7 +704,7 @@ def enumerate_types(alphabet: Alphabet, n: int) -> list[TypeClass]:
         raise ValueError("n must be >= 1")
     size = alphabet.size
     types = math.comb(n + size - 1, n)
-    require_work(types * size, f"type counts ({types} types x {size} symbols)")
+    require_work(types * size, f"type counts ({count_text(types)} types x {size} symbols)")
     return [TypeClass(alphabet, c) for c in compositions(n, size)]
 
 

@@ -35,6 +35,7 @@ from .dists import (
     log_fsum_by_order,
     renyi_tilde,
     renyi_tilde_derivative,
+    require_work,
     screening,
     shannon_entropy,
     tilt,
@@ -194,12 +195,16 @@ def maximize_over_rates(fn, lo: float, hi: float, r):
     A float r is `maximize_on_interval`.  For a 1-D array of rates, `fn`
     broadcasts its points against r: every rate is solved in one optimizer
     call that shares the grid and polishes all brackets in lockstep, with
-    the per-rate answers bit for bit.  Returns floats, or (len(r),) arrays.
+    the per-rate answers bit for bit, and more than DEFAULT_MAX_CELLS grid
+    cells, rates x (GRID_INTERVALS + 1) orders, are refused.  Returns floats,
+    or (len(r),) arrays.
     """
     if np.ndim(r) == 0:
         return maximize_on_interval(fn, lo, hi)
     if np.ndim(r) != 1:
         raise ValueError("rates must be a float or a 1-D array")
+    what = f"grid cells ({len(r)} rates x {GRID_INTERVALS + 1} orders)"
+    require_work((GRID_INTERVALS + 1) * len(r), what)
     return _maximize_rows(fn, lo, hi, False)
 
 

@@ -27,7 +27,6 @@ from .dists import (
     shannon_entropy,
 )
 from .exponents import (
-    GRID_INTERVALS,
     cramer_exponent_restricted,
     critical_rate,
     holenstein_renner_exponents,
@@ -174,7 +173,4 @@ def figure_sweep(figure_id: int, points: int = 50) -> FigureData:
         raise ValueError(f"unknown figure id {figure_id}")
     if points < 2:
         raise ValueError("need at least 2 sweep points")
-    if figure_id != 6:  # one optimizer call over all points: at most 1,023
-        what = f"grid cells ({points} points x {GRID_INTERVALS + 1} orders)"
-        require_work((GRID_INTERVALS + 1) * points, what)
     return sweeps[figure_id](points)

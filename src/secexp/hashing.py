@@ -41,6 +41,7 @@ from .dists import (
     SizeLimitError,
     blocks,
     capped_power,
+    count_text,
     product_alphabet,
     require_work,
 )
@@ -69,9 +70,19 @@ ENUMERATION_LIMIT = 2_000_000
 # The checks' sweeps stop near 20 s at their slowest cost per unit measured on
 # a 2-core machine (CHANGES.md): 84 ns per kernel vector (seeds x q^(k-m), in
 # `kernel_counts`) and 21 ns per map cell (seeds x |alphabet|, in
-# `check_balanced` and the linear route of `check_strongly_universal2`).
+# `check_balanced` and the linear route of `check_strongly_universal2`; 17 ns
+# per one-hot map cell, tiles x seeds x |alphabet| x M, in `_pair_counts`).
 KERNEL_VECTOR_LIMIT = 250_000_000
 MAP_CELL_LIMIT = 1_000_000_000
+# The seed routes of `pushforward_blocks` stop near 20 s of work at the slowest cost per unit
+# measured on a 2-core machine (CHANGES.md): 46 ns per map cell, and 90 ns per
+# transform unit for a source without side symbols, whose short rows are
+# summed one `math.fsum` at a time (10-14 ns with side symbols).
+# Maps: seeds x symbols x side symbols.
+MAPS_LIMIT = 400_000_000
+# Transform: (k q^k + seeds q^m m) x side symbols, with q^k and q^m the input
+# and output sizes and k, m counted in digits over the prime field.
+TRANSFORM_LIMIT = 250_000_000
 # Float slack of the universal_2 and strongly universal_2 checks.
 CHECK_TOL = 1e-12
 
@@ -117,11 +128,11 @@ class HashFamily:
         digits = np.unravel_index(ranks, (self.digit_base,) * self.seed_len)
         return np.stack(digits, axis=1) + self.digit_low
 
-    def seed_blocks(self, seeds: np.ndarray | None, cells: int):
-        """Every seed in rank order, or the rows of `seeds`, in the
-        `dists.blocks` of `cells` cells per seed."""
+    def seed_blocks(self, seeds: np.ndarray | list | None, cells: int):
+        """Every seed in rank order, or the rows of `seeds` (an array or a
+        list of seeds), in the `dists.blocks` of `cells` cells per seed."""
         for block in blocks(self.seed_count if seeds is None else len(seeds), cells):
-            yield self.seeds(block.start, block.stop) if seeds is None else seeds[block]
+            yield self.seeds(block.start, block.stop) if seeds is None else np.asarray(seeds[block])
 
     def iter_maps(self):
         """The maps of every seed in rank order, in the `dists.blocks` of
@@ -132,17 +143,30 @@ class HashFamily:
         for block in self.seed_blocks(None, self.input_alphabet.size):
             yield self.maps_of(block)
 
-    def pushforward_blocks(self, weights, seeds: np.ndarray | None = None):
+    def pushforward_blocks(self, weights, seeds: np.ndarray | list | None = None):
         """The pushforward rows of every seed in rank order, or of the rows of
         `seeds`, in blocks: row s is `map_histograms` of seed s's map, the sum
         of `weights` over each output's preimage (with a last axis of side
         symbols if `weights` is 2-D), in the blocks of the larger of a map's
-        and a histogram's cells; one seed's histogram over DEFAULT_MAX_CELLS
-        is refused."""
+        and a histogram's cells.  Refused when called, before any block: past
+        MAPS_LIMIT map cells (seeds x |alphabet| x side symbols), then past the
+        enumeration limit when every seed is swept, then for one seed's
+        histogram over DEFAULT_MAX_CELLS.  The rows of `seeds` are read as the
+        blocks are."""
         m, side = self.output_size, int(np.prod(np.shape(weights)[1:]))
+        self._require_route(seeds, self.input_alphabet.size * side, "map cells", MAPS_LIMIT)
         require_work(m * side, f"histogram cells ({m} outputs x {side} side symbols)")
-        for block in self.seed_blocks(seeds, max(self.input_alphabet.size, m * side)):
-            yield map_histograms(self.maps_of(block), m, weights)
+        cells = max(self.input_alphabet.size, m * side)
+        return (map_histograms(self.maps_of(b), m, weights) for b in self.seed_blocks(seeds, cells))
+
+    def _require_route(self, seeds, per_seed: int, what: str, cap: int, fixed: int = 0):
+        """Refuse a pushforward route of `fixed` + `per_seed` units per seed
+        (every seed, or the rows of `seeds`) past `cap`, then, when every seed
+        is swept, past the enumeration limit."""
+        count = self.seed_count if seeds is None else len(seeds)
+        require_work(fixed + count * per_seed, f"{what} ({count_text(count)} seeds)", cap)
+        if seeds is None:
+            self.require_enumerable()
 
     def sample_seed(self, rng: np.random.Generator) -> tuple[int, ...]:
         """One uniform seed, its digits drawn by one rng.integers call."""
@@ -162,7 +186,7 @@ class HashFamily:
     def require_enumerable(self):
         if self.seed_count > ENUMERATION_LIMIT:
             raise NonEnumerableError(
-                f"{self.seed_count} seeds exceed enumeration limit {ENUMERATION_LIMIT}"
+                f"{count_text(self.seed_count)} seeds exceed enumeration limit {ENUMERATION_LIMIT}"
             )
 
 
@@ -207,7 +231,7 @@ class LinearFamily(HashFamily):
         columns = self.matrices(seeds).transpose(0, 2, 1)
         return combination_indices(columns, self.field.prime) + 1
 
-    def pushforward_blocks(self, weights, seeds: np.ndarray | None = None):
+    def pushforward_blocks(self, weights, seeds: np.ndarray | list | None = None):
         """As `HashFamily.pushforward_blocks`, by the character transform.
 
         With F(u) = sum_a w(a) chi(-u.a) over F_p^(k e) and chi(t) =
@@ -216,15 +240,21 @@ class LinearFamily(HashFamily):
         weights, then per seed a gather of F at A^T v for all v (built from
         the rows of A by linearity) and one inverse transform of size M, in
         the blocks of M max(k e, side symbols) digit and gathered cells per
-        seed."""
-        p, n = self.field.prime, self.k * self.field.degree
-        w = np.asarray(weights, dtype=float)
-        side_shape = w.shape[1:]
+        seed.  The route cap is TRANSFORM_LIMIT transform units,
+        (k e q^k + seeds M m e) x side symbols."""
+        p, e, n = self.field.prime, self.field.degree, self.k * self.field.degree
+        w, m = np.asarray(weights, dtype=float), self.output_size
+        side = int(np.prod(w.shape[1:]))
+        self._require_route(seeds, m * self.m * e * side, "transform units", TRANSFORM_LIMIT,
+                            n * self.input_alphabet.size * side)
         spec = _character_transform(w.reshape(len(w), -1).T, p, -1)  # side x p^n
-        for block in self.seed_blocks(seeds, self.output_size * max(n, len(spec))):
+
+        def hists(block):
             picked = spec[:, combination_indices(self.matrices(block), p)]
-            hists = _character_transform(picked, p, 1).real / self.output_size
-            yield np.moveaxis(hists, 0, -1).reshape((len(block), self.output_size) + side_shape)
+            out = _character_transform(picked, p, 1).real / m
+            return np.moveaxis(out, 0, -1).reshape((len(block), m) + w.shape[1:])
+
+        return map(hists, self.seed_blocks(seeds, m * max(n, len(spec))))
 
     def kernel_counts(self) -> np.ndarray:
         """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
@@ -362,14 +392,19 @@ def _pair_counts(fam: HashFamily, joint: bool):
     (u = v = 0) those with f(a[i]) = f(b); `upper` masks the pairs b > a[i].
     counts is the Gram matrix of the one-hot seed maps summed over seed
     blocks; tiles and seed blocks are the `dists.blocks` of one symbol's
-    counts and of one one-hot map.  One symbol's counts over
-    DEFAULT_MAX_CELLS, or seeds past the enumeration limit, are refused."""
-    n, m = fam.input_alphabet.size, fam.output_size
+    counts and of one one-hot map.  Seeds past the enumeration limit, one
+    symbol's counts over DEFAULT_MAX_CELLS, or more than MAP_CELL_LIMIT
+    one-hot map cells in all (each tile reads every one-hot map) are refused
+    before the sweep."""
+    n, m, s = fam.input_alphabet.size, fam.output_size, fam.seed_count
     width = m if joint else 1
     fam.require_enumerable()
     require_work(width * n * width, f"pair counts of one symbol ({width} x {n} x {width})")
+    tiles = list(blocks(n, n * width * width))
+    what = f"one-hot map cells ({len(tiles)} tiles x {s} seeds x {n} symbols x {m} outputs)"
+    require_work(len(tiles) * s * n * m, what, MAP_CELL_LIMIT)
     outputs = np.arange(1, m + 1)
-    for tile in blocks(n, n * width * width):
+    for tile in tiles:
         a = np.arange(tile.start, tile.stop)
         cols = slice(tile.start * width, tile.stop * width)
         counts = 0.0

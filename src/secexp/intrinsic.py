@@ -25,6 +25,7 @@ from .dists import (
     InvariantError,
     SubDist,
     compositions,
+    count_text,
     renyi_tilde,
     renyi_tilde_derivative,
     require_work,
@@ -163,7 +164,7 @@ def build_specialized(p: SubDist, n: int, m: int) -> SpecializedMap:
     require_work(n, "trials (n)", MAX_N)
     weights, denom = _normalized(p)
     n_types, bits = math.comb(n + len(weights) - 1, n), n * denom.bit_length()
-    what = f"record bytes ({n_types} types of {bits}-bit string masses)"
+    what = f"record bytes ({count_text(n_types)} types of {bits}-bit string masses)"
     require_work(n_types * (256 + bits // 8), what, MAX_RECORD_BYTES)
     scale, records, last = denom**n, [], None
     a, b = weights[-2:] if len(weights) > 1 else (0, 0)

@@ -190,15 +190,17 @@ def _load(path: str):
             raise ValueError(f"{text} is not a finite number")
         return value
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_float=finite, parse_constant=finite)
-        except json.JSONDecodeError as e:
-            raise InputValidationError(
-                f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-            ) from None
-        except ValueError as e:  # a non-finite number, or an integer past the digit limit
-            raise InputValidationError(f"{path}: {e}") from None
+    except OSError as e:  # missing, a directory, unreadable
+        raise InputValidationError(f"{path}: cannot be read: {e.strerror or e}") from None
+    except json.JSONDecodeError as e:
+        raise InputValidationError(
+            f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from None
+    except ValueError as e:  # a non-finite number, or an integer past the digit limit
+        raise InputValidationError(f"{path}: {e}") from None
 
 
 def load_subdist(path: str) -> SubDist:

@@ -3,19 +3,14 @@
 The unconditional distinguishability of a hashed source is the L1 distance of
 the pushforward from uniform; the conditional variant measures the joint
 against (uniform key) x (Eve's marginal).  Ensemble expectations over a hash
-family are computed exactly, or by Monte Carlo sampling of seeds.  The family's
-type picks the exact route, each with its own cap on work:
-
-  subsets    FullyRandomFamily: each output's preimage holds each symbol
-             independently with probability 1/M, so the average is a sum over
-             the 2^|A| subsets (DEFAULT_MAX_CELLS), whatever M is;
-  transform  LinearFamily: every seed's pushforward by the character
-             transform (TRANSFORM_LIMIT);
-  maps       any other family: every seed's map (MAPS_LIMIT).
-
-The seed routes read the family's `pushforward_blocks`, in Monte Carlo mode for
-the sampled seeds.  Seed reductions use compensated summation, so exact results
-do not depend on evaluation order.
+family are computed exactly, or by Monte Carlo sampling of seeds.  Exactly, a
+FullyRandomFamily's average is a sum over the 2^|A| subsets (capped at
+DEFAULT_MAX_CELLS cells), whatever M is: each output's preimage holds each
+symbol independently with probability 1/M.  Every other family's average reads
+its `pushforward_blocks`, which picks the family's route and refuses its work,
+and Monte Carlo mode reads the same blocks for the sampled seeds.  Seed
+reductions use compensated summation, so exact results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -26,12 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import JointDist, SubDist, capped_power, fsum_groups, fsum_rows, range_alphabet, require_work
-from .hashing import ENUMERATION_LIMIT, FullyRandomFamily, HashFamily, LinearFamily
+from .hashing import ENUMERATION_LIMIT, FullyRandomFamily, HashFamily
 
 __all__ = [
     "EnsembleEstimate",
-    "MAPS_LIMIT",
-    "TRANSFORM_LIMIT",
     "pushforward",
     "d1_hashed",
     "joint_pushforward",
@@ -43,19 +36,6 @@ __all__ = [
     "subset_lower_bound",
     "best_subset_lower_bound",
 ]
-
-# Exact mode refuses work past these caps, one per seed route, in that route's
-# units (and the subset route past DEFAULT_MAX_CELLS cells, about 45 ns each).
-# The seed routes stop near 20 s of work at the slowest cost per unit
-# measured on a 2-core machine (CHANGES.md): 46 ns per map cell, and 90 ns per
-# transform unit for a source without side symbols, whose short rows are
-# summed one `math.fsum` at a time (10-14 ns with side symbols).
-# Maps: seeds x symbols x side symbols.
-MAPS_LIMIT = 400_000_000
-# Transform: (k q^k + seeds q^m m) x side symbols, with q^k and q^m the input
-# and output sizes and k, m counted in digits over the prime field.
-TRANSFORM_LIMIT = 250_000_000
-
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
@@ -141,19 +121,6 @@ def d1_conditional_prime(j: JointDist, f, m: int) -> float:
     return _l1_rows(hashed.mass[None], ref)[0]
 
 
-def _require_route_work(fam: HashFamily, side: int, seeds: int):
-    """Refuse a seed route past its cap, for every seed in exact mode and for
-    the sampled ones in Monte Carlo mode."""
-    size = fam.input_alphabet.size
-    if isinstance(fam, LinearFamily):
-        e = fam.field.degree
-        units = (fam.k * e * size + seeds * fam.output_size * fam.m * e) * side
-        what, cap = "transform units", TRANSFORM_LIMIT
-    else:
-        units, what, cap = seeds * size * side, "map cells", MAPS_LIMIT
-    require_work(units, f"{what} ({seeds} seeds)", cap)
-
-
 def _subset_law(fam: FullyRandomFamily, weights, terms, empty: float) -> float:
     """E sum_y terms(P_f(y)) summed over its cells, for a fully random f.
 
@@ -186,23 +153,19 @@ def _ensemble(
     if mode == "exact" and isinstance(fam, FullyRandomFamily):
         value = _subset_law(fam, weights, terms, empty)
         return EnsembleEstimate(value=value, stderr=None, mode="exact")
-    side = int(np.prod(np.shape(weights)[1:]))
     if mode == "exact":
-        _require_route_work(fam, side, fam.seed_count)
-        fam.require_enumerable()
         values = (v for rows in fam.pushforward_blocks(weights) for v in values_of(rows))
         return EnsembleEstimate(
             value=math.fsum(values) / fam.seed_count, stderr=None, mode="exact"
         )
     if mode == "mc":
         EnsembleEstimate.require_samples(n_samples)
-        _require_route_work(fam, side, n_samples)
         require_work(n_samples, "samples", ENUMERATION_LIMIT)
+        seeds = [None] * n_samples  # drawn after the caps of their blocks
+        blocks = fam.pushforward_blocks(weights, seeds)
         rng = np.random.default_rng(seed)
-        seeds = np.array([fam.sample_seed(rng) for _ in range(n_samples)])
-        return EnsembleEstimate.from_samples(
-            [v for rows in fam.pushforward_blocks(weights, seeds) for v in values_of(rows)]
-        )
+        seeds[:] = [fam.sample_seed(rng) for _ in range(n_samples)]
+        return EnsembleEstimate.from_samples([v for rows in blocks for v in values_of(rows)])
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import secexp
 from secexp.cli import cli
@@ -146,7 +147,7 @@ class TestFigure:
 
     @pytest.mark.parametrize(
         "fig_id, points, shown",
-        [("2", "1024", "1049600 grid cells (1024 points x 1025 orders) exceed cap 1048576"),
+        [("2", "1024", "1049600 grid cells (1024 rates x 1025 orders) exceed cap 1048576"),
          ("6", "101", "101 points of figure 6 (n = 20, 40, .. up to 2000) exceed cap 100")],
     )
     def test_points_past_the_cap_are_a_size_limit(self, runner, fig_id, points, shown):
@@ -380,6 +381,12 @@ def _one_symbol(tmp_path) -> str:
     return str(path)
 
 
+def _uniform_source(tmp_path, size: int) -> str:
+    path = tmp_path / f"u{size}.json"
+    path.write_text(json.dumps({"alphabet": [str(i) for i in range(size)], "mass": [1.0 / size] * size}))
+    return str(path)
+
+
 def _wide_channel(tmp_path) -> str:
     """A generic binary-input channel with 256 outputs."""
     path = tmp_path / "wide.json"
@@ -401,6 +408,9 @@ _OVERSIZED = {
                         "--m", "1"],
     "pair-counts-first": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "17",
                           "--m", "16"],
+    # 2,000,000 seeds of one-hot maps of 2,000,000 cells each
+    "pair-count-sweep": ["hash", "check", "--family", "fullrandom", "--size", "1",
+                         "--M", "2000000"],
     "distill-q": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
                   "--module-q", "1000000000000000003"],
     "distill-n": ["distill", "--pab", "{pab}", "--pae", "{pae}", "--M", "2", "--L", "2",
@@ -408,6 +418,8 @@ _OVERSIZED = {
     "intrinsic-n": ["intrinsic", "--dist", "{skew3}", "--n", "100000000", "--M", "4"],
     "intrinsic-types": ["intrinsic", "--dist", "{skew3}", "--n", "2000", "--M", "4"],
     "intrinsic-one-symbol": ["intrinsic", "--dist", "{one}", "--n", "20000", "--M", "4"],
+    # C(14999, 9000) types: a count past Python's 4,300-digit printing limit
+    "intrinsic-digits": ["intrinsic", "--dist", "{u6000}", "--n", "9000", "--M", "4"],
     "channel-q": ["simulate", "wiretap", "--wb", "{big_q}", "--we", "{big_q}",
                   "--M", "2", "--L", "2"],
     "channel-n": ["simulate", "wiretap", "--wb", "{big_n}", "--we", "{big_n}",
@@ -463,6 +475,7 @@ class TestOversizedInputs:
                 "alphabet": [str(i) for i in range(2048)], "mass": [1.0 / 2048] * 2048,
             }),
             "wide": _wide_channel(tmp_path),
+            "u6000": _uniform_source(tmp_path, 6000),
         }
         runs = {
             name: [a.format(**files) for a in args] for name, args in _OVERSIZED.items()
@@ -730,6 +743,81 @@ class TestErrorsAndDeterminism:
     def test_exponent_runs_byte_identical(self, runner, bern_file):
         args = ["exponent", "--dist", bern_file, "--R", "0.3", "--form", "universal"]
         assert runner.invoke(cli, args).output == runner.invoke(cli, args).output
+
+    @pytest.mark.parametrize(
+        "case, shown",
+        [("missing", "cannot be read"), ("directory", "cannot be read"),
+         ("out", "cannot be written")],
+    )
+    def test_unusable_paths_exit_2(self, runner, bern_file, tmp_path, case, shown):
+        missing = str(tmp_path / "missing" / "x.json")
+        args = {
+            "missing": ["entropy", "--dist", missing],
+            "directory": ["entropy", "--dist", str(tmp_path)],
+            "out": ["entropy", "--dist", bern_file, "--out", missing],
+        }[case]
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 2, res.output
+        path = str(tmp_path) if case == "directory" else missing
+        assert f"invalid input: {path}: {shown}" in res.output
+
+
+_INPUTS = sorted(str(p) for p in (Path(__file__).parent / "golden" / "inputs").glob("*.json"))
+_INT, _FLOAT, _PATH, _OUT = "int", "float", "path", "out"
+_MODES = ["exact", "mc"]
+_FAMILIES = ["toeplitz", "fullrandom"]
+# every command with the kind of value each of its flags takes
+_COMMANDS = {
+    ("entropy",): {"--dist": _PATH, "--s": _FLOAT, "--out": _OUT},
+    ("exponent",): {"--dist": _PATH, "--joint": _PATH, "--R": _FLOAT, "--out": _OUT,
+                    "--form": ["universal", "divergence", "cramer", "hr", "cond"]},
+    ("figure",): {"--id": ["2", "3", "4", "6"], "--points": _INT,
+                  "--format": ["csv", "json"], "--out": _OUT},
+    ("hash", "check"): {"--family": _FAMILIES, "--q": _INT, "--k": _INT, "--m": _INT,
+                        "--size": _INT, "--M": _INT, "--out": _OUT},
+    ("simulate", "pa"): {"--dist": _PATH, "--family": _FAMILIES, "--q": _INT, "--k": _INT,
+                         "--m": _INT, "--M": _INT, "--mode": _MODES, "--samples": _INT,
+                         "--seed": _INT, "--out": _OUT},
+    ("simulate", "wiretap"): {"--wb": _PATH, "--we": _PATH, "--M": _INT, "--L": _INT,
+                              "--n": _INT, "--mode": _MODES, "--samples": _INT, "--q": _INT,
+                              "--seed": _INT, "--out": _OUT},
+    ("intrinsic",): {"--dist": _PATH, "--n": _INT, "--M": _INT, "--out": _OUT},
+    ("distill",): {"--pab": _PATH, "--pae": _PATH, "--M": _INT, "--L": _INT,
+                   "--module-q": _INT, "--module-n": _INT, "--mode": _MODES,
+                   "--samples": _INT, "--seed": _INT, "--out": _OUT},
+}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+class TestFlagFuzz:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_every_command_exits_with_a_documented_code(self, tmp_path_factory, data):
+        # as tests/test_jsonio.py fuzzes the parsers: every flag of a command
+        # at small, extreme and non-finite values, and unusable paths
+        here = tmp_path_factory.mktemp("fuzz")
+        missing = str(here / "missing" / "x.json")
+        values = {
+            _INT: st.integers(-2, 9).map(str),
+            _FLOAT: st.sampled_from(["0", "1e-300", "0.3", "1", "1e308", "nan", "inf"]),
+            _PATH: st.sampled_from(_INPUTS + [missing, str(here)]),
+            _OUT: st.sampled_from(["-", missing, str(here)]),
+        }
+        command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+        args = list(command)
+        for flag, kind in _COMMANDS[command].items():
+            kind = st.sampled_from(kind) if isinstance(kind, list) else values[kind]
+            args += [flag, data.draw(kind)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = CliRunner().invoke(cli, args)
+        assert res.exit_code in (0, 2, 3, 4), (args, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), args
+        if res.exit_code == 0 and (command != ("figure",) or "json" in args):
+            json.loads(res.stdout, parse_constant=_reject_constant)
 
 
 class TestNonFiniteInput:

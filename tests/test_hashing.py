@@ -482,6 +482,24 @@ class TestSeedInterface:
         with pytest.raises(ValueError):
             ExplicitFamily(range_alphabet(3), 2, [])
 
+    @pytest.mark.parametrize(
+        "fam, shown",
+        [(FullyRandomFamily(range_alphabet(10), 8),  # 8^10 seeds x 10 symbols
+          "10737418240 map cells (1073741824 seeds) exceed cap 400000000"),
+         (ToeplitzFamily(2, 17, 9),  # 17 x 2^17 + 2^16 seeds x 2^9 x 9 units
+          "304218112 transform units (65536 seeds) exceed cap 250000000")],
+        ids=["maps", "transform"],
+    )
+    def test_pushforward_blocks_refuse_when_called(self, fam, shown, monkeypatch):
+        # a direct call is refused at once, before any block or seed is built
+        def no_seeds(*args):
+            raise AssertionError("seeds built before the route cap was checked")
+
+        monkeypatch.setattr(type(fam), "seeds", no_seeds)
+        with pytest.raises(SizeLimitError) as err:
+            fam.pushforward_blocks(np.ones(fam.input_alphabet.size))
+        assert str(err.value) == shown
+
 
 def pair_loop_reports(maps: np.ndarray, m: int, symbols):
     """The three checkers by direct loops over seeds and pairs."""

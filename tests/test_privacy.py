@@ -1,11 +1,12 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from secexp import dists, privacy
+from secexp import dists, hashing
 from secexp.dists import (
     Alphabet,
     JointDist,
@@ -114,6 +115,40 @@ class TestExpectedD1Oracle:
             with pytest.raises(ValueError, match="at least 2 samples"):
                 expected_d1(p, fam, mode="mc", n_samples=n_samples)
 
+    def test_mc_caps_come_before_any_draw(self, monkeypatch):
+        # the route caps, then one seed's histogram cap, all with the sampled
+        # seeds in place of every seed, refuse before the first draw: no seed
+        # is built (2,000,000 seeds of 1,000 digits would take 16 GB), only a
+        # list of 2,000,000 placeholders (16 MB)
+        def no_draw(*args):
+            raise AssertionError("seed drawn before the caps were checked")
+
+        monkeypatch.setattr(HashFamily, "sample_seed", no_draw)
+        u256, u1000 = (SubDist.uniform(range_alphabet(n)) for n in (256, 1000))
+        toep = ToeplitzFamily(2, 17, 9)
+        cases = [
+            (u256, FullyRandomFamily(u256.alphabet, 2), 2_000_000,
+             "512000000 map cells (2000000 seeds) exceed cap 400000000"),
+            (u1000, FullyRandomFamily(u1000.alphabet, 2), 2_000_000,
+             "2000000000 map cells (2000000 seeds) exceed cap 400000000"),
+            (SubDist.uniform(toep.input_alphabet), toep, 100_000,
+             "463028224 transform units (100000 seeds) exceed cap 250000000"),
+            (skew3(), FullyRandomFamily(skew3().alphabet, 10**7), 2,
+             "10000000 histogram cells (10000000 outputs x 1 side symbols) exceed cap 1048576"),
+        ]
+        shown = []
+        tracemalloc.start()
+        try:
+            for p, fam, n_samples, _ in cases:
+                with pytest.raises(SizeLimitError) as err:
+                    expected_d1(p, fam, mode="mc", n_samples=n_samples)
+                shown.append(str(err.value))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shown == [case[-1] for case in cases]
+        assert peak < 1 << 25, peak
+
     def test_work_limit(self, monkeypatch):
         # each exact route has its own cap: subsets for fully random
         # families, the transform for linear ones, maps for the rest
@@ -123,12 +158,12 @@ class TestExpectedD1Oracle:
             expected_d1(u21, FullyRandomFamily(u21.alphabet, 4))
         toep = ToeplitzFamily(2, 6, 2)  # 6 x 64 + 32 x 4 x 2 = 640 units
         ut = SubDist.uniform(toep.input_alphabet)
-        monkeypatch.setattr(privacy, "TRANSFORM_LIMIT", 639)
+        monkeypatch.setattr(hashing, "TRANSFORM_LIMIT", 639)
         with pytest.raises(SizeLimitError, match="640 transform units"):
             expected_d1(ut, toep)
         assert expected_d1(ut, toep, mode="mc", n_samples=4).value == pytest.approx(0.0, abs=1e-15)
         explicit = ExplicitFamily(u12.alphabet, 2, np.ones((5, 12), dtype=int))
-        monkeypatch.setattr(privacy, "MAPS_LIMIT", 59)
+        monkeypatch.setattr(hashing, "MAPS_LIMIT", 59)
         with pytest.raises(SizeLimitError, match="60 map cells"):
             expected_d1(u12, explicit)
 

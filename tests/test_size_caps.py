@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from secexp import hashing
 from secexp.dists import JointDist, SizeLimitError, SubDist, enumerate_types, range_alphabet
+from secexp.exponents import universal_exponent
 from secexp.figures import figure_sweep
 from secexp.gf import Module
 from secexp.hashing import (
@@ -57,6 +59,11 @@ def _pair_counts():
     return check_strongly_universal2(ExplicitFamily(range_alphabet(1024), 64, maps))
 
 
+def _one_hot_cells():
+    # one symbol into M = 40,000: 40,000 seeds, each a one-hot map of 40,000 cells
+    return check_universal2(FullyRandomFamily(range_alphabet(1), 40_000))
+
+
 def _general_additive():
     mod = Module(2, 10)
     return Channel.general_additive(_joint(mod.size, 2), mod)
@@ -77,8 +84,14 @@ def _transform_route():
 CASES = [
     ("dists.enumerate_types", lambda: enumerate_types(range_alphabet(64), 3),
      "2928640 type counts (45760 types x 64 symbols) exceed cap 1048576"),
+    # C(14999, 9000) types: more digits than Python prints by default
+    ("dists.enumerate_types past 4,300 digits", lambda: enumerate_types(range_alphabet(6000), 9000),
+     "about 10^4385 type counts (about 10^4382 types x 6000 symbols) exceed cap 1048576"),
+    ("exponents.maximize_over_rates",
+     lambda: universal_exponent(SubDist.bernoulli(0.2), np.linspace(0.0, 0.5, 1024)),
+     "1049600 grid cells (1024 rates x 1025 orders) exceed cap 1048576"),
     ("figures.figure_sweep", lambda: figure_sweep(2, 1024),
-     "1049600 grid cells (1024 points x 1025 orders) exceed cap 1048576"),
+     "1049600 grid cells (1024 rates x 1025 orders) exceed cap 1048576"),
     ("figures._figure6", lambda: figure_sweep(6, 101),
      "101 points of figure 6 (n = 20, 40, .. up to 2000) exceed cap 100"),
     ("hashing.HashFamily.iter_maps", lambda: check_balanced(ToeplitzFamily(2, 17, 1)),
@@ -91,6 +104,9 @@ CASES = [
      "268435456 kernel vectors exceed cap 250000000"),
     ("hashing._pair_counts", _pair_counts,
      "4194304 pair counts of one symbol (64 x 1024 x 64) exceed cap 1048576"),
+    ("hashing._pair_counts one-hot", _one_hot_cells,
+     "1600000000 one-hot map cells (1 tiles x 40000 seeds x 1 symbols x 40000 outputs)"
+     " exceed cap 1000000000"),
     ("hashing.check_strongly_universal2", lambda: check_strongly_universal2(ToeplitzFamily(2, 12, 9)),
      "2097152 histogram cells (4096 symbols x 512 outputs) exceed cap 1048576"),
     ("intrinsic.build_specialized n", lambda: build_specialized(SubDist.bernoulli(0.2), 10001, 4),
@@ -98,9 +114,9 @@ CASES = [
     ("intrinsic.build_specialized records",
      lambda: build_specialized(SubDist.bernoulli(0.2), 9500, 4),
      "36274818 record bytes (9501 types of 28500-bit string masses) exceed cap 33554432"),
-    ("privacy._require_route_work transform", _transform_route,
+    ("hashing.LinearFamily.pushforward_blocks transform", _transform_route,
      "304218112 transform units (65536 seeds) exceed cap 250000000"),
-    ("privacy._require_route_work maps", _maps_route,
+    ("hashing.HashFamily.pushforward_blocks maps", _maps_route,
      "401000000 map cells (401 seeds) exceed cap 400000000"),
     ("privacy._ensemble samples",
      lambda: expected_d1(_uniform(3), FullyRandomFamily(range_alphabet(3), 2),
@@ -177,6 +193,12 @@ def test_the_scan_sees_a_stray_raise():
 
 def test_folded_caps_and_helpers_are_gone():
     texts = [p.read_text() for p in _SRC.glob("*.py")] + [(_ROOT / "README.md").read_text()]
-    for name in ("SUBSET_LIMIT", "MAX_SWEEP_CELLS", "ENSEMBLE_COMBO_LIMIT"):
+    for name in ("SUBSET_LIMIT", "MAX_SWEEP_CELLS", "ENSEMBLE_COMBO_LIMIT", "_require_route_work"):
         assert not any(name in text for text in texts), name
     assert "def _require_work" not in (_SRC / "hashing.py").read_text()
+    # each route cap lives with the code that does the work
+    privacy = (_SRC / "privacy.py").read_text()
+    assert "LinearFamily" not in privacy
+    assert not any(name in privacy for name in ("MAPS_LIMIT", "TRANSFORM_LIMIT"))
+    assert "GRID_INTERVALS" not in (_SRC / "figures.py").read_text()
+    assert (hashing.MAPS_LIMIT, hashing.TRANSFORM_LIMIT) == (400_000_000, 250_000_000)
