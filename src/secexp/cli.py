@@ -163,7 +163,7 @@ def entropy(dist_path, s_values, out):
         "renyi_tilde_2_derivative": renyi_tilde_derivative(p, 1.0),
         "min_entropy": -math.log(float(p.mass.max())),
     }
-    if abs(p.total - 1.0) <= 1e-9:
+    if p.is_probability():
         payload["critical_rate"] = critical_rate(p)
     if s_values:
         payload["renyi_tilde"] = {
@@ -369,7 +369,7 @@ def simulate_pa(dist_path, family, q, k, m, big_m, mode, samples, seed, out):
         "bound_universal_hash_argmin_s": curve.argmin_s,
         "bound_order2": order2_d1_bound(p, fam.output_size),
     }
-    if abs(p.total - 1.0) <= 1e-9:
+    if p.is_probability():
         value, omega = best_subset_lower_bound(p, fam.output_size)
         payload["lower_bound_subset_best"] = value
         payload["lower_bound_subset_omega"] = list(omega)

@@ -5,6 +5,8 @@ truncation, i.i.d. extension, and enumeration of empirical types.  All
 logarithms are natural (nats).  A "sub-distribution" is a nonnegative mass
 vector whose total may be anything in [0, 1]; several bounds in this package
 are stated for sub-distributions, so totals below 1 are first-class here.
+Every constructor checks its mass array by `masses`, and whether a total is 1
+has one test, `SubDist.is_probability`.
 
 Conventions: 0 * log 0 = 0, and p^(1+s) = 0 at p = 0 for every s > -1.
 """
@@ -27,6 +29,7 @@ __all__ = [
     "AlphabetMismatchError",
     "SizeLimitError",
     "InvariantError",
+    "masses",
     "require_work",
     "capped_power",
     "count_text",
@@ -59,7 +62,9 @@ DEFAULT_MAX_CELLS = 1 << 20
 # Cell budget of one block of every sweep (see `blocks`).
 BLOCK_CELLS = 1 << 19
 
+# Rounding slack of a mass entry below 0 and of a constructor's sum rule.
 _MASS_SLACK = 1e-12
+_PROBABILITY_SLACK = 1e-9  # of a total from 1, for `SubDist.is_probability`
 
 
 class AlphabetMismatchError(ValueError):
@@ -172,24 +177,31 @@ def product_alphabet(alphabet: Alphabet, n: int) -> Alphabet:
     return Alphabet._distinct(symbols)
 
 
+def masses(values, shape: tuple, what: str) -> np.ndarray:
+    """`values` as a read-only float array of `shape`, finite and nonnegative
+    (entries in [-_MASS_SLACK, 0) become 0); `what` names it in a refusal."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    if arr.min(initial=0.0) < -_MASS_SLACK:
+        raise ValueError(f"{what} has a negative entry")
+    np.clip(arr, 0.0, None, out=arr)
+    arr.setflags(write=False)
+    return arr
+
+
 class SubDist:
     """A nonnegative mass vector over an alphabet, total mass at most 1."""
 
     __slots__ = ("alphabet", "mass", "total")
 
     def __init__(self, alphabet: Alphabet, mass):
-        arr = np.array(mass, dtype=float)
-        if arr.shape != (alphabet.size,):
-            raise ValueError(
-                f"mass vector has shape {arr.shape}, expected ({alphabet.size},)"
-            )
-        if arr.min(initial=0.0) < -_MASS_SLACK:
-            raise ValueError("negative mass")
-        np.clip(arr, 0.0, None, out=arr)
+        arr = masses(mass, (alphabet.size,), "mass")
         total = float(math.fsum(arr.tolist()))
-        if not total <= 1.0 + _MASS_SLACK:  # also rejects NaN
-            raise ValueError(f"total mass {total} exceeds 1 or is not a number")
-        arr.setflags(write=False)
+        if total > 1.0 + _MASS_SLACK:
+            raise ValueError(f"total mass {total} exceeds 1")
         self.alphabet = alphabet
         self.mass = arr
         self.total = total
@@ -211,6 +223,10 @@ class SubDist:
             raise ValueError("p must be in [0, 1]")
         return cls(Alphabet(("0", "1")), np.array([p, 1.0 - p]))
 
+    def is_probability(self) -> bool:
+        """Whether the total mass is 1, up to rounding."""
+        return abs(self.total - 1.0) <= _PROBABILITY_SLACK
+
     def scaled_uniform(self) -> "SubDist":
         """The reference `total * uniform` that uniformity is measured against."""
         n = self.alphabet.size
@@ -229,19 +245,10 @@ class JointDist:
     __slots__ = ("alphabet_a", "alphabet_e", "mass")
 
     def __init__(self, alphabet_a: Alphabet, alphabet_e: Alphabet, mass):
-        arr = np.array(mass, dtype=float)
-        if arr.shape != (alphabet_a.size, alphabet_e.size):
-            raise ValueError(
-                f"joint mass has shape {arr.shape}, expected "
-                f"({alphabet_a.size}, {alphabet_e.size})"
-            )
-        if arr.min(initial=0.0) < -_MASS_SLACK:
-            raise ValueError("negative mass")
-        np.clip(arr, 0.0, None, out=arr)
+        arr = masses(mass, (alphabet_a.size, alphabet_e.size), "joint mass")
         total = float(math.fsum(arr.ravel().tolist()))
-        if not abs(total - 1.0) <= _MASS_SLACK:  # also rejects NaN
+        if abs(total - 1.0) > _MASS_SLACK:
             raise ValueError(f"joint mass sums to {total}, expected 1")
-        arr.setflags(write=False)
         self.alphabet_a = alphabet_a
         self.alphabet_e = alphabet_e
         self.mass = arr
@@ -563,7 +570,7 @@ def renyi_tilde_derivative(p: SubDist, s: float) -> float:
 def kl_divergence(q: SubDist, p: SubDist) -> float:
     """D(Q||P) = sum Q log(Q/P), +inf when Q is not absolutely continuous."""
     _require_same_alphabet(q, p)
-    if abs(q.total - 1.0) > 1e-9 or abs(p.total - 1.0) > 1e-9:
+    if not (q.is_probability() and p.is_probability()):
         raise ValueError("divergence requires probability distributions")
     qm, pm = q.mass, p.mass
     pos = qm > 0.0

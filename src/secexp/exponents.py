@@ -257,7 +257,7 @@ def order2_d1_bound(p: SubDist, m: int) -> float:
 def _require_inputs(r, p: SubDist | None = None):
     """R (every rate of an array) finite and >= 0; p, when given, a
     probability distribution."""
-    if p is not None and abs(p.total - 1.0) > 1e-9:
+    if p is not None and not p.is_probability():
         raise ValueError("exponent requires a probability distribution")
     rates = np.asarray(r, dtype=float)
     if not (np.isfinite(rates).all() and (rates >= 0.0).all()):
@@ -279,7 +279,7 @@ def universal_exponent(p: SubDist, r) -> ExponentResult:
 
 def critical_rate(p: SubDist) -> float:
     """2 H'_2 - H_2: below this rate the s-restricted exponent loses tightness."""
-    if abs(p.total - 1.0) > 1e-9:
+    if not p.is_probability():
         raise ValueError("critical rate requires a probability distribution")
     return 2.0 * renyi_tilde_derivative(p, 1.0) - renyi_tilde(p, 1.0)
 
@@ -478,7 +478,7 @@ class HRExponents:
 
 
 def holenstein_renner_exponents(p: SubDist, r: float) -> HRExponents:
-    if abs(p.total - 1.0) > 1e-9:
+    if not p.is_probability():
         raise ValueError("requires a probability distribution")
     size = p.alphabet.size
     gap = shannon_entropy(p) - r

@@ -5,14 +5,16 @@ string of `seed_len` digits in digit_low .. digit_low + digit_base - 1, ranked
 in itertools.product order.  A family defines only its digits and `maps_of`,
 which turns a (count x seed_len) block of seeds into the (count x |alphabet|)
 block of their maps; `HashFamily` derives `seeds(start, stop)`, `iter_maps`
-(blocks cut by `dists.blocks`), `sample_seed` and `as_map`, and
-`pushforward_blocks`, the seeds' images of a weight vector, from the maps.
+(blocks cut by `dists.blocks`), `draw_seeds` (a block of uniform seeds; one
+seed is `sample_seed`) and `as_map`, and `pushforward_blocks`, the images of
+a weight vector under every seed or a draw of seeds, from the maps.
 
-A linear family (`LinearFamily`, here Toeplitz) defines its digits and each
-seed's matrix A over the prime field; its maps (x to A x) and kernels are
-combinations of A's columns and rows, and its pushforwards come by the
-character transform of the weights: one transform of the weights, then per
-seed a gather of M values and one transform of size M.  This is the
+A linear family (`LinearFamily`) defines its digits and each seed's matrix A
+over the prime field; its maps (x to A x) are combinations of A's columns,
+and its pushforwards come by the character transform of the weights: one
+transform of the weights, then per seed a gather of M values and one
+transform of size M.  A Toeplitz family's kernels are combinations of rows
+too, which `check_universal2` counts in place of pairs.  This is the
 dual-code view of Tsurumaru and Hayashi, "Dual universality of hash functions
 and its applications to quantum cryptography" (arXiv:1101.0064).
 
@@ -128,11 +130,18 @@ class HashFamily:
         digits = np.unravel_index(ranks, (self.digit_base,) * self.seed_len)
         return np.stack(digits, axis=1) + self.digit_low
 
-    def seed_blocks(self, seeds: np.ndarray | list | None, cells: int):
-        """Every seed in rank order, or the rows of `seeds` (an array or a
-        list of seeds), in the `dists.blocks` of `cells` cells per seed."""
-        for block in blocks(self.seed_count if seeds is None else len(seeds), cells):
-            yield self.seeds(block.start, block.stop) if seeds is None else np.asarray(seeds[block])
+    def seed_blocks(self, draw: tuple[np.random.Generator, int] | None, cells: int):
+        """Every seed in rank order, or for a draw (rng, count) `count` seeds
+        drawn from rng, in the `dists.blocks` of `cells` cells per seed; each
+        block of drawn seeds is one `draw_seeds` call, made when the block is
+        read."""
+        if draw is None:
+            for block in blocks(self.seed_count, cells):
+                yield self.seeds(block.start, block.stop)
+        else:
+            rng, count = draw
+            for block in blocks(count, cells):
+                yield self.draw_seeds(rng, block.stop - block.start)
 
     def iter_maps(self):
         """The maps of every seed in rank order, in the `dists.blocks` of
@@ -143,36 +152,41 @@ class HashFamily:
         for block in self.seed_blocks(None, self.input_alphabet.size):
             yield self.maps_of(block)
 
-    def pushforward_blocks(self, weights, seeds: np.ndarray | list | None = None):
-        """The pushforward rows of every seed in rank order, or of the rows of
-        `seeds`, in blocks: row s is `map_histograms` of seed s's map, the sum
-        of `weights` over each output's preimage (with a last axis of side
-        symbols if `weights` is 2-D), in the blocks of the larger of a map's
-        and a histogram's cells.  Refused when called, before any block: past
-        MAPS_LIMIT map cells (seeds x |alphabet| x side symbols), then past the
-        enumeration limit when every seed is swept, then for one seed's
-        histogram over DEFAULT_MAX_CELLS.  The rows of `seeds` are read as the
-        blocks are."""
+    def pushforward_blocks(self, weights, draw: tuple[np.random.Generator, int] | None = None):
+        """The pushforward rows of every seed in rank order, or of the seeds of
+        a draw (rng, count), in blocks: row s is `map_histograms` of seed s's
+        map, the sum of `weights` over each output's preimage (with a last
+        axis of side symbols if `weights` is 2-D), in the blocks of the larger
+        of a map's and a histogram's cells.  Refused when called, before any
+        block: past MAPS_LIMIT map cells (seeds x |alphabet| x side symbols),
+        then past the enumeration limit when every seed is swept, then for one
+        seed's histogram over DEFAULT_MAX_CELLS.  Drawn seeds come a block at
+        a time as the blocks are read (`seed_blocks`), so no seed is drawn
+        before a refusal."""
         m, side = self.output_size, int(np.prod(np.shape(weights)[1:]))
-        self._require_route(seeds, self.input_alphabet.size * side, "map cells", MAPS_LIMIT)
+        self._require_route(draw, self.input_alphabet.size * side, "map cells", MAPS_LIMIT)
         require_work(m * side, f"histogram cells ({m} outputs x {side} side symbols)")
         cells = max(self.input_alphabet.size, m * side)
-        return (map_histograms(self.maps_of(b), m, weights) for b in self.seed_blocks(seeds, cells))
+        return (map_histograms(self.maps_of(b), m, weights) for b in self.seed_blocks(draw, cells))
 
-    def _require_route(self, seeds, per_seed: int, what: str, cap: int, fixed: int = 0):
+    def _require_route(self, draw, per_seed: int, what: str, cap: int, fixed: int = 0):
         """Refuse a pushforward route of `fixed` + `per_seed` units per seed
-        (every seed, or the rows of `seeds`) past `cap`, then, when every seed
+        (every seed, or the seeds of `draw`) past `cap`, then, when every seed
         is swept, past the enumeration limit."""
-        count = self.seed_count if seeds is None else len(seeds)
+        count = self.seed_count if draw is None else draw[1]
         require_work(fixed + count * per_seed, f"{what} ({count_text(count)} seeds)", cap)
-        if seeds is None:
+        if draw is None:
             self.require_enumerable()
 
-    def sample_seed(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """One uniform seed, its digits drawn by one rng.integers call."""
+    def draw_seeds(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` uniform seeds, one per row, drawn by one rng.integers call;
+        the digits come in the order of `count` one-seed calls."""
         low = self.digit_low
-        digits = rng.integers(low, low + self.digit_base, size=self.seed_len)
-        return tuple(int(d) for d in digits)
+        return rng.integers(low, low + self.digit_base, size=(count, self.seed_len))
+
+    def sample_seed(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """One uniform seed, the one-seed case of `draw_seeds`."""
+        return tuple(int(d) for d in self.draw_seeds(rng, 1)[0])
 
     def as_map(self, seed) -> np.ndarray:
         """The whole map for one seed, as an int array over the alphabet order."""
@@ -209,12 +223,12 @@ class FullyRandomFamily(HashFamily):
 
 
 class LinearFamily(HashFamily):
-    """Linear maps F_q^k -> F_q^m, q = p^e, in systematic form (X | I).
+    """Linear maps F_q^k -> F_q^m, q = p^e.
 
-    Over the prime field a seed's map is an (m e) x (k e) matrix A = (X | I)
-    on the big-endian base-p digits of the symbol indices: a GF(4) digit is
+    Over the prime field a seed's map is an (m e) x (k e) matrix A on the
+    big-endian base-p digits of the symbol indices: a GF(4) digit is
     two bits, and GF(4) addition is XOR of indices.  `matrices` gives these
-    per block of seeds; maps, pushforwards and kernels are read from them.
+    per block of seeds; maps and pushforwards are read from them.
     """
 
     field: Field
@@ -222,8 +236,7 @@ class LinearFamily(HashFamily):
     m: int
 
     def matrices(self, seeds: np.ndarray) -> np.ndarray:
-        """The (count x m e x k e) digits over F_p of the seeds' matrices,
-        whose last m e columns are the identity."""
+        """The (count x m e x k e) digits over F_p of the seeds' matrices."""
         raise NotImplementedError
 
     def maps_of(self, seeds: np.ndarray) -> np.ndarray:
@@ -231,7 +244,7 @@ class LinearFamily(HashFamily):
         columns = self.matrices(seeds).transpose(0, 2, 1)
         return combination_indices(columns, self.field.prime) + 1
 
-    def pushforward_blocks(self, weights, seeds: np.ndarray | list | None = None):
+    def pushforward_blocks(self, weights, draw: tuple[np.random.Generator, int] | None = None):
         """As `HashFamily.pushforward_blocks`, by the character transform.
 
         With F(u) = sum_a w(a) chi(-u.a) over F_p^(k e) and chi(t) =
@@ -245,7 +258,7 @@ class LinearFamily(HashFamily):
         p, e, n = self.field.prime, self.field.degree, self.k * self.field.degree
         w, m = np.asarray(weights, dtype=float), self.output_size
         side = int(np.prod(w.shape[1:]))
-        self._require_route(seeds, m * self.m * e * side, "transform units", TRANSFORM_LIMIT,
+        self._require_route(draw, m * self.m * e * side, "transform units", TRANSFORM_LIMIT,
                             n * self.input_alphabet.size * side)
         spec = _character_transform(w.reshape(len(w), -1).T, p, -1)  # side x p^n
 
@@ -254,29 +267,7 @@ class LinearFamily(HashFamily):
             out = _character_transform(picked, p, 1).real / m
             return np.moveaxis(out, 0, -1).reshape((len(block), m) + w.shape[1:])
 
-        return map(hists, self.seed_blocks(seeds, m * max(n, len(spec))))
-
-    def kernel_counts(self) -> np.ndarray:
-        """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
-
-        The kernel of (X | I) is {(x, -X x)}, the span of the rows of
-        (I | -X^T), so each seed adds q^(k-m) kernel vectors.  More than
-        KERNEL_VECTOR_LIMIT in all, or a matrix whose last m e columns are
-        not the identity, is refused."""
-        self.require_enumerable()
-        p, e = self.field.prime, self.field.degree
-        n, r = self.k * e, (self.k - self.m) * e
-        require_work(self.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)
-        counts = np.zeros(p**n, dtype=np.int64)
-        for block in self.seed_blocks(None, n * max(p**r, self.m * e)):
-            a = self.matrices(block)
-            if (a[:, :, r:] != np.eye(n - r, dtype=np.int64)).any():
-                raise ValueError("kernel counts need matrices of the form (X | I)")
-            x = a[:, :, :r]
-            eye = np.broadcast_to(np.eye(r, dtype=np.int64), (len(block), r, r))
-            gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
-            counts += np.bincount(combination_indices(gens, p).ravel(), minlength=p**n)
-        return counts
+        return map(hists, self.seed_blocks(draw, m * max(n, len(spec))))
 
 
 # Most elements in one dense step of `_character_transform`: a step is then a
@@ -345,6 +336,28 @@ class ToeplitzFamily(LinearFamily):
         x = x.transpose(0, 1, 3, 2, 4).reshape(len(seeds), m * e, r * e)
         eye = np.broadcast_to(np.eye(m * e, dtype=np.int64), (len(seeds), m * e, m * e))
         return np.concatenate([x, eye], axis=2)
+
+    def kernel_counts(self) -> np.ndarray:
+        """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
+
+        The kernel of (X | I) is {(x, -X x)}, the span of the rows of
+        (I | -X^T), so each seed adds q^(k-m) kernel vectors.  More than
+        KERNEL_VECTOR_LIMIT in all, or a matrix whose last m e columns are
+        not the identity, is refused."""
+        self.require_enumerable()
+        p, e = self.field.prime, self.field.degree
+        n, r = self.k * e, (self.k - self.m) * e
+        require_work(self.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)
+        counts = np.zeros(p**n, dtype=np.int64)
+        for block in self.seed_blocks(None, n * max(p**r, self.m * e)):
+            a = self.matrices(block)
+            if (a[:, :, r:] != np.eye(n - r, dtype=np.int64)).any():
+                raise ValueError("kernel counts need matrices of the form (X | I)")
+            x = a[:, :, :r]
+            eye = np.broadcast_to(np.eye(r, dtype=np.int64), (len(block), r, r))
+            gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
+            counts += np.bincount(combination_indices(gens, p).ravel(), minlength=p**n)
+        return counts
 
 
 def fit_toeplitz(m: int, l: int, q: int | None = None) -> ToeplitzFamily | None:
@@ -448,12 +461,12 @@ def check_universal2(fam: HashFamily) -> Universal2Report:
     """Exact worst-pair collision probability over the full seed space.
 
     The worst pair is the first pair a < b (in row-major order) with the most
-    collisions (None for a one-symbol alphabet).  A linear family's pair
+    collisions (None for a one-symbol alphabet).  A Toeplitz family's pair
     collides exactly when its difference is in the kernel, so its counts are
     `kernel_counts` by difference and its worst pair is (0, the lowest
     nonzero d with the top count).  Other families' come from the pair
     counts."""
-    if isinstance(fam, LinearFamily):
+    if isinstance(fam, ToeplitzFamily):
         counts = fam.kernel_counts()
         d = 1 + int(np.argmax(counts[1:]))
         best, worst = float(counts[d]), (0, d)

@@ -61,7 +61,7 @@ def heavy_mass_lower_bound(p: SubDist, m: int) -> float:
     (The mass of atoms at least twice the uniform cell weight must surface in
     the L1 distance of any pushforward.)
     """
-    if abs(p.total - 1.0) > 1e-9 or m < 1:
+    if not p.is_probability() or m < 1:
         raise ValueError("requires a probability distribution and M >= 1")
     heavy = p.mass >= 2.0 / m
     return float(math.fsum(p.mass[heavy].tolist()))
@@ -159,7 +159,7 @@ def build_specialized(p: SubDist, n: int, m: int) -> SpecializedMap:
     n_Q = floor(M * P^n(T)) fresh cells filled round-robin, which keeps their
     preimage sizes within one of each other; residual types share cell 1.
     """
-    if abs(p.total - 1.0) > 1e-9 or m < 1 or n < 1:
+    if not p.is_probability() or m < 1 or n < 1:
         raise ValueError("requires a probability distribution, n >= 1 and M >= 1")
     require_work(n, "trials (n)", MAX_N)
     weights, denom = _normalized(p)
@@ -231,7 +231,7 @@ def specialized_exponent(p: SubDist, r: float) -> ExponentResult:
     The value is authoritative only when H~'_2 <= R; outside that window it
     is still reported, flagged via `note`.
     """
-    if abs(p.total - 1.0) > 1e-9:
+    if not p.is_probability():
         raise ValueError("requires a probability distribution")
     res = cramer_exponent_restricted(p, r)
     if renyi_tilde_derivative(p, 1.0) > r:

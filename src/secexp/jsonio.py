@@ -122,8 +122,6 @@ def _check_joint(obj, what: str, at: str = ""):
 
 
 def _subdist(obj) -> SubDist:
-    if len(obj["mass"]) != len(obj["alphabet"]):
-        raise InputValidationError("distribution: mass length does not match alphabet length")
     try:
         return SubDist(Alphabet(tuple(obj["alphabet"])), obj["mass"])
     except ValueError as e:

@@ -8,9 +8,9 @@ FullyRandomFamily's average is a sum over the 2^|A| subsets (capped at
 DEFAULT_MAX_CELLS cells), whatever M is: each output's preimage holds each
 symbol independently with probability 1/M.  Every other family's average reads
 its `pushforward_blocks`, which picks the family's route and refuses its work,
-and Monte Carlo mode reads the same blocks for the sampled seeds.  Seed
-reductions use compensated summation, so exact results do not depend on
-evaluation order.
+and Monte Carlo mode reads the same blocks for a draw of seeds, made a block
+at a time as the blocks are read.  Seed reductions use compensated summation,
+so exact results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -161,10 +161,7 @@ def _ensemble(
     if mode == "mc":
         EnsembleEstimate.require_samples(n_samples)
         require_work(n_samples, "samples", ENUMERATION_LIMIT)
-        seeds = [None] * n_samples  # drawn after the caps of their blocks
-        blocks = fam.pushforward_blocks(weights, seeds)
-        rng = np.random.default_rng(seed)
-        seeds[:] = [fam.sample_seed(rng) for _ in range(n_samples)]
+        blocks = fam.pushforward_blocks(weights, (np.random.default_rng(seed), n_samples))
         return EnsembleEstimate.from_samples([v for rows in blocks for v in values_of(rows)])
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -33,6 +33,7 @@ from .dists import (
     fsum_rows,
     kron_power,
     log_fsum_by_order,
+    masses,
     product_alphabet,
     range_alphabet,
     require_work,
@@ -108,21 +109,9 @@ class Channel:
         noise: JointDist | None = None,
         module: Module | None = None,
     ):
-        arr = np.array(matrix, dtype=float)
-        if arr.shape != (input_alphabet.size, output_alphabet.size):
-            raise ValueError(
-                f"matrix shape {arr.shape} does not match alphabets "
-                f"({input_alphabet.size}, {output_alphabet.size})"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("transition probabilities must be finite")
-        if arr.min(initial=0.0) < -1e-12:
-            raise ValueError("negative transition probability")
-        np.clip(arr, 0.0, None, out=arr)
-        rows = arr.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-12:
+        arr = masses(matrix, (input_alphabet.size, output_alphabet.size), "channel matrix")
+        if np.abs(arr.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("rows must sum to 1")
-        arr.setflags(write=False)
         self.input_alphabet = input_alphabet
         self.output_alphabet = output_alphabet
         self.matrix = arr
@@ -135,8 +124,6 @@ class Channel:
     def additive(cls, noise: SubDist, module: Module) -> "Channel":
         """W_x(z) = noise(z - x): the general-additive channel of the
         one-column joint."""
-        if abs(noise.total - 1.0) > 1e-12:
-            raise ValueError("noise must be a probability distribution")
         joint = JointDist(noise.alphabet, Alphabet(("0",)), noise.mass[:, None])
         return cls.general_additive(joint, module)
 
@@ -281,20 +268,13 @@ class WiretapCode:
     __slots__ = ("m", "encoders", "decoder")
 
     def __init__(self, m: int, encoders, decoder):
-        enc = np.array(encoders, dtype=float)
+        # one row per message, any number of codeword columns
+        enc = masses(encoders, (m, *np.shape(encoders)[-1:]), "encoder matrix")
         dec = np.asarray(decoder, dtype=np.int64)
-        if enc.shape[0] != m:
-            raise ValueError("need one encoder distribution per message")
-        if not np.isfinite(enc).all():
-            raise ValueError("encoder masses must be finite")
-        if enc.min(initial=0.0) < -1e-12:
-            raise ValueError("negative encoder mass")
-        np.clip(enc, 0.0, None, out=enc)
         if np.abs(enc.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("encoder rows must sum to 1")
         if dec.min(initial=0) < 0 or dec.max(initial=0) > m:
             raise ValueError("decoder cells must lie in 0..M")
-        enc.setflags(write=False)
         dec.setflags(write=False)
         self.m = m
         self.encoders = enc
@@ -331,7 +311,7 @@ def _require_conditions(p: SubDist, m: int, l: int, fam: HashFamily):
         raise ValueError("hash family is not balanced (equal preimages required)")
     if fam.input_alphabet.size != m * l or fam.output_size != m:
         raise ValueError("family must map M*L messages onto M outputs")
-    if abs(p.total - 1.0) > 1e-12:
+    if not p.is_probability():
         raise ValueError("codeword distribution must be a probability distribution")
 
 

@@ -792,6 +792,19 @@ def _reject_constant(name):
     raise AssertionError(f"{name} in JSON output")
 
 
+def _nonfinite_numbers(obj, at=""):
+    """The paths of the non-finite numbers in a JSON output (written as the
+    strings "nan", "inf" and "-inf"), save the documented one: `value` "inf"
+    beside `"diverges": true`, the Cramer form below -log max P."""
+    if isinstance(obj, dict):
+        diverges = obj.get("diverges") is True
+        return [path for key, v in obj.items() if not (diverges and key == "value" and v == "inf")
+                for path in _nonfinite_numbers(v, f"{at}/{key}")]
+    if isinstance(obj, list):
+        return [path for i, v in enumerate(obj) for path in _nonfinite_numbers(v, f"{at}/{i}")]
+    return [at] if obj in ("nan", "inf", "-inf") else []
+
+
 class TestFlagFuzz:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
@@ -817,7 +830,13 @@ class TestFlagFuzz:
         assert res.exit_code in (0, 2, 3, 4), (args, res.output)
         assert res.exception is None or isinstance(res.exception, SystemExit), args
         if res.exit_code == 0 and (command != ("figure",) or "json" in args):
-            json.loads(res.stdout, parse_constant=_reject_constant)
+            payload = json.loads(res.stdout, parse_constant=_reject_constant)
+            assert not _nonfinite_numbers(payload), (args, _nonfinite_numbers(payload))
+
+    def test_only_a_diverging_value_may_be_inf(self):
+        assert _nonfinite_numbers({"value": "inf", "diverges": True, "note": "inf"}) == ["/note"]
+        assert _nonfinite_numbers({"value": "inf", "diverges": False}) == ["/value"]
+        assert _nonfinite_numbers({"a": [1.0, {"value": "nan"}], "b": "-inf"}) == ["/a/1/value", "/b"]
 
 
 class TestNonFiniteInput:

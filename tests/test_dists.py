@@ -36,6 +36,7 @@ from secexp.dists import (
     strings_by_type,
     tilt,
 )
+from secexp.wiretap import Channel, WiretapCode
 
 from conftest import assert_bit_equal, kron_loop, random_subdist
 
@@ -43,6 +44,17 @@ from conftest import assert_bit_equal, kron_loop, random_subdist
 def subdist(*mass):
     symbols = tuple(chr(ord("a") + i) for i in range(len(mass)))
     return SubDist(Alphabet(symbols), np.array(mass, dtype=float))
+
+
+_AB = Alphabet(("a", "b"))
+# each constructor of a mass array: a valid 2-symbol array, the spot of a 0
+# in it, and the field that keeps it
+MASS_BUILDERS = {
+    "mass": (lambda v: SubDist(_AB, v), [1.0, 0.0], (1,), "mass"),
+    "joint mass": (lambda v: JointDist(_AB, _AB, v), [[1.0, 0.0], [0.0, 0.0]], (0, 1), "mass"),
+    "channel matrix": (lambda v: Channel(_AB, _AB, v), np.eye(2), (0, 1), "matrix"),
+    "encoder matrix": (lambda v: WiretapCode(2, v, [1, 2]), np.eye(2), (0, 1), "encoders"),
+}
 
 
 class TestConstruction:
@@ -64,6 +76,40 @@ class TestConstruction:
         ab = Alphabet(("a", "b"))
         with pytest.raises(ValueError):
             JointDist(ab, ab, mass)
+
+    @pytest.mark.parametrize("what", MASS_BUILDERS)
+    def test_one_message_form_for_a_bad_mass_array(self, what):
+        build, valid, spot, field = MASS_BUILDERS[what]
+        with pytest.raises(ValueError) as err:
+            build(np.full((3, 2), 0.1))
+        assert str(err.value) == f"{what} has shape (3, 2), expected {np.shape(valid)}"
+        for bad, shown in [(np.nan, "must be finite"), (np.inf, "must be finite"),
+                           (-np.inf, "must be finite"), (-1e-11, "has a negative entry")]:
+            arr = np.array(valid)
+            arr[spot] = bad
+            with pytest.raises(ValueError) as err:
+                build(arr)
+            assert str(err.value) == f"{what} {shown}"
+        arr = np.array(valid)
+        arr[spot] = -1e-13
+        got = getattr(build(arr), field)
+        assert got[spot] == 0.0 and not got.flags.writeable
+        np.testing.assert_array_equal(got, valid)
+
+    def test_total_above_one_message(self):
+        with pytest.raises(ValueError, match=r"^total mass 1.5 exceeds 1$"):
+            subdist(1.0, 0.5)
+
+    def test_one_slack_for_a_probability_distribution(self):
+        assert subdist(0.5, 0.5 - 5e-10).is_probability()
+        assert not subdist(0.5, 0.5 - 2e-9).is_probability()
+
+    def test_one_mass_check_and_one_probability_test(self):
+        # the negativity check and the test of a total of 1 are written once
+        src = Path(secexp.__file__).parent
+        for pattern in (".min(initial=0.0) <", "total - 1.0"):
+            named = sorted(f.name for f in src.glob("*.py") if pattern in f.read_text())
+            assert named == ["dists.py"], pattern
 
     def test_subdistribution_total(self):
         p = subdist(0.3, 0.3)

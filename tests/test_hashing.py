@@ -11,6 +11,7 @@ from secexp.gf import Field, Module
 from secexp.hashing import (
     ExplicitFamily,
     FullyRandomFamily,
+    LinearFamily,
     NonEnumerableError,
     ToeplitzFamily,
     check_balanced,
@@ -247,17 +248,30 @@ class TestToeplitzEval:
         assert (None if fam is None else (fam.q, fam.k, fam.m)) == shape
 
 
-class FullToeplitzFamily(ToeplitzFamily):
+class FullToeplitzFamily(LinearFamily):
     """Binary maps x -> T x by the full m x k Toeplitz matrix T of k + m - 1
     seed digits: a linear family not in the systematic form (X | I)."""
+
+    def __init__(self, k: int, m: int):
+        self.field, self.k, self.m = Field(2), k, m
+        self.input_alphabet = ToeplitzFamily(2, k, m).input_alphabet
+        self.output_size = 2**m
+        self.seed_len, self.digit_low, self.digit_base = k + m - 1, 0, 2
+
+    def matrices(self, seeds):
+        at = (self.k - 1) + np.arange(self.m)[:, None] - np.arange(self.k)
+        return np.asarray(seeds, dtype=np.int64)[:, at]
+
+
+class MislabelledToeplitzFamily(ToeplitzFamily):
+    """A Toeplitz subclass whose `matrices` are the full T: the layout guard
+    of `kernel_counts` refuses it."""
 
     def __init__(self, k: int, m: int):
         super().__init__(2, k, m)
         self.seed_len = k + m - 1
 
-    def matrices(self, seeds):
-        at = (self.k - 1) + np.arange(self.m)[:, None] - np.arange(self.k)
-        return np.asarray(seeds, dtype=np.int64)[:, at]
+    matrices = FullToeplitzFamily.matrices
 
 
 def all_toeplitz_instances():
@@ -322,12 +336,15 @@ class TestConditions:
     @pytest.mark.parametrize("k,m", [(4, 2), (5, 2), (6, 3)])
     def test_kernel_counts_need_the_systematic_form(self, k, m):
         # the kernel is read as {(x, -X x)}, which a full Toeplitz matrix
-        # does not have; its maps still check by their pair counts
+        # does not have; so only a Toeplitz family goes by its kernels, and
+        # any other linear family by the pair counts of its maps
         fam = FullToeplitzFamily(k, m)
-        with pytest.raises(ValueError, match=r"\(X \| I\)"):
-            check_universal2(fam)
         explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
-        assert check_universal2(explicit).worst_pair is not None
+        report = check_universal2(fam)
+        assert report == check_universal2(explicit)
+        assert report.worst_pair is not None
+        with pytest.raises(ValueError, match=r"\(X \| I\)"):
+            check_universal2(MislabelledToeplitzFamily(k, m))
 
     def test_toeplitz_2_12_4_within_a_second(self):
         start = time.perf_counter()
@@ -467,6 +484,21 @@ class TestSeedInterface:
         expect = np.random.default_rng(5).integers(low, high, size=fam.seed_len)
         assert seeds[0] == seeds[1] == tuple(int(d) for d in expect)
         assert all(isinstance(d, int) for d in seeds[0])
+
+    @pytest.mark.parametrize("base", [1, 2, 3, 4, 5, 7, 1000, 2**32 - 1, 2**32, 2**33])
+    def test_block_draws_are_the_sample_seed_stream(self, base, monkeypatch):
+        # a draw's blocks hold the seeds of one `sample_seed` call each, in
+        # order, however the blocks split, and leave the generator in the
+        # same state
+        for length, count, cells in ((1, 1, 1), (3, 100, 7), (256, 9, 1000), (5, 40, 1 << 19)):
+            monkeypatch.setattr(dists, "BLOCK_CELLS", cells)
+            fam = FullyRandomFamily(range_alphabet(length), base)
+            rng, ref = np.random.default_rng(base), np.random.default_rng(base)
+            drawn = list(fam.seed_blocks((rng, count), length))
+            assert all(len(b) <= max(1, cells // length) for b in drawn)
+            expect = [fam.sample_seed(ref) for _ in range(count)]
+            assert [tuple(s) for b in drawn for s in b.tolist()] == expect
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_explicit_seed_is_a_one_tuple(self):
         maps = [[1, 2, 1], [2, 2, 1], [1, 1, 2]]

@@ -109,7 +109,7 @@ class TestExpectedD1Oracle:
         def no_draw(*args):
             raise AssertionError("seed drawn before the sample count was checked")
 
-        monkeypatch.setattr(HashFamily, "sample_seed", no_draw)
+        monkeypatch.setattr(HashFamily, "draw_seeds", no_draw)
         p = skew3()
         for fam in (FullyRandomFamily(p.alphabet, 2), ExplicitFamily(p.alphabet, 2, [[1, 2, 1]])):
             with pytest.raises(ValueError, match="at least 2 samples"):
@@ -118,12 +118,11 @@ class TestExpectedD1Oracle:
     def test_mc_caps_come_before_any_draw(self, monkeypatch):
         # the route caps, then one seed's histogram cap, all with the sampled
         # seeds in place of every seed, refuse before the first draw: no seed
-        # is built (2,000,000 seeds of 1,000 digits would take 16 GB), only a
-        # list of 2,000,000 placeholders (16 MB)
+        # is built (2,000,000 seeds of 1,000 digits would take 16 GB)
         def no_draw(*args):
             raise AssertionError("seed drawn before the caps were checked")
 
-        monkeypatch.setattr(HashFamily, "sample_seed", no_draw)
+        monkeypatch.setattr(HashFamily, "draw_seeds", no_draw)
         u256, u1000 = (SubDist.uniform(range_alphabet(n)) for n in (256, 1000))
         toep = ToeplitzFamily(2, 17, 9)
         cases = [
@@ -472,22 +471,26 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("cells", [1 << 19, 5 * 256 + 3])
     def test_toeplitz_mc_equals_per_sample_loop(self, cells, monkeypatch):
-        # the same sampled seeds; the transform agrees with the maps within 1e-15
+        # the same sampled seeds, drawn a block at a time or one by one; the
+        # transform agrees with the maps within 1e-15, and so do the other
+        # families' maps with the one-map formula
         monkeypatch.setattr(dists, "BLOCK_CELLS", cells)
-        fam = ToeplitzFamily(2, 8, 3)
-        p, j = self.sources(fam, 8)
-        m = fam.output_size
-        for func, one_map, data in (
-            (expected_d1, d1_hashed, p),
-            (expected_d1_conditional, d1_conditional, j),
-        ):
-            rng = np.random.default_rng(9)
-            values = [one_map(data, fam.as_map(fam.sample_seed(rng)), m) for _ in range(60)]
-            mean = math.fsum(values) / 60
-            var = math.fsum((v - mean) ** 2 for v in values) / 59
-            est = func(data, fam, mode="mc", n_samples=60, seed=9)
-            assert est.value == pytest.approx(mean, abs=1e-15)
-            assert est.stderr == pytest.approx(math.sqrt(var / 60), abs=1e-15)
+        toep = ToeplitzFamily(2, 8, 3)
+        alph, m = toep.input_alphabet, toep.output_size
+        p, j = self.sources(toep, 8)
+        maps = toep.maps_of(toep.seeds(0, 40))
+        for fam in (toep, FullyRandomFamily(alph, m), ExplicitFamily(alph, m, maps)):
+            for func, one_map, data in (
+                (expected_d1, d1_hashed, p),
+                (expected_d1_conditional, d1_conditional, j),
+            ):
+                rng = np.random.default_rng(9)
+                values = [one_map(data, fam.as_map(fam.sample_seed(rng)), m) for _ in range(60)]
+                mean = math.fsum(values) / 60
+                var = math.fsum((v - mean) ** 2 for v in values) / 59
+                est = func(data, fam, mode="mc", n_samples=60, seed=9)
+                assert est.value == pytest.approx(mean, abs=1e-15)
+                assert est.stderr == pytest.approx(math.sqrt(var / 60), abs=1e-15)
 
 
 def engine_sources(fam, rng):

@@ -100,7 +100,7 @@ CASES = [
      lambda: expected_d1(_uniform(3), FullyRandomFamily(range_alphabet(3), 10**7),
                          mode="mc", n_samples=2),
      "10000000 histogram cells (10000000 outputs x 1 side symbols) exceed cap 1048576"),
-    ("hashing.LinearFamily.kernel_counts", lambda: check_universal2(ToeplitzFamily(2, 15, 1)),
+    ("hashing.ToeplitzFamily.kernel_counts", lambda: check_universal2(ToeplitzFamily(2, 15, 1)),
      "268435456 kernel vectors exceed cap 250000000"),
     ("hashing._pair_counts", _pair_counts,
      "4194304 pair counts of one symbol (64 x 1024 x 64) exceed cap 1048576"),
