@@ -192,6 +192,14 @@ def masses(values, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def _total(arr: np.ndarray) -> float:
+    """math.fsum of finite masses, or inf where it overflows: a total above 1."""
+    try:
+        return math.fsum(arr.ravel().tolist())
+    except OverflowError:
+        return math.inf
+
+
 class SubDist:
     """A nonnegative mass vector over an alphabet, total mass at most 1."""
 
@@ -199,7 +207,7 @@ class SubDist:
 
     def __init__(self, alphabet: Alphabet, mass):
         arr = masses(mass, (alphabet.size,), "mass")
-        total = float(math.fsum(arr.tolist()))
+        total = _total(arr)
         if total > 1.0 + _MASS_SLACK:
             raise ValueError(f"total mass {total} exceeds 1")
         self.alphabet = alphabet
@@ -246,7 +254,7 @@ class JointDist:
 
     def __init__(self, alphabet_a: Alphabet, alphabet_e: Alphabet, mass):
         arr = masses(mass, (alphabet_a.size, alphabet_e.size), "joint mass")
-        total = float(math.fsum(arr.ravel().tolist()))
+        total = _total(arr)
         if abs(total - 1.0) > _MASS_SLACK:
             raise ValueError(f"joint mass sums to {total}, expected 1")
         self.alphabet_a = alphabet_a
@@ -506,14 +514,16 @@ class _Screen:
             return self.bracket[1]
         if self.side == 1 or self.calls > 1:
             return _log_fsums(orders, terms, cells)
-        knots = np.unique(np.append(np.arange(0, orders.size, self.stride), orders.size - 1))
+        is_knot = np.zeros(orders.size, dtype=bool)
+        is_knot[:: self.stride] = is_knot[-1] = True  # np.unique would import numpy.ma
+        knots = np.flatnonzero(is_knot)
         at_knots = _log_fsums(orders[knots], terms, cells)
         bracket = _convex_bracket(orders, knots, at_knots, cells)
         if bracket is not None:
             self.bracket = bracket
             return bracket[0]
         logs = np.empty(orders.size)
-        rest = np.setdiff1d(np.arange(orders.size), knots)
+        rest = np.flatnonzero(~is_knot)
         logs[knots], logs[rest] = at_knots, _log_fsums(orders[rest], terms, cells)
         return logs
 

@@ -166,7 +166,7 @@ def _maximize_rows(fn, lo: float, hi: float, one: bool):
     xs = np.linspace(lo, hi, GRID_INTERVALS + 1)
     i = _grid_argmax(fn, xs if one else xs[:, None])
     best_x, best_v = xs[i], np.empty(i.size)
-    for point in np.unique(i):
+    for point in np.flatnonzero(np.bincount(i)):  # np.unique would import numpy.ma
         hit = i == point
         best_v[hit] = np.broadcast_to(fn(float(xs[point])), i.shape)[hit]
     if hi > lo:

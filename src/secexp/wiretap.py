@@ -79,9 +79,10 @@ __all__ = [
 
 # Both modes refuse more (codebook, seed) entries than DEFAULT_MAX_CELLS, the
 # cells of each per-entry array (binary M=2, L=8, 524,288 entries, takes about
-# a second), and more kernel cells than this in all, entries times the
-# ML (M + |Y| + |Z|) cells `_pair_metrics` spends on each: 5 to 20 s at the
-# 5-20 ns per cell measured on a 2-core machine.
+# 0.2 s), and more kernel cells than this in all, entries times the
+# ML (M + |Y| + |Z|) cells `_kernel_cells` charges each: 1 to 6 s at the
+# 1-6 ns per cell exact mode takes on a 2-core Xeon (Monte Carlo adds about
+# 10 us of draws per sample).
 ENSEMBLE_CELL_LIMIT = 1 << 30
 # Float slack of markov_select's twice-the-average tests.
 MARKOV_SLACK = 1e-12
@@ -342,10 +343,18 @@ def code_from_codebook(
     return WiretapCode(m, enc, decoder)
 
 
-def _draw(p: SubDist, ml: int, fam: HashFamily, rng: np.random.Generator):
-    """One codebook drawn i.i.d. from p, then one hash seed."""
-    codebook = rng.choice(p.alphabet.size, size=ml, p=p.mass)
-    return codebook, fam.sample_seed(rng)
+def _draw(p: SubDist, ml: int, fam: HashFamily, rng: np.random.Generator, count: int = 1):
+    """`count` codebooks drawn i.i.d. from p, each followed by one hash seed,
+    as (count x ML) and (count x seed_len) arrays: the stream of per-sample
+    rng.choice(|X|, ML, p=p.mass) and `sample_seed` calls, cdf built once."""
+    cdf = p.mass.cumsum()
+    cdf /= cdf[-1]
+    codebooks = np.empty((count, ml), dtype=np.int64)
+    seeds = np.empty((count, fam.seed_len), dtype=np.int64)
+    for k in range(count):
+        codebooks[k] = cdf.searchsorted(rng.random(ml), side="right")
+        seeds[k] = fam.sample_seed(rng)
+    return codebooks, seeds
 
 
 def random_wiretap_code(
@@ -357,47 +366,36 @@ def random_wiretap_code(
     balanced; codewords are drawn i.i.d. from p.
     """
     _require_conditions(p, m, l, fam)
-    codebook, seed = _draw(p, m * l, fam, rng)
+    (codebook,), (seed,) = _draw(p, m * l, fam, rng)
     code = code_from_codebook(codebook, fam.as_map(seed), m, l, wb)
-    return code, tuple(int(c) for c in codebook), seed
+    return code, tuple(codebook.tolist()), tuple(seed.tolist())
 
 
-def _pair_metrics(codebooks, maps, m: int, l: int, wb: Channel, we: Channel):
-    """eps and d1 of aligned (codebook, seed map) pairs, as two arrays.
+def _class_rows(w: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Message rows of classes given by their codewords (..., L): the sum of
+    w[codeword] in codeword order, one += per position, over L; bit for bit
+    the one-hot matmul of the encoder, which a pairwise sum (L >= 8) is not."""
+    rows = w[digits[..., 0]]
+    for k in range(1, digits.shape[-1]):
+        rows += w[digits[..., k]]
+    return rows / digits.shape[-1]
 
-    Row k of `codebooks` is sent through the hash-partition code of row k of
-    `maps` (values 1..M, balanced).  This is `error_prob` and
-    `eve_distinguishability` of `code_from_codebook`, for every row at once:
-    the ML decoder is an argmax over codewords (lowest index on ties) mapped
-    through the seed map, and message i's output rows are the one-hot of the
-    map times W[codebook] / L.
-    """
-    ny = wb.output_alphabet.size
-    scores = np.concatenate((wb.matrix, we.matrix), axis=1)[codebooks]  # P x ML x (Y+Z)
-    best = scores[:, :, :ny].argmax(axis=1)  # P x Y, lowest codeword on ties
-    decoded = np.take_along_axis(maps, best, axis=1)  # P x Y, values 1..M
-    onehot = (maps[:, None, :] == np.arange(1, m + 1)[:, None]).astype(float)
-    rows = onehot @ scores / l  # P x M x (Y+Z)
-    hit = np.take_along_axis(rows[:, :, :ny], (decoded - 1)[:, None, :], axis=1)
-    eps = 1.0 - hit.sum(axis=(1, 2)) / m
-    eve = rows[:, :, ny:]
-    d1 = np.abs(eve - eve.mean(axis=1, keepdims=True)).sum(axis=(1, 2)) / m
+
+def _metrics(rows: np.ndarray, decoded: np.ndarray, ny: int):
+    """eps and d1 of entries (any leading axes) from their message rows
+    (... x M x (|Y| + |Z|), Bob's outputs first) and Bob's decoded messages
+    (... x |Y|, values 1..M): `error_prob` and `eve_distinguishability`."""
+    m = rows.shape[-2]
+    hit = np.take_along_axis(rows[..., :ny], (decoded - 1)[..., None, :], axis=-2)
+    eps = 1.0 - hit.sum(axis=(-2, -1)) / m
+    eve = rows[..., ny:]
+    d1 = np.abs(eve - eve.mean(axis=-2, keepdims=True)).sum(axis=(-2, -1)) / m
     return eps, d1
 
 
 def _kernel_cells(m: int, l: int, wb: Channel, we: Channel) -> int:
-    """The kernel's largest arrays hold about ML (M + |Y| + |Z|) floats per pair."""
+    """Work units of one (codebook, seed) entry: ML (M + |Y| + |Z|)."""
     return m * l * (m + wb.output_alphabet.size + we.output_alphabet.size)
-
-
-def _kernel_sweep(entries: int, pick, m: int, l: int, wb: Channel, we: Channel):
-    """eps and d1 of `entries` (codebook, seed map) pairs, filled in the
-    `dists.blocks` of kernel cells: pick(i) gives the pairs of entries i."""
-    eps, d1 = np.empty(entries), np.empty(entries)
-    for block in blocks(entries, _kernel_cells(m, l, wb, we)):
-        i = np.arange(block.start, block.stop)
-        eps[block], d1[block] = _pair_metrics(*pick(i), m, l, wb, we)
-    return eps, d1
 
 
 def _require_entries(entries: int, what: str, m: int, l: int, wb: Channel, we: Channel):
@@ -489,22 +487,34 @@ def wiretap_ensemble_exact(
     """Exact ensemble averages over all codebooks and all hash seeds.
 
     Codebooks are weighted by their i.i.d. probability under p; seeds are
-    uniform.  Zero-probability codebooks are skipped.  Entry i pairs
-    nonzero codebook i // n_seeds with seed map i % n_seeds.  Too many
-    entries (`_require_entries`) are refused before the family is checked or
-    any codebook is enumerated.
+    uniform.  Zero-probability codebooks are skipped.  Message rows are read
+    from one table over the |X|^L codeword tuples of a class, and Bob's
+    decoder is found once per codebook.  Too many entries (`_require_entries`)
+    or table cells are refused before the family is checked or any codebook
+    is enumerated.
     """
     nx, ml, n_seeds = p.alphabet.size, m * l, fam.seed_count
     n_codebooks = capped_power(nx, ml, "codebooks")  # refused only past the entry cap
     _require_entries(n_codebooks * n_seeds, "(codebook, seed) entries", m, l, wb, we)
+    w, ny = np.concatenate((wb.matrix, we.matrix), axis=1), wb.output_alphabet.size
+    require_work(nx**l * w.shape[1], f"class-table cells ({nx**l} classes x {w.shape[1]})")
     _require_conditions(p, m, l, fam)
     maps = np.concatenate(list(fam.iter_maps()))
+    classes = np.argsort(maps, axis=1, kind="stable").reshape(n_seeds, m, l)
+    table = _class_rows(w, _codebook_digits(np.arange(nx**l), nx, l))
+    place = nx ** np.arange(l - 1, -1, -1)  # a class's codewords to its table row
     cbs = _codebook_digits(np.arange(n_codebooks), nx, ml)
     w_cb = np.prod(p.mass[cbs], axis=1)
     keep = w_cb != 0.0
     cbs, weight = cbs[keep], np.repeat(w_cb[keep] / n_seeds, n_seeds)
-    pick = lambda i: (cbs[i // n_seeds], maps[i % n_seeds])
-    eps, d1 = _kernel_sweep(len(weight), pick, m, l, wb, we)
+    eps, d1 = np.empty((len(cbs), n_seeds)), np.empty((len(cbs), n_seeds))
+    cells = _kernel_cells(m, l, wb, we)
+    for cb in blocks(len(cbs), n_seeds * cells):  # codebooks with all their seeds
+        best = wb.matrix[cbs[cb]].argmax(axis=1)  # per codebook: lowest codeword on ties
+        for s in blocks(n_seeds, (cb.stop - cb.start) * cells):  # one pass unless one overflows
+            rows = table[cbs[cb][:, classes[s]] @ place]  # codebooks x seeds x M x (Y+Z)
+            eps[cb, s], d1[cb, s] = _metrics(rows, maps[s][:, best].swapaxes(0, 1), ny)
+    eps, d1 = eps.ravel(), d1.ravel()
     return WiretapEnsembleResult(
         avg_eps=fsum_rows((weight * eps)[None])[0],
         avg_d1=fsum_rows((weight * d1)[None])[0],
@@ -537,16 +547,15 @@ def wiretap_ensemble_mc(
     _require_entries(n_samples, "samples", m, l, wb, we)
     _require_conditions(p, m, l, fam)
     rng = np.random.default_rng(seed)
-
-    def pick(i):  # a codebook, then a seed, per entry in stream order
-        codebooks, seeds = zip(*(_draw(p, m * l, fam, rng) for _ in i))
-        return np.array(codebooks), fam.maps_of(np.array(seeds))
-
-    eps_vals, d1_vals = _kernel_sweep(n_samples, pick, m, l, wb, we)
-    return (
-        EnsembleEstimate.from_samples(eps_vals.tolist()),
-        EnsembleEstimate.from_samples(d1_vals.tolist()),
-    )
+    w, ny = np.concatenate((wb.matrix, we.matrix), axis=1), wb.output_alphabet.size
+    eps, d1 = np.empty(n_samples), np.empty(n_samples)
+    for block in blocks(n_samples, _kernel_cells(m, l, wb, we)):
+        codebooks, seeds = _draw(p, m * l, fam, rng, block.stop - block.start)
+        maps = fam.maps_of(seeds)
+        digits = np.take_along_axis(codebooks, np.argsort(maps, axis=1, kind="stable"), axis=1)
+        decoded = np.take_along_axis(maps, wb.matrix[codebooks].argmax(axis=1), axis=1)
+        eps[block], d1[block] = _metrics(_class_rows(w, digits.reshape(-1, m, l)), decoded, ny)
+    return EnsembleEstimate.from_samples(eps.tolist()), EnsembleEstimate.from_samples(d1.tolist())
 
 
 def markov_select(result: WiretapEnsembleResult) -> EnsembleEntry:

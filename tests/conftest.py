@@ -123,6 +123,23 @@ def kron_loop(a, n):
     return out
 
 
+def one_hot_metrics(codebooks, maps, m, l, wb, we):
+    """eps and d1 of aligned (codebook, seed map) rows as the wiretap
+    ensembles once computed them, by a one-hot matmul per pair and Bob's
+    argmax per pair: the oracle for their class-row kernel."""
+    ny = wb.output_alphabet.size
+    scores = np.concatenate((wb.matrix, we.matrix), axis=1)[codebooks]  # P x ML x (Y+Z)
+    best = scores[:, :, :ny].argmax(axis=1)  # P x Y, lowest codeword on ties
+    decoded = np.take_along_axis(maps, best, axis=1)  # P x Y, values 1..M
+    onehot = (maps[:, None, :] == np.arange(1, m + 1)[:, None]).astype(float)
+    rows = onehot @ scores / l  # P x M x (Y+Z)
+    hit = np.take_along_axis(rows[:, :, :ny], (decoded - 1)[:, None, :], axis=1)
+    eps = 1.0 - hit.sum(axis=(1, 2)) / m
+    eve = rows[:, :, ny:]
+    d1 = np.abs(eve - eve.mean(axis=1, keepdims=True)).sum(axis=(1, 2)) / m
+    return eps, d1
+
+
 def assert_bit_equal(got, expected):
     """Same dtype, shape and bytes."""
     assert got.dtype == expected.dtype and got.shape == expected.shape

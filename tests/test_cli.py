@@ -813,10 +813,16 @@ class TestFlagFuzz:
         # at small, extreme and non-finite values, and unusable paths
         here = tmp_path_factory.mktemp("fuzz")
         missing = str(here / "missing" / "x.json")
+        # masses whose total overflows a float, as a distribution and a joint
+        overflow = [str(here / "overflow.json"), str(here / "overflow_joint.json")]
+        Path(overflow[0]).write_text('{"alphabet": ["a", "b"], "mass": [1e308, 1e308]}')
+        Path(overflow[1]).write_text(
+            '{"alphabet": ["a", "b"], "alphabet_e": ["u"], "mass": [[1e308], [1e308]]}'
+        )
         values = {
             _INT: st.integers(-2, 9).map(str),
             _FLOAT: st.sampled_from(["0", "1e-300", "0.3", "1", "1e308", "nan", "inf"]),
-            _PATH: st.sampled_from(_INPUTS + [missing, str(here)]),
+            _PATH: st.sampled_from(_INPUTS + overflow + [missing, str(here)]),
             _OUT: st.sampled_from(["-", missing, str(here)]),
         }
         command = data.draw(st.sampled_from(sorted(_COMMANDS)))
@@ -871,6 +877,25 @@ class TestNonFiniteInput:
         assert res.exit_code == 2, res.output
         assert "not a finite number" in res.output
 
+    @pytest.mark.parametrize(
+        "args, obj, shown",
+        [
+            (["entropy"], {"alphabet": ["a", "b"], "mass": [1e308, 1e308]},
+             "total mass inf exceeds 1"),
+            (["exponent", "--R", "0.1", "--form", "cond"],
+             {"alphabet": ["a", "b"], "alphabet_e": ["u"], "mass": [[1e308], [1e308]]},
+             "joint mass sums to inf, expected 1"),
+        ],
+    )
+    def test_total_past_the_float_range_exit_2(self, runner, tmp_path, args, obj, shown):
+        # finite masses whose sum overflows: a total above 1, not a traceback
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        flag = "--joint" if "alphabet_e" in obj else "--dist"
+        res = runner.invoke(cli, args + [flag, str(path)])
+        assert res.exit_code == 2, res.output
+        assert shown in res.output
+
     def test_integer_past_digit_limit_names_the_file(self, runner, tmp_path):
         # json.load's own ValueError for more than 4,300 digits gets the path
         path = tmp_path / "digits.json"
@@ -906,3 +931,23 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False False"
+
+
+def test_cold_jobs_do_not_import_numpy_ma():
+    # numpy's unique and setdiff1d import numpy.ma, 10-17 ms of a CLI run:
+    # a fresh interpreter that runs the optimizer (figure 4) and an exact
+    # wiretap ensemble must not load it, which pytest's own process cannot show
+    src = str(Path(secexp.__file__).resolve().parents[1])
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    code = (
+        "import contextlib, io, sys\n"
+        "from secexp.cli import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli(['figure', '--id', '4', '--points', '3'], standalone_mode=False)\n"
+        "    cli(['simulate', 'wiretap', '--wb', sys.argv[1], '--we', sys.argv[2],\n"
+        "         '--M', '2', '--L', '2'], standalone_mode=False)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    argv = [sys.executable, "-c", code, str(inputs / "wb.json"), str(inputs / "we.json")]
+    out = subprocess.run(argv, cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -100,6 +100,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^total mass 1.5 exceeds 1$"):
             subdist(1.0, 0.5)
 
+    def test_an_overflowing_total_is_above_one(self):
+        # math.fsum raises OverflowError on a sum past the largest float
+        with pytest.raises(ValueError, match=r"^total mass inf exceeds 1$"):
+            subdist(1e308, 1e308)
+        ab = Alphabet(("a", "b"))
+        with pytest.raises(ValueError, match=r"^joint mass sums to inf, expected 1$"):
+            JointDist(ab, ab, [[1e308, 0.0], [1e308, 0.0]])
+
     def test_one_slack_for_a_probability_distribution(self):
         assert subdist(0.5, 0.5 - 5e-10).is_probability()
         assert not subdist(0.5, 0.5 - 2e-9).is_probability()

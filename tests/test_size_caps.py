@@ -135,6 +135,10 @@ CASES = [
      lambda: _ensemble(_uniform(2), 2, 2, ToeplitzFamily(2, 2, 1), _channel(2, 2),
                        mode="mc", n_samples=2**20 + 1),
      "1048577 samples exceed cap 1048576"),
+    # M = 1: the class table has a row per codebook, 2^11 rows x (512 + 512)
+    ("wiretap.wiretap_ensemble_exact class table",
+     lambda: _ensemble(_uniform(2), 1, 11, FullyRandomFamily(range_alphabet(11), 1), _channel(2, 512)),
+     "2097152 class-table cells (2048 classes x 1024) exceed cap 1048576"),
     # 2^16 codebooks x 8 seeds, 16 (2 + 256 + 256) kernel cells each
     ("wiretap._require_entries kernel",
      lambda: _ensemble(_uniform(2), 2, 8, ToeplitzFamily(2, 4, 1), _channel(2, 256)),

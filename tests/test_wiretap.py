@@ -21,10 +21,17 @@ from secexp.figures import (
 )
 from secexp.gf import Module
 
-from conftest import assert_bit_equal, assert_matches_scalar_optimizer, assert_order_parity, kron_loop
+from conftest import (
+    assert_bit_equal,
+    assert_matches_scalar_optimizer,
+    assert_order_parity,
+    kron_loop,
+    one_hot_metrics,
+)
 from secexp import dists
 from secexp import wiretap as wiretap_module
 from secexp.hashing import FullyRandomFamily, HashFamily, ToeplitzFamily, fit_toeplitz
+from secexp.privacy import EnsembleEstimate
 from secexp.wiretap import (
     Channel,
     LinearCode,
@@ -538,6 +545,19 @@ def _parity_instance(q, m, l):
 PARITY_CASES = [(q, m, l) for q in (2, 3) for m, l in ((2, 2), (2, 4), (3, 3))]
 
 
+def _per_sample_draws(p, fam, ml, seed, count):
+    """The codebooks and seeds of a per-sample rng.choice + sample_seed loop."""
+    rng = np.random.default_rng(seed)
+    drawn = [(rng.choice(p.alphabet.size, size=ml, p=p.mass), fam.sample_seed(rng)) for _ in range(count)]
+    return tuple(np.array(part) for part in zip(*drawn))
+
+
+def _one_hot_estimates(codebooks, seeds, fam, m, l, wb, we):
+    """The Monte Carlo estimates of these draws by the one-hot oracle."""
+    eps, d1 = one_hot_metrics(codebooks, fam.maps_of(seeds), m, l, wb, we)
+    return tuple(EnsembleEstimate.from_samples(v.tolist()) for v in (eps, d1))
+
+
 class TestBatchedEnsembleParity:
     """The batched kernel against code_from_codebook, error_prob and
     eve_distinguishability, entry by entry."""
@@ -583,24 +603,81 @@ class TestBatchedEnsembleParity:
         p, fam, wb, we = _parity_instance(q, m, l)
         whole = wiretap_ensemble_exact(p, m, l, fam, wb, we)
         mc = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2)
-        # the kernel splits: three pairs per kernel call
-        monkeypatch.setattr(dists, "BLOCK_CELLS", 3 * wiretap_module._kernel_cells(m, l, wb, we))
-        kernel = wiretap_module._pair_metrics
-        sizes = []
+        cells, n_seeds = wiretap_module._kernel_cells(m, l, wb, we), fam.seed_count
+        kernel = wiretap_module._metrics
+        shapes = []
 
-        def counted(codebooks, *args):
-            sizes.append(len(codebooks))
-            return kernel(codebooks, *args)
+        def counted(rows, *args):
+            shapes.append(rows.shape[:-2])
+            return kernel(rows, *args)
 
-        monkeypatch.setattr(wiretap_module, "_pair_metrics", counted)
-        split = wiretap_ensemble_exact(p, m, l, fam, wb, we)
-        for key in ("weight", "eps", "d1", "codebooks"):
-            np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
-        assert (split.avg_eps, split.avg_d1) == (whole.avg_eps, whole.avg_d1)
-        assert len(sizes) == -(-len(whole.eps) // 3) and max(sizes) == 3
-        sizes.clear()
+        monkeypatch.setattr(wiretap_module, "_metrics", counted)
+        # exact mode cuts blocks of two codebooks, each with all its seeds,
+        # then blocks of three seeds of one codebook when a codebook's seeds
+        # overflow a block
+        n_codebooks = len(whole.codebooks)
+        pairs = [(2, n_seeds)] * (n_codebooks // 2) + [(1, n_seeds)] * (n_codebooks % 2)
+        seed_blocks = [(1, len(range(n_seeds)[s : s + 3])) for s in range(0, n_seeds, 3)]
+        for block_cells, expected in [
+            (2 * n_seeds * cells, pairs),
+            (3 * cells, seed_blocks * n_codebooks),
+        ]:
+            monkeypatch.setattr(dists, "BLOCK_CELLS", block_cells)
+            shapes.clear()
+            split = wiretap_ensemble_exact(p, m, l, fam, wb, we)
+            for key in ("weight", "eps", "d1", "codebooks"):
+                np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
+            assert (split.avg_eps, split.avg_d1) == (whole.avg_eps, whole.avg_d1)
+            assert shapes == expected
+        # the sampled mode: three samples per block
+        shapes.clear()
         assert wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=50, seed=2) == mc
-        assert len(sizes) == 17 and max(sizes) == 3
+        assert len(shapes) == 17 and max(shapes) == (3,)
+
+    @pytest.mark.parametrize("q,m,l", PARITY_CASES)
+    def test_class_rows_equal_the_one_hot_kernel(self, q, m, l):
+        p, fam, wb, we = _parity_instance(q, m, l)
+        res = wiretap_ensemble_exact(p, m, l, fam, wb, we)
+        maps = fam.maps_of(fam.seeds())
+        codebooks = np.repeat(res.codebooks, len(maps), axis=0)
+        eps, d1 = one_hot_metrics(codebooks, np.tile(maps, (len(res.codebooks), 1)), m, l, wb, we)
+        assert np.array_equal(res.eps, eps) and np.array_equal(res.d1, d1)
+        # the sampled ensemble, on the draws of a per-sample loop
+        expected = _one_hot_estimates(*_per_sample_draws(p, fam, m * l, 4, 300), fam, m, l, wb, we)
+        assert wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=300, seed=4) == expected
+
+    @pytest.mark.parametrize("q,m,l", [(2, 2, 8), (2, 2, 16), (3, 3, 9)])
+    def test_long_classes_equal_the_one_hot_kernel(self, q, m, l):
+        # classes of L >= 8 codewords, where a pairwise sum would round
+        # differently from one += per codeword
+        p, fam, wb, we = _parity_instance(q, m, l)
+        expected = _one_hot_estimates(*_per_sample_draws(p, fam, m * l, 6, 200), fam, m, l, wb, we)
+        assert wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=200, seed=6) == expected
+
+    def test_draws_are_the_per_sample_choice_stream(self, monkeypatch):
+        # a non-uniform p over q = 5 with a zero-mass symbol: the sampled
+        # ensemble (in blocks of seven samples) and random_wiretap_code draw
+        # what per-sample rng.choice(.., p=p.mass) and sample_seed calls draw
+        m, l = 2, 4
+        p = SubDist(range_alphabet(5), [0.1, 0.35, 0.0, 0.2, 0.35])
+        fam, rng = fit_toeplitz(m, l), np.random.default_rng(5)
+        wb, we = _random_channel(rng, 5, 3), _random_channel(rng, 5, 4)
+        draw, draws = wiretap_module._draw, []
+        monkeypatch.setattr(wiretap_module, "_draw", lambda *a: draws.append(draw(*a)) or draws[-1])
+        monkeypatch.setattr(dists, "BLOCK_CELLS", 7 * wiretap_module._kernel_cells(m, l, wb, we))
+        estimates = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=60, seed=9)
+        codebooks, seeds = _per_sample_draws(p, fam, m * l, 9, 60)
+        assert len(draws) == 9 and 2 not in codebooks
+        np.testing.assert_array_equal(np.concatenate([d[0] for d in draws]), codebooks)
+        np.testing.assert_array_equal(np.concatenate([d[1] for d in draws]), seeds)
+        assert estimates == _one_hot_estimates(codebooks, seeds, fam, m, l, wb, we)
+        rng = np.random.default_rng(11)
+        for codebook, seed in zip(*_per_sample_draws(p, fam, m * l, 11, 5)):
+            code, got_codebook, got_seed = random_wiretap_code(p, m, l, fam, wb, rng)
+            assert got_codebook == tuple(codebook.tolist()) and got_seed == tuple(seed.tolist())
+            ref = code_from_codebook(codebook, fam.as_map(seed), m, l, wb)
+            assert_bit_equal(code.encoders, ref.encoders)
+            assert_bit_equal(code.decoder, ref.decoder)
 
     @pytest.mark.parametrize("q,m,l", PARITY_CASES)
     def test_mc_matches_per_sample_loop(self, q, m, l):
