@@ -683,12 +683,9 @@ class TestBatchedEnsembleParity:
     def test_mc_matches_per_sample_loop(self, q, m, l):
         p, fam, wb, we = _parity_instance(q, m, l)
         estimates = wiretap_ensemble_mc(p, m, l, fam, wb, we, n_samples=300, seed=4)
-        rng = np.random.default_rng(4)
         eps_vals, d1_vals = [], []
-        for _ in range(300):
-            cb = rng.choice(q, size=m * l, p=p.mass)
-            f_map = fam.as_map(fam.sample_seed(rng))
-            code = code_from_codebook(cb, f_map, m, l, wb)
+        for cb, seed in zip(*_per_sample_draws(p, fam, m * l, 4, 300)):
+            code = code_from_codebook(cb, fam.as_map(seed), m, l, wb)
             eps_vals.append(error_prob(code, wb))
             d1_vals.append(eve_distinguishability(code, we))
         for est, vals in zip(estimates, (eps_vals, d1_vals)):
