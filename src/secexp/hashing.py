@@ -13,8 +13,8 @@ A linear family (`LinearFamily`) defines its digits and each seed's matrix A
 over the prime field; its maps (x to A x) are combinations of A's columns,
 and its pushforwards come by the character transform of the weights: one
 transform of the weights, then per seed a gather of M values and one
-transform of size M.  A Toeplitz family's kernels are combinations of rows
-too, which `check_universal2` counts in place of pairs.  This is the
+transform of size M.  One transform of the histogram of those gathers gives
+the collision counts `check_universal2` reads (MacWilliams).  This is the
 dual-code view of Tsurumaru and Hayashi, "Dual universality of hash functions
 and its applications to quantum cryptography" (arXiv:1101.0064).
 
@@ -70,11 +70,9 @@ __all__ = [
 # Refuse exhaustive checks beyond this many seed maps.
 ENUMERATION_LIMIT = 2_000_000
 # The checks' sweeps stop near 20 s at their slowest cost per unit measured on
-# a 2-core machine (CHANGES.md): 84 ns per kernel vector (seeds x q^(k-m), in
-# `kernel_counts`) and 21 ns per map cell (seeds x |alphabet|, in
+# a 2-core machine (CHANGES.md): 21 ns per map cell (seeds x |alphabet|, in
 # `check_balanced` and the linear route of `check_strongly_universal2`; 17 ns
 # per one-hot map cell, tiles x seeds x |alphabet| x M, in `_pair_counts`).
-KERNEL_VECTOR_LIMIT = 250_000_000
 MAP_CELL_LIMIT = 1_000_000_000
 # The seed routes of `pushforward_blocks` stop near 20 s of work at the slowest cost per unit
 # measured on a 2-core machine (CHANGES.md): 46 ns per map cell, and 90 ns per
@@ -83,7 +81,8 @@ MAP_CELL_LIMIT = 1_000_000_000
 # Maps: seeds x symbols x side symbols.
 MAPS_LIMIT = 400_000_000
 # Transform: (k q^k + seeds q^m m) x side symbols, with q^k and q^m the input
-# and output sizes and k, m counted in digits over the prime field.
+# and output sizes and k, m counted in digits over the prime field; it also
+# caps `LinearFamily.collision_counts` (one side symbol), 6-47 ns per unit.
 TRANSFORM_LIMIT = 250_000_000
 # Float slack of the universal_2 and strongly universal_2 checks.
 CHECK_TOL = 1e-12
@@ -228,7 +227,7 @@ class LinearFamily(HashFamily):
     Over the prime field a seed's map is an (m e) x (k e) matrix A on the
     big-endian base-p digits of the symbol indices: a GF(4) digit is
     two bits, and GF(4) addition is XOR of indices.  `matrices` gives these
-    per block of seeds; maps and pushforwards are read from them.
+    per block of seeds; maps, pushforwards and collision counts come from them.
     """
 
     field: Field
@@ -268,6 +267,23 @@ class LinearFamily(HashFamily):
             return np.moveaxis(out, 0, -1).reshape((len(block), m) + w.shape[1:])
 
         return map(hists, self.seed_blocks(draw, m * max(n, len(spec))))
+
+    def collision_counts(self) -> np.ndarray:
+        """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
+
+        By the MacWilliams identity, #{A : A d = 0} = (1/M) sum_u H(u)
+        chi(u.d), where H(u) = #{(A, v) : A^T v = u} is one bincount of the
+        gathers of `pushforward_blocks` per seed block.  Exact integers: +-1
+        sums in float64 for p = 2, odd p rounded from far under 1/2.  Capped
+        as `pushforward_blocks` with one side symbol (TRANSFORM_LIMIT)."""
+        p, e, n = self.field.prime, self.field.degree, self.k * self.field.degree
+        m = self.output_size
+        self._require_route(None, m * self.m * e, "transform units", TRANSFORM_LIMIT,
+                            n * self.input_alphabet.size)
+        hist = np.zeros(p**n, dtype=np.int64)
+        for b in self.seed_blocks(None, m * n):
+            hist += np.bincount(combination_indices(self.matrices(b), p).ravel(), minlength=p**n)
+        return np.rint(_character_transform(hist, p, 1).real / m).astype(np.int64)
 
 
 # Most elements in one dense step of `_character_transform`: a step is then a
@@ -336,28 +352,6 @@ class ToeplitzFamily(LinearFamily):
         x = x.transpose(0, 1, 3, 2, 4).reshape(len(seeds), m * e, r * e)
         eye = np.broadcast_to(np.eye(m * e, dtype=np.int64), (len(seeds), m * e, m * e))
         return np.concatenate([x, eye], axis=2)
-
-    def kernel_counts(self) -> np.ndarray:
-        """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
-
-        The kernel of (X | I) is {(x, -X x)}, the span of the rows of
-        (I | -X^T), so each seed adds q^(k-m) kernel vectors.  More than
-        KERNEL_VECTOR_LIMIT in all, or a matrix whose last m e columns are
-        not the identity, is refused."""
-        self.require_enumerable()
-        p, e = self.field.prime, self.field.degree
-        n, r = self.k * e, (self.k - self.m) * e
-        require_work(self.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)
-        counts = np.zeros(p**n, dtype=np.int64)
-        for block in self.seed_blocks(None, n * max(p**r, self.m * e)):
-            a = self.matrices(block)
-            if (a[:, :, r:] != np.eye(n - r, dtype=np.int64)).any():
-                raise ValueError("kernel counts need matrices of the form (X | I)")
-            x = a[:, :, :r]
-            eye = np.broadcast_to(np.eye(r, dtype=np.int64), (len(block), r, r))
-            gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
-            counts += np.bincount(combination_indices(gens, p).ravel(), minlength=p**n)
-        return counts
 
 
 def fit_toeplitz(m: int, l: int, q: int | None = None) -> ToeplitzFamily | None:
@@ -461,13 +455,13 @@ def check_universal2(fam: HashFamily) -> Universal2Report:
     """Exact worst-pair collision probability over the full seed space.
 
     The worst pair is the first pair a < b (in row-major order) with the most
-    collisions (None for a one-symbol alphabet).  A Toeplitz family's pair
+    collisions (None for a one-symbol alphabet).  A linear family's pair
     collides exactly when its difference is in the kernel, so its counts are
-    `kernel_counts` by difference and its worst pair is (0, the lowest
+    `collision_counts` by difference and its worst pair is (0, the lowest
     nonzero d with the top count).  Other families' come from the pair
     counts."""
-    if isinstance(fam, ToeplitzFamily):
-        counts = fam.kernel_counts()
+    if isinstance(fam, LinearFamily):
+        counts = fam.collision_counts()
         d = 1 + int(np.argmax(counts[1:]))
         best, worst = float(counts[d]), (0, d)
     else:

@@ -687,8 +687,8 @@ def condition4_report(c1: LinearCode, m: int) -> Condition4Report:
 
     A seed's subcode C2 is the kernel of its map on the messages, the
     messages it sends to output 1, so the frequencies are the family's
-    kernel counts, the collision counts of `check_universal2`; the zero
-    message is always there."""
+    `collision_counts`, which `check_universal2` reads; the zero message is
+    always there."""
     rep = check_universal2(ToeplitzFamily(c1.module.q, c1.k, m))
     return Condition4Report(rep.passed, rep.max_collision, rep.bound)
 

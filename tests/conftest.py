@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from secexp.dists import Alphabet, SubDist
+from secexp.dists import Alphabet, SubDist, require_work
 from secexp.exponents import GOLDEN_TOL
+from secexp.gf import combination_indices
 
 
 @pytest.fixture
@@ -144,3 +145,32 @@ def assert_bit_equal(got, expected):
     """Same dtype, shape and bytes."""
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+# The cap of `kernel_counts` on kernel vectors, seeds x q^(k-m).
+KERNEL_VECTOR_LIMIT = 250_000_000
+
+
+def kernel_counts(fam) -> np.ndarray:
+    """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
+
+    The kernel of (X | I) is {(x, -X x)}, the span of the rows of
+    (I | -X^T), so each seed adds q^(k-m) kernel vectors.  More than
+    KERNEL_VECTOR_LIMIT in all, or a matrix whose last m e columns are
+    not the identity, is refused.  `ToeplitzFamily.kernel_counts` as the
+    library once counted universal_2 collisions: the oracle for
+    `LinearFamily.collision_counts`."""
+    fam.require_enumerable()
+    p, e = fam.field.prime, fam.field.degree
+    n, r = fam.k * e, (fam.k - fam.m) * e
+    require_work(fam.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)
+    counts = np.zeros(p**n, dtype=np.int64)
+    for block in fam.seed_blocks(None, n * max(p**r, fam.m * e)):
+        a = fam.matrices(block)
+        if (a[:, :, r:] != np.eye(n - r, dtype=np.int64)).any():
+            raise ValueError("kernel counts need matrices of the form (X | I)")
+        x = a[:, :, :r]
+        eye = np.broadcast_to(np.eye(r, dtype=np.int64), (len(block), r, r))
+        gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
+        counts += np.bincount(combination_indices(gens, p).ravel(), minlength=p**n)
+    return counts

@@ -403,7 +403,7 @@ _OVERSIZED = {
     "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
     "toeplitz-q": ["hash", "check", "--q", "1000000000000000003", "--k", "2", "--m", "1"],
     "pair-counts": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "12", "--m", "9"],
-    # 2^19 seeds x 2^19 kernel vectors each
+    # universal_2 runs exactly, then the 2^20 x 2 strong-check histogram is refused
     "toeplitz-kernel": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "20",
                         "--m", "1"],
     "pair-counts-first": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "17",
@@ -503,6 +503,17 @@ class TestOversizedInputs:
         )
         assert res.exit_code == 2, res.output
         assert f"{shown} is not of type 'integer'" in res.output
+
+    def test_collision_counts_refused_within_two_seconds(self, runner):
+        # 2^19 seeds x 2^12 outputs x 12 digits of transform units
+        start = time.perf_counter()
+        res = runner.invoke(
+            cli, ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "20", "--m", "12"]
+        )
+        seconds = time.perf_counter() - start
+        assert res.exit_code == 3, res.output
+        assert "25790775296 transform units (524288 seeds) exceed cap 250000000" in res.output
+        assert seconds < 2.0
 
     def test_enumeration_limit_is_a_size_limit(self, runner):
         res = runner.invoke(

@@ -20,6 +20,8 @@ from secexp.hashing import (
     fit_toeplitz,
 )
 
+from conftest import assert_bit_equal, kernel_counts
+
 
 class TestField:
     def test_prime_arithmetic(self):
@@ -265,7 +267,7 @@ class FullToeplitzFamily(LinearFamily):
 
 class MislabelledToeplitzFamily(ToeplitzFamily):
     """A Toeplitz subclass whose `matrices` are the full T: the layout guard
-    of `kernel_counts` refuses it."""
+    of the `kernel_counts` oracle refuses it."""
 
     def __init__(self, k: int, m: int):
         super().__init__(2, k, m)
@@ -281,6 +283,17 @@ def all_toeplitz_instances():
             for m in range(1, k):
                 out.append((q, k, m))
     return out
+
+
+# Every Toeplitz family this module builds that both counts admit, and
+# (2, 12, 8) and (3, 5, 3): the cases of the `kernel_counts` oracle.
+ORACLE_CASES = sorted(
+    set(all_toeplitz_instances())
+    | {(2, 5, 2), (2, 6, 1), (2, 6, 3), (2, 6, 5), (2, 8, 3), (2, 12, 4), (2, 12, 9),
+       (2, 12, 10), (3, 5, 2), (5, 3, 1), (5, 3, 2), (5, 4, 2), (7, 3, 1), (11, 2, 1),
+       (11, 3, 1), (13, 2, 1), (13, 3, 1)}
+    | {(2, 12, 8), (3, 5, 3)}
+)
 
 
 class TestConditions:
@@ -316,12 +329,20 @@ class TestConditions:
         with pytest.raises(SizeLimitError, match=r"2097152 histogram cells \(4096 symbols x 512 outputs\) exceed cap 1048576"):
             check_strongly_universal2(ToeplitzFamily(2, 12, 9))
 
-    def test_kernel_vectors_are_capped(self, monkeypatch):
-        fam = ToeplitzFamily(2, 5, 2)  # 16 seeds x 2^3 kernel vectors
-        monkeypatch.setattr(hashing, "KERNEL_VECTOR_LIMIT", 128)
+    @pytest.mark.parametrize("q,k,m", ORACLE_CASES)
+    def test_collision_counts_are_the_kernel_counts(self, q, k, m):
+        # the transform of the row-space gathers and the kernel enumerator
+        # it replaced: the same integers
+        fam = ToeplitzFamily(q, k, m)
+        assert_bit_equal(fam.collision_counts(), kernel_counts(fam))
+
+    def test_collision_counts_are_capped(self, monkeypatch):
+        # 5 x 2^5 transform units, then 16 seeds x 4 outputs x 2 digits
+        fam = ToeplitzFamily(2, 5, 2)
+        monkeypatch.setattr(hashing, "TRANSFORM_LIMIT", 288)
         assert check_universal2(fam).passed
-        monkeypatch.setattr(hashing, "KERNEL_VECTOR_LIMIT", 127)
-        with pytest.raises(SizeLimitError, match="128 kernel vectors exceed cap 127"):
+        monkeypatch.setattr(hashing, "TRANSFORM_LIMIT", 287)
+        with pytest.raises(SizeLimitError, match=r"288 transform units \(16 seeds\) exceed cap 287"):
             check_universal2(fam)
 
     @pytest.mark.parametrize("check", [check_balanced, check_strongly_universal2])
@@ -335,22 +356,27 @@ class TestConditions:
 
     @pytest.mark.parametrize("k,m", [(4, 2), (5, 2), (6, 3)])
     def test_kernel_counts_need_the_systematic_form(self, k, m):
-        # the kernel is read as {(x, -X x)}, which a full Toeplitz matrix
-        # does not have; so only a Toeplitz family goes by its kernels, and
-        # any other linear family by the pair counts of its maps
+        # the oracle reads the kernel as {(x, -X x)}, which a full Toeplitz
+        # matrix does not have; the transform counts take any layout, so
+        # every linear family, a mislabelled Toeplitz one too, goes by them
         fam = FullToeplitzFamily(k, m)
         explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
         report = check_universal2(fam)
         assert report == check_universal2(explicit)
         assert report.worst_pair is not None
+        assert check_universal2(MislabelledToeplitzFamily(k, m)) == report
         with pytest.raises(ValueError, match=r"\(X \| I\)"):
-            check_universal2(MislabelledToeplitzFamily(k, m))
+            kernel_counts(MislabelledToeplitzFamily(k, m))
 
     def test_toeplitz_2_12_4_within_a_second(self):
         start = time.perf_counter()
         rep = check_universal2(ToeplitzFamily(2, 12, 4))
         assert time.perf_counter() - start < 1.0
         assert rep.passed and rep.max_collision == 1 / 16
+
+    def test_toeplitz_2_20_1_runs_exactly(self):
+        rep = check_universal2(ToeplitzFamily(2, 20, 1))
+        assert rep.passed and rep.max_collision == 0.5
 
     def test_fully_random_collision_exact(self):
         for size, m in ((2, 2), (3, 2), (3, 3), (4, 3)):

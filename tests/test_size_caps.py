@@ -100,8 +100,9 @@ CASES = [
      lambda: expected_d1(_uniform(3), FullyRandomFamily(range_alphabet(3), 10**7),
                          mode="mc", n_samples=2),
      "10000000 histogram cells (10000000 outputs x 1 side symbols) exceed cap 1048576"),
-    ("hashing.ToeplitzFamily.kernel_counts", lambda: check_universal2(ToeplitzFamily(2, 15, 1)),
-     "268435456 kernel vectors exceed cap 250000000"),
+    # 20 x 2^20 + 2^19 seeds x 2^12 outputs x 12 digits
+    ("hashing.LinearFamily.collision_counts", lambda: check_universal2(ToeplitzFamily(2, 20, 12)),
+     "25790775296 transform units (524288 seeds) exceed cap 250000000"),
     ("hashing._pair_counts", _pair_counts,
      "4194304 pair counts of one symbol (64 x 1024 x 64) exceed cap 1048576"),
     ("hashing._pair_counts one-hot", _one_hot_cells,
@@ -197,7 +198,8 @@ def test_the_scan_sees_a_stray_raise():
 
 def test_folded_caps_and_helpers_are_gone():
     texts = [p.read_text() for p in _SRC.glob("*.py")] + [(_ROOT / "README.md").read_text()]
-    for name in ("SUBSET_LIMIT", "MAX_SWEEP_CELLS", "ENSEMBLE_COMBO_LIMIT", "_require_route_work"):
+    for name in ("SUBSET_LIMIT", "MAX_SWEEP_CELLS", "ENSEMBLE_COMBO_LIMIT", "_require_route_work",
+                 "KERNEL_VECTOR_LIMIT", "kernel_counts"):
         assert not any(name in text for text in texts), name
     assert "def _require_work" not in (_SRC / "hashing.py").read_text()
     # each route cap lives with the code that does the work
