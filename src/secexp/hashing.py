@@ -14,7 +14,8 @@ over the prime field; its maps (x to A x) are combinations of A's columns,
 and its pushforwards come by the character transform of the weights: one
 transform of the weights, then per seed a gather of M values and one
 transform of size M.  One transform of the histogram of those gathers gives
-the collision counts `check_universal2` reads (MacWilliams).  This is the
+the collision counts `check_universal2` reads (MacWilliams); `check_balanced`
+reads any family's pushforwards of all-ones weights.  This is the
 dual-code view of Tsurumaru and Hayashi, "Dual universality of hash functions
 and its applications to quantum cryptography" (arXiv:1101.0064).
 
@@ -70,15 +71,14 @@ __all__ = [
 # Refuse exhaustive checks beyond this many seed maps.
 ENUMERATION_LIMIT = 2_000_000
 # The checks' sweeps stop near 20 s at their slowest cost per unit measured on
-# a 2-core machine (CHANGES.md): 21 ns per map cell (seeds x |alphabet|, in
-# `check_balanced` and the linear route of `check_strongly_universal2`; 17 ns
-# per one-hot map cell, tiles x seeds x |alphabet| x M, in `_pair_counts`).
+# a 2-core machine (CHANGES.md): 21 ns per map cell (seeds x |alphabet|, in the
+# linear route of `check_strongly_universal2`; 17 ns per one-hot map cell,
+# tiles x seeds x |alphabet| x M, in `_pair_counts`).
 MAP_CELL_LIMIT = 1_000_000_000
-# The seed routes of `pushforward_blocks` stop near 20 s of work at the slowest cost per unit
-# measured on a 2-core machine (CHANGES.md): 46 ns per map cell, and 90 ns per
-# transform unit for a source without side symbols, whose short rows are
-# summed one `math.fsum` at a time (10-14 ns with side symbols).
-# Maps: seeds x symbols x side symbols.
+# The seed routes of `pushforward_blocks` (PA, `check_balanced`) stop near 20 s
+# at their slowest cost per unit on a 2-core machine (CHANGES.md): 46 ns per map
+# cell, 90 ns per transform unit without side symbols (one `math.fsum` per
+# short row; 10-14 ns with them).  Maps: seeds x max(symbols, M) x side symbols.
 MAPS_LIMIT = 400_000_000
 # Transform: (k q^k + seeds q^m m) x side symbols, with q^k and q^m the input
 # and output sizes and k, m counted in digits over the prime field; it also
@@ -156,16 +156,14 @@ class HashFamily:
         a draw (rng, count), in blocks: row s is `map_histograms` of seed s's
         map, the sum of `weights` over each output's preimage (with a last
         axis of side symbols if `weights` is 2-D), in the blocks of the larger
-        of a map's and a histogram's cells.  Refused when called, before any
-        block: past MAPS_LIMIT map cells (seeds x |alphabet| x side symbols),
-        then past the enumeration limit when every seed is swept, then for one
-        seed's histogram over DEFAULT_MAX_CELLS.  Drawn seeds come a block at
-        a time as the blocks are read (`seed_blocks`), so no seed is drawn
-        before a refusal."""
-        m, side = self.output_size, int(np.prod(np.shape(weights)[1:]))
-        self._require_route(draw, self.input_alphabet.size * side, "map cells", MAPS_LIMIT)
+        of a map's and a histogram's cells.  Refused before any block or drawn
+        seed: for one seed's histogram over DEFAULT_MAX_CELLS, then past
+        MAPS_LIMIT map cells (seeds x max(|alphabet|, M) x side symbols, what a
+        seed reads and fills), then past the enumeration limit for every seed."""
+        n, m, side = self.input_alphabet.size, self.output_size, np.size(weights) // len(weights)
         require_work(m * side, f"histogram cells ({m} outputs x {side} side symbols)")
-        cells = max(self.input_alphabet.size, m * side)
+        self._require_route(draw, max(n, m) * side, "map cells", MAPS_LIMIT)
+        cells = max(n, m * side)
         return (map_histograms(self.maps_of(b), m, weights) for b in self.seed_blocks(draw, cells))
 
     def _require_route(self, draw, per_seed: int, what: str, cap: int, fixed: int = 0):
@@ -276,12 +274,12 @@ class LinearFamily(HashFamily):
         gathers of `pushforward_blocks` per seed block.  Exact integers: +-1
         sums in float64 for p = 2, odd p rounded from far under 1/2.  Capped
         as `pushforward_blocks` with one side symbol (TRANSFORM_LIMIT)."""
-        p, e, n = self.field.prime, self.field.degree, self.k * self.field.degree
-        m = self.output_size
+        p, e, n, m = self.field.prime, self.field.degree, self.k * self.field.degree, self.output_size
         self._require_route(None, m * self.m * e, "transform units", TRANSFORM_LIMIT,
                             n * self.input_alphabet.size)
         hist = np.zeros(p**n, dtype=np.int64)
-        for b in self.seed_blocks(None, m * n):
+        # per seed: m e x k e matrix digits, M gathers (odd p: on k e digit planes)
+        for b in self.seed_blocks(None, max(self.m * e * n, m if p == 2 else m * n)):
             hist += np.bincount(combination_indices(self.matrices(b), p).ravel(), minlength=p**n)
         return np.rint(_character_transform(hist, p, 1).real / m).astype(np.int64)
 
@@ -483,15 +481,17 @@ def check_universal2(fam: HashFamily) -> Universal2Report:
 
 
 def check_balanced(fam: HashFamily) -> BalancedReport:
-    """Pass iff every seed's preimage sizes are all equal."""
+    """Pass iff every seed's preimage sizes are equal, else report the first
+    seed in rank order that fails.  The sizes are the pushforward of all-ones
+    weights by the family's route, under its caps: a linear family's reads no
+    map cell (q^k / |im A| on im A, +-1 sums for p = 2, odd p rounded)."""
     start = 0
-    for maps in fam.iter_maps():
-        sizes = map_histograms(maps, fam.output_size)
+    for rows in fam.pushforward_blocks(np.ones(fam.input_alphabet.size)):
+        sizes = np.rint(rows).astype(np.int64)
         bad = np.flatnonzero(sizes.min(axis=1) != sizes.max(axis=1))
         if bad.size:
-            idx = int(bad[0])
-            return BalancedReport(False, start + idx, tuple(int(v) for v in sizes[idx]))
-        start += len(maps)
+            return BalancedReport(False, start + int(bad[0]), tuple(sizes[bad[0]].tolist()))
+        start += len(rows)
     return BalancedReport(True, None, None)
 
 

@@ -6,6 +6,7 @@ import pytest
 from secexp.dists import Alphabet, SubDist, require_work
 from secexp.exponents import GOLDEN_TOL
 from secexp.gf import combination_indices
+from secexp.hashing import BalancedReport, map_histograms
 
 
 @pytest.fixture
@@ -174,3 +175,18 @@ def kernel_counts(fam) -> np.ndarray:
         gens = np.concatenate([eye, -x.transpose(0, 2, 1) % p], axis=2)
         counts += np.bincount(combination_indices(gens, p).ravel(), minlength=p**n)
     return counts
+
+
+def balanced_by_maps(fam):
+    """`check_balanced` as the library once ran it, one counting
+    `map_histograms` per block of `iter_maps`: the oracle for the
+    pushforward of the counting measure that replaced it."""
+    start = 0
+    for maps in fam.iter_maps():
+        sizes = map_histograms(maps, fam.output_size)
+        bad = np.flatnonzero(sizes.min(axis=1) != sizes.max(axis=1))
+        if bad.size:
+            idx = int(bad[0])
+            return BalancedReport(False, start + idx, tuple(int(v) for v in sizes[idx]))
+        start += len(maps)
+    return BalancedReport(True, None, None)

@@ -403,7 +403,7 @@ _OVERSIZED = {
     "toeplitz-k": ["hash", "check", "--q", "3", "--k", "100000000", "--m", "1"],
     "toeplitz-q": ["hash", "check", "--q", "1000000000000000003", "--k", "2", "--m", "1"],
     "pair-counts": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "12", "--m", "9"],
-    # universal_2 runs exactly, then the 2^20 x 2 strong-check histogram is refused
+    # the strong check's 2^20 x 2 histogram is refused before universal_2 runs
     "toeplitz-kernel": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "20",
                         "--m", "1"],
     "pair-counts-first": ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "17",
@@ -429,6 +429,9 @@ _OVERSIZED = {
     "figure-points": ["figure", "--id", "2", "--points", "1000000"],
     "pa-samples": ["simulate", "pa", "--dist", "{skew3}", "--M", "2", "--mode", "mc",
                    "--samples", "1000000000000"],
+    # 2,000 seeds, each filling a histogram of 2^20 outputs
+    "pa-outputs": ["simulate", "pa", "--dist", "{skew3}", "--family", "fullrandom",
+                   "--M", "1048576", "--mode", "mc", "--samples", "2000"],
     "pa-samples-toeplitz": ["simulate", "pa", "--dist", "{src8}", "--family", "toeplitz",
                             "--q", "2", "--k", "3", "--m", "1", "--mode", "mc",
                             "--samples", "100000000"],
@@ -504,16 +507,17 @@ class TestOversizedInputs:
         assert res.exit_code == 2, res.output
         assert f"{shown} is not of type 'integer'" in res.output
 
-    def test_collision_counts_refused_within_two_seconds(self, runner):
-        # 2^19 seeds x 2^12 outputs x 12 digits of transform units
+    @pytest.mark.parametrize("m", [1, 4, 6, 12])
+    def test_strong_check_refuses_first_within_a_second(self, runner, m):
+        # its 2^20 x 2^m histogram is refused before any check sweeps a seed
         start = time.perf_counter()
         res = runner.invoke(
-            cli, ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "20", "--m", "12"]
+            cli, ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", "20", "--m", str(m)]
         )
         seconds = time.perf_counter() - start
         assert res.exit_code == 3, res.output
-        assert "25790775296 transform units (524288 seeds) exceed cap 250000000" in res.output
-        assert seconds < 2.0
+        assert f"histogram cells (1048576 symbols x {2**m} outputs)" in res.output
+        assert seconds < 1.0
 
     def test_enumeration_limit_is_a_size_limit(self, runner):
         res = runner.invoke(

@@ -20,7 +20,7 @@ from secexp.hashing import (
     fit_toeplitz,
 )
 
-from conftest import assert_bit_equal, kernel_counts
+from conftest import assert_bit_equal, balanced_by_maps, kernel_counts
 
 
 class TestField:
@@ -251,18 +251,21 @@ class TestToeplitzEval:
 
 
 class FullToeplitzFamily(LinearFamily):
-    """Binary maps x -> T x by the full m x k Toeplitz matrix T of k + m - 1
-    seed digits: a linear family not in the systematic form (X | I)."""
+    """Maps x -> T x over F_q (binary by default) by the full m x k Toeplitz
+    matrix T of k + m - 1 seed digits: a linear family not in the systematic
+    form (X | I), rank-deficient at the all-zero seed."""
 
-    def __init__(self, k: int, m: int):
-        self.field, self.k, self.m = Field(2), k, m
-        self.input_alphabet = ToeplitzFamily(2, k, m).input_alphabet
-        self.output_size = 2**m
-        self.seed_len, self.digit_low, self.digit_base = k + m - 1, 0, 2
+    def __init__(self, k: int, m: int, q: int = 2):
+        self.field, self.k, self.m = Field(q), k, m
+        self.input_alphabet = ToeplitzFamily(q, k, m).input_alphabet
+        self.output_size = q**m
+        self.seed_len, self.digit_low, self.digit_base = k + m - 1, 0, q
 
     def matrices(self, seeds):
+        e = self.field.degree
         at = (self.k - 1) + np.arange(self.m)[:, None] - np.arange(self.k)
-        return np.asarray(seeds, dtype=np.int64)[:, at]
+        t = self.field.digit_matrices()[np.asarray(seeds, dtype=np.int64)[:, at]]
+        return t.transpose(0, 1, 3, 2, 4).reshape(len(seeds), self.m * e, self.k * e)
 
 
 class MislabelledToeplitzFamily(ToeplitzFamily):
@@ -345,7 +348,7 @@ class TestConditions:
         with pytest.raises(SizeLimitError, match=r"288 transform units \(16 seeds\) exceed cap 287"):
             check_universal2(fam)
 
-    @pytest.mark.parametrize("check", [check_balanced, check_strongly_universal2])
+    @pytest.mark.parametrize("check", [check_strongly_universal2])
     def test_map_cells_are_capped(self, check, monkeypatch):
         fam = ToeplitzFamily(2, 5, 2)  # 16 seeds x 32 symbols
         monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 512)
@@ -353,6 +356,22 @@ class TestConditions:
         monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 511)
         with pytest.raises(SizeLimitError, match="512 map cells exceed cap 511"):
             check(fam)
+
+    def test_balance_is_capped_by_its_route(self, monkeypatch):
+        # a linear family by the transform: 5 x 2^5, then 16 seeds x 4 x 2
+        fam = ToeplitzFamily(2, 5, 2)
+        monkeypatch.setattr(hashing, "TRANSFORM_LIMIT", 288)
+        assert check_balanced(fam).passed
+        monkeypatch.setattr(hashing, "TRANSFORM_LIMIT", 287)
+        with pytest.raises(SizeLimitError, match=r"288 transform units \(16 seeds\) exceed cap 287"):
+            check_balanced(fam)
+        # the same maps as an explicit family by the maps: 16 seeds x 32 symbols
+        explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
+        monkeypatch.setattr(hashing, "MAPS_LIMIT", 512)
+        assert check_balanced(explicit).passed
+        monkeypatch.setattr(hashing, "MAPS_LIMIT", 511)
+        with pytest.raises(SizeLimitError, match=r"512 map cells \(16 seeds\) exceed cap 511"):
+            check_balanced(explicit)
 
     @pytest.mark.parametrize("k,m", [(4, 2), (5, 2), (6, 3)])
     def test_kernel_counts_need_the_systematic_form(self, k, m):
@@ -638,3 +657,71 @@ class TestCheckersAgainstPairLoops:
         monkeypatch.setattr(dists, "BLOCK_CELLS", 3 * 32 + 5)
         split = (check_universal2(fam), check_balanced(fam), check_strongly_universal2(fam))
         assert split == whole
+
+
+def balance_families():
+    """(id, family) of every family this module builds that the maps oracle
+    sweeps, rank-deficient full-Toeplitz families over five fields, an
+    explicit family holding one unbalanced map, and fully random families."""
+    out = [(f"toeplitz{c}", ToeplitzFamily(*c)) for c in ORACLE_CASES]
+    for k, m in [(4, 2), (5, 2), (6, 3)]:
+        out += [(f"full{k, m}", FullToeplitzFamily(k, m)),
+                (f"mislabelled{k, m}", MislabelledToeplitzFamily(k, m))]
+    out += [(f"full-q{q}", fam) for q, fam in rank_deficient_families()]
+    out += [(f"small{i}", fam) for i, fam in enumerate(small_families())]
+    out += [(f"explicit{i}", fam) for i, fam in enumerate(random_explicit_families())]
+    out.append(("one-unbalanced", one_unbalanced_family()))
+    for size, m in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 3), (2, 5)]:
+        out.append((f"fullrandom{size, m}", FullyRandomFamily(range_alphabet(size), m)))
+    return out
+
+
+def one_unbalanced_family():
+    """Four maps into 2 outputs; the map of seed 2 has preimages of 3 and 1."""
+    maps = [[1, 2, 1, 2], [2, 1, 2, 1], [1, 1, 2, 1], [2, 2, 1, 1]]
+    return ExplicitFamily(range_alphabet(4), 2, maps)
+
+
+def rank_deficient_families():
+    """(q, full-Toeplitz family over F_q): each has the all-zero matrix."""
+    return [(2, FullToeplitzFamily(4, 2, 2)), (3, FullToeplitzFamily(3, 2, 3)),
+            (4, FullToeplitzFamily(3, 2, 4)), (5, FullToeplitzFamily(3, 1, 5)),
+            (7, FullToeplitzFamily(2, 1, 7))]
+
+
+class TestBalanceByPushforward:
+    @pytest.mark.parametrize("fam", [pytest.param(f, id=i) for i, f in balance_families()])
+    def test_equals_the_maps_sweep(self, fam):
+        assert check_balanced(fam) == balanced_by_maps(fam)
+
+    @pytest.mark.parametrize(
+        "q, fam", [pytest.param(q, f, id=f"q{q}") for q, f in rank_deficient_families()]
+    )
+    def test_rank_deficient_seed_comes_first(self, q, fam):
+        # the all-zero seed, rank 0, sends every input to output 1
+        rep = check_balanced(fam)
+        assert (rep.passed, rep.bad_seed_index) == (False, 0)
+        assert rep.preimage_sizes == (q**fam.k,) + (0,) * (fam.output_size - 1)
+
+    def test_linear_balance_reads_no_map(self, monkeypatch):
+        def no_maps(*args):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr(ToeplitzFamily, "maps_of", no_maps)
+        assert check_balanced(ToeplitzFamily(2, 12, 4)).passed
+        start = time.perf_counter()
+        assert check_balanced(ToeplitzFamily(2, 14, 4)).passed
+        assert time.perf_counter() - start < 0.5
+
+    def test_fully_random_balance_memory(self):
+        # one symbol into 4096 outputs: 4096 seeds, a 4096-cell histogram
+        # each, swept in blocks rather than one 4096 x 4096 array
+        fam = FullyRandomFamily(range_alphabet(1), 4096)
+        tracemalloc.start()
+        try:
+            rep = check_balanced(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep == hashing.BalancedReport(False, 0, (1,) + (0,) * 4095)
+        assert peak < 32 << 20, peak

@@ -22,7 +22,6 @@ from secexp.hashing import (
     ExplicitFamily,
     FullyRandomFamily,
     ToeplitzFamily,
-    check_balanced,
     check_strongly_universal2,
     check_universal2,
 )
@@ -94,7 +93,7 @@ CASES = [
      "1049600 grid cells (1024 rates x 1025 orders) exceed cap 1048576"),
     ("figures._figure6", lambda: figure_sweep(6, 101),
      "101 points of figure 6 (n = 20, 40, .. up to 2000) exceed cap 100"),
-    ("hashing.HashFamily.iter_maps", lambda: check_balanced(ToeplitzFamily(2, 17, 1)),
+    ("hashing.HashFamily.iter_maps", lambda: check_strongly_universal2(ToeplitzFamily(2, 17, 1)),
      "8589934592 map cells exceed cap 1000000000"),
     ("hashing.HashFamily.pushforward_blocks",
      lambda: expected_d1(_uniform(3), FullyRandomFamily(range_alphabet(3), 10**7),
@@ -119,6 +118,11 @@ CASES = [
      "304218112 transform units (65536 seeds) exceed cap 250000000"),
     ("hashing.HashFamily.pushforward_blocks maps", _maps_route,
      "401000000 map cells (401 seeds) exceed cap 400000000"),
+    # each seed fills a histogram of 2^20 outputs from 2 symbols
+    ("hashing.HashFamily.pushforward_blocks outputs",
+     lambda: expected_d1(_uniform(2), FullyRandomFamily(range_alphabet(2), 2**20),
+                         mode="mc", n_samples=382),
+     "400556032 map cells (382 seeds) exceed cap 400000000"),
     ("privacy._ensemble samples",
      lambda: expected_d1(_uniform(3), FullyRandomFamily(range_alphabet(3), 2),
                          mode="mc", n_samples=2_000_001),
