@@ -12,8 +12,8 @@ internal invariant (the message names it).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import gc
 import math
 import sys
 
@@ -61,8 +61,8 @@ _FLOAT_FMT = ".12g"
 
 
 def _jsonify(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
+    if hasattr(obj, "_asdict"):  # a NamedTuple record, before the tuple branch
+        return _jsonify(obj._asdict())
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -474,10 +474,13 @@ def distill_cmd(
     report = run_distillation(
         tri, big_m, big_l, mode=mode, n_samples=samples, seed=seed
     )
-    _emit_json(dataclasses.asdict(report), out)
+    _emit_json(report._asdict(), out)
 
 
 def main():
+    # What the imports built lives until exit: keep it out of every
+    # collection, the one at exit included.
+    gc.freeze()
     cli()
 
 

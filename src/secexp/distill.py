@@ -10,7 +10,7 @@ achievable key rate is H(A|E) - H(A|B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def distillation_error_bound(pab: JointDist, m: int, l: int) -> float:
     return -maximize_on_interval(fn, 0.0, 1.0)[1]
 
 
-@dataclass(frozen=True)
-class DistillationReport:
+class DistillationReport(NamedTuple):
     m: int
     l: int
     mode: str

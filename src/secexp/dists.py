@@ -17,7 +17,6 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -695,6 +694,8 @@ class TypeClass:
 
     def exact_prob_single(self, p: SubDist) -> Fraction:
         """Per-string probability as an exact rational (floats are dyadic)."""
+        from fractions import Fraction  # kept off the import path of the CLI
+
         acc = Fraction(1)
         for c, mass in zip(self.counts, p.mass):
             if c:

@@ -24,7 +24,7 @@ array call per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ CRAMER_S_CAP = 100.0  # largest order the unrestricted Cramer search tries
 DIVERGENCE_RESTARTS = 8  # random starts of the scipy divergence oracle
 
 
-@dataclass(frozen=True)
-class ExponentResult:
+class ExponentResult(NamedTuple):
     """An optimized exponent value together with its witness.
 
     `argmax` is the optimizing scalar parameter when the optimization is 1-D;
@@ -230,8 +229,7 @@ def hash_d1_bound_at(p: SubDist, m: int, s):
     return float(value[0]) if np.ndim(s) == 0 else value
 
 
-@dataclass(frozen=True)
-class HashBoundCurve:
+class HashBoundCurve(NamedTuple):
     """The minimum of the per-s hashing bound over s in [0, 1], and its s."""
 
     min_value: float
@@ -435,7 +433,7 @@ def cramer_exponent(p: SubDist, r: float) -> ExponentResult:
         )
     res = _cramer_search(p, r, CRAMER_S_CAP)
     if CRAMER_S_CAP - res.argmax < 1e-6:
-        return replace(res, note=f"maximizer at search cap s = {CRAMER_S_CAP}")
+        return res._replace(note=f"maximizer at search cap s = {CRAMER_S_CAP}")
     return res
 
 
@@ -459,8 +457,7 @@ def _cramer_search(p: SubDist, r, s_cap: float) -> ExponentResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HRExponents:
+class HRExponents(NamedTuple):
     """Exponent window of the concentration bounds of Holenstein and Renner.
 
     `lower` comes from their upper bound on the heavy-atom probability (an

@@ -14,7 +14,7 @@ Each sweep returns header scalars (echoed as CSV comments) and rows of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ SPECIALIZED_R = 0.3
 SPECIALIZED_N_STEP = 20
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(NamedTuple):
     figure_id: int
     header: dict
     rows: list  # (x, curve_name, value)

@@ -35,7 +35,7 @@ the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -425,23 +425,20 @@ def _pair_counts(fam: HashFamily, joint: bool):
         yield a, counts.reshape(-1, width, n, width), upper
 
 
-@dataclass(frozen=True)
-class Universal2Report:
+class Universal2Report(NamedTuple):
     passed: bool
     max_collision: float
     bound: float
     worst_pair: tuple[str, str] | None
 
 
-@dataclass(frozen=True)
-class BalancedReport:
+class BalancedReport(NamedTuple):
     passed: bool
     bad_seed_index: int | None
     preimage_sizes: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class StronglyUniversal2Report:
+class StronglyUniversal2Report(NamedTuple):
     passed: bool
     single_uniform: bool
     pairwise_independent: bool

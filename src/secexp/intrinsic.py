@@ -15,8 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,16 +68,19 @@ def heavy_mass_lower_bound(p: SubDist, m: int) -> float:
 
 
 def _normalized(p: SubDist) -> tuple[tuple[int, ...], int]:
-    """Integer weights a and denominator d with a_i / d = P(i) / total exactly."""
-    exact = [Fraction(float(x)) for x in p.mass]
-    total = sum(exact)
-    exact = [x / total for x in exact]
-    denom = math.lcm(*(x.denominator for x in exact))
-    return tuple(x.numerator * (denom // x.denominator) for x in exact), denom
+    """Integer weights a and denominator d with a_i / d = P(i) / total exactly.
+
+    Float denominators are powers of two, so the largest is a common one; the
+    weights are the masses over it in lowest terms, and d is their sum."""
+    ratios = [x.as_integer_ratio() for x in p.mass.tolist()]
+    top = max(den for _, den in ratios)
+    scaled = [num * (top // den) for num, den in ratios]
+    g = math.gcd(*scaled)
+    weights = tuple(a // g for a in scaled)
+    return weights, sum(weights)
 
 
-@dataclass(frozen=True)
-class TypeRecord:
+class TypeRecord(NamedTuple):
     """A type of class_size strings, each of mass weight / denom^n."""
 
     counts: tuple[int, ...]
@@ -235,7 +238,7 @@ def specialized_exponent(p: SubDist, r: float) -> ExponentResult:
         raise ValueError("requires a probability distribution")
     res = cramer_exponent_restricted(p, r)
     if renyi_tilde_derivative(p, 1.0) > r:
-        res = replace(res, note="hypothesis unmet: H~'_2 > R, value not authoritative")
+        res = res._replace(note="hypothesis unmet: H~'_2 > R, value not authoritative")
     return res
 
 
@@ -244,8 +247,7 @@ def specialized_exponent(p: SubDist, r: float) -> ExponentResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     branch: str  # "slope<=R" or "slope>R"
     lhs: float
     rhs_restricted: float

@@ -16,7 +16,7 @@ so exact results do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ __all__ = [
     "best_subset_lower_bound",
 ]
 
-@dataclass(frozen=True)
-class EnsembleEstimate:
+class EnsembleEstimate(NamedTuple):
     """An ensemble average; stderr is None in exact mode."""
 
     value: float

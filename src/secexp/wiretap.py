@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -349,12 +350,12 @@ def _draw(p: SubDist, ml: int, fam: HashFamily, rng: np.random.Generator, count:
     rng.choice(|X|, ML, p=p.mass) and `sample_seed` calls, cdf built once."""
     cdf = p.mass.cumsum()
     cdf /= cdf[-1]
-    codebooks = np.empty((count, ml), dtype=np.int64)
+    uniforms = np.empty((count, ml))
     seeds = np.empty((count, fam.seed_len), dtype=np.int64)
     for k in range(count):
-        codebooks[k] = cdf.searchsorted(rng.random(ml), side="right")
-        seeds[k] = fam.sample_seed(rng)
-    return codebooks, seeds
+        rng.random(out=uniforms[k])
+        seeds[k] = fam.draw_seeds(rng, 1)[0]
+    return cdf.searchsorted(uniforms, side="right"), seeds
 
 
 def random_wiretap_code(
@@ -412,8 +413,7 @@ def _codebook_digits(codes: np.ndarray, nx: int, ml: int) -> np.ndarray:
     return np.stack(np.unravel_index(codes, (nx,) * ml), axis=1)
 
 
-@dataclass(frozen=True)
-class EnsembleEntry:
+class EnsembleEntry(NamedTuple):
     codebook: tuple[int, ...]
     seed_index: int
     weight: float
@@ -674,8 +674,7 @@ class LinearCode:
         return len(self.codewords)
 
 
-@dataclass(frozen=True)
-class Condition4Report:
+class Condition4Report(NamedTuple):
     passed: bool
     max_membership: float
     bound: float
@@ -754,8 +753,7 @@ def side_information_d1_bound(joint: JointDist, l: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdditiveIdentityReport:
+class AdditiveIdentityReport(NamedTuple):
     psi_form: float
     phi_form: float
     closed_form: float
@@ -797,8 +795,7 @@ def additive_identities(w: Channel, t: float) -> AdditiveIdentityReport:
     return AdditiveIdentityReport(psi_form, phi_form, closed, disc, escort)
 
 
-@dataclass(frozen=True)
-class HolderReport:
+class HolderReport(NamedTuple):
     passed: bool
     min_margin: float
     t_grid: tuple[float, ...]

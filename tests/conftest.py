@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,3 +191,14 @@ def balanced_by_maps(fam):
             return BalancedReport(False, start + idx, tuple(int(v) for v in sizes[idx]))
         start += len(maps)
     return BalancedReport(True, None, None)
+
+
+def normalized_by_fractions(p):
+    """`intrinsic._normalized` as the library once computed it, each mass an
+    exact `Fraction` over the exact total and the weights over the lcm of
+    their denominators: the oracle for the integer form that replaced it."""
+    exact = [Fraction(float(x)) for x in p.mass]
+    total = sum(exact)
+    exact = [x / total for x in exact]
+    denom = math.lcm(*(x.denominator for x in exact))
+    return tuple(x.numerator * (denom // x.denominator) for x in exact), denom

@@ -966,3 +966,71 @@ def test_cold_jobs_do_not_import_numpy_ma():
     argv = [sys.executable, "-c", code, str(inputs / "wb.json"), str(inputs / "we.json")]
     out = subprocess.run(argv, cwd=src, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# The result records, with their fields in declaration order.
+RECORD_FIELDS = {
+    "exponents.ExponentResult": ["value", "argmax", "method", "witness", "diverges", "note"],
+    "exponents.HashBoundCurve": ["min_value", "argmin_s"],
+    "exponents.HRExponents": ["lower", "lower_applicable", "upper", "upper_applicable", "gap"],
+    "hashing.Universal2Report": ["passed", "max_collision", "bound", "worst_pair"],
+    "hashing.BalancedReport": ["passed", "bad_seed_index", "preimage_sizes"],
+    "hashing.StronglyUniversal2Report": [
+        "passed", "single_uniform", "pairwise_independent",
+        "max_single_deviation", "max_pair_deviation",
+    ],
+    "intrinsic.TypeRecord": ["counts", "category", "class_size", "n_cells", "weight"],
+    "intrinsic.IdentityReport": [
+        "branch", "lhs", "rhs_restricted", "rhs_unrestricted", "order2_value", "max_discrepancy",
+    ],
+    "privacy.EnsembleEstimate": ["value", "stderr", "mode", "n_samples"],
+    "wiretap.EnsembleEntry": ["codebook", "seed_index", "weight", "eps", "d1"],
+    "wiretap.Condition4Report": ["passed", "max_membership", "bound"],
+    "wiretap.AdditiveIdentityReport": [
+        "psi_form", "phi_form", "closed_form", "max_discrepancy", "escort_form",
+    ],
+    "wiretap.HolderReport": ["passed", "min_margin", "t_grid"],
+    "distill.DistillationReport": [
+        "m", "l", "mode", "eps", "d1", "eps_stderr", "d1_stderr",
+        "bound_eps_ensemble", "bound_eps_code", "bound_d1_ensemble", "bound_d1_code",
+        "selected_eps", "selected_d1", "rate", "h_a_given_e", "h_a_given_b",
+    ],
+    "figures.FigureData": ["figure_id", "header", "rows"],
+}
+
+
+def test_cli_import_builds_no_dataclass_record_and_no_fractions():
+    # each frozen dataclass costs about 1 ms of generated code at import, and
+    # `fractions` is only needed by exact rationals the CLI never builds: a
+    # fresh interpreter importing the CLI loads no `fractions`, and every
+    # result record is a NamedTuple with its declared fields
+    src = str(Path(secexp.__file__).resolve().parents[1])
+    code = (
+        "import sys, secexp.cli\n"
+        "cold = 'fractions' not in sys.modules\n"
+        "import dataclasses, json\n"
+        "records = {}\n"
+        "for path in sys.argv[1:]:\n"
+        "    module, name = path.split('.')\n"
+        "    cls = getattr(sys.modules['secexp.' + module], name)\n"
+        "    records[path] = [dataclasses.is_dataclass(cls), list(cls._fields)]\n"
+        "print(json.dumps([cold, records]))\n"
+    )
+    argv = [sys.executable, "-c", code, *RECORD_FIELDS]
+    out = subprocess.run(argv, cwd=src, capture_output=True, text=True, check=True)
+    cold, records = json.loads(out.stdout)
+    assert cold
+    assert records == {path: [False, fields] for path, fields in RECORD_FIELDS.items()}
+
+
+def test_main_freezes_the_imports_before_dispatch(monkeypatch):
+    # main() moves what the imports built out of the collector's reach, so the
+    # collection at exit skips it; the group runs after the freeze, and both
+    # are stand-ins here so the test process itself is never frozen
+    from secexp import cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli_module, "cli", lambda: calls.append("cli"))
+    cli_module.main()
+    assert calls == ["freeze", "cli"]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from secexp.dists import (
     Alphabet,
@@ -25,9 +26,10 @@ from secexp.intrinsic import (
     specialized_exponent,
     specialized_map_d1,
 )
+from secexp.intrinsic import _normalized
 from secexp.privacy import d1_hashed, pushforward
 
-from conftest import random_dist
+from conftest import normalized_by_fractions, random_dist
 
 
 def _string_level_d1(p, smap):
@@ -233,6 +235,25 @@ class TestTypeLevel:
         # they are 1/5 and 4/5
         smap = build_specialized(bern02, 3, 4)
         assert (smap.weights, smap.denom) == ((1, 4), 5)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),  # subnormals included
+                st.sampled_from([0.0, 5e-324, 2.0**-1022, 0.1, 0.2, 0.25, 0.5]),  # ties
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_normalized_equals_the_fraction_oracle(self, masses):
+        # totals below 1 are kept as drawn; a total past 1 is scaled down
+        assume(math.fsum(masses) > 0.0)
+        if math.fsum(masses) > 1.0:
+            masses = [x / len(masses) for x in masses]
+        p = SubDist(range_alphabet(len(masses)), masses)
+        assert _normalized(p) == normalized_by_fractions(p)
 
     @pytest.mark.parametrize("n", [100, 500, 1000])
     def test_cell_budget_holds_at_large_n(self, bern02, n):

@@ -719,6 +719,7 @@ class TestBatchedEnsembleParity:
         for name in ("check_universal2", "check_balanced"):
             monkeypatch.setattr(wiretap_module, name, no_work)
         monkeypatch.setattr(HashFamily, "sample_seed", no_work)
+        monkeypatch.setattr(HashFamily, "draw_seeds", no_work)
         with pytest.raises(ValueError, match="at least 2 samples"):
             wiretap_ensemble_mc(p, 2, 2, fam, wb, we, n_samples=n_samples)
 
