@@ -13,11 +13,11 @@ A linear family (`LinearFamily`) defines its digits and each seed's matrix A
 over the prime field; its maps (x to A x) are combinations of A's columns,
 and its pushforwards come by the character transform of the weights: one
 transform of the weights, then per seed a gather of M values and one
-transform of size M.  One transform of the histogram of those gathers gives
-the collision counts `check_universal2` reads (MacWilliams); `check_balanced`
-reads any family's pushforwards of all-ones weights.  This is the
-dual-code view of Tsurumaru and Hayashi, "Dual universality of hash functions
-and its applications to quantum cryptography" (arXiv:1101.0064).
+transform of size M.  Those gathers, binned by (v, A^T v) and transformed over
+both, give #{A : A d = y} (MacWilliams), `image_counts`, which both universality
+checks read; `check_balanced` reads pushforwards of all-ones weights.  This is
+the dual-code view of Tsurumaru and Hayashi, "Dual universality of hash
+functions and its applications to quantum cryptography" (arXiv:1101.0064).
 
 Three ensemble conditions are checkable by full seed enumeration:
 
@@ -70,10 +70,9 @@ __all__ = [
 
 # Refuse exhaustive checks beyond this many seed maps.
 ENUMERATION_LIMIT = 2_000_000
-# The checks' sweeps stop near 20 s at their slowest cost per unit measured on
-# a 2-core machine (CHANGES.md): 21 ns per map cell (seeds x |alphabet|, in the
-# linear route of `check_strongly_universal2`; 17 ns per one-hot map cell,
-# tiles x seeds x |alphabet| x M, in `_pair_counts`).
+# Map cells (seeds x |alphabet|) of `iter_maps`, and one-hot map cells (tiles x
+# seeds x |alphabet| x M) of `_pair_counts`, whose sweep stops near 20 s at
+# 17 ns per cell, its slowest measured on a 2-core machine (CHANGES.md).
 MAP_CELL_LIMIT = 1_000_000_000
 # The seed routes of `pushforward_blocks` (PA, `check_balanced`) stop near 20 s
 # at their slowest cost per unit on a 2-core machine (CHANGES.md): 46 ns per map
@@ -82,7 +81,7 @@ MAP_CELL_LIMIT = 1_000_000_000
 MAPS_LIMIT = 400_000_000
 # Transform: (k q^k + seeds q^m m) x side symbols, with q^k and q^m the input
 # and output sizes and k, m counted in digits over the prime field; it also
-# caps `LinearFamily.collision_counts` (one side symbol), 6-47 ns per unit.
+# caps `LinearFamily.image_counts` (one side symbol), 6-47 ns per unit.
 TRANSFORM_LIMIT = 250_000_000
 # Float slack of the universal_2 and strongly universal_2 checks.
 CHECK_TOL = 1e-12
@@ -92,14 +91,12 @@ class NonEnumerableError(SizeLimitError):
     """The seed space is too large for exact enumeration."""
 
 
-def map_histograms(maps: np.ndarray, m: int, weights=None) -> np.ndarray:
-    """Row s counts the values 1..m of maps[s], or sums their `weights` (with
-    a last axis of side symbols if 2-D): one offset bincount per weight
-    column for the block, each bin summed in symbol order as for one map."""
+def map_histograms(maps: np.ndarray, m: int, weights) -> np.ndarray:
+    """Row s sums the `weights` (with a last axis of side symbols if 2-D) of
+    maps[s]'s symbols per value 1..m: one offset bincount per weight column
+    for the block, each bin summed in symbol order as for one map."""
     count = len(maps)
     bins = (maps - 1 + m * np.arange(count)[:, None]).ravel()
-    if weights is None:
-        return np.bincount(bins, minlength=count * m).reshape(count, m)
     cols = np.reshape(weights, (len(weights), -1)).T
     hists = [np.bincount(bins, np.tile(w, count), count * m) for w in cols]
     return np.stack(hists, axis=-1).reshape((count, m) + np.shape(weights)[1:])
@@ -225,7 +222,7 @@ class LinearFamily(HashFamily):
     Over the prime field a seed's map is an (m e) x (k e) matrix A on the
     big-endian base-p digits of the symbol indices: a GF(4) digit is
     two bits, and GF(4) addition is XOR of indices.  `matrices` gives these
-    per block of seeds; maps, pushforwards and collision counts come from them.
+    per block of seeds; maps, pushforwards and image counts come from them.
     """
 
     field: Field
@@ -266,22 +263,30 @@ class LinearFamily(HashFamily):
 
         return map(hists, self.seed_blocks(draw, m * max(n, len(spec))))
 
-    def collision_counts(self) -> np.ndarray:
-        """counts[d]: the seeds whose matrix sends the symbol of index d to 0.
+    def image_counts(self, joint: bool) -> np.ndarray:
+        """counts[d, y]: the seeds whose matrix sends the symbol of index d to
+        output y + 1, for each y if `joint`, else for y = 0 (the kernels).
 
-        By the MacWilliams identity, #{A : A d = 0} = (1/M) sum_u H(u)
-        chi(u.d), where H(u) = #{(A, v) : A^T v = u} is one bincount of the
-        gathers of `pushforward_blocks` per seed block.  Exact integers: +-1
-        sums in float64 for p = 2, odd p rounded from far under 1/2.  Capped
-        as `pushforward_blocks` with one side symbol (TRANSFORM_LIMIT)."""
+        By MacWilliams, #{A : A d = y} = (1/M) sum_v chi(-v.y) sum_u J(u, v)
+        chi(u.d) with J(u, v) = #{A : A^T v = u}: per seed block one bincount
+        of the gathers of `pushforward_blocks` (summed over v unless `joint`),
+        then a transform over u and, if `joint`, an inverse one over v (exact:
+        +-1 sums for p = 2, odd p rounded).  Refused past DEFAULT_MAX_CELLS
+        counts, then as `pushforward_blocks` plus both transforms."""
         p, e, n, m = self.field.prime, self.field.degree, self.k * self.field.degree, self.output_size
+        size, width = p**n, m if joint else 1
+        require_work(size * width, f"histogram cells ({size} symbols x {width} outputs)")
         self._require_route(None, m * self.m * e, "transform units", TRANSFORM_LIMIT,
-                            n * self.input_alphabet.size)
-        hist = np.zeros(p**n, dtype=np.int64)
+                            (n + joint * self.m * e) * size * width)
+        keys = np.arange(m) * size  # v q^k + u, the joint key
+        hist = np.zeros(size * width, dtype=np.int64)
         # per seed: m e x k e matrix digits, M gathers (odd p: on k e digit planes)
         for b in self.seed_blocks(None, max(self.m * e * n, m if p == 2 else m * n)):
-            hist += np.bincount(combination_indices(self.matrices(b), p).ravel(), minlength=p**n)
-        return np.rint(_character_transform(hist, p, 1).real / m).astype(np.int64)
+            gathers = combination_indices(self.matrices(b), p)
+            hist += np.bincount((gathers + keys if joint else gathers).ravel(), minlength=hist.size)
+        counts = _character_transform(hist.reshape(width, size), p, 1).T
+        counts = _character_transform(counts, p, -1) if joint else counts
+        return np.rint(counts.real / m).astype(np.int64)
 
 
 # Most elements in one dense step of `_character_transform`: a step is then a
@@ -452,11 +457,11 @@ def check_universal2(fam: HashFamily) -> Universal2Report:
     The worst pair is the first pair a < b (in row-major order) with the most
     collisions (None for a one-symbol alphabet).  A linear family's pair
     collides exactly when its difference is in the kernel, so its counts are
-    `collision_counts` by difference and its worst pair is (0, the lowest
+    the kernel column of `image_counts` and its worst pair is (0, the lowest
     nonzero d with the top count).  Other families' come from the pair
     counts."""
     if isinstance(fam, LinearFamily):
-        counts = fam.collision_counts()
+        counts = fam.image_counts(joint=False)[:, 0]
         d = 1 + int(np.argmax(counts[1:]))
         best, worst = float(counts[d]), (0, d)
     else:
@@ -497,29 +502,24 @@ def check_strongly_universal2(fam: HashFamily) -> StronglyUniversal2Report:
 
     Every seed of a linear family sends symbol 0 to output 1, so the seeds
     with f(0) = 1 and f(b) = v are those with f(b) = v: no pair count
-    exceeds the top entry of the per-symbol output histogram of the maps
-    (|alphabet| x M cells, refused over DEFAULT_MAX_CELLS), and the pairs
-    (0, b) reach it.  So the deviations are those of the pairs (0, b):
-    symbol 0's count s against s/M, that top count against s/M^2 (every
-    other pair deviates less, and (0, b)'s zero counts by s/M^2).  Other
-    families' come from the pair counts."""
+    exceeds the top per-symbol output count, `image_counts(joint=True)`
+    (no map is built), and the pairs (0, b) reach it.  So the deviations
+    are those of the pairs (0, b): symbol 0's count s against s/M, that top
+    count against s/M^2 (every other pair deviates less, and (0, b)'s zero
+    counts by s/M^2).  Other families' come from the pair counts."""
     s, m_out = fam.seed_count, fam.output_size
-    target_single = s / m_out
-    target_pair = s / (m_out * m_out)
+    target_single, target_pair = s / m_out, s / (m_out * m_out)
     max_single = max_pair = 0.0
     if isinstance(fam, LinearFamily):
-        n = fam.input_alphabet.size
-        require_work(n * m_out, f"histogram cells ({n} symbols x {m_out} outputs)")
-        hist = sum(map_histograms(maps.T, m_out) for maps in fam.iter_maps())
-        max_single, max_pair = s - target_single, float(hist[1:].max()) - target_pair
+        counts = fam.image_counts(joint=True)
+        max_single, max_pair = s - target_single, float(counts[1:].max()) - target_pair
     else:
         for a, counts, upper in _pair_counts(fam, joint=True):
             hist = counts[np.arange(len(a)), :, a, :].diagonal(axis1=1, axis2=2)
             max_single = max(max_single, float(np.abs(hist - target_single).max()))
             dev = np.abs(counts - target_pair).max(initial=0.0, where=upper)
             max_pair = max(max_pair, float(dev))
-    max_single /= s
-    max_pair /= s
+    max_single, max_pair = max_single / s, max_pair / s
     single_ok = max_single <= CHECK_TOL
     pair_ok = max_pair <= CHECK_TOL
     return StronglyUniversal2Report(

@@ -307,14 +307,14 @@ def eve_distinguishability(code: WiretapCode, we: Channel) -> float:
 def _require_conditions(p: SubDist, m: int, l: int, fam: HashFamily):
     """The random-coding ensemble needs a balanced universal_2 family from
     M*L messages onto M outputs and a probability distribution for codewords."""
-    if not check_universal2(fam).passed:
-        raise ValueError("hash family is not universal_2")
-    if not check_balanced(fam).passed:
-        raise ValueError("hash family is not balanced (equal preimages required)")
     if fam.input_alphabet.size != m * l or fam.output_size != m:
         raise ValueError("family must map M*L messages onto M outputs")
     if not p.is_probability():
         raise ValueError("codeword distribution must be a probability distribution")
+    if not check_universal2(fam).passed:
+        raise ValueError("hash family is not universal_2")
+    if not check_balanced(fam).passed:
+        raise ValueError("hash family is not balanced (equal preimages required)")
 
 
 def code_from_codebook(
@@ -685,9 +685,9 @@ def condition4_report(c1: LinearCode, m: int) -> Condition4Report:
     at most L / |C1| = 1 / q^m over the Toeplitz seeds.
 
     A seed's subcode C2 is the kernel of its map on the messages, the
-    messages it sends to output 1, so the frequencies are the family's
-    `collision_counts`, which `check_universal2` reads; the zero message is
-    always there."""
+    messages it sends to output 1, so the frequencies are the kernel column
+    of the family's `image_counts`, which `check_universal2` reads; the zero
+    message is always there."""
     rep = check_universal2(ToeplitzFamily(c1.module.q, c1.k, m))
     return Condition4Report(rep.passed, rep.max_collision, rep.bound)
 

@@ -7,7 +7,7 @@ import pytest
 from secexp.dists import Alphabet, SubDist, require_work
 from secexp.exponents import GOLDEN_TOL
 from secexp.gf import combination_indices
-from secexp.hashing import BalancedReport, map_histograms
+from secexp.hashing import BalancedReport
 
 
 @pytest.fixture
@@ -160,8 +160,8 @@ def kernel_counts(fam) -> np.ndarray:
     (I | -X^T), so each seed adds q^(k-m) kernel vectors.  More than
     KERNEL_VECTOR_LIMIT in all, or a matrix whose last m e columns are
     not the identity, is refused.  `ToeplitzFamily.kernel_counts` as the
-    library once counted universal_2 collisions: the oracle for
-    `LinearFamily.collision_counts`."""
+    library once counted universal_2 collisions: the oracle for the kernel
+    column of `LinearFamily.image_counts`."""
     fam.require_enumerable()
     p, e = fam.field.prime, fam.field.degree
     n, r = fam.k * e, (fam.k - fam.m) * e
@@ -178,13 +178,25 @@ def kernel_counts(fam) -> np.ndarray:
     return counts
 
 
+def image_counts_by_maps(fam) -> np.ndarray:
+    """counts[d, y]: the seeds whose map sends symbol d to y + 1, by one
+    `np.bincount` of each symbol's column of every block of `iter_maps`:
+    the map sweep `check_strongly_universal2` once ran, the oracle for
+    `LinearFamily.image_counts(joint=True)`."""
+    m = fam.output_size
+    counts = np.zeros((fam.input_alphabet.size, m), dtype=np.int64)
+    for maps in fam.iter_maps():
+        counts += np.stack([np.bincount(col - 1, minlength=m) for col in maps.T])
+    return counts
+
+
 def balanced_by_maps(fam):
-    """`check_balanced` as the library once ran it, one counting
-    `map_histograms` per block of `iter_maps`: the oracle for the
-    pushforward of the counting measure that replaced it."""
+    """`check_balanced` as the library once ran it, each map's preimage
+    sizes by its own `np.bincount`, over the blocks of `iter_maps`: the
+    oracle for the pushforward of the counting measure that replaced it."""
     start = 0
     for maps in fam.iter_maps():
-        sizes = map_histograms(maps, fam.output_size)
+        sizes = np.stack([np.bincount(row - 1, minlength=fam.output_size) for row in maps])
         bad = np.flatnonzero(sizes.min(axis=1) != sizes.max(axis=1))
         if bad.size:
             idx = int(bad[0])

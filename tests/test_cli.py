@@ -519,6 +519,19 @@ class TestOversizedInputs:
         assert f"histogram cells (1048576 symbols x {2**m} outputs)" in res.output
         assert seconds < 1.0
 
+    @pytest.mark.parametrize("k, m", [(16, 4), (17, 1), (19, 1)])
+    def test_strong_check_runs_under_the_histogram_cap(self, runner, k, m):
+        # the 2^k x 2^m histogram fits the cap: counted by transforms, no
+        # map built; the identity block fails condition 3 at every seed
+        res = runner.invoke(
+            cli, ["hash", "check", "--family", "toeplitz", "--q", "2", "--k", str(k), "--m", str(m)]
+        )
+        assert res.exit_code == 0, res.output
+        out = json.loads(res.output)
+        s, big_m = 2 ** (k - 1), 2**m
+        assert (out["condition1"], out["condition2"], out["condition3"]) == ("pass", "pass", "fail")
+        assert out["max_pair_deviation"] == (s - s / (big_m * big_m)) / s
+
     def test_enumeration_limit_is_a_size_limit(self, runner):
         res = runner.invoke(
             cli, ["hash", "check", "--family", "fullrandom", "--size", "8", "--M", "8"]

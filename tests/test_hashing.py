@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from secexp import dists, hashing
-from secexp.dists import Alphabet, SizeLimitError, range_alphabet
+from secexp.dists import DEFAULT_MAX_CELLS, Alphabet, SizeLimitError, range_alphabet
 from secexp.gf import Field, Module
 from secexp.hashing import (
     ExplicitFamily,
@@ -20,7 +20,7 @@ from secexp.hashing import (
     fit_toeplitz,
 )
 
-from conftest import assert_bit_equal, balanced_by_maps, kernel_counts
+from conftest import assert_bit_equal, balanced_by_maps, image_counts_by_maps, kernel_counts
 
 
 class TestField:
@@ -321,8 +321,8 @@ class TestConditions:
         "q,k,m", [(2, 4, 2), (2, 8, 3), (3, 4, 2), (4, 3, 1), (5, 3, 2), (2, 6, 1), (2, 3, 2)]
     )
     def test_toeplitz_histogram_matches_the_pair_counts(self, q, k, m):
-        # one per-symbol histogram of the maps, and the pair counts of the
-        # same maps as an explicit family: the same report, bit for bit
+        # the joint image counts, and the pair counts of the same maps as an
+        # explicit family: the same report, bit for bit
         fam = ToeplitzFamily(q, k, m)
         explicit = ExplicitFamily(fam.input_alphabet, fam.output_size, fam.maps_of(fam.seeds()))
         assert repr(check_strongly_universal2(fam)) == repr(check_strongly_universal2(explicit))
@@ -334,10 +334,46 @@ class TestConditions:
 
     @pytest.mark.parametrize("q,k,m", ORACLE_CASES)
     def test_collision_counts_are_the_kernel_counts(self, q, k, m):
-        # the transform of the row-space gathers and the kernel enumerator
-        # it replaced: the same integers
+        # the kernel column of the transform of the row-space gathers and
+        # the kernel enumerator it replaced: the same integers
         fam = ToeplitzFamily(q, k, m)
-        assert_bit_equal(fam.collision_counts(), kernel_counts(fam))
+        assert_bit_equal(fam.image_counts(joint=False)[:, 0], kernel_counts(fam))
+
+    @pytest.mark.parametrize("q,k,m", ORACLE_CASES)
+    def test_joint_image_counts_are_the_map_sweep(self, q, k, m):
+        # both transforms of the joint gathers and the map sweep they
+        # replaced: the same integers, or a refusal past the histogram cap
+        fam = ToeplitzFamily(q, k, m)
+        if fam.input_alphabet.size * fam.output_size > DEFAULT_MAX_CELLS:
+            with pytest.raises(SizeLimitError, match="histogram cells"):
+                fam.image_counts(joint=True)
+        else:
+            assert_bit_equal(fam.image_counts(joint=True), image_counts_by_maps(fam))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k,m", [(3, 1), (3, 2), (4, 2)])
+    def test_joint_image_counts_of_any_layout(self, q, k, m):
+        # full m x k Toeplitz matrices (rank-deficient at the zero seed), and
+        # a Toeplitz subclass whose matrices are those: the map sweep's counts
+        fam = FullToeplitzFamily(k, m, q)
+        assert_bit_equal(fam.image_counts(joint=True), image_counts_by_maps(fam))
+        if q == 2:
+            fam = MislabelledToeplitzFamily(k, m)
+            assert_bit_equal(fam.image_counts(joint=True), image_counts_by_maps(fam))
+
+    def test_strong_check_reads_no_map(self, monkeypatch):
+        def no_maps(*args):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr(hashing.HashFamily, "iter_maps", no_maps)
+        monkeypatch.setattr(LinearFamily, "maps_of", no_maps)
+        for q, k, m in [(2, 8, 3), (3, 5, 2), (4, 3, 1), (2, 16, 4)]:
+            fam = ToeplitzFamily(q, k, m)
+            rep = check_strongly_universal2(fam)
+            # every seed sends a symbol of the identity block to one output
+            s, big_m = fam.seed_count, fam.output_size
+            assert not rep.passed
+            assert rep.max_pair_deviation == (s - s / (big_m * big_m)) / s
 
     def test_collision_counts_are_capped(self, monkeypatch):
         # 5 x 2^5 transform units, then 16 seeds x 4 outputs x 2 digits
@@ -348,14 +384,22 @@ class TestConditions:
         with pytest.raises(SizeLimitError, match=r"288 transform units \(16 seeds\) exceed cap 287"):
             check_universal2(fam)
 
-    @pytest.mark.parametrize("check", [check_strongly_universal2])
-    def test_map_cells_are_capped(self, check, monkeypatch):
+    def test_map_cells_are_capped(self, monkeypatch):
         fam = ToeplitzFamily(2, 5, 2)  # 16 seeds x 32 symbols
         monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 512)
-        check(fam)
+        assert sum(len(maps) for maps in fam.iter_maps()) == 16
         monkeypatch.setattr(hashing, "MAP_CELL_LIMIT", 511)
         with pytest.raises(SizeLimitError, match="512 map cells exceed cap 511"):
-            check(fam)
+            list(fam.iter_maps())
+
+    def test_strong_check_is_capped_by_both_transforms(self, monkeypatch):
+        # (5 + 2) digits x 2^5 x 4 outputs, then 16 seeds x 4 outputs x 2 digits
+        fam = ToeplitzFamily(2, 5, 2)
+        monkeypatch.setattr(hashing, "TRANSFORM_LIMIT", 1024)
+        assert not check_strongly_universal2(fam).passed
+        monkeypatch.setattr(hashing, "TRANSFORM_LIMIT", 1023)
+        with pytest.raises(SizeLimitError, match=r"1024 transform units \(16 seeds\) exceed cap 1023"):
+            check_strongly_universal2(fam)
 
     def test_balance_is_capped_by_its_route(self, monkeypatch):
         # a linear family by the transform: 5 x 2^5, then 16 seeds x 4 x 2

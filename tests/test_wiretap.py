@@ -444,6 +444,28 @@ class TestRandomCodingEnsemble:
         with pytest.raises(ValueError, match="not balanced"):
             random_wiretap_code(u, 2, 2, fam, bsc(0.1), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k, m", [(20, 1), (20, 12), (3, 1)])
+    def test_shape_and_distribution_are_checked_before_any_sweep(self, k, m, monkeypatch):
+        # the family sweeps raise if reached: a wrong shape (2 x 2 messages
+        # from 2^k inputs) or a sub-probability codeword law is refused first
+        def sweep(fam):
+            raise AssertionError("family swept before the cheap checks")
+
+        monkeypatch.setattr(wiretap_module, "check_universal2", sweep)
+        monkeypatch.setattr(wiretap_module, "check_balanced", sweep)
+        fam = ToeplitzFamily(2, k, m)
+        u = SubDist.uniform(Alphabet(("0", "1")))
+        with pytest.raises(ValueError, match=r"family must map M\*L messages onto M outputs"):
+            wiretap_ensemble_mc(u, 2, 2, fam, bsc(0.1), bsc(0.3), n_samples=10)
+        with pytest.raises(ValueError, match=r"family must map M\*L messages onto M outputs"):
+            random_wiretap_code(u, 2, 2, fam, bsc(0.1), np.random.default_rng(0))
+        half = SubDist(u.alphabet, np.array([0.25, 0.25]))
+        right = ToeplitzFamily(2, 2, 1)
+        with pytest.raises(ValueError, match="codeword distribution must be a probability"):
+            wiretap_ensemble_mc(half, 2, 2, right, bsc(0.1), bsc(0.3), n_samples=10)
+        with pytest.raises(ValueError, match="codeword distribution must be a probability"):
+            random_wiretap_code(half, 2, 2, right, bsc(0.1), np.random.default_rng(0))
+
     def test_mc_tracks_exact(self):
         p, m, l, fam, wb, we = exhaustive_instances()[0]
         res = wiretap_ensemble_exact(p, m, l, fam, wb, we)
