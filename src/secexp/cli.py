@@ -404,11 +404,6 @@ def simulate_wiretap(
         wb = wb.iid_extend(n)
         we = we.iid_extend(n)
     fam = fit_toeplitz(big_m, big_l, q)
-    if fam is None:
-        fields = "F_2, F_3, F_5 or F_7" if q is None else f"F_{q}"
-        raise InputValidationError(
-            f"M={big_m}, L={big_l} do not fit a Toeplitz family over {fields}"
-        )
     p_mix = SubDist.uniform(wb.input_alphabet)
     payload = {
         "M": big_m,

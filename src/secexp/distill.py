@@ -131,10 +131,7 @@ def run_distillation(
     reduced channels: enumerated with a realization within twice both
     averages selected (exact mode), or sampled (mc mode).
     """
-    if fam is None and (fam := fit_toeplitz(m, l)) is None:
-        raise ValueError(
-            f"no built-in balanced universal_2 family for M={m}, L={l}; pass one explicitly"
-        )
+    fam = fit_toeplitz(m, l) if fam is None else fam
     wb, we = channels_from_joint(tri)
     p_mix = SubDist.uniform(wb.input_alphabet)
     eps, d1, chosen = wiretap_ensemble(p_mix, m, l, fam, wb, we, mode, n_samples, seed)

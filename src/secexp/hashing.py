@@ -4,10 +4,12 @@ A hash family maps an input alphabet to {1, ..., M} under a random seed: a
 string of `seed_len` digits in digit_low .. digit_low + digit_base - 1, ranked
 in itertools.product order.  A family defines only its digits and `maps_of`,
 which turns a (count x seed_len) block of seeds into the (count x |alphabet|)
-block of their maps; `HashFamily` derives `seeds(start, stop)`, `iter_maps`
-(blocks cut by `dists.blocks`), `draw_seeds` (a block of uniform seeds; one
-seed is `sample_seed`) and `as_map`, and `pushforward_blocks`, the images of
-a weight vector under every seed or a draw of seeds, from the maps.
+block of their maps; `HashFamily` derives `seeds(start, stop)`, `draw_seeds`
+(a block of uniform seeds; one seed is `sample_seed`), `seed_blocks` (every
+seed or a draw of seeds, in blocks cut by `dists.blocks`, refused past
+ENUMERATION_LIMIT seeds or samples), `iter_maps` and `as_map`, and
+`pushforward_blocks`, the images of a weight vector under every seed or a
+draw of seeds, from the maps.
 
 A linear family (`LinearFamily`) defines its digits and each seed's matrix A
 over the prime field; its maps (x to A x) are combinations of A's columns,
@@ -41,7 +43,6 @@ import numpy as np
 
 from .dists import (
     Alphabet,
-    SizeLimitError,
     blocks,
     capped_power,
     count_text,
@@ -58,7 +59,6 @@ __all__ = [
     "ExplicitFamily",
     "fit_toeplitz",
     "map_histograms",
-    "NonEnumerableError",
     "Universal2Report",
     "BalancedReport",
     "StronglyUniversal2Report",
@@ -68,7 +68,7 @@ __all__ = [
     "ENUMERATION_LIMIT",
 ]
 
-# Refuse exhaustive checks beyond this many seed maps.
+# Seeds of a sweep, or samples of a draw: the cap of `HashFamily.seed_blocks`.
 ENUMERATION_LIMIT = 2_000_000
 # Map cells (seeds x |alphabet|) of `iter_maps`, and one-hot map cells (tiles x
 # seeds x |alphabet| x M) of `_pair_counts`, whose sweep stops near 20 s at
@@ -85,10 +85,6 @@ MAPS_LIMIT = 400_000_000
 TRANSFORM_LIMIT = 250_000_000
 # Float slack of the universal_2 and strongly universal_2 checks.
 CHECK_TOL = 1e-12
-
-
-class NonEnumerableError(SizeLimitError):
-    """The seed space is too large for exact enumeration."""
 
 
 def map_histograms(maps: np.ndarray, m: int, weights) -> np.ndarray:
@@ -121,29 +117,34 @@ class HashFamily:
         return self.digit_base**self.seed_len
 
     def seeds(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The seeds of ranks start .. stop-1 (all by default), one per row."""
-        ranks = np.arange(start, self.seed_count if stop is None else stop)
-        digits = np.unravel_index(ranks, (self.digit_base,) * self.seed_len)
-        return np.stack(digits, axis=1) + self.digit_low
+        """The seeds of ranks start .. stop-1 (all by default), one per row: a
+        rank's base-`digit_base` digits, most significant first.  A rank
+        outside 0 .. seed_count - 1, or a seed space past int64, is refused."""
+        count, base = self.seed_count, self.digit_base
+        stop = count if stop is None else stop
+        if count > np.iinfo(np.int64).max:
+            raise ValueError(f"{count_text(count)} seeds do not fit int64 ranks")
+        if start < stop and (start < 0 or stop > count):
+            raise ValueError(f"seed ranks {start} .. {stop - 1} outside 0 .. {count - 1}")
+        powers = base ** np.arange(self.seed_len - 1, -1, -1)
+        return np.arange(start, stop)[:, None] // powers % base + self.digit_low
 
     def seed_blocks(self, draw: tuple[np.random.Generator, int] | None, cells: int):
         """Every seed in rank order, or for a draw (rng, count) `count` seeds
         drawn from rng, in the `dists.blocks` of `cells` cells per seed; each
-        block of drawn seeds is one `draw_seeds` call, made when the block is
-        read."""
+        block is built (one `draw_seeds` call for a draw) when it is read.
+        Refused at the call past ENUMERATION_LIMIT seeds or samples."""
         if draw is None:
-            for block in blocks(self.seed_count, cells):
-                yield self.seeds(block.start, block.stop)
-        else:
-            rng, count = draw
-            for block in blocks(count, cells):
-                yield self.draw_seeds(rng, block.stop - block.start)
+            require_work(self.seed_count, "seeds", ENUMERATION_LIMIT)
+            return (self.seeds(b.start, b.stop) for b in blocks(self.seed_count, cells))
+        rng, count = draw
+        require_work(count, "samples", ENUMERATION_LIMIT)
+        return (self.draw_seeds(rng, b.stop - b.start) for b in blocks(count, cells))
 
     def iter_maps(self):
         """The maps of every seed in rank order, in the `dists.blocks` of
-        |alphabet| cells per map; refused past the enumeration limit or
-        MAP_CELL_LIMIT map cells in all."""
-        self.require_enumerable()
+        |alphabet| cells per map; refused past MAP_CELL_LIMIT map cells in
+        all, then as `seed_blocks`."""
         require_work(self.seed_count * self.input_alphabet.size, "map cells", MAP_CELL_LIMIT)
         for block in self.seed_blocks(None, self.input_alphabet.size):
             yield self.maps_of(block)
@@ -156,7 +157,7 @@ class HashFamily:
         of a map's and a histogram's cells.  Refused before any block or drawn
         seed: for one seed's histogram over DEFAULT_MAX_CELLS, then past
         MAPS_LIMIT map cells (seeds x max(|alphabet|, M) x side symbols, what a
-        seed reads and fills), then past the enumeration limit for every seed."""
+        seed reads and fills), then as `seed_blocks`."""
         n, m, side = self.input_alphabet.size, self.output_size, np.size(weights) // len(weights)
         require_work(m * side, f"histogram cells ({m} outputs x {side} side symbols)")
         self._require_route(draw, max(n, m) * side, "map cells", MAPS_LIMIT)
@@ -165,12 +166,9 @@ class HashFamily:
 
     def _require_route(self, draw, per_seed: int, what: str, cap: int, fixed: int = 0):
         """Refuse a pushforward route of `fixed` + `per_seed` units per seed
-        (every seed, or the seeds of `draw`) past `cap`, then, when every seed
-        is swept, past the enumeration limit."""
+        (every seed, or the seeds of `draw`) past `cap`."""
         count = self.seed_count if draw is None else draw[1]
         require_work(fixed + count * per_seed, f"{what} ({count_text(count)} seeds)", cap)
-        if draw is None:
-            self.require_enumerable()
 
     def draw_seeds(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """`count` uniform seeds, one per row, drawn by one rng.integers call;
@@ -190,12 +188,6 @@ class HashFamily:
         if np.any((arr < self.digit_low) | (arr >= self.digit_low + self.digit_base)):
             raise ValueError("seed digit out of range")
         return self.maps_of(arr[None])[0]
-
-    def require_enumerable(self):
-        if self.seed_count > ENUMERATION_LIMIT:
-            raise NonEnumerableError(
-                f"{count_text(self.seed_count)} seeds exceed enumeration limit {ENUMERATION_LIMIT}"
-            )
 
 
 class FullyRandomFamily(HashFamily):
@@ -254,6 +246,7 @@ class LinearFamily(HashFamily):
         side = int(np.prod(w.shape[1:]))
         self._require_route(draw, m * self.m * e * side, "transform units", TRANSFORM_LIMIT,
                             n * self.input_alphabet.size * side)
+        seeds = self.seed_blocks(draw, m * max(n, side))
         spec = _character_transform(w.reshape(len(w), -1).T, p, -1)  # side x p^n
 
         def hists(block):
@@ -261,7 +254,7 @@ class LinearFamily(HashFamily):
             out = _character_transform(picked, p, 1).real / m
             return np.moveaxis(out, 0, -1).reshape((len(block), m) + w.shape[1:])
 
-        return map(hists, self.seed_blocks(draw, m * max(n, len(spec))))
+        return map(hists, seeds)
 
     def image_counts(self, joint: bool) -> np.ndarray:
         """counts[d, y]: the seeds whose matrix sends the symbol of index d to
@@ -357,19 +350,17 @@ class ToeplitzFamily(LinearFamily):
         return np.concatenate([x, eye], axis=2)
 
 
-def fit_toeplitz(m: int, l: int, q: int | None = None) -> ToeplitzFamily | None:
+def fit_toeplitz(m: int, l: int, q: int | None = None) -> ToeplitzFamily:
     """The Toeplitz family over F_q from M*L = q^k inputs onto M = q^m
-    outputs, or None when M and L are not such powers with 1 <= m < k.
-    Without q, the family over the first of F_2, F_3, F_5 and F_7 that fits."""
-    if q is None:
-        return next(filter(None, (fit_toeplitz(m, l, b) for b in (2, 3, 5, 7))), None)
-    if q < 2 or m < 1 or l < 1:
-        return None
-    k = round(math.log(m * l, q))
-    mm = round(math.log(m, q))
-    if q**k != m * l or q**mm != m or not 1 <= mm < k:
-        return None
-    return ToeplitzFamily(q, k, mm)
+    outputs, with 1 <= m < k; without q, over the first of F_2, F_3, F_5 and
+    F_7 that fits.  A ValueError when none fits."""
+    for b in (2, 3, 5, 7) if q is None else (q,):
+        if b >= 2 and m >= 1 and l >= 1:
+            k, mm = round(math.log(m * l, b)), round(math.log(m, b))
+            if b**k == m * l and b**mm == m and 1 <= mm < k:
+                return ToeplitzFamily(b, k, mm)
+    fields = "F_2, F_3, F_5 or F_7" if q is None else f"F_{q}"
+    raise ValueError(f"M={m}, L={l} do not fit a Toeplitz family over {fields}")
 
 
 class ExplicitFamily(HashFamily):
@@ -402,13 +393,12 @@ def _pair_counts(fam: HashFamily, joint: bool):
     (u = v = 0) those with f(a[i]) = f(b); `upper` masks the pairs b > a[i].
     counts is the Gram matrix of the one-hot seed maps summed over seed
     blocks; tiles and seed blocks are the `dists.blocks` of one symbol's
-    counts and of one one-hot map.  Seeds past the enumeration limit, one
-    symbol's counts over DEFAULT_MAX_CELLS, or more than MAP_CELL_LIMIT
-    one-hot map cells in all (each tile reads every one-hot map) are refused
-    before the sweep."""
+    counts and of one one-hot map.  One symbol's counts over
+    DEFAULT_MAX_CELLS, or more than MAP_CELL_LIMIT one-hot map cells in all
+    (each tile reads every one-hot map), are refused before the sweep, then
+    the seeds as `seed_blocks` at the first tile."""
     n, m, s = fam.input_alphabet.size, fam.output_size, fam.seed_count
     width = m if joint else 1
-    fam.require_enumerable()
     require_work(width * n * width, f"pair counts of one symbol ({width} x {n} x {width})")
     tiles = list(blocks(n, n * width * width))
     what = f"one-hot map cells ({len(tiles)} tiles x {s} seeds x {n} symbols x {m} outputs)"

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dists import JointDist, SubDist, capped_power, fsum_groups, fsum_rows, range_alphabet, require_work
-from .hashing import ENUMERATION_LIMIT, FullyRandomFamily, HashFamily
+from .hashing import FullyRandomFamily, HashFamily
 
 __all__ = [
     "EnsembleEstimate",
@@ -159,7 +159,6 @@ def _ensemble(
         )
     if mode == "mc":
         EnsembleEstimate.require_samples(n_samples)
-        require_work(n_samples, "samples", ENUMERATION_LIMIT)
         blocks = fam.pushforward_blocks(weights, (np.random.default_rng(seed), n_samples))
         return EnsembleEstimate.from_samples([v for rows in blocks for v in values_of(rows)])
     raise ValueError(f"unknown mode {mode!r}")

@@ -162,7 +162,6 @@ def kernel_counts(fam) -> np.ndarray:
     not the identity, is refused.  `ToeplitzFamily.kernel_counts` as the
     library once counted universal_2 collisions: the oracle for the kernel
     column of `LinearFamily.image_counts`."""
-    fam.require_enumerable()
     p, e = fam.field.prime, fam.field.degree
     n, r = fam.k * e, (fam.k - fam.m) * e
     require_work(fam.seed_count * p**r, "kernel vectors", KERNEL_VECTOR_LIMIT)

@@ -534,10 +534,19 @@ class TestOversizedInputs:
 
     def test_enumeration_limit_is_a_size_limit(self, runner):
         res = runner.invoke(
+            cli, ["hash", "check", "--family", "fullrandom", "--size", "7", "--M", "8"]
+        )
+        assert res.exit_code == 3, res.output
+        assert "size limit exceeded: 2097152 seeds exceed cap 2000000" in res.output
+        # past the one-hot cap too, which the strong check reads first
+        res = runner.invoke(
             cli, ["hash", "check", "--family", "fullrandom", "--size", "8", "--M", "8"]
         )
         assert res.exit_code == 3, res.output
-        assert "16777216 seeds exceed enumeration limit" in res.output
+        assert (
+            "1073741824 one-hot map cells (1 tiles x 16777216 seeds x 8 symbols x 8 outputs)"
+            " exceed cap 1000000000"
+        ) in res.output
 
 
 class TestIntrinsicCommand:
@@ -633,6 +642,15 @@ class TestDistillCommand:
         payload = json.loads(res.output)
         assert payload["d1"] <= payload["bound_d1_ensemble"] + 1e-12
         assert payload["rate"] > 0
+
+    def test_sizes_that_fit_no_toeplitz_family(self, runner):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        res = runner.invoke(cli, ["distill", "--pab", str(inputs / "pab.json"),
+                                  "--pae", str(inputs / "pae.json"), "--M", "2", "--L", "1"])
+        assert res.exit_code == 2, res.output
+        assert (
+            "invalid input: M=2, L=1 do not fit a Toeplitz family over F_2, F_3, F_5 or F_7"
+        ) in res.output
 
 
 def _channel_file(path, w) -> str:

@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from secexp import dists, hashing
-from secexp.dists import DEFAULT_MAX_CELLS, Alphabet, SizeLimitError, range_alphabet
+from secexp.dists import DEFAULT_MAX_CELLS, Alphabet, SizeLimitError, SubDist, range_alphabet
 from secexp.gf import Field, Module
 from secexp.hashing import (
     ExplicitFamily,
     FullyRandomFamily,
+    HashFamily,
     LinearFamily,
-    NonEnumerableError,
     ToeplitzFamily,
     check_balanced,
     check_strongly_universal2,
     check_universal2,
     fit_toeplitz,
 )
+from secexp.privacy import expected_d1
 
 from conftest import assert_bit_equal, balanced_by_maps, image_counts_by_maps, kernel_counts
 
@@ -246,8 +247,14 @@ class TestToeplitzEval:
         ],
     )
     def test_fit_toeplitz(self, m, l, q, shape):
-        fam = fit_toeplitz(m, l, q)
-        assert (None if fam is None else (fam.q, fam.k, fam.m)) == shape
+        if shape is None:
+            fields = "F_2, F_3, F_5 or F_7" if q is None else f"F_{q}"
+            with pytest.raises(ValueError) as err:
+                fit_toeplitz(m, l, q)
+            assert str(err.value) == f"M={m}, L={l} do not fit a Toeplitz family over {fields}"
+        else:
+            fam = fit_toeplitz(m, l, q)
+            assert (fam.q, fam.k, fam.m) == shape
 
 
 class FullToeplitzFamily(LinearFamily):
@@ -483,7 +490,7 @@ class TestConditions:
 
     def test_enumeration_limit(self):
         fam = FullyRandomFamily(range_alphabet(30), 4)
-        with pytest.raises(NonEnumerableError):
+        with pytest.raises(SizeLimitError):
             check_universal2(fam)
 
 
@@ -525,16 +532,30 @@ def small_families():
     ]
 
 
+def _ones_pushforward(fam):
+    return fam.pushforward_blocks(np.ones(fam.input_alphabet.size))
+
+
 class TestSeedInterface:
     @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
     def test_seeds_follow_product_order(self, fam):
         digits = range(fam.digit_low, fam.digit_low + fam.digit_base)
         expect = [list(s) for s in itertools.product(digits, repeat=fam.seed_len)]
         assert fam.seeds().tolist() == expect
+        assert fam.seeds().dtype == np.int64
         assert fam.seeds(1, 3).tolist() == expect[1:3]
         assert len(expect) == fam.seed_count
         with pytest.raises(ValueError):
             fam.seeds(0, fam.seed_count + 1)
+        with pytest.raises(ValueError):
+            fam.seeds(-1, 1)
+        assert fam.seeds(2, 2).shape == (0, fam.seed_len)
+
+    def test_seeds_past_int64_are_refused(self):
+        with pytest.raises(ValueError):
+            FullyRandomFamily(range_alphabet(40), 4).seeds(0, 5)
+        # 4^31 = 2^62 seeds still have int64 ranks
+        assert FullyRandomFamily(range_alphabet(31), 4).seeds(1, 2).tolist() == [[1] * 30 + [2]]
 
     @pytest.mark.parametrize("fam", small_families(), ids=lambda f: type(f).__name__)
     def test_as_map_is_maps_of_one_seed(self, fam):
@@ -604,21 +625,36 @@ class TestSeedInterface:
             ExplicitFamily(range_alphabet(3), 2, [])
 
     @pytest.mark.parametrize(
-        "fam, shown",
-        [(FullyRandomFamily(range_alphabet(10), 8),  # 8^10 seeds x 10 symbols
+        "refuse, shown",
+        [(lambda: _ones_pushforward(FullyRandomFamily(range_alphabet(10), 8)),
+          # 8^10 seeds x 10 symbols
           "10737418240 map cells (1073741824 seeds) exceed cap 400000000"),
-         (ToeplitzFamily(2, 17, 9),  # 17 x 2^17 + 2^16 seeds x 2^9 x 9 units
-          "304218112 transform units (65536 seeds) exceed cap 250000000")],
-        ids=["maps", "transform"],
+         (lambda: _ones_pushforward(ToeplitzFamily(2, 17, 9)),
+          # 17 x 2^17 + 2^16 seeds x 2^9 x 9 units
+          "304218112 transform units (65536 seeds) exceed cap 250000000"),
+         # 8^7 seeds: under every work cap of these sweeps, past ENUMERATION_LIMIT
+         *[(lambda sweep=sweep: sweep(FullyRandomFamily(range_alphabet(7), 8)),
+            "2097152 seeds exceed cap 2000000")
+           for sweep in (lambda f: list(f.iter_maps()), _ones_pushforward, check_universal2,
+                         check_strongly_universal2, check_balanced)],
+         (lambda: expected_d1(SubDist.uniform(range_alphabet(3)),
+                              FullyRandomFamily(range_alphabet(3), 2), mode="mc", n_samples=2_000_001),
+          "2000001 samples exceed cap 2000000"),
+         # 20 x 2^20 + 2^19 seeds x 2^12 outputs x 12 digits
+         (lambda: check_universal2(ToeplitzFamily(2, 20, 12)),
+          "25790775296 transform units (524288 seeds) exceed cap 250000000")],
+        ids=["maps", "transform", "seeds-iter_maps", "seeds-pushforward_blocks", "seeds-universal2",
+             "seeds-strongly_universal2", "seeds-balanced", "samples", "image_counts"],
     )
-    def test_pushforward_blocks_refuse_when_called(self, fam, shown, monkeypatch):
-        # a direct call is refused at once, before any block or seed is built
+    def test_pushforward_blocks_refuse_when_called(self, refuse, shown, monkeypatch):
+        # every sweep is refused at the call, before any block or seed is built
         def no_seeds(*args):
-            raise AssertionError("seeds built before the route cap was checked")
+            raise AssertionError("seeds built before the caps were checked")
 
-        monkeypatch.setattr(type(fam), "seeds", no_seeds)
+        monkeypatch.setattr(HashFamily, "seeds", no_seeds)
+        monkeypatch.setattr(HashFamily, "draw_seeds", no_seeds)
         with pytest.raises(SizeLimitError) as err:
-            fam.pushforward_blocks(np.ones(fam.input_alphabet.size))
+            refuse()
         assert str(err.value) == shown
 
 

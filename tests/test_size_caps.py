@@ -2,9 +2,9 @@
 
 `dists.require_work` is the one check behind every cap, with one message
 form, "{units} {what} exceed cap {cap}"; `dists.capped_power` (its walk over
-partial products) and `HashFamily.require_enumerable` (`NonEnumerableError`)
-are the only other places a size error is built.  One case per call site
-below reaches its cap through the public API, at the real cap values.
+partial products) is the only other place a size error is built.  One case
+per call site below reaches its cap through the public API, at the real cap
+values.
 """
 
 import ast
@@ -123,10 +123,14 @@ CASES = [
      lambda: expected_d1(_uniform(2), FullyRandomFamily(range_alphabet(2), 2**20),
                          mode="mc", n_samples=382),
      "400556032 map cells (382 seeds) exceed cap 400000000"),
-    ("privacy._ensemble samples",
+    ("hashing.HashFamily.seed_blocks samples",
      lambda: expected_d1(_uniform(3), FullyRandomFamily(range_alphabet(3), 2),
                          mode="mc", n_samples=2_000_001),
      "2000001 samples exceed cap 2000000"),
+    # 8^7 seeds, under the one-hot cap of the pair counts
+    ("hashing.HashFamily.seed_blocks seeds",
+     lambda: check_universal2(FullyRandomFamily(range_alphabet(7), 8)),
+     "2097152 seeds exceed cap 2000000"),
     ("privacy._subset_law",
      lambda: expected_d1_conditional(_joint(20, 2), FullyRandomFamily(range_alphabet(20), 2)),
      "2097152 subset cells (2^20 subsets x 2 side symbols) exceed cap 1048576"),
@@ -159,12 +163,12 @@ def test_each_cap_refuses_in_one_form(refuse, message):
 
 
 # The only functions that may build a size error.
-_BUILDERS = {"require_work", "capped_power", "HashFamily.require_enumerable"}
+_BUILDERS = {"require_work", "capped_power"}
 
 
 def _size_error_sites(tree: ast.Module):
     """(qualified name of the enclosing function, line) of every call of
-    SizeLimitError or NonEnumerableError in a module."""
+    SizeLimitError in a module."""
     sites = []
 
     def visit(node, scope):
@@ -175,7 +179,7 @@ def _size_error_sites(tree: ast.Module):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("SizeLimitError", "NonEnumerableError"):
+                if name == "SizeLimitError":
                     sites.append((scope, child.lineno))
             visit(child, inner)
 
@@ -195,20 +199,22 @@ def test_size_errors_are_built_only_by_the_one_check():
 def test_the_scan_sees_a_stray_raise():
     tree = ast.parse(
         "def f(n):\n    if n > 3:\n        raise SizeLimitError('too big')\n"
-        "class H:\n    def require_enumerable(self):\n        raise NonEnumerableError('x')\n"
+        "class H:\n    def seed_blocks(self):\n        raise SizeLimitError('x')\n"
     )
-    assert _size_error_sites(tree) == [("f", 3), ("H.require_enumerable", 6)]
+    assert _size_error_sites(tree) == [("f", 3), ("H.seed_blocks", 6)]
 
 
 def test_folded_caps_and_helpers_are_gone():
     texts = [p.read_text() for p in _SRC.glob("*.py")] + [(_ROOT / "README.md").read_text()]
     for name in ("SUBSET_LIMIT", "MAX_SWEEP_CELLS", "ENSEMBLE_COMBO_LIMIT", "_require_route_work",
-                 "KERNEL_VECTOR_LIMIT", "kernel_counts", "collision_counts"):
+                 "KERNEL_VECTOR_LIMIT", "kernel_counts", "collision_counts", "NonEnumerableError",
+                 "require_enumerable"):
         assert not any(name in text for text in texts), name
     assert "def _require_work" not in (_SRC / "hashing.py").read_text()
     # each route cap lives with the code that does the work
     privacy = (_SRC / "privacy.py").read_text()
     assert "LinearFamily" not in privacy
-    assert not any(name in privacy for name in ("MAPS_LIMIT", "TRANSFORM_LIMIT"))
+    assert not any(name in privacy for name in ("MAPS_LIMIT", "TRANSFORM_LIMIT", "ENUMERATION_LIMIT"))
     assert "GRID_INTERVALS" not in (_SRC / "figures.py").read_text()
     assert (hashing.MAPS_LIMIT, hashing.TRANSFORM_LIMIT) == (400_000_000, 250_000_000)
+    assert hashing.ENUMERATION_LIMIT == 2_000_000
