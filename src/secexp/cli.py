@@ -7,7 +7,9 @@ the same seed produce byte-identical files.
 
 Exit codes: 0 success, 2 validation error (an input that cannot be read or an
 --out path that cannot be written included), 3 size-limit error, 4 broken
-internal invariant (the message names it).
+internal invariant (the message names it), 1 a fault of the program (a
+traceback: an exception of another kind, or a ValueError raised outside
+secexp).
 """
 
 from __future__ import annotations
@@ -99,49 +101,61 @@ def _emit_json(payload, out: str):
     _write(json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n", out)
 
 
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return format(v + 0.0, _FLOAT_FMT)
+    return "" if v is None else str(v)
+
+
 def _emit_csv(header_lines, rows, columns, out: str):
     parts = [f"# {line}" for line in header_lines]
     parts.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(format(v + 0.0, _FLOAT_FMT))
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        parts.append(",".join(cells))
+    parts.extend(",".join(map(_cell, row)) for row in rows)
     _write("\n".join(parts) + "\n", out)
 
 
-def _handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except SizeLimitError as e:
-            click.echo(f"size limit exceeded: {e}", err=True)
-            sys.exit(3)
-        except ValueError as e:
-            click.echo(f"invalid input: {e}", err=True)
-            sys.exit(2)
-        except InvariantError as e:
-            click.echo(f"internal invariant broken: {e}", err=True)
-            sys.exit(4)
+class _Refusals(click.Group):
+    """The root group: every command's refusals leave with their exit codes."""
 
-    return wrapper
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SizeLimitError as e:
+            code, message = 3, f"size limit exceeded: {e}"
+        except ValueError as e:
+            tb = e.__traceback__
+            while tb.tb_next is not None:  # to the frame that raised it
+                tb = tb.tb_next
+            if tb.tb_frame.f_globals.get("__package__") != __package__:
+                raise  # numpy's or another library's own: a program fault, exit 1
+            code, message = 2, f"invalid input: {e}"
+        except InvariantError as e:
+            code, message = 4, f"internal invariant broken: {e}"
+        click.echo(message, err=True)
+        sys.exit(code)
+
+
+def _options(*options):
+    """One decorator for options listed in the order --help shows them."""
+    return lambda f: functools.reduce(lambda g, option: option(g), reversed(options), f)
+
+
+def _ensemble_options(samples: int):
+    """--mode, --samples (default `samples`) and --seed of an exact or sampled ensemble."""
+    return _options(
+        click.option("--mode", type=click.Choice(["exact", "mc"]), default="exact",
+                     show_default=True),
+        click.option("--samples", default=samples, show_default=True, type=int),
+        click.option("--seed", default=0, show_default=True, type=int, help="64-bit RNG seed."),
+    )
 
 
 out_option = click.option(
     "--out", default="-", show_default=True, help="Output path ('-' = stdout)."
 )
-seed_option = click.option(
-    "--seed", default=0, show_default=True, type=int, help="64-bit RNG seed."
-)
 
 
-@click.group()
+@click.group(cls=_Refusals)
 def cli():
     """Secrecy bounds and exponents at exactly enumerable scale."""
 
@@ -150,7 +164,6 @@ def cli():
 @click.option("--dist", "dist_path", required=True, help="Distribution JSON.")
 @click.option("--s", "s_values", multiple=True, type=float, help="Extra Renyi orders 1+s.")
 @out_option
-@_handle_errors
 def entropy(dist_path, s_values, out):
     """Entropy summary of a distribution (nats)."""
     if not all(math.isfinite(s) for s in s_values):
@@ -184,7 +197,6 @@ def entropy(dist_path, s_values, out):
     show_default=True,
 )
 @out_option
-@_handle_errors
 def exponent(dist_path, joint_path, rate, form, out):
     """Exponent and bound evaluations at a given rate."""
     if not math.isfinite(rate):
@@ -195,19 +207,14 @@ def exponent(dist_path, joint_path, rate, form, out):
         j = load_joint(joint_path)
         phi_res = conditional_exponent_phi(j, rate)
         pin_res = conditional_exponent_pinsker(j, rate)
-        _emit_json(
-            {
-                "form": form,
-                "R": rate,
-                "phi_form": {"value": phi_res.value, "argmax_t": phi_res.argmax},
-                "pinsker_form": {"value": pin_res.value, "argmax_s": pin_res.argmax},
-            },
-            out,
-        )
-        return
-    if dist_path is None:
+        payload = {
+            "phi_form": {"value": phi_res.value, "argmax_t": phi_res.argmax},
+            "pinsker_form": {"value": pin_res.value, "argmax_s": pin_res.argmax},
+        }
+    elif dist_path is None:
         raise InputValidationError("--dist is required for this form")
-    p = load_subdist(dist_path)
+    else:
+        p = load_subdist(dist_path)
     if form == "universal":
         res = universal_exponent(p, rate)
         payload = {"value": res.value, "argmax_s": res.argmax}
@@ -226,7 +233,7 @@ def exponent(dist_path, joint_path, rate, form, out):
             "diverges": res.diverges,
             "note": res.note,
         }
-    else:  # hr
+    elif form == "hr":
         hr = holenstein_renner_exponents(p, rate)
         payload = {
             "lower": hr.lower,
@@ -250,7 +257,6 @@ def exponent(dist_path, joint_path, rate, form, out):
     show_default=True,
 )
 @out_option
-@_handle_errors
 def figure(figure_id, points, fmt, out):
     """Reproduce the comparison-curve data for one reference figure."""
     data = figure_sweep(int(figure_id), points)
@@ -278,25 +284,27 @@ def _family_from_flags(kind, q, k, m, big_m, alphabet):
     return FullyRandomFamily(alphabet, big_m)
 
 
+def _family_options(family: str):
+    """--family (default `family`) and the sizes `_family_from_flags` reads."""
+    return _options(
+        click.option("--family", type=click.Choice(["toeplitz", "fullrandom"]), default=family,
+                     show_default=True),
+        click.option("--q", type=int, help="Field size (toeplitz)."),
+        click.option("--k", type=int, help="Input length over F_q (toeplitz)."),
+        click.option("--m", type=int, help="Output length over F_q (toeplitz)."),
+        click.option("--M", "big_m", type=int, help="Output size (fullrandom)."),
+    )
+
+
 @cli.group(name="hash")
 def hash_group():
     """Hash-family utilities."""
 
 
 @hash_group.command(name="check")
-@click.option(
-    "--family",
-    type=click.Choice(["toeplitz", "fullrandom"]),
-    default="toeplitz",
-    show_default=True,
-)
-@click.option("--q", type=int, help="Field size (toeplitz).")
-@click.option("--k", type=int, help="Input length over F_q (toeplitz).")
-@click.option("--m", type=int, help="Output length over F_q (toeplitz).")
+@_family_options("toeplitz")
 @click.option("--size", type=int, help="Input alphabet size (fullrandom).")
-@click.option("--M", "big_m", type=int, help="Output size (fullrandom).")
 @out_option
-@_handle_errors
 def hash_check(family, q, k, m, size, big_m, out):
     """Exhaustively check the ensemble conditions of a hash family."""
     alphabet = range_alphabet(size) if size is not None else None
@@ -328,26 +336,9 @@ def simulate():
 
 @simulate.command(name="pa")
 @click.option("--dist", "dist_path", required=True, help="Source distribution JSON.")
-@click.option(
-    "--family",
-    type=click.Choice(["toeplitz", "fullrandom"]),
-    default="fullrandom",
-    show_default=True,
-)
-@click.option("--q", type=int)
-@click.option("--k", type=int)
-@click.option("--m", type=int)
-@click.option("--M", "big_m", type=int, help="Output size.")
-@click.option(
-    "--mode",
-    type=click.Choice(["exact", "mc"]),
-    default="exact",
-    show_default=True,
-)
-@click.option("--samples", default=1000, show_default=True, type=int)
-@seed_option
+@_family_options("fullrandom")
+@_ensemble_options(samples=1000)
 @out_option
-@_handle_errors
 def simulate_pa(dist_path, family, q, k, m, big_m, mode, samples, seed, out):
     """Hashed-source distinguishability against its bounds."""
     p = load_subdist(dist_path)
@@ -382,14 +373,9 @@ def simulate_pa(dist_path, family, q, k, m, big_m, mode, samples, seed, out):
 @click.option("--M", "big_m", required=True, type=int, help="Message count.")
 @click.option("--L", "big_l", required=True, type=int, help="Sacrificed size.")
 @click.option("--n", default=1, show_default=True, type=int, help="Channel uses.")
-@click.option(
-    "--mode", type=click.Choice(["exact", "mc"]), default="exact", show_default=True
-)
-@click.option("--samples", default=200, show_default=True, type=int)
 @click.option("--q", type=int, help="Hash field size (default: first fit of 2, 3, 5, 7).")
-@seed_option
+@_ensemble_options(samples=200)
 @out_option
-@_handle_errors
 def simulate_wiretap(
     wb_path, we_path, big_m, big_l, n, mode, samples, q, seed, out
 ):
@@ -428,7 +414,6 @@ def simulate_wiretap(
 @click.option("--n", "n_uses", required=True, type=int, help="Extension power.")
 @click.option("--M", "big_m", required=True, type=int, help="Output size.")
 @out_option
-@_handle_errors
 def intrinsic_cmd(dist_path, n_uses, big_m, out):
     """Source-specialized map: exact distance, guarantee, and floor."""
     p = load_subdist(dist_path)
@@ -452,13 +437,8 @@ def intrinsic_cmd(dist_path, n_uses, big_m, out):
 @click.option("--L", "big_l", required=True, type=int)
 @click.option("--module-q", default=2, show_default=True, type=int)
 @click.option("--module-n", default=1, show_default=True, type=int)
-@click.option(
-    "--mode", type=click.Choice(["exact", "mc"]), default="exact", show_default=True
-)
-@click.option("--samples", default=200, show_default=True, type=int)
-@seed_option
+@_ensemble_options(samples=200)
 @out_option
-@_handle_errors
 def distill_cmd(
     pab_path, pae_path, big_m, big_l, module_q, module_n, mode, samples, seed, out
 ):
@@ -466,10 +446,7 @@ def distill_cmd(
     pab = load_joint(pab_path)
     pae = load_joint(pae_path)
     tri = CorrelationTriple(pab, pae, Module(module_q, module_n))
-    report = run_distillation(
-        tri, big_m, big_l, mode=mode, n_samples=samples, seed=seed
-    )
-    _emit_json(report._asdict(), out)
+    _emit_json(run_distillation(tri, big_m, big_l, mode=mode, n_samples=samples, seed=seed), out)
 
 
 def main():

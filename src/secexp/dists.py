@@ -160,6 +160,7 @@ def range_alphabet(m: int) -> Alphabet:
     """The output alphabet {1, ..., m} with string labels."""
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
+    require_work(m, "alphabet symbols")
     return Alphabet(tuple(str(i) for i in range(1, m + 1)))
 
 

@@ -172,4 +172,5 @@ def figure_sweep(figure_id: int, points: int = 50) -> FigureData:
         raise ValueError(f"unknown figure id {figure_id}")
     if points < 2:
         raise ValueError("need at least 2 sweep points")
+    require_work(points, "sweep points")  # before any grid of them is built
     return sweeps[figure_id](points)

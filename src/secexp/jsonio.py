@@ -89,9 +89,11 @@ def _check_numbers(values, what: str, path: str, nonempty: bool = True):
         if type(v) not in (int, float):
             _fail(what, f"{path}/{i}", f"{v!r} is not of type 'number'")
         try:
-            float(v)
+            finite = math.isfinite(v)
         except OverflowError:
             _fail(what, f"{path}/{i}", "integer too large, not a finite number")
+        if not finite:
+            _fail(what, f"{path}/{i}", f"{v!r} is not a finite number")
 
 
 def _check_number_rows(rows, what: str, path: str, nonempty: bool = True):
@@ -182,22 +184,16 @@ def parse_channel(obj) -> Channel:
 
 
 def _load(path: str):
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{text} is not a finite number")
-        return value
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh)
     except OSError as e:  # missing, a directory, unreadable
         raise InputValidationError(f"{path}: cannot be read: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise InputValidationError(
             f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    except ValueError as e:  # a non-finite number, or an integer past the digit limit
+    except ValueError as e:  # an integer past the digit limit
         raise InputValidationError(f"{path}: {e}") from None
 
 

@@ -46,10 +46,13 @@ class EnsembleEstimate(NamedTuple):
     n_samples: int | None = None
 
     @staticmethod
-    def require_samples(n: int):
-        """Refuse a Monte Carlo count below 2, before any sample is drawn."""
+    def require_samples(n: int, seed: int = 0):
+        """Refuse a Monte Carlo count below 2 or a negative seed, before any
+        sample is drawn."""
         if n < 2:
             raise ValueError("Monte Carlo mode needs at least 2 samples")
+        if seed < 0:
+            raise ValueError(f"Monte Carlo seed {seed} is negative")
 
     @classmethod
     def from_samples(cls, values) -> "EnsembleEstimate":
@@ -158,7 +161,7 @@ def _ensemble(
             value=math.fsum(values) / fam.seed_count, stderr=None, mode="exact"
         )
     if mode == "mc":
-        EnsembleEstimate.require_samples(n_samples)
+        EnsembleEstimate.require_samples(n_samples, seed)
         blocks = fam.pushforward_blocks(weights, (np.random.default_rng(seed), n_samples))
         return EnsembleEstimate.from_samples([v for rows in blocks for v in values_of(rows)])
     raise ValueError(f"unknown mode {mode!r}")

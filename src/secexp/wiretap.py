@@ -543,7 +543,7 @@ def wiretap_ensemble_mc(
     one (codebook, seed) entry of the exact ensemble, under the same caps,
     checked after the count and before the family; the drawn codes are
     evaluated a kernel block at a time."""
-    EnsembleEstimate.require_samples(n_samples)
+    EnsembleEstimate.require_samples(n_samples, seed)
     _require_entries(n_samples, "samples", m, l, wb, we)
     _require_conditions(p, m, l, fam)
     rng = np.random.default_rng(seed)

@@ -6,12 +6,15 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import secexp
 from secexp.cli import cli
+
+_GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 @pytest.fixture
@@ -756,6 +759,50 @@ class TestBrokenInvariantExit4:
         assert "internal invariant broken: specialized-map cell budget exceeded: 5 > 4" in res.output
 
 
+class TestProgramFaultExit1:
+    """A ValueError raised outside secexp is a fault of the program, not of
+    its input: it leaves with its traceback and exit 1, not as exit 2."""
+
+    def test_numpy_value_error(self, runner, monkeypatch):
+        # numpy._core.function_base raises for a negative sample count
+        monkeypatch.setattr(secexp.cli, "figure_sweep", lambda fig, points: np.linspace(0, 1, -1))
+        res = runner.invoke(cli, ["figure", "--id", "4"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, ValueError)
+        assert "invalid input" not in res.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "pa", "--dist", "skew3.json", "--M", "2"],
+            ["simulate", "wiretap", "--wb", "wb.json", "--we", "we.json", "--M", "2", "--L", "2"],
+            ["distill", "--pab", "pab.json", "--pae", "pae.json", "--M", "2", "--L", "2"],
+        ],
+    )
+    def test_negative_seed_is_refused_before_numpy(self, runner, args):
+        # numpy's SeedSequence would raise its own ValueError for it: exit 1
+        args = [str(_GOLDEN_INPUTS / a) if a.endswith(".json") else a for a in args]
+        res = runner.invoke(cli, args + ["--mode", "mc", "--seed", "-1"])
+        assert res.exit_code == 2, res.output
+        assert "invalid input: Monte Carlo seed -1 is negative" in res.output
+
+    @pytest.mark.parametrize(
+        "args, shown",
+        [
+            # past the cap, np.linspace allocates (or refuses) before the grid cap
+            (["figure", "--id", "2", "--points", "1048577"],
+             "1048577 sweep points exceed cap 1048576"),
+            # past the cap, the labels of an alphabet fill memory before the seed cap
+            (["hash", "check", "--family", "fullrandom", "--size", "1048577", "--M", "2"],
+             "1048577 alphabet symbols exceed cap 1048576"),
+        ],
+    )
+    def test_sizes_are_refused_before_any_array(self, runner, args, shown):
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 3, res.output
+        assert f"size limit exceeded: {shown}" in res.output
+
+
 class TestErrorsAndDeterminism:
     def test_malformed_json_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -808,7 +855,7 @@ class TestErrorsAndDeterminism:
         assert f"invalid input: {path}: {shown}" in res.output
 
 
-_INPUTS = sorted(str(p) for p in (Path(__file__).parent / "golden" / "inputs").glob("*.json"))
+_INPUTS = sorted(str(p) for p in _GOLDEN_INPUTS.glob("*.json"))
 _INT, _FLOAT, _PATH, _OUT = "int", "float", "path", "out"
 _MODES = ["exact", "mc"]
 _FAMILIES = ["toeplitz", "fullrandom"]

@@ -53,6 +53,17 @@ class TestNumberArrayMessages:
                 {"alphabet": ["a", "b"], "mass": [0, 10**330]},
                 "distribution: field mass/1: integer too large, not a finite number",
             ),
+            (
+                parse_subdist,
+                {"alphabet": ["a", "b"], "mass": [float("nan"), 0.5]},
+                "distribution: field mass/0: nan is not a finite number",
+            ),
+            (
+                parse_channel,
+                {"input_alphabet": ["0"], "output_alphabet": ["0", "1"],
+                 "matrix": [[0.5, float("-inf")]]},
+                "channel: field matrix/0/1: -inf is not a finite number",
+            ),
         ],
     )
     def test_first_bad_entry_is_reported(self, parse, obj, message):

@@ -91,6 +91,10 @@ CASES = [
      "1049600 grid cells (1024 rates x 1025 orders) exceed cap 1048576"),
     ("figures.figure_sweep", lambda: figure_sweep(2, 1024),
      "1049600 grid cells (1024 rates x 1025 orders) exceed cap 1048576"),
+    ("dists.range_alphabet", lambda: range_alphabet(2**20 + 1),
+     "1048577 alphabet symbols exceed cap 1048576"),
+    ("figures.figure_sweep points", lambda: figure_sweep(2, 2**20 + 1),
+     "1048577 sweep points exceed cap 1048576"),
     ("figures._figure6", lambda: figure_sweep(6, 101),
      "101 points of figure 6 (n = 20, 40, .. up to 2000) exceed cap 100"),
     ("hashing.HashFamily.iter_maps", lambda: list(ToeplitzFamily(2, 17, 1).iter_maps()),
