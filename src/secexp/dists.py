@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ __all__ = [
     "product_alphabet",
     "fsum_rows",
     "fsum_groups",
+    "grid_argmax",
     "l1_distance",
     "d1_uniformity",
     "l2_distance",
@@ -250,7 +250,7 @@ class SubDist:
 class JointDist:
     """A joint probability distribution over (secret alphabet x side alphabet)."""
 
-    __slots__ = ("alphabet_a", "alphabet_e", "mass")
+    __slots__ = ("alphabet_a", "alphabet_e", "mass", "_given_e")
 
     def __init__(self, alphabet_a: Alphabet, alphabet_e: Alphabet, mass):
         arr = masses(mass, (alphabet_a.size, alphabet_e.size), "joint mass")
@@ -260,6 +260,7 @@ class JointDist:
         self.alphabet_a = alphabet_a
         self.alphabet_e = alphabet_e
         self.mass = arr
+        self._given_e = None
 
     @classmethod
     def independent(cls, pa: SubDist, pe: SubDist) -> "JointDist":
@@ -271,13 +272,15 @@ class JointDist:
     def marginal_e(self) -> SubDist:
         return SubDist(self.alphabet_e, self.mass.sum(axis=0))
 
-    def conditional_a_given_e(self) -> np.ndarray:
-        """Columnwise conditionals P(a|e); all-zero columns stay zero."""
-        pe = self.mass.sum(axis=0)
-        out = np.zeros_like(self.mass)
-        pos = pe > 0.0
-        out[:, pos] = self.mass[:, pos] / pe[pos]
-        return out
+    def given_e(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P(e), P(a|e)) over the e with P(e) > 0, built on the first call
+        (the mass is read-only).  The column index leaves P(a|e)
+        column-major, which fixes the digits of its sums."""
+        if self._given_e is None:
+            pe = self.mass.sum(axis=0)
+            pos = pe > 0.0
+            self._given_e = pe[pos], self.mass[:, pos] / pe[pos]
+        return self._given_e
 
 
 def _require_same_alphabet(p: SubDist, q: SubDist):
@@ -417,9 +420,9 @@ def log_fsum_by_order(s, terms, cells: int):
     Contract: the exact value F(o) = log sum of the terms is convex in the
     order o.  Every caller's is: a log-sum of exp-affine terms (`renyi_tilde`,
     `cond_renyi_tilde`, `psi_channel`), or of perspectives (1-t) h(1/(1-t))
-    of convex log-sums h (`phi_cond`, `phi_channel`).  Inside `screening`,
-    a call on the screen's number of orders with at least _KERNEL_MIN_ROW
-    cells sums one order in the screen's stride exactly and returns a side
+    of convex log-sums h (`phi_cond`, `phi_channel`).  Under `grid_argmax`,
+    a call on the grid's number of orders with at least _KERNEL_MIN_ROW
+    cells sums one order in _SCREEN_STRIDE exactly and returns a side
     of the bracket `_convex_bracket` builds from them, widened by its
     derived rounding margin, instead of the exact values (see `_Screen`).
     """
@@ -440,6 +443,8 @@ def _log_fsums(orders: np.ndarray, terms, cells: int) -> np.ndarray:
     return np.array(list(map(math.log, sums)))
 
 
+# The grid orders a screened kernel call sums exactly: one in this many.
+_SCREEN_STRIDE = 16
 # Below this lower bound a log-sum may hold summands that underflowed and
 # were then raised to a power under 1, an error the bracket's margin does not
 # cover; such grids are summed exactly.
@@ -492,19 +497,19 @@ def _convex_bracket(orders: np.ndarray, knots: np.ndarray, f: np.ndarray, cells:
 
 
 class _Screen:
-    """The state of one screened grid call of the 1-D optimizer.
+    """The state of one screened grid call of `grid_argmax`.
 
     The first kernel call on `points` orders of at least _KERNEL_MIN_ROW
-    cells sums only the knots (every `stride`-th order and the last)
+    cells sums only the knots (every _SCREEN_STRIDE-th order and the last)
     exactly; if `_convex_bracket` holds there it keeps the bracket and
     returns its lower side, else it sums the other orders too and returns
     the exact values.  After `side` is set to 1 (and `calls` to 0) the
     first such call returns the upper side.  Every later one is summed
-    exactly; `calls` counts them all, so the optimizer can tell an
+    exactly; `calls` counts them all, so `grid_argmax` can tell an
     objective that made more than one."""
 
-    def __init__(self, points: int, stride: int):
-        self.points, self.stride = points, stride
+    def __init__(self, points: int):
+        self.points = points
         self.calls, self.side = 0, 0
         self.bracket = None
 
@@ -515,7 +520,7 @@ class _Screen:
         if self.side == 1 or self.calls > 1:
             return _log_fsums(orders, terms, cells)
         is_knot = np.zeros(orders.size, dtype=bool)
-        is_knot[:: self.stride] = is_knot[-1] = True  # np.unique would import numpy.ma
+        is_knot[::_SCREEN_STRIDE] = is_knot[-1] = True  # np.unique would import numpy.ma
         knots = np.flatnonzero(is_knot)
         at_knots = _log_fsums(orders[knots], terms, cells)
         bracket = _convex_bracket(orders, knots, at_knots, cells)
@@ -531,16 +536,36 @@ class _Screen:
 _screen: _Screen | None = None
 
 
-@contextmanager
-def screening(points: int, stride: int):
-    """Screen the kernel calls on `points` orders made inside the block (see
-    `_Screen`); yields the screen."""
+def grid_argmax(fn, grid: np.ndarray) -> np.ndarray:
+    """Each row's first argmax of `fn` over the grid, the exhaustive grid's,
+    from exact values at few points (`fn(grid)` is reshaped to (K, rows)).
+
+    Under a `_Screen` the first call gets the lower side of the kernel's
+    convexity bracket and the second its upper side.  Each objective is
+    monotone in its one kernel value, so the two bracket every value of the
+    exhaustive grid, and one array call evaluates the points whose bracket
+    reaches their row's best lower end.  An objective with no screened
+    kernel call gave the exhaustive grid already; one with more than one,
+    or a value that is not finite, is evaluated on the whole grid again,
+    after the outer screen is restored.
+    """
     global _screen
-    outer, _screen = _screen, _Screen(points, stride)
+    values = lambda orders: np.asarray(fn(orders), dtype=float).reshape(len(orders), -1)
+    outer, _screen = _screen, (screen := _Screen(len(grid)))
     try:
-        yield _screen
+        first = values(grid)
+        if screen.bracket is None:
+            return np.argmax(first, axis=0)
+        if screen.calls == 1:
+            screen.calls, screen.side = 0, 1
+            second = values(grid)
     finally:
         _screen = outer
+    if screen.calls != 1 or not np.isfinite([first, second]).all():
+        return np.argmax(values(grid), axis=0)
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    points = np.flatnonzero((high >= low.max(axis=0)).any(axis=1))
+    return points[np.argmax(values(grid[points]), axis=0)]
 
 
 def renyi_tilde(p: SubDist, s):
@@ -548,13 +573,28 @@ def renyi_tilde(p: SubDist, s):
 
     Concave in s; the normalized order-(1+s) entropy is this divided by s,
     whose s -> 0 limit is the Shannon entropy.  s may be an array of orders.
+    At an order where even the largest atom's power is below 2^-1022, so
+    every summand is subnormal (few bits left) or 0, the largest atom is
+    factored out: -(1+s) log max P - log sum (P / max P)^(1+s).
     """
-    if (np.asarray(s) <= -1.0).any():
+    orders = np.asarray(s, dtype=float)
+    if (orders <= -1.0).any():
         raise ValueError("order parameter must satisfy s > -1")
     m = p.mass[p.mass > 0.0]
     if m.size == 0:
         raise ValueError("empty support")
-    return -log_fsum_by_order(s, lambda o: m ** (1.0 + o)[:, None], m.size)
+    terms = lambda o: m ** (1.0 + o)[:, None]
+    peak = m.max()
+    under = peak ** (1.0 + orders) < 2.0**-1022
+    if not under.any():
+        return -log_fsum_by_order(s, terms, m.size)
+    ratios = m / peak
+    out = np.empty(orders.shape)
+    out[~under] = -log_fsum_by_order(orders[~under], terms, m.size)
+    out[under] = -(1.0 + orders[under]) * math.log(peak) - log_fsum_by_order(
+        orders[under], lambda o: ratios ** (1.0 + o)[:, None], m.size
+    )
+    return float(out) if orders.ndim == 0 else out
 
 
 def renyi(p: SubDist, s: float) -> float:
@@ -565,13 +605,15 @@ def renyi(p: SubDist, s: float) -> float:
 
 
 def renyi_tilde_derivative(p: SubDist, s: float) -> float:
-    """d/ds of renyi_tilde: -(sum p^(1+s) log p) / (sum p^(1+s))."""
+    """d/ds of renyi_tilde: -(sum p^(1+s) log p) / (sum p^(1+s)); the largest
+    atom is factored out of both sums where `renyi_tilde` factors it."""
     if s <= -1.0:
         raise ValueError("order parameter must satisfy s > -1")
     m = p.mass[p.mass > 0.0]
     if m.size == 0:
         raise ValueError("empty support")
-    w = m ** (1.0 + s)
+    peak = m.max()
+    w = (m / peak if peak ** (1.0 + s) < 2.0**-1022 else m) ** (1.0 + s)
     num = math.fsum((w * np.log(m)).tolist())
     den = math.fsum(w.tolist())
     return -num / den

@@ -11,9 +11,9 @@ one array call, then refine around the best grid point by a golden-section
 search, keeping the grid answer when refinement does not improve on it; so
 objectives and their functionals take arrays of orders.  On a functional of
 at least 1024 cells the grid call is screened: the kernel sums one order in
-SCREEN_STRIDE exactly and brackets the rest by convexity, and only the grid
-points whose bracket can hold the maximum are then summed exactly, which
-gives the exhaustive grid's argmax bit for bit (`_grid_argmax`).  The
+16 exactly and brackets the rest by convexity, and only the grid points
+whose bracket can hold the maximum are then summed exactly, which gives the
+exhaustive grid's argmax bit for bit (`dists.grid_argmax`).  The
 exponents that the figures sweep (`universal_exponent`,
 `cramer_exponent_restricted`, and `e_phi`, `e_psi`, `psi_pinsker_exponent`
 in `wiretap`) also take a 1-D array of rates: all rates share one grid call
@@ -31,12 +31,12 @@ import numpy as np
 from .dists import (
     JointDist,
     SubDist,
+    grid_argmax,
     kl_divergence,
     log_fsum_by_order,
     renyi_tilde,
     renyi_tilde_derivative,
     require_work,
-    screening,
     shannon_entropy,
     tilt,
 )
@@ -64,8 +64,6 @@ __all__ = [
 ]
 
 GRID_INTERVALS = 1024
-# The grid orders the kernel sums exactly under screening: one in this many (see `_grid_argmax`).
-SCREEN_STRIDE = 16
 GOLDEN_TOL = 1e-10
 TILT_CAP = 1e6  # largest tilt order tried before the top-atom branch
 CRAMER_S_CAP = 100.0  # largest order the unrestricted Cramer search tries
@@ -114,37 +112,6 @@ def _golden_rows(fn, a: np.ndarray, b: np.ndarray):
     return x, fn(x)
 
 
-def _grid_argmax(fn, grid: np.ndarray) -> np.ndarray:
-    """Each row's first argmax of `fn` over the grid, as the exhaustive grid
-    call gives it, from exact values at few points.
-
-    The grid call runs under `screening`: a functional of at least
-    _KERNEL_MIN_ROW cells sums every SCREEN_STRIDE-th order exactly and
-    returns a side of a convexity bracket in between (`log_fsum_by_order`).
-    Each objective is monotone in its one kernel value, so a second call,
-    served the other side, brackets every objective value of the exhaustive
-    grid.  A row's first argmax is among the points whose bracket reaches the
-    row's best lower end, and one array call evaluates those exactly.  An
-    objective without a screened kernel call has given the exhaustive grid
-    already; one with more than one, or with a value that is not finite,
-    is evaluated on the whole grid again, outside the screen.
-    """
-    k = len(grid)
-    with screening(k, SCREEN_STRIDE) as screen:
-        first = np.asarray(fn(grid), dtype=float).reshape(k, -1)
-        if screen.bracket is None:
-            return np.argmax(first, axis=0)
-        if screen.calls == 1:
-            screen.calls, screen.side = 0, 1
-            second = np.asarray(fn(grid), dtype=float).reshape(k, -1)
-    if screen.calls != 1 or not np.isfinite([first, second]).all():
-        return np.argmax(np.asarray(fn(grid), dtype=float).reshape(k, -1), axis=0)
-    low, high = np.minimum(first, second), np.maximum(first, second)
-    points = np.flatnonzero((high >= low.max(axis=0)).any(axis=1))
-    exact = np.asarray(fn(grid[points]), dtype=float).reshape(len(points), -1)
-    return points[np.argmax(exact, axis=0)]
-
-
 def _maximize_rows(fn, lo: float, hi: float, one: bool):
     """Grid scan plus golden-section polish of B objectives (rows) at once;
     each keeps its grid answer where the polish does not improve it.
@@ -152,18 +119,15 @@ def _maximize_rows(fn, lo: float, hi: float, one: bool):
     With `one` there is one objective: `fn` gets the grid as a 1-D array,
     then floats.  Otherwise `fn` gets the grid shaped (K, 1) and returns
     (K, B) values, then gets one point per row (B,), or a float for every
-    row.  The grid's argmax is `_grid_argmax`'s: each objective must be
-    monotone in the one kernel value its array call makes on the whole grid.
-    The exhaustive grid is kept when that call has fewer than
-    _KERNEL_MIN_ROW cells or too few orders to screen, and summed again
-    when the objective makes more than one screened kernel call or a value
-    is not finite; the exact path raises what it raised.  Each row's best grid
-    point is evaluated again as a float, one call per distinct point, since
-    numpy's power over many orders can differ by an ulp from its one-order
-    paths (exponents 2, 1/2).  Returns the (B,) maximizers and maxima.
+    row.  The grid's argmax is `grid_argmax`'s, the exhaustive grid's: each
+    objective must be monotone in the one kernel value its array call makes
+    on the whole grid.  Each row's best grid point is evaluated again as a
+    float, one call per distinct point, since numpy's power over many orders
+    can differ by an ulp from its one-order paths (exponents 2, 1/2).
+    Returns the (B,) maximizers and maxima.
     """
     xs = np.linspace(lo, hi, GRID_INTERVALS + 1)
-    i = _grid_argmax(fn, xs if one else xs[:, None])
+    i = grid_argmax(fn, xs if one else xs[:, None])
     best_x, best_v = xs[i], np.empty(i.size)
     for point in np.flatnonzero(np.bincount(i)):  # np.unique would import numpy.ma
         hit = i == point
@@ -518,9 +482,7 @@ def phi_cond(j: JointDist, t):
     """
     if (np.asarray(t) >= 1.0).any():
         raise ValueError("t must be < 1")
-    pe = j.mass.sum(axis=0)
-    # the column index leaves cond column-major, which fixes its sums' digits
-    pe, cond = pe[pe > 0.0], j.conditional_a_given_e()[:, pe > 0.0]
+    pe, cond = j.given_e()
 
     def terms(t):
         inner = (cond ** (1.0 / (1.0 - t))[:, None, None]).sum(axis=1)
@@ -534,9 +496,7 @@ def cond_renyi_tilde(j: JointDist, s):
     s may be an array of orders."""
     if (np.asarray(s) <= -1.0).any():
         raise ValueError("order parameter must satisfy s > -1")
-    pe = j.mass.sum(axis=0)
-    # the column index leaves cond column-major, which fixes its sums' digits
-    pe, cond = pe[pe > 0.0], j.conditional_a_given_e()[:, pe > 0.0]
+    pe, cond = j.given_e()
     terms = lambda s: pe * (cond ** (1.0 + s)[:, None, None]).sum(axis=1)
     return -log_fsum_by_order(s, terms, cond.size)
 

@@ -38,6 +38,16 @@ def random_dist(rng, size):
     return random_subdist(rng, size, total=1.0)
 
 
+@pytest.fixture
+def flat4096():
+    """4,096 atoms within a factor 3 of each other: the largest is 3.67e-4,
+    so past s = 88.6 every summand of sum P^(1+s) is subnormal, and past
+    s = 93.3 it underflows to 0 (s = 100 is the Cramer search's cap)."""
+    w = 0.5 + np.random.default_rng(0).random(4096)
+    symbols = tuple(f"x{i}" for i in range(4096))
+    return SubDist(Alphabet(symbols), w / w.sum())
+
+
 def assert_order_parity(fn, orders, cells):
     """fn on an array of orders equals one scalar call (a float) per order
     within 2 ulp; with `cells` cells per order, the orders need several

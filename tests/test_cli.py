@@ -84,6 +84,25 @@ class TestEntropy:
         assert payload["shannon"] == pytest.approx(0.500402, abs=1e-5)
         assert payload["critical_rate"] == pytest.approx(0.223718, abs=1e-5)
 
+    def test_orders_whose_summands_underflow(self, runner, tmp_path, flat4096):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"alphabet": flat4096.alphabet.symbols, "mass": flat4096.mass.tolist()}))
+        res = runner.invoke(cli, ["entropy", "--dist", str(path), "--s", "100"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["renyi_tilde"]["100"] == pytest.approx(794.6713919, abs=1e-7)
+        res = runner.invoke(cli, ["exponent", "--dist", str(path), "--R", "8.09", "--form", "cramer"])
+        assert res.exit_code == 0, res.output
+        assert math.isfinite(json.loads(res.output)["value"])
+
+    def test_a_sub_distribution_whose_squares_underflow(self, runner, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"alphabet": ["a", "b"], "mass": [1e-170, 1e-170]}))
+        res = runner.invoke(cli, ["entropy", "--dist", str(path)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["renyi_tilde_2"] == pytest.approx(340.0 * math.log(10.0) - math.log(2.0))
+        assert payload["renyi_tilde_2_derivative"] == pytest.approx(170.0 * math.log(10.0))
+
 
 class TestExponentCommand:
     def test_universal(self, runner, bern_file):

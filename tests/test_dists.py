@@ -197,6 +197,21 @@ class TestRenyi:
         with pytest.raises(ValueError):
             renyi_tilde(bern02, -1.0)
 
+    def test_orders_whose_summands_underflow(self, flat4096):
+        # -(101 log max P + log sum (P / max P)^101)
+        assert renyi_tilde(flat4096, 100.0) == pytest.approx(794.6713919004532, rel=1e-12)
+        peak = float(flat4096.mass.max())
+        ratios = (flat4096.mass / peak).tolist()
+        orders = np.array([0.5, 88.0, 89.0, 92.0, 93.2, 100.0, 1e6])
+        values = renyi_tilde(flat4096, orders)
+        for s, value in zip(orders.tolist(), values.tolist()):
+            factored = -(1.0 + s) * math.log(peak) - math.log(math.fsum(r ** (1.0 + s) for r in ratios))
+            assert value == pytest.approx(factored, rel=1e-13)
+            assert value == renyi_tilde(flat4096, s)
+        # orders with a normal largest summand keep the sum of the powers, bit for bit
+        kept = [-math.log(math.fsum(flat4096.mass ** (1.0 + s))) for s in orders[:2]]
+        assert values[:2].tobytes() == np.array(kept).tobytes()
+
 
 class TestRenyiDerivative:
     def test_uniform(self):
@@ -217,6 +232,14 @@ class TestRenyiDerivative:
             for s in (0.1, 0.5, 0.9):
                 fd = (renyi_tilde(p, s + h) - renyi_tilde(p, s - h)) / (2 * h)
                 assert renyi_tilde_derivative(p, s) == pytest.approx(fd, abs=1e-6)
+
+    def test_where_the_summands_underflow(self, flat4096):
+        ratios = flat4096.mass / flat4096.mass.max()
+        for s in (92.0, 100.0):
+            w = (ratios ** (1.0 + s)).tolist()
+            want = -math.fsum(x * math.log(m) for x, m in zip(w, flat4096.mass.tolist())) / math.fsum(w)
+            assert renyi_tilde_derivative(flat4096, s) == pytest.approx(want, rel=1e-13)
+        assert renyi_tilde_derivative(subdist(1e-170, 1e-170), 1.0) == pytest.approx(170.0 * math.log(10.0))
 
 
 class TestKL:

@@ -223,6 +223,18 @@ class TestCramer:
     def test_above_entropy_returns_zero(self, bern02):
         assert cramer_exponent(bern02, 0.6).value == 0.0
 
+    @pytest.mark.parametrize("r", [8.09, 7.92, 7.91])
+    def test_search_past_the_orders_whose_summands_underflow(self, flat4096, r):
+        # -log max P = 7.909 and H = 8.275: the grid runs to s = 100, where
+        # every summand of sum P^(1+s) underflows; at R = 7.92 the maximizer
+        # lies at s = 82, below the orders whose summands are subnormal
+        res = cramer_exponent(flat4096, r)
+        peak = float(flat4096.mass.max())
+        logs = np.log(flat4096.mass / peak)
+        objective = lambda s: -(1.0 + s) * math.log(peak) - math.log(math.fsum(np.exp((1.0 + s) * logs).tolist())) - s * r
+        assert res.value == pytest.approx(objective(res.argmax), rel=1e-12)
+        assert res.value >= max(map(objective, np.linspace(0.0, 100.0, 201).tolist())) - 1e-12
+
 
 class TestHolensteinRenner:
     def test_zero_gap(self, bern02):

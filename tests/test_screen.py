@@ -12,9 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from secexp import distill, dists, exponents, figures, jsonio, wiretap  # noqa: F401 (traced)
-from secexp.dists import JointDist, SubDist, range_alphabet, renyi_tilde, shannon_entropy
+from secexp.dists import _SCREEN_STRIDE as SCREEN_STRIDE, JointDist, SubDist, range_alphabet, renyi_tilde, shannon_entropy
 from secexp.exponents import (
-    SCREEN_STRIDE,
     cond_renyi_tilde,
     conditional_exponent_phi,
     conditional_exponent_pinsker,
@@ -52,15 +51,28 @@ def channel(rng, x, y):
     return Channel(range_alphabet(x), range_alphabet(y), w / w.sum(axis=1, keepdims=True))
 
 
+def grid_calls(fn, orders):
+    """fn's values at each call `dists.grid_argmax` makes on the orders, with
+    the screen the call ran under and that screen's kernel calls so far."""
+    calls = []
+
+    def recording(o):
+        values = fn(o)
+        screen = dists._screen
+        calls.append((values, screen, screen and screen.calls))
+        return values
+
+    dists.grid_argmax(recording, orders)
+    return calls
+
+
 def screened_sides(fn, orders):
-    """fn on the orders under a screen, served the lower side and then the
-    upper side of the kernel's bracket."""
-    with dists.screening(orders.size, SCREEN_STRIDE) as screen:
-        first = fn(orders)
-        assert screen.bracket is not None and screen.calls == 1
-        screen.calls, screen.side = 0, 1
-        second = fn(orders)
-        assert screen.bracket is not None and screen.calls == 1
+    """fn on the orders under `dists.grid_argmax`'s screen, served the lower
+    side and then the upper side of the kernel's bracket."""
+    (first, screen, calls), (second, again, calls_again) = grid_calls(fn, orders)[:2]
+    assert screen is again
+    assert screen.bracket is not None and calls == 1
+    assert screen.bracket is not None and calls_again == 1
     return first, second
 
 
@@ -118,8 +130,7 @@ class TestBracket:
         p, small = source(rng, 1024), source(rng, 1023)
         orders = np.linspace(0.0, 1.0, SCREEN_STRIDE + 1)  # two knots only
         for dist, grid in ((p, orders), (small, np.linspace(0.0, 1.0, GRID))):
-            with dists.screening(grid.size, SCREEN_STRIDE) as screen:
-                values = renyi_tilde(dist, grid)
+            [(values, screen, _)] = grid_calls(lambda o: renyi_tilde(dist, o), grid)
             assert screen.bracket is None
             assert values.tobytes() == renyi_tilde(dist, grid).tobytes()
 
@@ -131,7 +142,7 @@ def exhaustive_grid(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(
             exponents,
-            "_grid_argmax",
+            "grid_argmax",
             lambda fn, grid: np.argmax(np.asarray(fn(grid), dtype=float).reshape(len(grid), -1), axis=0),
         )
         yield
@@ -141,15 +152,13 @@ def exhaustive_grid(monkeypatch):
 def screens(monkeypatch):
     """Every screen the optimizer opens."""
     opened = []
-    real = exponents.screening
 
-    @contextmanager
-    def recording(points, stride):
-        with real(points, stride) as screen:
-            opened.append(screen)
-            yield screen
+    class Recording(dists._Screen):
+        def __init__(self, points):
+            super().__init__(points)
+            opened.append(self)
 
-    monkeypatch.setattr(exponents, "screening", recording)
+    monkeypatch.setattr(dists, "_Screen", Recording)
     return opened
 
 

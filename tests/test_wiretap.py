@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -728,8 +729,10 @@ class TestBatchedEnsembleParity:
             res.entries[len(res.entries)]
         with pytest.raises(ValueError):
             res.eps[0] = 0.0
-        with pytest.raises(AttributeError):
+        with pytest.raises(FrozenInstanceError):
             res.entries = ()
+        with pytest.raises(FrozenInstanceError):
+            res.avg_eps = 0.0
 
     @pytest.mark.parametrize("n_samples", [1, 0, -3])
     def test_mc_needs_two_samples(self, n_samples, monkeypatch):
