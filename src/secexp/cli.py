@@ -234,14 +234,7 @@ def exponent(dist_path, joint_path, rate, form, out):
             "note": res.note,
         }
     elif form == "hr":
-        hr = holenstein_renner_exponents(p, rate)
-        payload = {
-            "lower": hr.lower,
-            "lower_applicable": hr.lower_applicable,
-            "upper": hr.upper,
-            "upper_applicable": hr.upper_applicable,
-            "gap": hr.gap,
-        }
+        payload = holenstein_renner_exponents(p, rate)._asdict()
     payload.update({"form": form, "R": rate})
     _emit_json(payload, out)
 

@@ -35,6 +35,7 @@ __all__ = [
     "compositions",
     "range_alphabet",
     "product_alphabet",
+    "fsum",
     "fsum_rows",
     "fsum_groups",
     "grid_argmax",
@@ -193,9 +194,9 @@ def masses(values, shape: tuple, what: str) -> np.ndarray:
 
 
 def _total(arr: np.ndarray) -> float:
-    """math.fsum of finite masses, or inf where it overflows: a total above 1."""
+    """fsum of finite masses, or inf where it overflows: a total above 1."""
     try:
-        return math.fsum(arr.ravel().tolist())
+        return fsum(arr)
     except OverflowError:
         return math.inf
 
@@ -293,7 +294,7 @@ def _require_same_alphabet(p: SubDist, q: SubDist):
 def l1_distance(p: SubDist, q: SubDist) -> float:
     """Sum of |P(x) - Q(x)| (the variational distance, unhalved)."""
     _require_same_alphabet(p, q)
-    return float(math.fsum(np.abs(p.mass - q.mass).tolist()))
+    return fsum(np.abs(p.mass - q.mass))
 
 
 def d1_uniformity(p: SubDist) -> float:
@@ -303,13 +304,19 @@ def d1_uniformity(p: SubDist) -> float:
 
 def l2_distance(p: SubDist, q: SubDist) -> float:
     _require_same_alphabet(p, q)
-    return float(math.sqrt(math.fsum(((p.mass - q.mass) ** 2).tolist())))
+    return math.sqrt(fsum((p.mass - q.mass) ** 2))
 
 
 def shannon_entropy(p: SubDist) -> float:
     """-sum p log p in nats, with 0 log 0 = 0 (defined for sub-distributions)."""
     m = p.mass[p.mass > 0.0]
-    return float(-math.fsum((m * np.log(m)).tolist()))
+    return -fsum(m * np.log(m))
+
+
+def fsum(x) -> float:
+    """math.fsum(x) of the entries of an array or list, bit for bit: `fsum_rows`
+    of them taken as one row."""
+    return fsum_rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def fsum_rows(a) -> list[float]:
@@ -322,15 +329,14 @@ def fsum_rows(a) -> list[float]:
     than 2^26 entries every bucket total is an integer below 2^53, so exact;
     scaled back by its exponent it stays exact, subnormals included.  math.fsum
     of a row's parts is then the correctly rounded row total, which is what
-    math.fsum of the row itself returns.  Shorter rows, and rows holding a
-    non-finite or overflow-sized entry (with math.fsum's inf, nan, ValueError
-    and OverflowError), go to math.fsum.
+    math.fsum of the row itself returns.  Shorter rows, rows of 2^26 entries
+    or more, and rows holding a non-finite or overflow-sized entry (with
+    math.fsum's inf, nan, ValueError and OverflowError), go to math.fsum.
     """
     a = np.asarray(a, dtype=float)
     rows, n = a.shape
-    if n < _KERNEL_MIN_ROW:
+    if not _KERNEL_MIN_ROW <= n < 1 << 26:
         return list(map(math.fsum, a.tolist()))
-    assert n < 1 << 26, "bucket totals of such rows may exceed 2^53"
     work = _kernel_arrays(a)
     exp = work[1]
     lo, hi = int(exp.min(initial=0)), int(exp.max(initial=0))
@@ -614,9 +620,7 @@ def renyi_tilde_derivative(p: SubDist, s: float) -> float:
         raise ValueError("empty support")
     peak = m.max()
     w = (m / peak if peak ** (1.0 + s) < 2.0**-1022 else m) ** (1.0 + s)
-    num = math.fsum((w * np.log(m)).tolist())
-    den = math.fsum(w.tolist())
-    return -num / den
+    return -fsum(w * np.log(m)) / fsum(w)
 
 
 def kl_divergence(q: SubDist, p: SubDist) -> float:
@@ -628,7 +632,7 @@ def kl_divergence(q: SubDist, p: SubDist) -> float:
     pos = qm > 0.0
     if np.any(pos & (pm <= 0.0)):
         return math.inf
-    return float(math.fsum((qm[pos] * np.log(qm[pos] / pm[pos])).tolist()))
+    return fsum(qm[pos] * np.log(qm[pos] / pm[pos]))
 
 
 def tilt(p: SubDist, s: float) -> SubDist:
@@ -644,8 +648,7 @@ def tilt(p: SubDist, s: float) -> SubDist:
         raise ValueError("empty support")
     ratios = np.where(p.mass > 0.0, p.mass / peak, 0.0)
     w = np.where(p.mass > 0.0, ratios ** (1.0 + s), 0.0)
-    z = math.fsum(w.tolist())
-    return SubDist(p.alphabet, w / z)
+    return SubDist(p.alphabet, w / fsum(w))
 
 
 def smooth_truncate(p: SubDist, r: float) -> tuple[SubDist, float]:
@@ -657,7 +660,7 @@ def smooth_truncate(p: SubDist, r: float) -> tuple[SubDist, float]:
     """
     heavy = p.mass > math.exp(-r)
     kept = np.where(heavy, 0.0, p.mass)
-    tail = float(math.fsum(p.mass[heavy].tolist()))
+    tail = fsum(p.mass[heavy])
     return SubDist(p.alphabet, kept), tail
 
 
@@ -683,8 +686,7 @@ def iid_extend(p: SubDist, n: int) -> SubDist:
 def conditional_shannon_entropy(j: JointDist) -> float:
     """H(A|E) = H(A,E) - H(E), in nats."""
     m = j.mass[j.mass > 0.0]
-    h_joint = -math.fsum((m * np.log(m)).tolist())
-    return h_joint - shannon_entropy(j.marginal_e())
+    return -fsum(m * np.log(m)) - shannon_entropy(j.marginal_e())
 
 
 @dataclass(frozen=True)

@@ -439,27 +439,15 @@ class HRExponents(NamedTuple):
 
 
 def holenstein_renner_exponents(p: SubDist, r: float) -> HRExponents:
-    if not p.is_probability():
-        raise ValueError("requires a probability distribution")
+    _require_inputs(r, p)
     size = p.alphabet.size
     gap = shannon_entropy(p) - r
     ln2 = math.log(2.0)
     lower_ok = -1e-12 <= gap <= math.log(size) + 1e-12
-    lower = None
-    if lower_ok:
-        lower = ln2 * gap * gap / (2.0 * math.log(size + 3) ** 2)
-    if size >= 3:
-        upper_ok = -1e-12 <= gap <= math.log(size - 1) / 12.0 + 1e-12
-        upper = (
-            12.0 * ln2 * gap * gap / (math.log(size - 1) ** 2)
-            if upper_ok
-            else None
-        )
-    else:
-        upper_ok = -1e-12 <= gap <= math.log(3.0) / 24.0 + 1e-12
-        upper = (
-            24.0 * ln2 * gap * gap / (math.log(3.0) ** 2) if upper_ok else None
-        )
+    lower = ln2 * gap * gap / (2.0 * math.log(size + 3) ** 2) if lower_ok else None
+    c, log_k = (12.0, math.log(size - 1)) if size >= 3 else (24.0, math.log(3.0))
+    upper_ok = -1e-12 <= gap <= log_k / c + 1e-12
+    upper = c * ln2 * gap * gap / (log_k**2) if upper_ok else None
     return HRExponents(
         lower=lower,
         lower_applicable=lower_ok,

@@ -85,6 +85,12 @@ def example_channel_reported_info(a: float = EXAMPLE_A) -> float:
     ) / 2.0
 
 
+def _curve_rows(xs, curves: tuple, values) -> list:
+    """(x, curve, value) rows, x by x: `values` gives each x its tuple of
+    values, one per name in `curves`."""
+    return [(x, curve, v) for x, vs in zip(xs, values) for curve, v in zip(curves, vs)]
+
+
 def _figure2(points: int) -> FigureData:
     p = SubDist.bernoulli(BERN_P)
     h = shannon_entropy(p)
@@ -97,14 +103,10 @@ def _figure2(points: int) -> FigureData:
         "window_start": window_start,
     }
     rates = np.linspace(window_start, h, points)
-    cramer = cramer_exponent_restricted(p, rates).value
-    rows = []
-    for r, value in zip(rates.tolist(), cramer.tolist()):
-        rows.append((r, "cramer", value))
-        hr = holenstein_renner_exponents(p, r)
-        rows.append((r, "hr_lower", hr.lower))
-        rows.append((r, "hr_upper", hr.upper))
-    return FigureData(2, header, rows)
+    cramer = cramer_exponent_restricted(p, rates).value.tolist()
+    hrs = (holenstein_renner_exponents(p, r) for r in rates.tolist())
+    values = ((c, hr.lower, hr.upper) for c, hr in zip(cramer, hrs))
+    return FigureData(2, header, _curve_rows(rates.tolist(), ("cramer", "hr_lower", "hr_upper"), values))
 
 
 def _figure3(points: int) -> FigureData:
@@ -115,12 +117,9 @@ def _figure3(points: int) -> FigureData:
     rates = np.linspace(0.0, h, points)
     phi = universal_exponent(p, rates).value
     pinsker = cramer_exponent_restricted(p, rates).value / 2.0
-    rows = []
-    for r, phi_r, pinsker_r in zip(rates.tolist(), phi.tolist(), pinsker.tolist()):
-        rows.append((r, "phi_form", phi_r))
-        rows.append((r, "pinsker_form", pinsker_r))
-        rows.append((r, "no_smoothing", (h2 - r) / 2.0))
-    return FigureData(3, header, rows)
+    values = zip(phi.tolist(), pinsker.tolist(), [(h2 - r) / 2.0 for r in rates.tolist()])
+    curves = ("phi_form", "pinsker_form", "no_smoothing")
+    return FigureData(3, header, _curve_rows(rates.tolist(), curves, values))
 
 
 def _figure4(points: int) -> FigureData:
@@ -130,13 +129,8 @@ def _figure4(points: int) -> FigureData:
     i_matrix = mutual_information(p, w)
     header = {"a": EXAMPLE_A, "i_reported": i_reported, "i_matrix": i_matrix}
     rates = np.linspace(i_reported, math.log(2.0), points)
-    phi, psi, pinsker = (form(rates, w, p).tolist() for form in (e_phi, e_psi, psi_pinsker_exponent))
-    rows = []
-    for r, phi_r, psi_r, pinsker_r in zip(rates.tolist(), phi, psi, pinsker):
-        rows.append((r, "e_phi", phi_r))
-        rows.append((r, "e_psi", psi_r))
-        rows.append((r, "psi_pinsker", pinsker_r))
-    return FigureData(4, header, rows)
+    values = zip(*(form(rates, w, p).tolist() for form in (e_phi, e_psi, psi_pinsker_exponent)))
+    return FigureData(4, header, _curve_rows(rates.tolist(), ("e_phi", "e_psi", "psi_pinsker"), values))
 
 
 def _figure6(points: int) -> FigureData:
@@ -153,16 +147,15 @@ def _figure6(points: int) -> FigureData:
         "specialized_exponent": res.value,
         "exponent_authoritative": res.note is None,
     }
-    rows = []
-    for n in range(SPECIALIZED_N_STEP, SPECIALIZED_N_STEP * points + 1, SPECIALIZED_N_STEP):
+
+    def at(n: int) -> tuple:
         smap = build_specialized(p, n, round(math.exp(SPECIALIZED_R * n)))
-        for curve, value in (
-            ("d1", specialized_map_d1(p, smap)),
-            ("heavy_mass_floor", smap.heavy_mass_floor()),
-        ):
-            rows.append((n, curve, -math.log(value) / n if value > 0.0 else math.inf))
-        rows.append((n, "specialized_exponent", res.value))
-    return FigureData(6, header, rows)
+        distances = (specialized_map_d1(p, smap), smap.heavy_mass_floor())
+        return *(-math.log(v) / n if v > 0.0 else math.inf for v in distances), res.value
+
+    ns = range(SPECIALIZED_N_STEP, SPECIALIZED_N_STEP * points + 1, SPECIALIZED_N_STEP)
+    curves = ("d1", "heavy_mass_floor", "specialized_exponent")
+    return FigureData(6, header, _curve_rows(ns, curves, map(at, ns)))
 
 
 def figure_sweep(figure_id: int, points: int = 50) -> FigureData:

@@ -9,6 +9,8 @@ GF(4) is represented on {0, 1, 2, 3} with 2 = x and 3 = x + 1 in
 GF(2)[x]/(x^2 + x + 1); addition is XOR of the 2-bit representations.
 `combination_indices` lists the F_p-linear combinations of generator rows:
 linear codes, the module's difference table and linear hash maps.
+`rank_digits` is the one codec of ranks to big-endian digits: hash seeds,
+codebooks and the character transform's digit tables.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .dists import Alphabet, JointDist, capped_power, kron_power, product_alphabet
 
-__all__ = ["Field", "Module", "combination_indices", "is_prime"]
+__all__ = ["Field", "Module", "combination_indices", "is_prime", "rank_digits"]
 
 # Multiplication table for GF(4) on {0, 1, x, x+1}.
 _GF4_MUL = np.array(
@@ -182,6 +184,12 @@ class Module:
         mass = kron_power(joint.mass, n, "joint cells")
         module = Module(self.q, self.n * n)
         return JointDist(Alphabet(module.labels()), product_alphabet(joint.alphabet_e, n), mass), module
+
+
+def rank_digits(ranks: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Each rank as its `width` base-`base` digits, most significant first,
+    one row per rank: consecutive ranks follow itertools.product order."""
+    return ranks[:, None] // base ** np.arange(width - 1, -1, -1) % base
 
 
 def combination_indices(gens: np.ndarray, p: int) -> np.ndarray:

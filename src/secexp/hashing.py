@@ -49,7 +49,7 @@ from .dists import (
     product_alphabet,
     require_work,
 )
-from .gf import Field, combination_indices
+from .gf import Field, combination_indices, rank_digits
 
 __all__ = [
     "HashFamily",
@@ -126,8 +126,7 @@ class HashFamily:
             raise ValueError(f"{count_text(count)} seeds do not fit int64 ranks")
         if start < stop and (start < 0 or stop > count):
             raise ValueError(f"seed ranks {start} .. {stop - 1} outside 0 .. {count - 1}")
-        powers = base ** np.arange(self.seed_len - 1, -1, -1)
-        return np.arange(start, stop)[:, None] // powers % base + self.digit_low
+        return rank_digits(np.arange(start, stop), base, self.seed_len) + self.digit_low
 
     def seed_blocks(self, draw: tuple[np.random.Generator, int] | None, cells: int):
         """Every seed in rank order, or for a draw (rng, count) `count` seeds
@@ -302,7 +301,7 @@ def _character_transform(x: np.ndarray, p: int, sign: int) -> np.ndarray:
     done = 0
     while done < n:
         width = min(group, n - done)
-        digits = np.stack(np.unravel_index(np.arange(p**width), (p,) * width), axis=1)
+        digits = rank_digits(np.arange(p**width), p, width)
         dots = digits @ digits.T % p
         chars = 1.0 - 2.0 * dots if p == 2 else np.exp(sign * 2j * np.pi * dots / p)
         g = p**width
@@ -458,7 +457,7 @@ def check_universal2(fam: HashFamily) -> Universal2Report:
         best, worst = -1.0, None
         for a, counts, upper in _pair_counts(fam, joint=False):
             masked = np.where(upper, counts, -1.0)[:, 0, :, 0]
-            i, b = np.unravel_index(np.argmax(masked), masked.shape)
+            i, b = divmod(int(np.argmax(masked)), masked.shape[1])
             if masked[i, b] > best:
                 best, worst = float(masked[i, b]), (int(a[i]), int(b))
     max_coll = best / fam.seed_count if worst is not None else 0.0

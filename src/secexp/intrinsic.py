@@ -26,6 +26,7 @@ from .dists import (
     SubDist,
     compositions,
     count_text,
+    fsum,
     renyi_tilde,
     renyi_tilde_derivative,
     require_work,
@@ -64,7 +65,7 @@ def heavy_mass_lower_bound(p: SubDist, m: int) -> float:
     if not p.is_probability() or m < 1:
         raise ValueError("requires a probability distribution and M >= 1")
     heavy = p.mass >= 2.0 / m
-    return float(math.fsum(p.mass[heavy].tolist()))
+    return fsum(p.mass[heavy])
 
 
 def _normalized(p: SubDist) -> tuple[tuple[int, ...], int]:
@@ -143,7 +144,7 @@ class SpecializedMap:
             if r.weight
         ]
         try:
-            middle = math.fsum(math.exp(v) for v in logs)
+            middle = fsum([math.exp(v) for v in logs])
         except OverflowError:
             middle = math.inf
         out = {"heavy_mass": heavy / scale, "middle_sum": middle}

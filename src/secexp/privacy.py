@@ -9,8 +9,9 @@ DEFAULT_MAX_CELLS cells), whatever M is: each output's preimage holds each
 symbol independently with probability 1/M.  Every other family's average reads
 its `pushforward_blocks`, which picks the family's route and refuses its work,
 and Monte Carlo mode reads the same blocks for a draw of seeds, made a block
-at a time as the blocks are read.  Seed reductions use compensated summation,
-so exact results do not depend on evaluation order.
+at a time as the blocks are read.  Seed reductions are correctly rounded sums
+(`dists.fsum`, the kernel of `dists.fsum_rows`), so exact results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import JointDist, SubDist, capped_power, fsum_groups, fsum_rows, range_alphabet, require_work
+from .dists import JointDist, SubDist, capped_power, fsum, fsum_groups, fsum_rows, range_alphabet, require_work
 from .hashing import FullyRandomFamily, HashFamily
 
 __all__ = [
@@ -59,8 +60,8 @@ class EnsembleEstimate(NamedTuple):
         """Sample mean with the standard error from the unbiased variance."""
         n = len(values)
         cls.require_samples(n)
-        mean = math.fsum(values) / n
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        mean = fsum(values) / n
+        var = fsum([(v - mean) ** 2 for v in values]) / (n - 1)
         return cls(value=mean, stderr=math.sqrt(var / n), mode="mc", n_samples=n)
 
 
@@ -143,7 +144,7 @@ def _subset_law(fam: FullyRandomFamily, weights, terms, empty: float) -> float:
     coef = np.array([(m - 1) ** (size - j) / m ** (size - 1) for j in range(1, size + 1)])
     cells = terms(masses[1:]).reshape(len(sizes) - 1, -1) * coef[sizes[1:] - 1, None]
     head = (m - 1) ** size / m**size * empty
-    return math.fsum([head, *fsum_rows(cells.reshape(1, -1))])
+    return fsum([head, fsum(cells)])
 
 
 def _ensemble(
@@ -156,10 +157,8 @@ def _ensemble(
         value = _subset_law(fam, weights, terms, empty)
         return EnsembleEstimate(value=value, stderr=None, mode="exact")
     if mode == "exact":
-        values = (v for rows in fam.pushforward_blocks(weights) for v in values_of(rows))
-        return EnsembleEstimate(
-            value=math.fsum(values) / fam.seed_count, stderr=None, mode="exact"
-        )
+        values = [v for rows in fam.pushforward_blocks(weights) for v in values_of(rows)]
+        return EnsembleEstimate(value=fsum(values) / fam.seed_count, stderr=None, mode="exact")
     if mode == "mc":
         EnsembleEstimate.require_samples(n_samples, seed)
         blocks = fam.pushforward_blocks(weights, (np.random.default_rng(seed), n_samples))
@@ -200,7 +199,7 @@ def expected_d1_conditional(
     ref = pe * (1 / m)
     return _ensemble(
         fam, j.mass, lambda rows: _l1_rows(rows, pe / m), lambda c: np.abs(c - ref),
-        math.fsum(pe.tolist()), mode, n_samples, seed,
+        fsum(pe), mode, n_samples, seed,
     )
 
 
@@ -238,8 +237,7 @@ def subset_lower_bound(p: SubDist, m: int, omega) -> float:
     if len(idx) >= m:
         raise ValueError("subset must be smaller than the output size")
     frac = 1.0 - len(idx) / m
-    mass = float(math.fsum(p.mass[idx].tolist())) if idx else 0.0
-    return frac * frac * mass
+    return frac * frac * fsum(p.mass[idx])
 
 
 def best_subset_lower_bound(p: SubDist, m: int) -> tuple[float, tuple[str, ...]]:

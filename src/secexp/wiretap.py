@@ -31,6 +31,7 @@ from .dists import (
     SubDist,
     blocks,
     capped_power,
+    fsum,
     fsum_rows,
     kron_power,
     log_fsum_by_order,
@@ -40,7 +41,7 @@ from .dists import (
     require_work,
 )
 from .exponents import cond_renyi_tilde, maximize_on_interval, maximize_over_rates, phi_cond
-from .gf import Module, combination_indices
+from .gf import Module, combination_indices, rank_digits
 from .hashing import HashFamily, ToeplitzFamily, check_balanced, check_universal2
 from .privacy import EnsembleEstimate, expected_d1_conditional
 
@@ -227,15 +228,8 @@ def psi_channel(w: Channel, p: SubDist, t):
 def mutual_information(p: SubDist, w: Channel) -> float:
     """I(p; W) in nats."""
     wp = w.output_dist(p)
-    acc = []
-    for x in range(w.input_alphabet.size):
-        px = p.mass[x]
-        if px <= 0.0:
-            continue
-        row = w.matrix[x]
-        pos = row > 0.0
-        acc.extend((px * row[pos] * np.log(row[pos] / wp[pos])).tolist())
-    return float(math.fsum(acc))
+    x, y = np.nonzero((p.mass[:, None] > 0.0) & (w.matrix > 0.0))
+    return fsum(p.mass[x] * w.matrix[x, y] * np.log(w.matrix[x, y] / wp[y]))
 
 
 def e_phi(r, w: Channel, p: SubDist):
@@ -292,7 +286,7 @@ def error_prob(code: WiretapCode, wb: Channel) -> float:
         raise ValueError("decoder must cover the channel output")
     out = code.encoders @ wb.matrix  # M x |Y|
     hits = np.where(code.decoder == np.arange(1, code.m + 1)[:, None], out, 0.0)
-    return math.fsum(1.0 - hit for hit in fsum_rows(hits)) / code.m
+    return fsum([1.0 - hit for hit in fsum_rows(hits)]) / code.m
 
 
 def eve_distinguishability(code: WiretapCode, we: Channel) -> float:
@@ -301,7 +295,7 @@ def eve_distinguishability(code: WiretapCode, we: Channel) -> float:
         raise ValueError("encoder support must match the channel input")
     rows = code.encoders @ we.matrix  # M x |E|
     mix = np.array(fsum_rows(rows.T)) / code.m  # exact column sums: message order free
-    return float(math.fsum((np.abs(rows - mix[None, :]) / code.m).ravel().tolist()))
+    return fsum(np.abs(rows - mix[None, :]) / code.m)
 
 
 def _require_conditions(p: SubDist, m: int, l: int, fam: HashFamily):
@@ -407,12 +401,6 @@ def _require_entries(entries: int, what: str, m: int, l: int, wb: Channel, we: C
     require_work(entries * cells, f"kernel cells ({entries} entries x {cells})", ENSEMBLE_CELL_LIMIT)
 
 
-def _codebook_digits(codes: np.ndarray, nx: int, ml: int) -> np.ndarray:
-    """Codebook number c as its ML base-|X| digits, most significant first,
-    so that consecutive numbers follow itertools.product order."""
-    return np.stack(np.unravel_index(codes, (nx,) * ml), axis=1)
-
-
 class EnsembleEntry(NamedTuple):
     codebook: tuple[int, ...]
     seed_index: int
@@ -501,9 +489,9 @@ def wiretap_ensemble_exact(
     _require_conditions(p, m, l, fam)
     maps = np.concatenate(list(fam.iter_maps()))
     classes = np.argsort(maps, axis=1, kind="stable").reshape(n_seeds, m, l)
-    table = _class_rows(w, _codebook_digits(np.arange(nx**l), nx, l))
+    table = _class_rows(w, rank_digits(np.arange(nx**l), nx, l))
     place = nx ** np.arange(l - 1, -1, -1)  # a class's codewords to its table row
-    cbs = _codebook_digits(np.arange(n_codebooks), nx, ml)
+    cbs = rank_digits(np.arange(n_codebooks), nx, ml)
     w_cb = np.prod(p.mass[cbs], axis=1)
     keep = w_cb != 0.0
     cbs, weight = cbs[keep], np.repeat(w_cb[keep] / n_seeds, n_seeds)
@@ -516,8 +504,8 @@ def wiretap_ensemble_exact(
             eps[cb, s], d1[cb, s] = _metrics(rows, maps[s][:, best].swapaxes(0, 1), ny)
     eps, d1 = eps.ravel(), d1.ravel()
     return WiretapEnsembleResult(
-        avg_eps=fsum_rows((weight * eps)[None])[0],
-        avg_d1=fsum_rows((weight * d1)[None])[0],
+        avg_eps=fsum(weight * eps),
+        avg_d1=fsum(weight * d1),
         weight=weight,
         eps=eps,
         d1=d1,

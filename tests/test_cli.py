@@ -127,7 +127,7 @@ class TestExponentCommand:
         payload = json.loads(res.output)
         assert payload["phi_form"]["value"] >= payload["pinsker_form"]["value"] - 1e-9
 
-    @pytest.mark.parametrize("form", ["universal", "cramer", "cond"])
+    @pytest.mark.parametrize("form", ["universal", "divergence", "cramer", "hr", "cond"])
     def test_rejects_negative_rate(self, runner, bern_file, joint_file, form):
         source = ["--joint", joint_file] if form == "cond" else ["--dist", bern_file]
         res = runner.invoke(cli, ["exponent", *source, "--R", "-0.1", "--form", form])
@@ -327,7 +327,7 @@ class TestSimulateWiretap:
         def no_enumeration(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(secexp.wiretap, "_codebook_digits", no_enumeration)
+        monkeypatch.setattr(secexp.wiretap, "rank_digits", no_enumeration)
         noise = {"alphabet": ["0", "1", "2"], "mass": [0.8, 0.1, 0.1]}
         path = tmp_path / "w3.json"
         path.write_text(json.dumps(

@@ -113,9 +113,10 @@ class TestConstruction:
         assert not subdist(0.5, 0.5 - 2e-9).is_probability()
 
     def test_one_mass_check_and_one_probability_test(self):
-        # the negativity check and the test of a total of 1 are written once
+        # the negativity check, the test of a total of 1 and the correctly
+        # rounded sum (the kernel behind `dists.fsum`) are written once
         src = Path(secexp.__file__).parent
-        for pattern in (".min(initial=0.0) <", "total - 1.0"):
+        for pattern in (".min(initial=0.0) <", "total - 1.0", "math.fsum("):
             named = sorted(f.name for f in src.glob("*.py") if pattern in f.read_text())
             assert named == ["dists.py"], pattern
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,55 @@ class TestFsumRows:
         lengths.clear()
         fsum_rows(a)
         assert len(lengths) == 3 and max(lengths) < n // 2
+
+
+def _flat(rng, n, low_exp=-1080, high_exp=2):
+    """n random mantissas at binary exponents low_exp .. high_exp - 1, signed."""
+    return np.ldexp(rng.random(n), rng.integers(low_exp, high_exp, n)) * rng.choice([-1.0, 1.0], n)
+
+
+def _with(x, *head):
+    x[: len(head)] = head[: x.size]
+    return x
+
+
+_FLAT_CASES = {
+    "mixed exponents": _flat,
+    "ties": lambda rng, n: np.resize([1.0, 2.0**-53], n),  # halfway totals round to even
+    "just above a tie": lambda rng, n: _with(np.resize([1.0, 2.0**-53], n), 2.0**-106),
+    "subnormals": lambda rng, n: rng.integers(-(1 << 20), 1 << 20, n) * 5e-324,
+    "cancellation": lambda rng, n: _with(_flat(rng, n, -1080, -1060), 1.0, -1.0),
+    "nan": lambda rng, n: _with(_flat(rng, n), math.nan),
+    "inf": lambda rng, n: _with(_flat(rng, n), math.inf),
+    "inf - inf": lambda rng, n: _with(_flat(rng, n), math.inf, -math.inf),
+    "near 2^1000": lambda rng, n: _flat(rng, n, 995, 1001),
+    "overflow": lambda rng, n: _with(np.zeros(n), 1.5e308, 1.5e308, -1e308),
+}
+
+
+class TestFsum:
+    # the kernel's finiteness probe, a numpy sum, warns on inf - inf
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in reduce:RuntimeWarning")
+    @pytest.mark.parametrize("case", list(_FLAT_CASES))
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 4096])
+    def test_equals_fsum_of_python_floats(self, case, n):
+        # on both sides of the kernel's crossover, exceptions included
+        x = _FLAT_CASES[case](np.random.default_rng(n), n)
+        try:
+            expect = repr(math.fsum(x.tolist()))
+        except (ValueError, OverflowError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                dists.fsum(x)
+        else:
+            assert repr(dists.fsum(x)) == expect
+        if case == "overflow" and n >= 3:  # the partial sums overflow, the total would not
+            with pytest.raises(OverflowError):
+                dists.fsum(x)
+
+    def test_takes_lists_and_arrays_as_one_row(self):
+        a = np.random.default_rng(3).random((3, 700))
+        expect = math.fsum(a.ravel().tolist())
+        assert dists.fsum(a) == dists.fsum(a.ravel().tolist()) == expect
 
 
 class TestFsumGroups:
