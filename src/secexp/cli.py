@@ -146,7 +146,7 @@ def _ensemble_options(samples: int):
         click.option("--mode", type=click.Choice(["exact", "mc"]), default="exact",
                      show_default=True),
         click.option("--samples", default=samples, show_default=True, type=int),
-        click.option("--seed", default=0, show_default=True, type=int, help="64-bit RNG seed."),
+        click.option("--seed", default=0, show_default=True, type=int, help="RNG seed, a non-negative integer."),
     )
 
 

@@ -316,61 +316,68 @@ def shannon_entropy(p: SubDist) -> float:
 def fsum(x) -> float:
     """math.fsum(x) of the entries of an array or list, bit for bit: `fsum_rows`
     of them taken as one row."""
-    return fsum_rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
+    return fsum_rows(np.asarray(x).reshape(1, -1))[0]
 
 
 def fsum_rows(a) -> list[float]:
-    """[math.fsum(row) for row in a.tolist()] of a 2-D array, bit for bit.
-
-    Rows of at least _KERNEL_MIN_ROW entries are summed by exponent bucket
-    (Malcolm 1971) without a Python float per entry: each entry's 53-bit
-    mantissa is split into integer halves of 27 and 26 bits, and one bincount
-    per half adds them up per (row, binary exponent).  While a row holds fewer
-    than 2^26 entries every bucket total is an integer below 2^53, so exact;
-    scaled back by its exponent it stays exact, subnormals included.  math.fsum
-    of a row's parts is then the correctly rounded row total, which is what
-    math.fsum of the row itself returns.  Shorter rows, rows of 2^26 entries
-    or more, and rows holding a non-finite or overflow-sized entry (with
-    math.fsum's inf, nan, ValueError and OverflowError), go to math.fsum.
-    """
+    """[math.fsum(row) for row in a.tolist()] of a 2-D array, bit for bit: by
+    `_kernel_fsums` with one group per row, else one math.fsum per row."""
     a = np.asarray(a, dtype=float)
-    rows, n = a.shape
-    if not _KERNEL_MIN_ROW <= n < 1 << 26:
-        return list(map(math.fsum, a.tolist()))
-    work = _kernel_arrays(a)
-    exp = work[1]
-    lo, hi = int(exp.min(initial=0)), int(exp.max(initial=0))
-    if not (hi <= _KERNEL_MAX_EXP and math.isfinite(a.sum())):
-        ok = np.isfinite(a).all(axis=1) & (exp.max(axis=1) <= _KERNEL_MAX_EXP)
-        sums = iter(fsum_rows(a[ok]))
-        return [next(sums) if good else math.fsum(row) for good, row in zip(ok.tolist(), a)]
-    return _bucket_fsums(work, lo, hi, np.arange(rows)[:, None], rows)
+    sums = _kernel_fsums(a, None, len(a))
+    return list(map(math.fsum, a.tolist())) if sums is None else sums
 
 
-def _kernel_arrays(a: np.ndarray):
-    """np.frexp(a), and room for the bucket index and the top mantissa
-    halves, as four arrays shaped like `a` in one allocation.
+def fsum_groups(values, keys, groups: int) -> list[float]:
+    """[math.fsum(values[keys == g]) for g in range(groups)], bit for bit, for
+    integer keys in 0 .. groups - 1 shaped like the values: by `_kernel_fsums`,
+    else by one math.fsum per group of the values sorted stably by key."""
+    values = np.asarray(values, dtype=float).ravel()
+    keys = np.asarray(keys).ravel()
+    sums = _kernel_fsums(values, keys, groups)
+    if sums is not None:
+        return sums
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(groups + 1)).tolist()
+    ordered = values[order].tolist()
+    return [math.fsum(ordered[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    glibc returns a freed block of memory to the system unless an earlier
-    freed one was at least as large.  As four allocations, the kernel's
-    arrays were faulted in afresh on every block of a sweep (153,000 page
-    faults, half of `universal_hash_d1_bound` at 2^14 symbols); as one,
-    the first block's free keeps the pages for the rest."""
-    size = a.size
+
+def _kernel_fsums(values: np.ndarray, keys, groups: int) -> list[float] | None:
+    """math.fsum of the entries of each group, bit for bit, or None where the
+    kernel does not apply.  `keys` (broadcast against the values) names each
+    entry's group; None names its row of a 2-D array.
+
+    The kernel applies when the groups average at least _KERNEL_MIN_ROW
+    entries, fewer than _KERNEL_MAX_ENTRIES entries are summed, and every
+    entry is finite and below 2^_KERNEL_MAX_EXP in magnitude.  Elsewhere
+    math.fsum of each group gives the same bits, and its inf, nan, ValueError
+    and OverflowError.  It sums by exponent bucket (Malcolm 1971) without a
+    Python float per entry: each entry's 53-bit mantissa is split into
+    integer halves of 27 and 26 bits, and one bincount per half adds them up
+    per (group, binary exponent).  Each bucket total is an integer below
+    2^53, so exact; scaled back by its exponent it stays exact, subnormals
+    included.  math.fsum of a group's parts is then the correctly rounded
+    group total, which is what math.fsum of the group itself returns.
+    """
+    if not (_KERNEL_MIN_ROW * groups <= values.size < _KERNEL_MAX_ENTRIES and np.isfinite(values).all()):
+        return None
+    # np.frexp of the values, the bucket index and the top mantissa halves
+    # share one allocation.  glibc returns a freed block to the system unless
+    # an earlier freed one was at least as large: as four allocations, they
+    # were faulted in afresh on every block of a sweep (153,000 page faults,
+    # half of `universal_hash_d1_bound` at 2^14 symbols); as one, the first
+    # block's free keeps the pages for the rest.
+    size, shape = values.size, values.shape
     scratch = np.empty(4 * size)
-    mant, top = scratch[:size].reshape(a.shape), scratch[size : 2 * size].reshape(a.shape)
-    bucket = scratch[2 * size : 3 * size].view(np.intp)[:size].reshape(a.shape)
-    exp = scratch[3 * size :].view(np.intc)[:size].reshape(a.shape)
-    np.frexp(a, out=(mant, exp))
-    return mant, exp, top, bucket
-
-
-def _bucket_fsums(work, lo: int, hi: int, keys, groups: int) -> list[float]:
-    """math.fsum of the entries of each group, from `_kernel_arrays` of them
-    (exponents in lo .. hi); `keys` (broadcast against them) names each
-    entry's group.  The kernel of `fsum_rows`: exact while a group holds
-    fewer than 2^26 entries."""
-    mant, exp, top, bucket = work
+    mant, top = scratch[:size].reshape(shape), scratch[size : 2 * size].reshape(shape)
+    bucket = scratch[2 * size : 3 * size].view(np.intp)[:size].reshape(shape)
+    exp = scratch[3 * size :].view(np.intc)[:size].reshape(shape)
+    np.frexp(values, out=(mant, exp))
+    lo, hi = int(exp.min(initial=0)), int(exp.max(initial=0))
+    if hi > _KERNEL_MAX_EXP:
+        return None
+    if keys is None:
+        keys = np.arange(groups)[:, None]
     span = hi - lo + 1
     np.add(keys * span - lo, exp, out=bucket)
     mant *= 2.0**27
@@ -385,31 +392,13 @@ def _bucket_fsums(work, lo: int, hi: int, keys, groups: int) -> list[float]:
     return list(map(math.fsum, np.concatenate(parts, axis=1).tolist()))
 
 
-def fsum_groups(values, keys, groups: int) -> list[float]:
-    """[math.fsum(values[keys == g]) for g in range(groups)], bit for bit, for
-    integer keys in 0 .. groups - 1 shaped like the values.
-
-    By the bucket kernel of `fsum_rows` when the groups average at least
-    _KERNEL_MIN_ROW entries (fewer than 2^26 in all) and every value is
-    finite and below 2^_KERNEL_MAX_EXP in magnitude, else by one math.fsum
-    per group of the values sorted stably by key."""
-    values = np.asarray(values, dtype=float).ravel()
-    keys = np.asarray(keys).ravel()
-    if _KERNEL_MIN_ROW * groups <= values.size < 1 << 26 and math.isfinite(values.sum()):
-        work = _kernel_arrays(values)
-        lo, hi = int(work[1].min(initial=0)), int(work[1].max(initial=0))
-        if hi <= _KERNEL_MAX_EXP:
-            return _bucket_fsums(work, lo, hi, keys, groups)
-    order = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[order], np.arange(groups + 1)).tolist()
-    ordered = values[order].tolist()
-    return [math.fsum(ordered[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 # Rows shorter than this cost less through math.fsum: at this length one row
 # costs about the same either way, and blocks of more rows gain (measured
 # crossover, see CHANGES.md).
 _KERNEL_MIN_ROW = 1024
+# While fewer entries than this are summed, no bucket holds 2^26 top halves
+# of under 2^27 each, so every bucket total is an exact integer below 2^53.
+_KERNEL_MAX_ENTRIES = 1 << 26
 # Entries below 2^_KERNEL_MAX_EXP in magnitude overflow neither a bucket total
 # (fewer than 2^26 terms of one binary exponent) nor a partial sum of math.fsum.
 _KERNEL_MAX_EXP = 960

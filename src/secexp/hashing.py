@@ -29,9 +29,9 @@ Three ensemble conditions are checkable by full seed enumeration:
   3. strongly universal_2:  each single output is exactly uniform and any two
                             distinct inputs hash pairwise independently.
 
-Seed sampling uses numpy's default PCG64 generator seeded from a 64-bit
-integer; the stream is stable across platforms and pinned by test vectors in
-the test suite.
+Seed sampling uses numpy's default PCG64 generator seeded from a
+non-negative integer; the stream is stable across platforms and pinned by
+test vectors in the test suite.
 """
 
 from __future__ import annotations

@@ -98,6 +98,16 @@ class TestFsumRows:
         a[1, : len(head)] = head
         assert kernel_rows(a) == reference_rows(a) == OverflowError
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [dists._KERNEL_MIN_ROW, 4096])
+    def test_inf_minus_inf_in_one_row_is_math_fsums_error(self, n):
+        # one bad row among rows the kernel would take: math.fsum's
+        # ValueError, with no numpy warning on the way
+        a = np.random.default_rng(n).random((3, n))
+        a[1, n // 2 : n // 2 + 2] = math.inf, -math.inf
+        with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
+            fsum_rows(a)
+
     def test_rows_from_the_crossover_length_use_the_kernel(self, monkeypatch):
         # the kernel hands math.fsum a row's bucket parts, far fewer than
         # its entries; shorter rows go to math.fsum whole
@@ -138,8 +148,7 @@ _FLAT_CASES = {
 
 
 class TestFsum:
-    # the kernel's finiteness probe, a numpy sum, warns on inf - inf
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in reduce:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", list(_FLAT_CASES))
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 4096])
     def test_equals_fsum_of_python_floats(self, case, n):
@@ -198,6 +207,40 @@ class TestFsumGroups:
         lengths.clear()
         fsum_groups(values, keys, 3)
         assert lengths == [dists._KERNEL_MIN_ROW, dists._KERNEL_MIN_ROW, 0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inf_minus_inf(self):
+        # groups of 2 * _KERNEL_MIN_ROW entries on average: -inf + inf in one
+        # group is math.fsum's ValueError, split between two groups it is not
+        values = np.random.default_rng(5).random(4 * dists._KERNEL_MIN_ROW)
+        keys = np.arange(values.size) % 2
+        values[:3] = math.inf, 0.5, -math.inf
+        with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
+            fsum_groups(values, keys, 2)
+        values[:3] = math.inf, -math.inf, 0.5
+        assert fsum_groups(values, keys, 2) == [math.inf, -math.inf]
+
+
+class TestKernelEntryBound:
+    """From _KERNEL_MAX_ENTRIES entries on, every layout is summed by math.fsum
+    whole.  The bound is patched down: an input that long is a 512 MB array."""
+
+    def test_fsum_rows_and_groups_fall_back(self, monkeypatch):
+        bound = 4 * dists._KERNEL_MIN_ROW
+        monkeypatch.setattr(dists, "_KERNEL_MAX_ENTRIES", bound)
+        lengths = []
+        fsum = math.fsum
+        monkeypatch.setattr(dists.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+        x = np.random.default_rng(6).random(bound) * np.resize([1.0, -1.0, 1.0], bound)
+        keys = np.arange(bound) % 2
+        assert dists.fsum(x) == fsum(x.tolist())
+        assert fsum_rows(x.reshape(2, -1)) == [fsum(row) for row in x.reshape(2, -1).tolist()]
+        assert fsum_groups(x, keys, 2) == [fsum(x[keys == g].tolist()) for g in (0, 1)]
+        assert lengths == [bound] + [bound // 2] * 4
+        # one entry fewer: the kernel, which hands math.fsum a row's bucket parts
+        lengths.clear()
+        assert dists.fsum(x[1:]) == fsum(x[1:].tolist())
+        assert len(lengths) == 1 and lengths[0] < dists._KERNEL_MIN_ROW
 
 
 class TestOracles:

@@ -223,6 +223,23 @@ class TestOptimizerBitIdentical:
         for r in np.linspace(floor, h, 4)[1:-1].tolist():
             assert_same_as_exhaustive(lambda: cramer_exponent(p, r), monkeypatch, screens)
 
+    def test_cramer_exponent_under_the_floor(self, monkeypatch, screens):
+        # at R = 6.8 the bracket's lower side falls under _SCREEN_FLOOR, so
+        # the screen refuses it and sums the whole grid exactly
+        w = 1.0 + np.random.default_rng(0).random(1024)
+        p = SubDist(range_alphabet(1024), w / w.sum())
+        run = lambda: (lambda e: (e.value, e.argmax))(cramer_exponent(p, 6.8))
+        got = run()
+        assert screens and all(s.bracket is None for s in screens)
+        with exhaustive_grid(monkeypatch):
+            assert repr(run()) == repr(got)
+        assert got[0] == 0.21814347082138852
+        # the floor alone refused it
+        monkeypatch.setattr(dists, "_SCREEN_FLOOR", -math.inf)
+        screens.clear()
+        run()
+        assert screens[0].bracket is not None
+
     @pytest.mark.parametrize("form", [conditional_exponent_phi, conditional_exponent_pinsker])
     @hypothesis_settings(3)
     @given(seed=seeds)
