@@ -37,7 +37,6 @@ __all__ = [
     "product_alphabet",
     "fsum",
     "fsum_rows",
-    "fsum_groups",
     "grid_argmax",
     "l1_distance",
     "d1_uniformity",
@@ -321,72 +320,54 @@ def fsum(x) -> float:
 
 def fsum_rows(a) -> list[float]:
     """[math.fsum(row) for row in a.tolist()] of a 2-D array, bit for bit: by
-    `_kernel_fsums` with one group per row, else one math.fsum per row."""
+    `_kernel_fsums`, else one math.fsum per row."""
     a = np.asarray(a, dtype=float)
-    sums = _kernel_fsums(a, None, len(a))
+    sums = _kernel_fsums(a)
     return list(map(math.fsum, a.tolist())) if sums is None else sums
 
 
-def fsum_groups(values, keys, groups: int) -> list[float]:
-    """[math.fsum(values[keys == g]) for g in range(groups)], bit for bit, for
-    integer keys in 0 .. groups - 1 shaped like the values: by `_kernel_fsums`,
-    else by one math.fsum per group of the values sorted stably by key."""
-    values = np.asarray(values, dtype=float).ravel()
-    keys = np.asarray(keys).ravel()
-    sums = _kernel_fsums(values, keys, groups)
-    if sums is not None:
-        return sums
-    order = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[order], np.arange(groups + 1)).tolist()
-    ordered = values[order].tolist()
-    return [math.fsum(ordered[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+def _kernel_fsums(rows: np.ndarray) -> list[float] | None:
+    """math.fsum of each row of a 2-D array, bit for bit, or None where the
+    kernel does not apply.
 
-
-def _kernel_fsums(values: np.ndarray, keys, groups: int) -> list[float] | None:
-    """math.fsum of the entries of each group, bit for bit, or None where the
-    kernel does not apply.  `keys` (broadcast against the values) names each
-    entry's group; None names its row of a 2-D array.
-
-    The kernel applies when the groups average at least _KERNEL_MIN_ROW
-    entries, fewer than _KERNEL_MAX_ENTRIES entries are summed, and every
-    entry is finite and below 2^_KERNEL_MAX_EXP in magnitude.  Elsewhere
-    math.fsum of each group gives the same bits, and its inf, nan, ValueError
-    and OverflowError.  It sums by exponent bucket (Malcolm 1971) without a
-    Python float per entry: each entry's 53-bit mantissa is split into
-    integer halves of 27 and 26 bits, and one bincount per half adds them up
-    per (group, binary exponent).  Each bucket total is an integer below
-    2^53, so exact; scaled back by its exponent it stays exact, subnormals
-    included.  math.fsum of a group's parts is then the correctly rounded
-    group total, which is what math.fsum of the group itself returns.
+    The kernel applies to rows of at least _KERNEL_MIN_ROW entries when fewer
+    than _KERNEL_MAX_ENTRIES entries are summed and every entry is finite and
+    below 2^_KERNEL_MAX_EXP in magnitude.  Elsewhere math.fsum of each row
+    gives the same bits, and its inf, nan, ValueError and OverflowError.  It
+    sums by exponent bucket (Malcolm 1971) without a Python float per entry:
+    each entry's 53-bit mantissa is split into integer halves of 27 and 26
+    bits, and one bincount per half adds them up per (row, binary exponent).
+    Each bucket total is an integer below 2^53, so exact; scaled back by its
+    exponent it stays exact, subnormals included.  math.fsum of a row's parts
+    is then the correctly rounded row total, which is what math.fsum of the
+    row itself returns.
     """
-    if not (_KERNEL_MIN_ROW * groups <= values.size < _KERNEL_MAX_ENTRIES and np.isfinite(values).all()):
+    if not (rows.shape[1] >= _KERNEL_MIN_ROW and rows.size < _KERNEL_MAX_ENTRIES and np.isfinite(rows).all()):
         return None
-    # np.frexp of the values, the bucket index and the top mantissa halves
+    # np.frexp of the rows, the bucket index and the top mantissa halves
     # share one allocation.  glibc returns a freed block to the system unless
     # an earlier freed one was at least as large: as four allocations, they
     # were faulted in afresh on every block of a sweep (153,000 page faults,
     # half of `universal_hash_d1_bound` at 2^14 symbols); as one, the first
     # block's free keeps the pages for the rest.
-    size, shape = values.size, values.shape
+    size, shape = rows.size, rows.shape
     scratch = np.empty(4 * size)
     mant, top = scratch[:size].reshape(shape), scratch[size : 2 * size].reshape(shape)
     bucket = scratch[2 * size : 3 * size].view(np.intp)[:size].reshape(shape)
     exp = scratch[3 * size :].view(np.intc)[:size].reshape(shape)
-    np.frexp(values, out=(mant, exp))
+    np.frexp(rows, out=(mant, exp))
     lo, hi = int(exp.min(initial=0)), int(exp.max(initial=0))
     if hi > _KERNEL_MAX_EXP:
         return None
-    if keys is None:
-        keys = np.arange(groups)[:, None]
     span = hi - lo + 1
-    np.add(keys * span - lo, exp, out=bucket)
+    np.add(np.arange(shape[0])[:, None] * span - lo, exp, out=bucket)
     mant *= 2.0**27
     np.floor(mant, out=top)
     mant -= top
     mant *= 2.0**26
     scale = np.arange(lo, hi + 1)
     parts = [
-        np.ldexp(np.bincount(bucket.ravel(), half.ravel(), groups * span).reshape(groups, span), scale - shift)
+        np.ldexp(np.bincount(bucket.ravel(), half.ravel(), shape[0] * span).reshape(-1, span), scale - shift)
         for half, shift in ((top, 27), (mant, 53))
     ]
     return list(map(math.fsum, np.concatenate(parts, axis=1).tolist()))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import JointDist, SubDist, capped_power, fsum, fsum_groups, fsum_rows, range_alphabet, require_work
+from .dists import JointDist, SubDist, capped_power, fsum, fsum_rows, range_alphabet, require_work
 from .hashing import FullyRandomFamily, HashFamily
 
 __all__ = [
@@ -65,15 +65,6 @@ class EnsembleEstimate(NamedTuple):
         return cls(value=mean, stderr=math.sqrt(var / n), mode="mc", n_samples=n)
 
 
-def _valid_map(f, size: int, m: int) -> np.ndarray:
-    f_map = np.asarray(f, dtype=np.int64)
-    if f_map.shape != (size,):
-        raise ValueError(f"map must assign all {size} symbols")
-    if f_map.min() < 1 or f_map.max() > m:
-        raise ValueError(f"map outputs must lie in 1..{m}")
-    return f_map
-
-
 def _l1_rows(rows: np.ndarray, ref) -> list[float]:
     """L1 distance of each row from `ref` (broadcast), each row summed as
     math.fsum would (`fsum_rows`)."""
@@ -86,11 +77,30 @@ def _d1_rows(rows: np.ndarray, m: int) -> list[float]:
     return _l1_rows(rows, totals[:, None] / m)
 
 
+def _preimage_sums(weights: np.ndarray, f, m: int):
+    """The output alphabet {1..m} and the (m, side) cells of the image of the
+    (symbols, side) weights under a concrete map f into it: `fsum_rows` of
+    each output's preimage rows, transposed, so each cell is correctly
+    rounded.  The map is checked, and the alphabet refused past its cap,
+    before any cell is summed."""
+    f_map = np.asarray(f, dtype=np.int64)
+    if f_map.shape != (len(weights),):
+        raise ValueError(f"map must assign all {len(weights)} symbols")
+    if f_map.min() < 1 or f_map.max() > m:
+        raise ValueError(f"map outputs must lie in 1..{m}")
+    outputs = range_alphabet(m)
+    order = np.argsort(f_map, kind="stable")
+    bounds = np.searchsorted(f_map, np.arange(1, m + 2), sorter=order).tolist()
+    rows = weights[order]
+    cells = [fsum_rows(rows[a:b].T) for a, b in zip(bounds[:-1], bounds[1:])]
+    return outputs, np.array(cells)
+
+
 def pushforward(p: SubDist, f, m: int) -> SubDist:
     """Image distribution of p under a concrete map into {1..m}; each cell is
     the correctly rounded sum of its masses."""
-    f_map = _valid_map(f, p.alphabet.size, m)
-    return SubDist(range_alphabet(m), fsum_groups(p.mass, f_map - 1, m))
+    outputs, cells = _preimage_sums(p.mass[:, None], f, m)
+    return SubDist(outputs, cells[:, 0])
 
 
 def d1_hashed(p: SubDist, f, m: int) -> float:
@@ -100,11 +110,8 @@ def d1_hashed(p: SubDist, f, m: int) -> float:
 
 def joint_pushforward(j: JointDist, f, m: int) -> JointDist:
     """Push the secret coordinate of a joint through a concrete map."""
-    f_map = _valid_map(f, j.alphabet_a.size, m)
-    side = j.alphabet_e.size
-    cells = (f_map - 1)[:, None] * side + np.arange(side)
-    mass = np.reshape(fsum_groups(j.mass, cells, m * side), (m, side))
-    return JointDist(range_alphabet(m), j.alphabet_e, mass)
+    outputs, cells = _preimage_sums(j.mass, f, m)
+    return JointDist(outputs, j.alphabet_e, cells)
 
 
 def d1_conditional(j: JointDist, f, m: int) -> float:

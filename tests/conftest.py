@@ -25,6 +25,13 @@ def ternary():
     return SubDist(Alphabet(("0", "1", "2")), np.array([0.5, 0.3, 0.2]))
 
 
+def exact_sum(values) -> float:
+    """The sum of floats in exact rationals, rounded once to the nearest float
+    (ties to even): the oracle for correct rounding, which `math.fsum`
+    (Shewchuk 1997) and so `dists.fsum_rows` must match bit for bit."""
+    return float(sum(map(Fraction, values), Fraction(0)))
+
+
 def random_subdist(rng, size, total=None):
     """A random sub-distribution; total defaults to a uniform draw in (0, 1]."""
     raw = rng.random(size) + 1e-3

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secexp import dists, privacy
-from secexp.dists import BLOCK_CELLS, JointDist, fsum_groups, fsum_rows, range_alphabet
+from secexp.dists import BLOCK_CELLS, JointDist, fsum_rows, range_alphabet
 from secexp.exponents import hash_d1_bound_at, universal_hash_d1_bound
 from secexp.hashing import ToeplitzFamily
 from secexp.privacy import expected_d1_conditional
 from secexp.wiretap import Channel, WiretapCode, error_prob
 
-from conftest import random_dist
+from conftest import exact_sum, random_dist
 
 
 def reference_rows(a) -> list:
@@ -79,6 +79,27 @@ class TestFsumRows:
         if rows and special is not None:
             a[rng.integers(rows), rng.integers(n)] = special
         assert kernel_rows(a) == reference_rows(a)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 3),
+        n=st.integers(1, 3000),
+        exps=st.lists(st.integers(-1074, 60), min_size=2, max_size=2).map(sorted),
+        pairs=st.integers(0, 64),
+    )
+    def test_equals_the_rounded_rational_sum(self, seed, rows, n, exps, pairs):
+        # magnitudes from 2^-1074 to 2^61, mixed signs, and `pairs` entries
+        # of each row cancelled exactly by others: each row's sum is its
+        # exact rational sum rounded once, on both sides of the kernel's
+        # row-length crossover
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(1.0 + rng.random((rows, n)), rng.integers(exps[0], exps[1] + 1, (rows, n)))
+        a *= rng.choice([-1.0, 1.0], a.shape)
+        k = min(pairs, n // 2)
+        perm = rng.random((rows, n)).argsort(axis=1)
+        np.put_along_axis(a, perm[:, k : 2 * k], -np.take_along_axis(a, perm[:, :k], axis=1), axis=1)
+        assert [repr(v) for v in fsum_rows(a)] == [repr(exact_sum(row)) for row in a.tolist()]
 
     def test_cancellation_and_half_way_cases(self):
         n = 2 * dists._KERNEL_MIN_ROW
@@ -171,58 +192,8 @@ class TestFsum:
         assert dists.fsum(a) == dists.fsum(a.ravel().tolist()) == expect
 
 
-class TestFsumGroups:
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        groups=st.integers(1, 5),
-        n=st.integers(0, 6 * dists._KERNEL_MIN_ROW),
-        low_exp=st.integers(-1080, 0),
-        signs=st.booleans(),
-        special=st.sampled_from([None, math.inf, math.nan, 1e308]),
-    )
-    def test_equals_fsum_per_group(self, seed, groups, n, low_exp, signs, special):
-        # on both sides of the kernel's crossover (groups of _KERNEL_MIN_ROW
-        # entries on average), groups left empty included
-        rng = np.random.default_rng(seed)
-        values = np.ldexp(rng.random(n), rng.integers(low_exp, 2, n))
-        if signs:
-            values *= rng.choice([-1.0, 1.0], n)
-        if n and special is not None:
-            values[rng.integers(n)] = special
-        keys = rng.integers(0, groups, n)
-        expect = [repr(math.fsum(values[keys == g].tolist())) for g in range(groups)]
-        assert [repr(v) for v in fsum_groups(values, keys, groups)] == expect
-
-    def test_kernel_and_sorted_paths(self, monkeypatch):
-        # a group of 2 * _KERNEL_MIN_ROW entries goes to the kernel, which
-        # hands math.fsum far fewer parts than entries
-        lengths = []
-        fsum = math.fsum
-        monkeypatch.setattr(dists.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
-        values = np.random.default_rng(2).random(2 * dists._KERNEL_MIN_ROW)
-        keys = np.arange(values.size) % 2
-        fsum_groups(values, keys, 2)
-        assert len(lengths) == 2 and max(lengths) < dists._KERNEL_MIN_ROW // 2
-        lengths.clear()
-        fsum_groups(values, keys, 3)
-        assert lengths == [dists._KERNEL_MIN_ROW, dists._KERNEL_MIN_ROW, 0]
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_inf_minus_inf(self):
-        # groups of 2 * _KERNEL_MIN_ROW entries on average: -inf + inf in one
-        # group is math.fsum's ValueError, split between two groups it is not
-        values = np.random.default_rng(5).random(4 * dists._KERNEL_MIN_ROW)
-        keys = np.arange(values.size) % 2
-        values[:3] = math.inf, 0.5, -math.inf
-        with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
-            fsum_groups(values, keys, 2)
-        values[:3] = math.inf, -math.inf, 0.5
-        assert fsum_groups(values, keys, 2) == [math.inf, -math.inf]
-
-
 class TestKernelEntryBound:
-    """From _KERNEL_MAX_ENTRIES entries on, every layout is summed by math.fsum
+    """From _KERNEL_MAX_ENTRIES entries on, every row is summed by math.fsum
     whole.  The bound is patched down: an input that long is a 512 MB array."""
 
     def test_fsum_rows_and_groups_fall_back(self, monkeypatch):
@@ -232,11 +203,9 @@ class TestKernelEntryBound:
         fsum = math.fsum
         monkeypatch.setattr(dists.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
         x = np.random.default_rng(6).random(bound) * np.resize([1.0, -1.0, 1.0], bound)
-        keys = np.arange(bound) % 2
         assert dists.fsum(x) == fsum(x.tolist())
         assert fsum_rows(x.reshape(2, -1)) == [fsum(row) for row in x.reshape(2, -1).tolist()]
-        assert fsum_groups(x, keys, 2) == [fsum(x[keys == g].tolist()) for g in (0, 1)]
-        assert lengths == [bound] + [bound // 2] * 4
+        assert lengths == [bound] + [bound // 2] * 2
         # one entry fewer: the kernel, which hands math.fsum a row's bucket parts
         lengths.clear()
         assert dists.fsum(x[1:]) == fsum(x[1:].tolist())

@@ -35,7 +35,7 @@ from secexp.privacy import (
     subset_lower_bound,
 )
 
-from conftest import random_dist, random_subdist
+from conftest import exact_sum, random_dist, random_subdist
 
 
 def skew3():
@@ -63,18 +63,56 @@ class TestConcreteHash:
         with pytest.raises(ValueError):
             d1_hashed(skew3(), [1, 3, 1], 2)
 
-    def test_cells_are_correctly_rounded(self):
-        # 531,441 strings onto 2 cells: each cell is math.fsum of its masses
-        # (summed in sequence, the total came to 1.000000000003992 > 1)
-        p = iid_extend(SubDist(Alphabet(("a", "b", "c")), [0.5, 0.3, 0.2]), 12)
-        f = np.random.default_rng(4).integers(1, 3, size=p.alphabet.size)
-        q = pushforward(p, f, 2)
-        assert q.mass.tolist() == [math.fsum(p.mass[f == y].tolist()) for y in (1, 2)]
-        side = np.array([0.25, 0.75])
-        j = JointDist(p.alphabet, Alphabet(("u", "v")), np.outer(p.mass, side))
-        hashed = joint_pushforward(j, f, 2)
-        expect = [[math.fsum(j.mass[f == y, e].tolist()) for e in (0, 1)] for y in (1, 2)]
-        assert hashed.mass.tolist() == expect
+    @pytest.mark.parametrize(
+        "layout, side",
+        [("empty outputs", 1), ("empty outputs", 5), ("all but one", 1), ("all but one", 5), ("3^12 strings", 1)],
+    )
+    def test_cells_are_correctly_rounded(self, layout, side):
+        # each cell is math.fsum of its masses, which is their exact sum
+        # rounded once.  Preimages of 937 and 1,019 symbols are summed by
+        # math.fsum, of 1,044, 2,999 and about 265,000 by the exact-sum
+        # kernel (summed in sequence, the 531,441 masses came to
+        # 1.000000000003992 > 1)
+        rng = np.random.default_rng(4)
+        if layout == "3^12 strings":
+            p = iid_extend(SubDist(Alphabet(("a", "b", "c")), [0.5, 0.3, 0.2]), 12)
+            m, f = 2, rng.integers(1, 3, size=p.alphabet.size)
+        else:
+            p = random_dist(rng, 3000)
+            m, f = 6, 2 * rng.integers(1, 4, size=p.alphabet.size)  # outputs 1, 3 and 5 empty
+            if layout == "all but one":
+                f[:] = 2
+                f[1234] = 5
+        weights = rng.random(side)
+        j = JointDist(p.alphabet, range_alphabet(side), np.outer(p.mass, weights / weights.sum()))
+        pushed, joint = pushforward(p, f, m).mass[:, None], joint_pushforward(j, f, m).mass
+        checks = [(pushed, p.mass[:, None])]
+        if side > 1:
+            checks.append((joint, j.mass))
+        else:  # the joint's masses are the source's, and so are its cells
+            assert joint.tolist() == pushed.tolist()
+        for got, mass in checks:
+            cells = [[mass[f == y, e].tolist() for e in range(mass.shape[1])] for y in range(1, m + 1)]
+            assert got.tolist() == [list(map(math.fsum, c)) for c in cells] == [list(map(exact_sum, c)) for c in cells]
+
+    @pytest.mark.parametrize("m", [2**21, 2**40])
+    @pytest.mark.parametrize(
+        "helper", [pushforward, d1_hashed, joint_pushforward, d1_conditional, d1_conditional_prime]
+    )
+    def test_output_alphabet_is_refused_before_any_sum(self, helper, m):
+        # m outputs past the alphabet cap: SizeLimitError before a cell of
+        # the image is allocated
+        source = skew3()
+        if helper not in (pushforward, d1_hashed):
+            source = JointDist(source.alphabet, range_alphabet(2), np.outer(source.mass, [0.5, 0.5]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="alphabet symbols exceed cap"):
+                helper(source, [1, 2, 1], m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestExpectedD1Oracle:
