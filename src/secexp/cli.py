@@ -166,8 +166,6 @@ def cli():
 @out_option
 def entropy(dist_path, s_values, out):
     """Entropy summary of a distribution (nats)."""
-    if not all(math.isfinite(s) for s in s_values):
-        raise InputValidationError("--s must be a finite number")
     p = load_subdist(dist_path)
     payload = {
         "total": p.total,
@@ -199,8 +197,6 @@ def entropy(dist_path, s_values, out):
 @out_option
 def exponent(dist_path, joint_path, rate, form, out):
     """Exponent and bound evaluations at a given rate."""
-    if not math.isfinite(rate):
-        raise InputValidationError("--R must be a finite number")
     if form == "cond":
         if joint_path is None:
             raise InputValidationError("--joint is required for the cond form")
@@ -377,8 +373,6 @@ def simulate_wiretap(
         raise InputValidationError("--n must be at least 1")
     wb = load_channel(wb_path)
     we = load_channel(we_path)
-    if wb.input_alphabet != we.input_alphabet:
-        raise InputValidationError("channels must share the input alphabet")
     if n > 1:
         wb = wb.iid_extend(n)
         we = we.iid_extend(n)

@@ -283,16 +283,33 @@ class JointDist:
         return self._given_e
 
 
-def _require_same_alphabet(p: SubDist, q: SubDist):
-    if p.alphabet != q.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabets differ: {p.alphabet.symbols} vs {q.alphabet.symbols}"
-        )
+def require_same_alphabet(a: Alphabet, b: Alphabet, what: str):
+    """The one alphabet check: refuses two different alphabets, `what` naming
+    the pairing.  The message shows the sizes or the first differing symbols,
+    cut to 20 characters, never whole alphabets (megabytes at 2^20 symbols)."""
+    if a.size != b.size:
+        raise AlphabetMismatchError(f"{what} alphabets differ: {a.size} vs {b.size} symbols")
+    if a != b:
+        i = next(i for i, (x, y) in enumerate(zip(a.symbols, b.symbols)) if x != y)
+        first = f"{a.symbols[i]!r:.20} vs {b.symbols[i]!r:.20}"
+        raise AlphabetMismatchError(f"{what} alphabets differ: symbol {i} is {first}")
+
+
+def order_array(s, name: str, low: float, high: float, ends: str = "()") -> np.ndarray:
+    """The one order check: s (one order or an array of them) as a float
+    array, refused unless every entry lies in the interval from low to high,
+    closed at an end where `ends` has "[" or "]".  Every infinite end is open,
+    so nan and the infinities lie in no domain."""
+    orders = np.asarray(s, dtype=float)
+    above = orders >= low if ends[0] == "[" else orders > low
+    if not (above & (orders <= high if ends[1] == "]" else orders < high)).all():
+        raise ValueError(f"{name} must be finite and lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    return orders
 
 
 def l1_distance(p: SubDist, q: SubDist) -> float:
     """Sum of |P(x) - Q(x)| (the variational distance, unhalved)."""
-    _require_same_alphabet(p, q)
+    require_same_alphabet(p.alphabet, q.alphabet, "distribution")
     return fsum(np.abs(p.mass - q.mass))
 
 
@@ -302,7 +319,7 @@ def d1_uniformity(p: SubDist) -> float:
 
 
 def l2_distance(p: SubDist, q: SubDist) -> float:
-    _require_same_alphabet(p, q)
+    require_same_alphabet(p.alphabet, q.alphabet, "distribution")
     return math.sqrt(fsum((p.mass - q.mass) ** 2))
 
 
@@ -553,9 +570,7 @@ def renyi_tilde(p: SubDist, s):
     every summand is subnormal (few bits left) or 0, the largest atom is
     factored out: -(1+s) log max P - log sum (P / max P)^(1+s).
     """
-    orders = np.asarray(s, dtype=float)
-    if (orders <= -1.0).any():
-        raise ValueError("order parameter must satisfy s > -1")
+    orders = order_array(s, "s", -1.0, math.inf)
     m = p.mass[p.mass > 0.0]
     if m.size == 0:
         raise ValueError("empty support")
@@ -583,8 +598,7 @@ def renyi(p: SubDist, s: float) -> float:
 def renyi_tilde_derivative(p: SubDist, s: float) -> float:
     """d/ds of renyi_tilde: -(sum p^(1+s) log p) / (sum p^(1+s)); the largest
     atom is factored out of both sums where `renyi_tilde` factors it."""
-    if s <= -1.0:
-        raise ValueError("order parameter must satisfy s > -1")
+    order_array(s, "s", -1.0, math.inf)
     m = p.mass[p.mass > 0.0]
     if m.size == 0:
         raise ValueError("empty support")
@@ -595,7 +609,7 @@ def renyi_tilde_derivative(p: SubDist, s: float) -> float:
 
 def kl_divergence(q: SubDist, p: SubDist) -> float:
     """D(Q||P) = sum Q log(Q/P), +inf when Q is not absolutely continuous."""
-    _require_same_alphabet(q, p)
+    require_same_alphabet(q.alphabet, p.alphabet, "distribution")
     if not (q.is_probability() and p.is_probability()):
         raise ValueError("divergence requires probability distributions")
     qm, pm = q.mass, p.mass
@@ -611,8 +625,7 @@ def tilt(p: SubDist, s: float) -> SubDist:
     Computed on mass ratios against the largest atom, so large s cannot
     underflow the normalizer.
     """
-    if s <= -1.0:
-        raise ValueError("order parameter must satisfy s > -1")
+    order_array(s, "s", -1.0, math.inf)
     peak = float(p.mass.max())
     if peak <= 0.0:
         raise ValueError("empty support")

@@ -34,6 +34,7 @@ from .dists import (
     grid_argmax,
     kl_divergence,
     log_fsum_by_order,
+    order_array,
     renyi_tilde,
     renyi_tilde_derivative,
     require_work,
@@ -185,9 +186,7 @@ def _through_log(c: float, m: int, t, decay):
 def hash_d1_bound_at(p: SubDist, m: int, s):
     """3 M^(s/(1+s)) e^(-H~_(1+s)/(1+s)): the per-s hashing bound; s may be
     an array of orders."""
-    orders = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all((orders >= 0.0) & (orders <= 1.0)):
-        raise ValueError("s must be in [0, 1]")
+    orders = np.atleast_1d(order_array(s, "s", 0.0, 1.0, "[]"))
     exps, decay = orders / (1.0 + orders), -renyi_tilde(p, orders) / (1.0 + orders)
     value = _through_log(3.0, m, exps, decay) if m > 2**1023 else 3.0 * m**exps * np.exp(decay)
     return float(value[0]) if np.ndim(s) == 0 else value
@@ -262,11 +261,9 @@ def _tilted_witness(p: SubDist, r: float) -> tuple[float, SubDist] | None:
     """Find s >= 0 with H(tilt(p, s)) = r by bisection; None if unreachable
     below TILT_CAP.
 
-    The entropy of the tilted family is nonincreasing in s, so bisection is
-    valid whenever the target is bracketed.
+    The entropy of the tilted family is nonincreasing in s and above r at
+    s = 0 (the caller's H(p) > r), so bisection from 0 is valid.
     """
-    if shannon_entropy(tilt(p, 0.0)) <= r:
-        return 0.0, tilt(p, 0.0)
     hi = 1.0
     while shannon_entropy(tilt(p, hi)) > r:
         if hi >= TILT_CAP:
@@ -468,8 +465,7 @@ def phi_cond(j: JointDist, t):
     phi(0) = 0 and the derivative at 0 is -H(A|E).  Negative t is allowed;
     it appears in the decoding-error bounds.  t may be an array of orders.
     """
-    if (np.asarray(t) >= 1.0).any():
-        raise ValueError("t must be < 1")
+    order_array(t, "t", -math.inf, 1.0)
     pe, cond = j.given_e()
 
     def terms(t):
@@ -482,8 +478,7 @@ def phi_cond(j: JointDist, t):
 def cond_renyi_tilde(j: JointDist, s):
     """-log sum_(a,e) P(e) P(a|e)^(1+s); its s -> 0 slope recovers H(A|E).
     s may be an array of orders."""
-    if (np.asarray(s) <= -1.0).any():
-        raise ValueError("order parameter must satisfy s > -1")
+    order_array(s, "s", -1.0, math.inf)
     pe, cond = j.given_e()
     terms = lambda s: pe * (cond ** (1.0 + s)[:, None, None]).sum(axis=1)
     return -log_fsum_by_order(s, terms, cond.size)
@@ -491,8 +486,7 @@ def cond_renyi_tilde(j: JointDist, s):
 
 def conditional_hash_d1_bound_at(j: JointDist, m: int, t: float) -> float:
     """3 M^t e^(phi(t)): the side-information hashing bound at parameter t."""
-    if not 0.0 <= t <= 0.5:
-        raise ValueError("t must be in [0, 1/2]")
+    order_array(t, "t", 0.0, 0.5, "[]")
     return 3.0 * m**t * math.exp(phi_cond(j, t))
 
 

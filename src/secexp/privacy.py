@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import JointDist, SubDist, capped_power, fsum, fsum_rows, range_alphabet, require_work
+from .dists import (JointDist, SubDist, capped_power, fsum, fsum_rows, range_alphabet,
+                    require_same_alphabet, require_work)
 from .hashing import FullyRandomFamily, HashFamily
 
 __all__ = [
@@ -181,8 +182,7 @@ def expected_d1(
     seed: int = 0,
 ) -> EnsembleEstimate:
     """Ensemble average of the hashed source's distance from uniform."""
-    if fam.input_alphabet != p.alphabet:
-        raise ValueError("family input alphabet must match the distribution")
+    require_same_alphabet(fam.input_alphabet, p.alphabet, "family input and distribution")
     m = fam.output_size
     ref = p.total * (1 / m)  # 1 / m: no float of M, which may be huge
     return _ensemble(
@@ -199,8 +199,7 @@ def expected_d1_conditional(
     seed: int = 0,
 ) -> EnsembleEstimate:
     """Ensemble average of the conditional distinguishability."""
-    if fam.input_alphabet != j.alphabet_a:
-        raise ValueError("family input alphabet must match the secret alphabet")
+    require_same_alphabet(fam.input_alphabet, j.alphabet_a, "family input and secret")
     m = fam.output_size
     pe = j.mass.sum(axis=0)
     ref = pe * (1 / m)
@@ -217,6 +216,7 @@ def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
     quantity controlled by the leftover hash lemma:  for a universal_2 family
     it is at most e^(-H_2(A)) + (total mass)^2 / M.
     """
+    require_same_alphabet(fam.input_alphabet, p.alphabet, "family input and distribution")
     values_of = lambda rows: fsum_rows(rows**2)
     return _ensemble(fam, p.mass, values_of, np.square, 0.0, "exact", 0, 0).value
 

@@ -36,8 +36,10 @@ from .dists import (
     kron_power,
     log_fsum_by_order,
     masses,
+    order_array,
     product_alphabet,
     range_alphabet,
+    require_same_alphabet,
     require_work,
 )
 from .exponents import cond_renyi_tilde, maximize_on_interval, maximize_over_rates, phi_cond
@@ -165,8 +167,7 @@ class Channel:
     # -- basic channel quantities -------------------------------------------
 
     def output_dist(self, p: SubDist) -> np.ndarray:
-        if p.alphabet != self.input_alphabet:
-            raise ValueError("input distribution alphabet mismatch")
+        require_same_alphabet(p.alphabet, self.input_alphabet, "input distribution and channel input")
         return p.mass @ self.matrix
 
     def iid_extend(self, n: int) -> "Channel":
@@ -196,10 +197,8 @@ def phi_channel(w: Channel, p: SubDist, t):
     t gives the Gallager-style exponent used by the decoding-error bound.
     t may be an array of orders.
     """
-    if (np.asarray(t) >= 1.0).any():
-        raise ValueError("t must be < 1")
-    if p.alphabet != w.input_alphabet:
-        raise ValueError("input distribution alphabet mismatch")
+    order_array(t, "t", -math.inf, 1.0)
+    require_same_alphabet(p.alphabet, w.input_alphabet, "input distribution and channel input")
 
     def terms(t):
         inner = (p.mass[:, None] * w.matrix ** (1.0 / (1.0 - t))[:, None, None]).sum(axis=1)
@@ -211,10 +210,7 @@ def phi_channel(w: Channel, p: SubDist, t):
 def psi_channel(w: Channel, p: SubDist, t):
     """log sum_y (sum_x p(x) W_x(y)^(1+t)) W_p(y)^(-t) for t > -1; t may be
     an array of orders."""
-    if (np.asarray(t) <= -1.0).any():
-        raise ValueError("t must be > -1")
-    if p.alphabet != w.input_alphabet:
-        raise ValueError("input distribution alphabet mismatch")
+    order_array(t, "t", -1.0, math.inf)
     wp = w.output_dist(p)
     pos = wp > 0.0
 
@@ -298,9 +294,12 @@ def eve_distinguishability(code: WiretapCode, we: Channel) -> float:
     return fsum(np.abs(rows - mix[None, :]) / code.m)
 
 
-def _require_conditions(p: SubDist, m: int, l: int, fam: HashFamily):
-    """The random-coding ensemble needs a balanced universal_2 family from
-    M*L messages onto M outputs and a probability distribution for codewords."""
+def _require_conditions(p: SubDist, m: int, l: int, fam: HashFamily, *channels: Channel):
+    """The random-coding ensemble needs channels whose input alphabet is the
+    codewords', a balanced universal_2 family from M*L messages onto M outputs
+    and a probability distribution for codewords."""
+    for w in channels:
+        require_same_alphabet(p.alphabet, w.input_alphabet, "codeword distribution and channel input")
     if fam.input_alphabet.size != m * l or fam.output_size != m:
         raise ValueError("family must map M*L messages onto M outputs")
     if not p.is_probability():
@@ -330,6 +329,8 @@ def code_from_codebook(
     if sizes.min() != l or sizes.max() != l:
         raise ValueError("map must split the codewords into equal classes")
     nx = wb.input_alphabet.size
+    if cb.min(initial=0) < 0 or cb.max(initial=0) >= nx:
+        raise ValueError(f"codewords must lie in 0..{nx - 1}")
     enc = np.zeros((m, nx))
     np.add.at(enc, (f_arr - 1, cb), 1.0 / l)
     scores = wb.matrix[cb, :]  # ML x |Y|
@@ -360,7 +361,7 @@ def random_wiretap_code(
     Returns (code, codebook, seed).  The family must be universal_2 and
     balanced; codewords are drawn i.i.d. from p.
     """
-    _require_conditions(p, m, l, fam)
+    _require_conditions(p, m, l, fam, wb)
     (codebook,), (seed,) = _draw(p, m * l, fam, rng)
     code = code_from_codebook(codebook, fam.as_map(seed), m, l, wb)
     return code, tuple(codebook.tolist()), tuple(seed.tolist())
@@ -484,9 +485,10 @@ def wiretap_ensemble_exact(
     nx, ml, n_seeds = p.alphabet.size, m * l, fam.seed_count
     n_codebooks = capped_power(nx, ml, "codebooks")  # refused only past the entry cap
     _require_entries(n_codebooks * n_seeds, "(codebook, seed) entries", m, l, wb, we)
-    w, ny = np.concatenate((wb.matrix, we.matrix), axis=1), wb.output_alphabet.size
-    require_work(nx**l * w.shape[1], f"class-table cells ({nx**l} classes x {w.shape[1]})")
-    _require_conditions(p, m, l, fam)
+    ny, nz = wb.output_alphabet.size, we.output_alphabet.size
+    require_work(nx**l * (ny + nz), f"class-table cells ({nx**l} classes x {ny + nz})")
+    _require_conditions(p, m, l, fam, wb, we)
+    w = np.concatenate((wb.matrix, we.matrix), axis=1)
     maps = np.concatenate(list(fam.iter_maps()))
     classes = np.argsort(maps, axis=1, kind="stable").reshape(n_seeds, m, l)
     table = _class_rows(w, rank_digits(np.arange(nx**l), nx, l))
@@ -533,7 +535,7 @@ def wiretap_ensemble_mc(
     evaluated a kernel block at a time."""
     EnsembleEstimate.require_samples(n_samples, seed)
     _require_entries(n_samples, "samples", m, l, wb, we)
-    _require_conditions(p, m, l, fam)
+    _require_conditions(p, m, l, fam, wb, we)
     rng = np.random.default_rng(seed)
     w, ny = np.concatenate((wb.matrix, we.matrix), axis=1), wb.output_alphabet.size
     eps, d1 = np.empty(n_samples), np.empty(n_samples)
@@ -603,8 +605,8 @@ def random_coding_d1_bound(we: Channel, p: SubDist, l: int) -> float:
 def uniform_on_subset(alphabet: Alphabet, indices) -> SubDist:
     """The uniform distribution on a subset, as a SubDist over the alphabet."""
     idx = sorted(set(int(i) for i in indices))
-    if not idx:
-        raise ValueError("subset must be nonempty")
+    if not idx or idx[0] < 0 or idx[-1] >= alphabet.size:
+        raise ValueError(f"subset must be nonempty, its indices in 0..{alphabet.size - 1}")
     mass = np.zeros(alphabet.size)
     mass[idx] = 1.0 / len(idx)
     return SubDist(alphabet, mass)
@@ -614,6 +616,8 @@ def uniform_codeword_joint(codebook, we: Channel) -> JointDist:
     """Joint of (uniform codeword index, Eve's output) for a fixed codebook."""
     cb = np.asarray(codebook, dtype=np.int64)
     ml = cb.shape[0]
+    if cb.min(initial=0) < 0 or cb.max(initial=0) >= we.input_alphabet.size:
+        raise ValueError(f"codewords must lie in 0..{we.input_alphabet.size - 1}")
     mass = we.matrix[cb, :] / ml
     return JointDist(range_alphabet(ml), we.output_alphabet, mass)
 
@@ -680,6 +684,12 @@ def condition4_report(c1: LinearCode, m: int) -> Condition4Report:
     return Condition4Report(rep.passed, rep.max_collision, rep.bound)
 
 
+def _require_module_input(c1: LinearCode, w: Channel):
+    """A coset code's channel reads C1's codewords as its input symbols."""
+    if w.input_alphabet.size != c1.module.size:
+        raise ValueError(f"channel has {w.input_alphabet.size} input symbols, C1's module {c1.module.size}")
+
+
 def coset_code(c1: LinearCode, f_map, wb: Channel) -> WiretapCode:
     """The coset code of the kernel subcode of a linear seed map f on C1's
     messages.
@@ -688,6 +698,7 @@ def coset_code(c1: LinearCode, f_map, wb: Channel) -> WiretapCode:
     code of C1's codewords under f: message i is sent as a uniform draw from
     the codewords of the messages f sends to i, and decoding is maximum
     likelihood over C1 (ties to the lowest codeword) followed by f."""
+    _require_module_input(c1, wb)
     f_arr = np.asarray(f_map, dtype=np.int64)
     if f_arr.shape != (c1.size,):
         raise ValueError("map must assign every message of the code")
@@ -703,6 +714,7 @@ def coset_ensemble_d1(c1: LinearCode, m: int, we: Channel) -> EnsembleEstimate:
     Eve's distinguishability of one coset code is the conditional distance
     of (uniform message, Eve's output) under the seed map, so the average is
     conditional privacy amplification over the family."""
+    _require_module_input(c1, we)
     fam = ToeplitzFamily(c1.module.q, c1.k, m)
     joint = JointDist(
         fam.input_alphabet,
@@ -714,6 +726,7 @@ def coset_ensemble_d1(c1: LinearCode, m: int, we: Channel) -> EnsembleEstimate:
 
 def coset_d1_bound(we: Channel, c1: LinearCode, l: int) -> float:
     """3 min over t in [0,1/2] of e^(phi(t | W, uniform on C1)) / L^t."""
+    _require_module_input(c1, we)
     p_c1 = uniform_on_subset(we.input_alphabet, c1.codewords)
     return random_coding_d1_bound(we, p_c1, l)
 
@@ -765,8 +778,7 @@ def additive_identities(w: Channel, t: float) -> AdditiveIdentityReport:
     whenever the conditional collision sums vary with the side symbol, so
     the three-way discrepancy is genuinely nonzero there.
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("t must be in [0, 1)")
+    order_array(t, "t", 0.0, 1.0, "[)")
     if w.noise is None:
         raise ValueError("identities require an additive or general-additive tag")
     p_mix = SubDist.uniform(w.input_alphabet)

@@ -1,0 +1,367 @@
+"""Every refusal of an input the library cannot compute.
+
+Orders are checked by one function, `dists.order_array`, whose refusal reads
+"{name} must be finite and lie in {interval}"; alphabet pairings by one,
+`dists.require_same_alphabet`, which raises `AlphabetMismatchError`.  The
+CLI re-checks neither: a library refusal leaves it with exit status 2.  The
+table at the end reaches each remaining refusal once through the public API.
+"""
+
+import ast
+import math
+import traceback
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from secexp.cli import cli
+from secexp.distill import CorrelationTriple
+from secexp.dists import (
+    Alphabet,
+    AlphabetMismatchError,
+    JointDist,
+    SubDist,
+    enumerate_types,
+    kl_divergence,
+    l1_distance,
+    l2_distance,
+    range_alphabet,
+    renyi_tilde,
+    renyi_tilde_derivative,
+    require_same_alphabet,
+    tilt,
+)
+from secexp.exponents import (
+    additive_pair_joint,
+    cond_renyi_tilde,
+    conditional_hash_d1_bound_at,
+    critical_rate,
+    divergence_exponent,
+    hash_d1_bound_at,
+    phi_cond,
+    universal_exponent,
+    universal_hash_d1_bound,
+)
+from secexp.figures import figure_sweep
+from secexp.gf import Module
+from secexp.hashing import ExplicitFamily, FullyRandomFamily, ToeplitzFamily
+from secexp.intrinsic import (
+    build_specialized,
+    check_specialized_identity,
+    heavy_mass_lower_bound,
+    specialized_exponent,
+)
+from secexp.privacy import (
+    expected_collision_mass,
+    expected_d1,
+    expected_d1_conditional,
+    pushforward,
+    subset_lower_bound,
+)
+from secexp.wiretap import (
+    Channel,
+    LinearCode,
+    WiretapCode,
+    additive_identities,
+    code_from_codebook,
+    coset_code,
+    coset_d1_bound,
+    coset_d1_bound_closed,
+    coset_ensemble_d1,
+    error_prob,
+    eve_distinguishability,
+    phi_channel,
+    psi_channel,
+    random_wiretap_code,
+    uniform_codeword_joint,
+    uniform_on_subset,
+    wiretap_ensemble_exact,
+    wiretap_ensemble_mc,
+)
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "secexp"
+_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+BERN = SubDist.bernoulli(0.2)
+HALF = SubDist(range_alphabet(2), [0.25, 0.25])  # a sub-distribution
+JOINT = JointDist(range_alphabet(2), range_alphabet(2), [[0.4, 0.1], [0.2, 0.3]])
+BSC = Channel.additive(SubDist(range_alphabet(2), [0.9, 0.1]), Module(2, 1))
+UNIFORM2 = SubDist.uniform(BSC.input_alphabet)
+GENERIC = Channel(range_alphabet(2), range_alphabet(2), [[0.7, 0.3], [0.2, 0.8]])
+OTHER_INPUTS = Channel(Alphabet(("a", "b")), range_alphabet(2), [[0.7, 0.3], [0.2, 0.8]])
+C1 = LinearCode(Module(2, 2), [(1, 0), (0, 1)])  # F_2^2, four codewords
+BSC8 = Channel.additive(SubDist(range_alphabet(2), [0.9, 0.1]), Module(2, 1)).iid_extend(3)
+
+
+def _uniform_channel(inputs: int, outputs: int = 2) -> Channel:
+    return Channel(range_alphabet(inputs), range_alphabet(outputs), np.full((inputs, outputs), 1 / outputs))
+
+
+# ---------------------------------------------------------------------------
+# Orders
+# ---------------------------------------------------------------------------
+
+# (function, call at an order, an order just outside its domain, its interval)
+ORDER_FUNCTIONS = [
+    ("renyi_tilde", lambda s: renyi_tilde(BERN, s), -1.0, "s", "(-1, inf)"),
+    ("renyi_tilde_derivative", lambda s: renyi_tilde_derivative(BERN, s), -1.5, "s", "(-1, inf)"),
+    ("tilt", lambda s: tilt(BERN, s).mass, -1.0, "s", "(-1, inf)"),
+    ("hash_d1_bound_at", lambda s: hash_d1_bound_at(BERN, 4, s), 1.5, "s", "[0, 1]"),
+    ("phi_cond", lambda t: phi_cond(JOINT, t), 1.0, "t", "(-inf, 1)"),
+    ("cond_renyi_tilde", lambda s: cond_renyi_tilde(JOINT, s), -1.0, "s", "(-1, inf)"),
+    ("conditional_hash_d1_bound_at", lambda t: conditional_hash_d1_bound_at(JOINT, 4, t), 0.6,
+     "t", "[0, 0.5]"),
+    ("phi_channel", lambda t: phi_channel(BSC, UNIFORM2, t), 1.0, "t", "(-inf, 1)"),
+    ("psi_channel", lambda t: psi_channel(BSC, UNIFORM2, t), -1.0, "t", "(-1, inf)"),
+    ("additive_identities", lambda t: additive_identities(BSC, t), 1.0, "t", "[0, 1)"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "outside"])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("call, outside, name, interval", [c[1:] for c in ORDER_FUNCTIONS],
+                         ids=[c[0] for c in ORDER_FUNCTIONS])
+def test_each_order_refusal_is_the_one_check(call, outside, name, interval, bad, shape):
+    order = outside if bad == "outside" else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ValueError) as err:
+            call(order if shape == "scalar" else np.array([0.25, order]))
+    assert str(err.value) == f"{name} must be finite and lie in {interval}"
+    assert traceback.extract_tb(err.tb)[-1].name == "order_array"
+
+
+@pytest.mark.parametrize("call", [c[1] for c in ORDER_FUNCTIONS], ids=[c[0] for c in ORDER_FUNCTIONS])
+def test_orders_inside_the_domain_are_computed(call):
+    assert np.all(np.isfinite(np.asarray(call(0.25), dtype=float)))
+
+
+# ---------------------------------------------------------------------------
+# Alphabets
+# ---------------------------------------------------------------------------
+
+ALPHABET_PAIRINGS = [
+    ("l1_distance", lambda: l1_distance(BERN, SubDist.uniform(Alphabet(("a", "b"))))),
+    ("l2_distance", lambda: l2_distance(BERN, SubDist.uniform(Alphabet(("a", "b"))))),
+    ("kl_divergence", lambda: kl_divergence(BERN, SubDist.uniform(range_alphabet(3)))),
+    ("Channel.output_dist", lambda: OTHER_INPUTS.output_dist(UNIFORM2)),
+    ("phi_channel", lambda: phi_channel(OTHER_INPUTS, UNIFORM2, 0.25)),
+    ("psi_channel", lambda: psi_channel(OTHER_INPUTS, UNIFORM2, 0.25)),
+    ("expected_d1", lambda: expected_d1(BERN, FullyRandomFamily(range_alphabet(2), 2))),
+    ("expected_collision_mass", lambda: expected_collision_mass(BERN, ToeplitzFamily(2, 2, 1))),
+    ("expected_d1_conditional",
+     lambda: expected_d1_conditional(JOINT, FullyRandomFamily(Alphabet(("a", "b")), 2))),
+    ("wiretap_ensemble_exact",
+     lambda: wiretap_ensemble_exact(UNIFORM2, 2, 2, ToeplitzFamily(2, 2, 1), BSC, OTHER_INPUTS)),
+    ("wiretap_ensemble_mc",
+     lambda: wiretap_ensemble_mc(UNIFORM2, 2, 2, ToeplitzFamily(2, 2, 1), OTHER_INPUTS, BSC)),
+    ("random_wiretap_code",
+     lambda: random_wiretap_code(UNIFORM2, 2, 2, ToeplitzFamily(2, 2, 1), OTHER_INPUTS,
+                                 np.random.default_rng(0))),
+]
+
+
+@pytest.mark.parametrize("refuse", [c[1] for c in ALPHABET_PAIRINGS], ids=[c[0] for c in ALPHABET_PAIRINGS])
+def test_each_alphabet_pairing_refuses_by_the_one_check(refuse):
+    with pytest.raises(AlphabetMismatchError) as err:
+        refuse()
+    assert traceback.extract_tb(err.tb)[-1].name == "require_same_alphabet"
+
+
+def test_a_mismatch_message_stays_short():
+    big = range_alphabet(2**20)
+    other = Alphabet(big.symbols[:-1] + ("x" * 100,))
+    for a, b, detail in [
+        (big, other, "symbol 1048575 is '1048576' vs 'xxxxxxxxxxxxxxxxxxx"),
+        (big, range_alphabet(2**20 - 1), "1048576 vs 1048575 symbols"),
+    ]:
+        with pytest.raises(AlphabetMismatchError) as err:
+            require_same_alphabet(a, b, "distribution")
+        assert str(err.value) == f"distribution alphabets differ: {detail}"
+        assert len(str(err.value)) < 200
+
+
+def _mismatch_sites(tree: ast.Module):
+    """(function, line) of every use of AlphabetMismatchError inside a function
+    other than `require_same_alphabet`."""
+    return [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name != "require_same_alphabet"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "AlphabetMismatchError"
+    ]
+
+
+def test_alphabet_mismatches_are_raised_only_by_the_one_check():
+    stray = [(path.name, *site) for path in sorted(_SRC.glob("*.py"))
+             for site in _mismatch_sites(ast.parse(path.read_text(), str(path)))]
+    assert stray == []
+
+
+def test_the_scan_sees_a_stray_mismatch():
+    tree = ast.parse(
+        "def require_same_alphabet(a, b):\n    raise AlphabetMismatchError('x')\n"
+        "class C:\n    def pair(self, a, b):\n        if a != b:\n"
+        "            raise AlphabetMismatchError('y')\n"
+    )
+    assert _mismatch_sites(tree) == [("pair", 6)]
+
+
+# ---------------------------------------------------------------------------
+# The CLI maps library refusals to exit 2
+# ---------------------------------------------------------------------------
+
+_BERN = str(_INPUTS / "bern.json")
+_FORMS = ["universal", "divergence", "cramer", "hr", "cond"]
+
+
+def _rate_args(form: str, rate: str) -> list[str]:
+    source = ["--joint", str(_INPUTS / "joint.json")] if form == "cond" else ["--dist", _BERN]
+    return ["exponent", *source, "--R", rate, "--form", form]
+
+
+@pytest.mark.parametrize(
+    "args, shown",
+    [(["entropy", "--dist", _BERN, "--s", s], "s must be finite and lie in (-1, inf)")
+     for s in ("nan", "inf", "-inf", "-1")]
+    + [(_rate_args(form, rate), "rate must be finite and >= 0") for form in _FORMS for rate in ("nan", "inf")],
+)
+def test_library_refusals_exit_2(args, shown):
+    res = CliRunner().invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert f"invalid input: {shown}" in res.output
+
+
+def test_simulate_wiretap_refuses_channels_on_different_inputs(tmp_path):
+    other = tmp_path / "other.json"
+    other.write_text('{"input_alphabet": ["a", "b"], "output_alphabet": ["u", "v"],'
+                     ' "matrix": [[0.6, 0.4], [0.35, 0.65]]}')
+    args = ["simulate", "wiretap", "--wb", str(_INPUTS / "wb.json"), "--we", str(other), "--M", "2", "--L", "2"]
+    res = CliRunner().invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert "invalid input: input distribution and channel input alphabets differ: symbol 0 is '0' vs 'a'" in res.output
+
+
+# ---------------------------------------------------------------------------
+# Every other refusal, once
+# ---------------------------------------------------------------------------
+
+# (raising site, refused call, message fragment)
+CASES = [
+    ("dists.range_alphabet", lambda: range_alphabet(0), "alphabet size must be >= 1"),
+    ("dists.SubDist.bernoulli", lambda: SubDist.bernoulli(1.5), "p must be in [0, 1]"),
+    ("dists.kl_divergence", lambda: kl_divergence(HALF, HALF), "divergence requires probability"),
+    ("dists.enumerate_types", lambda: enumerate_types(range_alphabet(2), 0), "n must be >= 1"),
+    ("exponents.universal_hash_d1_bound", lambda: universal_hash_d1_bound(BERN, 0),
+     "output size must be >= 1"),
+    ("exponents._require_inputs", lambda: universal_exponent(HALF, 0.1),
+     "exponent requires a probability distribution"),
+    ("exponents.critical_rate", lambda: critical_rate(HALF), "critical rate requires a probability"),
+    ("exponents.divergence_exponent", lambda: divergence_exponent(BERN, 1.0),
+     "rate must lie in [0, log |alphabet|]"),
+    ("exponents.additive_pair_joint",
+     lambda: additive_pair_joint(BERN, SubDist.uniform(range_alphabet(3))), "marginals must have equal sizes"),
+    ("hashing.FullyRandomFamily", lambda: FullyRandomFamily(range_alphabet(2), 0),
+     "output size must be >= 1"),
+    ("hashing.ExplicitFamily length", lambda: ExplicitFamily(range_alphabet(2), 2, [[1, 2, 1]]),
+     "map length must match alphabet size"),
+    ("hashing.ExplicitFamily outputs", lambda: ExplicitFamily(range_alphabet(2), 2, [[1, 3]]),
+     "map output out of range"),
+    ("privacy._preimage_sums", lambda: pushforward(BERN, [1], 2), "map must assign all 2 symbols"),
+    ("privacy._ensemble", lambda: expected_d1(SubDist.uniform(ToeplitzFamily(2, 2, 1).input_alphabet),
+                                              ToeplitzFamily(2, 2, 1), mode="x"), "unknown mode 'x'"),
+    ("privacy._omega_indices range", lambda: subset_lower_bound(BERN, 4, [5]), "index 5 out of range"),
+    ("privacy._omega_indices repeats", lambda: subset_lower_bound(BERN, 4, [0, 0]),
+     "subset contains repeated symbols"),
+    ("intrinsic.heavy_mass_lower_bound", lambda: heavy_mass_lower_bound(BERN, 0),
+     "requires a probability distribution and M >= 1"),
+    ("intrinsic.build_specialized", lambda: build_specialized(BERN, 0, 2),
+     "requires a probability distribution, n >= 1 and M >= 1"),
+    ("intrinsic.specialized_exponent", lambda: specialized_exponent(HALF, 0.1),
+     "requires a probability distribution"),
+    ("intrinsic.check_specialized_identity",
+     lambda: check_specialized_identity(SubDist.uniform(range_alphabet(4)), 0.5), "only for 2-3 symbols"),
+    ("distill.CorrelationTriple", lambda: CorrelationTriple(JOINT, JOINT, Module(3, 1)),
+     "A-alphabet must match the module size"),
+    ("figures.figure_sweep", lambda: figure_sweep(5), "unknown figure id 5"),
+    ("wiretap.WiretapCode rows", lambda: WiretapCode(1, [[0.5, 0.4]], [1, 1]),
+     "encoder rows must sum to 1"),
+    ("wiretap.WiretapCode decoder", lambda: WiretapCode(1, [[1.0]], [2]), "decoder cells must lie in 0..M"),
+    ("wiretap.error_prob encoders", lambda: error_prob(WiretapCode(1, [[0.5, 0.5, 0.0]], [1, 1]), BSC),
+     "encoder support must match the channel input"),
+    ("wiretap.error_prob decoder", lambda: error_prob(WiretapCode(1, [[0.5, 0.5]], [1, 1, 1]), BSC),
+     "decoder must cover the channel output"),
+    ("wiretap.eve_distinguishability",
+     lambda: eve_distinguishability(WiretapCode(1, [[0.5, 0.5, 0.0]], [1, 1]), BSC),
+     "encoder support must match the channel input"),
+    # one map: symbols 0 and 1 always collide, so not universal_2
+    ("wiretap._require_conditions universal_2",
+     lambda: wiretap_ensemble_exact(UNIFORM2, 2, 2, ExplicitFamily(range_alphabet(4), 2, [[1, 1, 2, 2]]),
+                                    BSC, BSC), "hash family is not universal_2"),
+    ("wiretap.code_from_codebook length", lambda: code_from_codebook([0], [1, 2], 2, 1, BSC),
+     "codebook and map must have length M*L"),
+    ("wiretap.code_from_codebook classes", lambda: code_from_codebook([0, 1], [1, 1], 2, 1, BSC),
+     "map must split the codewords into equal classes"),
+    ("wiretap.code_from_codebook -1", lambda: code_from_codebook([-1, 0], [1, 2], 2, 1, BSC),
+     "codewords must lie in 0..1"),
+    ("wiretap.code_from_codebook |X|", lambda: code_from_codebook([2, 0], [1, 2], 2, 1, BSC),
+     "codewords must lie in 0..1"),
+    ("wiretap.uniform_codeword_joint -1", lambda: uniform_codeword_joint([-1, 0], BSC),
+     "codewords must lie in 0..1"),
+    ("wiretap.uniform_codeword_joint |X|", lambda: uniform_codeword_joint([0, 2], BSC),
+     "codewords must lie in 0..1"),
+    ("wiretap.uniform_on_subset -1", lambda: uniform_on_subset(range_alphabet(3), [-1]),
+     "subset must be nonempty, its indices in 0..2"),
+    ("wiretap.uniform_on_subset |X|", lambda: uniform_on_subset(range_alphabet(3), [3]),
+     "subset must be nonempty, its indices in 0..2"),
+    ("wiretap.LinearCode length", lambda: LinearCode(Module(2, 2), [(1, 0, 0)]),
+     "generator length must match the module"),
+    ("wiretap.LinearCode digit", lambda: LinearCode(Module(2, 2), [(2, 0)]), "generator digit out of range"),
+    ("wiretap.coset_code 2 inputs", lambda: coset_code(C1, [1, 2, 1, 2], _uniform_channel(2)),
+     "channel has 2 input symbols, C1's module 4"),
+    ("wiretap.coset_code 8 inputs", lambda: coset_code(C1, [1, 2, 1, 2], BSC8),
+     "channel has 8 input symbols, C1's module 4"),
+    ("wiretap.coset_ensemble_d1 2 inputs", lambda: coset_ensemble_d1(C1, 1, _uniform_channel(2)),
+     "channel has 2 input symbols, C1's module 4"),
+    ("wiretap.coset_ensemble_d1 8 inputs", lambda: coset_ensemble_d1(C1, 1, BSC8),
+     "channel has 8 input symbols, C1's module 4"),
+    ("wiretap.coset_d1_bound 2 inputs", lambda: coset_d1_bound(_uniform_channel(2), C1, 2),
+     "channel has 2 input symbols, C1's module 4"),
+    ("wiretap.coset_d1_bound 8 inputs", lambda: coset_d1_bound(BSC8, C1, 2),
+     "channel has 8 input symbols, C1's module 4"),
+    ("wiretap.coset_d1_bound_closed", lambda: coset_d1_bound_closed(GENERIC, 2),
+     "closed form needs an additive or general-additive tag"),
+]
+
+
+@pytest.mark.parametrize("refuse, shown", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_each_refusal_names_its_input(refuse, shown):
+    with pytest.raises(ValueError) as err:
+        refuse()
+    assert shown in str(err.value)
+
+
+# (raising site, arguments, message fragment)
+CLI_CASES = [
+    ("cli.exponent --dist", ["exponent", "--R", "0.1"], "--dist is required for this form"),
+    ("cli._family_from_flags toeplitz", ["hash", "check", "--family", "toeplitz", "--q", "2"],
+     "toeplitz family needs --q, --k, --m"),
+    ("cli._family_from_flags --M", ["hash", "check", "--family", "fullrandom", "--size", "3"],
+     "fully-random family needs --M"),
+    ("cli._family_from_flags --size", ["hash", "check", "--family", "fullrandom", "--M", "2"],
+     "fully-random family needs an input alphabet (--size)"),
+    ("cli.simulate_pa relabel",
+     ["simulate", "pa", "--dist", _BERN, "--family", "toeplitz", "--q", "2", "--k", "2", "--m", "1"],
+     "family input size does not match the distribution"),
+]
+
+
+@pytest.mark.parametrize("args, shown", [c[1:] for c in CLI_CASES], ids=[c[0] for c in CLI_CASES])
+def test_each_cli_refusal_exits_2(args, shown):
+    res = CliRunner().invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert f"invalid input: {shown}" in res.output
