@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import JointDist, SubDist, conditional_shannon_entropy
+from .dists import JointDist, SubDist, conditional_shannon_entropy, require_size
 from .exponents import maximize_on_interval, phi_cond
 from .gf import Module, combination_indices
 from .hashing import HashFamily, fit_toeplitz
@@ -88,6 +88,8 @@ def distillation_error_bound(pab: JointDist, m: int, l: int) -> float:
 
     The conditional entropy enters through the phi functional at -s.
     """
+    require_size(m, "M")
+    require_size(l, "L")
     size_a = pab.alphabet_a.size
     ml = m * l
     fn = lambda s: -(ml**s * size_a ** (-s) * np.exp(phi_cond(pab, -s)))

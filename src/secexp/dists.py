@@ -6,7 +6,10 @@ logarithms are natural (nats).  A "sub-distribution" is a nonnegative mass
 vector whose total may be anything in [0, 1]; several bounds in this package
 are stated for sub-distributions, so totals below 1 are first-class here.
 Every constructor checks its mass array by `masses`, and whether a total is 1
-has one test, `SubDist.is_probability`.
+has one test, `SubDist.is_probability`.  The argument checks every module
+shares live here: `order_array` (orders and rates), `require_size` (counts
+such as M, L, ML and n), `require_probability`, `require_same_alphabet` and
+`require_work`.
 
 Conventions: 0 * log 0 = 0, and p^(1+s) = 0 at p = 0 for every s > -1.
 """
@@ -28,6 +31,8 @@ __all__ = [
     "SizeLimitError",
     "InvariantError",
     "masses",
+    "require_probability",
+    "require_size",
     "require_work",
     "capped_power",
     "count_text",
@@ -85,6 +90,13 @@ def count_text(n: int) -> str:
     since Python refuses to print an int of more than 4,300 digits."""
     n = int(n)
     return str(n) if n < 10**100 else f"about 10^{round(math.log10(n))}"
+
+
+def require_size(n: int, name: str):
+    """The one size check: a count named `name` (M, L, ML, n, an alphabet
+    size) refused below 1.  Python ints of any size pass."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def require_work(units: int, what: str, cap: int = DEFAULT_MAX_CELLS):
@@ -158,8 +170,7 @@ class Alphabet:
 
 def range_alphabet(m: int) -> Alphabet:
     """The output alphabet {1, ..., m} with string labels."""
-    if m < 1:
-        raise ValueError("alphabet size must be >= 1")
+    require_size(m, "alphabet size")
     require_work(m, "alphabet symbols")
     return Alphabet(tuple(str(i) for i in range(1, m + 1)))
 
@@ -296,15 +307,25 @@ def require_same_alphabet(a: Alphabet, b: Alphabet, what: str):
 
 
 def order_array(s, name: str, low: float, high: float, ends: str = "()") -> np.ndarray:
-    """The one order check: s (one order or an array of them) as a float
-    array, refused unless every entry lies in the interval from low to high,
-    closed at an end where `ends` has "[" or "]".  Every infinite end is open,
-    so nan and the infinities lie in no domain."""
+    """The one check of an order or a rate: s (one value or an array of them)
+    as a float array, refused unless every entry lies in the interval from low
+    to high, closed at an end where `ends` has "[" or "]".  Every infinite end
+    is open, so nan and the infinities lie in no domain; the message reads a
+    closed half-line [low, inf) as ">= low"."""
     orders = np.asarray(s, dtype=float)
     above = orders >= low if ends[0] == "[" else orders > low
     if not (above & (orders <= high if ends[1] == "]" else orders < high)).all():
-        raise ValueError(f"{name} must be finite and lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+        domain = f">= {low:g}" if ends[0] == "[" and high == math.inf else (
+            f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+        raise ValueError(f"{name} must be finite and {domain}")
     return orders
+
+
+def require_probability(p: SubDist, what: str):
+    """The one probability check: refuses a sub-distribution where `what`
+    needs a probability distribution."""
+    if not p.is_probability():
+        raise ValueError(f"{what} requires a probability distribution")
 
 
 def l1_distance(p: SubDist, q: SubDist) -> float:
@@ -610,8 +631,8 @@ def renyi_tilde_derivative(p: SubDist, s: float) -> float:
 def kl_divergence(q: SubDist, p: SubDist) -> float:
     """D(Q||P) = sum Q log(Q/P), +inf when Q is not absolutely continuous."""
     require_same_alphabet(q.alphabet, p.alphabet, "distribution")
-    if not (q.is_probability() and p.is_probability()):
-        raise ValueError("divergence requires probability distributions")
+    require_probability(q, "divergence")
+    require_probability(p, "divergence")
     qm, pm = q.mass, p.mass
     pos = qm > 0.0
     if np.any(pos & (pm <= 0.0)):
@@ -641,6 +662,7 @@ def smooth_truncate(p: SubDist, r: float) -> tuple[SubDist, float]:
     {P(x) > e^(-r)}) and the removed tail mass, which equals the L1 distance
     between the input and the output.
     """
+    order_array(r, "r", -math.inf, math.inf)
     heavy = p.mass > math.exp(-r)
     kept = np.where(heavy, 0.0, p.mass)
     tail = fsum(p.mass[heavy])
@@ -651,8 +673,7 @@ def kron_power(a: np.ndarray, n: int, what: str) -> np.ndarray:
     """The n-fold Kronecker power a (x) ... (x) a, folded from the left, so
     indices are big-endian in the factors; refused beyond DEFAULT_MAX_CELLS
     cells (counted as `what`).  The one builder of every n-fold product."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_size(n, "n")
     capped_power(a.size, n, what)
     out = a
     for _ in range(n - 1):
@@ -746,8 +767,7 @@ def compositions(total: int, parts: int):
 def enumerate_types(alphabet: Alphabet, n: int) -> list[TypeClass]:
     """All empirical types of length-n strings, lexicographic in the counts;
     more than DEFAULT_MAX_CELLS counts in all are refused before any is built."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_size(n, "n")
     size = alphabet.size
     types = math.comb(n + size - 1, n)
     require_work(types * size, f"type counts ({count_text(types)} types x {size} symbols)")

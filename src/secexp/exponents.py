@@ -37,6 +37,8 @@ from .dists import (
     order_array,
     renyi_tilde,
     renyi_tilde_derivative,
+    require_probability,
+    require_size,
     require_work,
     shannon_entropy,
     tilt,
@@ -156,13 +158,14 @@ def maximize_on_interval(fn, lo: float, hi: float) -> tuple[float, float]:
 def maximize_over_rates(fn, lo: float, hi: float, r):
     """max over x in [lo, hi] of an objective that closes over the rate r.
 
-    A float r is `maximize_on_interval`.  For a 1-D array of rates, `fn`
-    broadcasts its points against r: every rate is solved in one optimizer
-    call that shares the grid and polishes all brackets in lockstep, with
-    the per-rate answers bit for bit, and more than DEFAULT_MAX_CELLS grid
-    cells, rates x (GRID_INTERVALS + 1) orders, are refused.  Returns floats,
-    or (len(r),) arrays.
+    Every rate must be finite and >= 0.  A float r is `maximize_on_interval`.
+    For a 1-D array of rates, `fn` broadcasts its points against r: every
+    rate is solved in one optimizer call that shares the grid and polishes
+    all brackets in lockstep, with the per-rate answers bit for bit, and more
+    than DEFAULT_MAX_CELLS grid cells, rates x (GRID_INTERVALS + 1) orders,
+    are refused.  Returns floats, or (len(r),) arrays.
     """
+    order_array(r, "rate", 0.0, math.inf, "[)")
     if np.ndim(r) == 0:
         return maximize_on_interval(fn, lo, hi)
     if np.ndim(r) != 1:
@@ -186,6 +189,7 @@ def _through_log(c: float, m: int, t, decay):
 def hash_d1_bound_at(p: SubDist, m: int, s):
     """3 M^(s/(1+s)) e^(-H~_(1+s)/(1+s)): the per-s hashing bound; s may be
     an array of orders."""
+    require_size(m, "output size")
     orders = np.atleast_1d(order_array(s, "s", 0.0, 1.0, "[]"))
     exps, decay = orders / (1.0 + orders), -renyi_tilde(p, orders) / (1.0 + orders)
     value = _through_log(3.0, m, exps, decay) if m > 2**1023 else 3.0 * m**exps * np.exp(decay)
@@ -201,28 +205,17 @@ class HashBoundCurve(NamedTuple):
 
 def universal_hash_d1_bound(p: SubDist, m: int) -> HashBoundCurve:
     """Best hashing bound over s in [0, 1]."""
-    if m < 1:
-        raise ValueError("output size must be >= 1")
     s_star, neg_min = maximize_on_interval(lambda s: -hash_d1_bound_at(p, m, s), 0.0, 1.0)
     return HashBoundCurve(min_value=-neg_min, argmin_s=s_star)
 
 
 def order2_d1_bound(p: SubDist, m: int) -> float:
     """sqrt(M) e^(-H_2/2): the collision-entropy bound without smoothing."""
+    require_size(m, "output size")
     decay = -renyi_tilde(p, 1.0) / 2.0
     if m > 2**1023:
         return float(_through_log(1.0, m, 0.5, decay))
     return math.sqrt(m) * math.exp(decay)
-
-
-def _require_inputs(r, p: SubDist | None = None):
-    """R (every rate of an array) finite and >= 0; p, when given, a
-    probability distribution."""
-    if p is not None and not p.is_probability():
-        raise ValueError("exponent requires a probability distribution")
-    rates = np.asarray(r, dtype=float)
-    if not (np.isfinite(rates).all() and (rates >= 0.0).all()):
-        raise ValueError("rate must be finite and >= 0")
 
 
 def universal_exponent(p: SubDist, r) -> ExponentResult:
@@ -232,7 +225,7 @@ def universal_exponent(p: SubDist, r) -> ExponentResult:
     key rate R; zero when R is at least the Shannon entropy.  For a 1-D
     array of rates, `value` and `argmax` are arrays, one entry per rate.
     """
-    _require_inputs(r, p)
+    require_probability(p, "exponent")
     fn = lambda s: (renyi_tilde(p, s) - s * r) / (1.0 + s)
     s_star, val = maximize_over_rates(fn, 0.0, 1.0, r)
     return ExponentResult(value=val, argmax=s_star, method="grid+golden[0,1]")
@@ -240,8 +233,7 @@ def universal_exponent(p: SubDist, r) -> ExponentResult:
 
 def critical_rate(p: SubDist) -> float:
     """2 H'_2 - H_2: below this rate the s-restricted exponent loses tightness."""
-    if not p.is_probability():
-        raise ValueError("critical rate requires a probability distribution")
+    require_probability(p, "critical rate")
     return 2.0 * renyi_tilde_derivative(p, 1.0) - renyi_tilde(p, 1.0)
 
 
@@ -351,9 +343,9 @@ def divergence_exponent(p: SubDist, r: float) -> ExponentResult:
     of the number of tied largest atoms), mixing a point mass into the tilt
     meets the bound -log max P - R (`top-atoms`; exact under exact ties).
     """
-    _require_inputs(r, p)
-    if r > math.log(p.alphabet.size) + 1e-12:
-        raise ValueError("rate must lie in [0, log |alphabet|]")
+    require_probability(p, "exponent")
+    order_array(r, "rate", 0.0, math.inf, "[)")  # every exponent's message for nan and R < 0
+    order_array(r, "rate", 0.0, math.log(p.alphabet.size) + 1e-12, "[]")
     if shannon_entropy(p) <= r + 1e-13:
         return ExponentResult(
             value=0.0, argmax=0.0, method="feasible-at-P", witness=p
@@ -379,7 +371,8 @@ def cramer_exponent(p: SubDist, r: float) -> ExponentResult:
     when R' is below -log(max atom), where the objective grows without bound
     (e.g. every rate below log M for a uniform source).
     """
-    _require_inputs(r, p)
+    require_probability(p, "exponent")
+    order_array(r, "rate", 0.0, math.inf, "[)")
     h = shannon_entropy(p)
     if r >= h - 1e-15:
         return ExponentResult(value=0.0, argmax=0.0, method="rate-above-entropy")
@@ -402,7 +395,7 @@ def cramer_exponent_restricted(p: SubDist, r) -> ExponentResult:
     """The same objective restricted to s in [0, 1]; matches the unrestricted
     maximum whenever H'_2 <= R' <= H(A).  For a 1-D array of rates, `value`
     and `argmax` are arrays, one entry per rate."""
-    _require_inputs(r)
+    require_probability(p, "exponent")
     return _cramer_search(p, r, 1.0)
 
 
@@ -436,7 +429,8 @@ class HRExponents(NamedTuple):
 
 
 def holenstein_renner_exponents(p: SubDist, r: float) -> HRExponents:
-    _require_inputs(r, p)
+    require_probability(p, "exponent")
+    order_array(r, "rate", 0.0, math.inf, "[)")
     size = p.alphabet.size
     gap = shannon_entropy(p) - r
     ln2 = math.log(2.0)
@@ -485,14 +479,18 @@ def cond_renyi_tilde(j: JointDist, s):
 
 
 def conditional_hash_d1_bound_at(j: JointDist, m: int, t: float) -> float:
-    """3 M^t e^(phi(t)): the side-information hashing bound at parameter t."""
+    """3 M^t e^(phi(t)): the side-information hashing bound at parameter t;
+    M^t goes through log M past 2^1023."""
+    require_size(m, "output size")
     order_array(t, "t", 0.0, 0.5, "[]")
+    if m > 2**1023:
+        return float(_through_log(3.0, m, t, phi_cond(j, t)))
     return 3.0 * m**t * math.exp(phi_cond(j, t))
 
 
 def conditional_exponent_phi(j: JointDist, r: float) -> ExponentResult:
     """max over t in [0, 1/2] of -phi(t) - t R."""
-    _require_inputs(r)
+    order_array(r, "rate", 0.0, math.inf, "[)")
     fn = lambda t: -phi_cond(j, t) - t * r
     t_star, val = maximize_on_interval(fn, 0.0, 0.5)
     return ExponentResult(value=val, argmax=t_star, method="grid+golden[0,1/2]")
@@ -501,7 +499,7 @@ def conditional_exponent_phi(j: JointDist, r: float) -> ExponentResult:
 def conditional_exponent_pinsker(j: JointDist, r: float) -> ExponentResult:
     """max over s in [0, 1] of (H~_(1+s)(A|E) - s R)/2: the mutual-information
     route through Pinsker's inequality; never beats the phi form below H(A|E)."""
-    _require_inputs(r)
+    order_array(r, "rate", 0.0, math.inf, "[)")
     fn = lambda s: (cond_renyi_tilde(j, s) - s * r) / 2.0
     s_star, val = maximize_on_interval(fn, 0.0, 1.0)
     return ExponentResult(value=val, argmax=s_star, method="grid+golden[0,1]")
@@ -509,6 +507,7 @@ def conditional_exponent_pinsker(j: JointDist, r: float) -> ExponentResult:
 
 def conditional_exponent_no_smoothing(j: JointDist, r: float) -> float:
     """(H~_2(A|E) - R)/2: the order-2 bound applied directly, no truncation."""
+    order_array(r, "rate", 0.0, math.inf, "[)")
     return (cond_renyi_tilde(j, 1.0) - r) / 2.0
 
 

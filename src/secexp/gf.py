@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Alphabet, JointDist, capped_power, kron_power, product_alphabet
+from .dists import Alphabet, JointDist, capped_power, kron_power, product_alphabet, require_size
 
 __all__ = ["Field", "Module", "combination_indices", "is_prime", "rank_digits"]
 
@@ -119,8 +119,7 @@ class Module:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("module length must be >= 1")
+        require_size(self.n, "module length")
         object.__setattr__(self, "_field", Field(self.q))
         capped_power(self.q, self.n, "module symbols")
 

@@ -47,6 +47,7 @@ from .dists import (
     capped_power,
     count_text,
     product_alphabet,
+    require_size,
     require_work,
 )
 from .gf import Field, combination_indices, rank_digits
@@ -197,8 +198,7 @@ class FullyRandomFamily(HashFamily):
     """
 
     def __init__(self, input_alphabet: Alphabet, output_size: int):
-        if output_size < 1:
-            raise ValueError("output size must be >= 1")
+        require_size(output_size, "output size")
         self.input_alphabet = input_alphabet
         self.output_size = output_size
         self.seed_len, self.digit_low, self.digit_base = input_alphabet.size, 1, output_size

@@ -29,6 +29,8 @@ from .dists import (
     fsum,
     renyi_tilde,
     renyi_tilde_derivative,
+    require_probability,
+    require_size,
     require_work,
     strings_by_type,
 )
@@ -60,11 +62,12 @@ def heavy_mass_lower_bound(p: SubDist, m: int) -> float:
     """P{P(a) >= 2/M}: no map into {1..M} gets the output closer to uniform.
 
     (The mass of atoms at least twice the uniform cell weight must surface in
-    the L1 distance of any pushforward.)
+    the L1 distance of any pushforward.)  2 / M is int division, correctly
+    rounded for an M of any size.
     """
-    if not p.is_probability() or m < 1:
-        raise ValueError("requires a probability distribution and M >= 1")
-    heavy = p.mass >= 2.0 / m
+    require_probability(p, "heavy-mass floor")
+    require_size(m, "M")
+    heavy = p.mass >= 2 / m
     return fsum(p.mass[heavy])
 
 
@@ -163,8 +166,9 @@ def build_specialized(p: SubDist, n: int, m: int) -> SpecializedMap:
     n_Q = floor(M * P^n(T)) fresh cells filled round-robin, which keeps their
     preimage sizes within one of each other; residual types share cell 1.
     """
-    if not p.is_probability() or m < 1 or n < 1:
-        raise ValueError("requires a probability distribution, n >= 1 and M >= 1")
+    require_probability(p, "specialized map")
+    require_size(n, "n")
+    require_size(m, "M")
     require_work(n, "trials (n)", MAX_N)
     weights, denom = _normalized(p)
     n_types, bits = math.comb(n + len(weights) - 1, n), n * denom.bit_length()
@@ -235,8 +239,6 @@ def specialized_exponent(p: SubDist, r: float) -> ExponentResult:
     The value is authoritative only when H~'_2 <= R; outside that window it
     is still reported, flagged via `note`.
     """
-    if not p.is_probability():
-        raise ValueError("requires a probability distribution")
     res = cramer_exponent_restricted(p, r)
     if renyi_tilde_derivative(p, 1.0) > r:
         res = res._replace(note="hypothesis unmet: H~'_2 > R, value not authoritative")

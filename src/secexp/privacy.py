@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dists import (JointDist, SubDist, capped_power, fsum, fsum_rows, range_alphabet,
-                    require_same_alphabet, require_work)
+                    require_same_alphabet, require_size, require_work)
 from .hashing import FullyRandomFamily, HashFamily
 
 __all__ = [
@@ -240,6 +240,7 @@ def subset_lower_bound(p: SubDist, m: int, omega) -> float:
     """(1 - |omega|/m)^2 * P(omega): a floor on the expected distinguishability
     of any strongly universal_2 family, valid for each subset smaller than m.
     """
+    require_size(m, "output size")
     idx = _omega_indices(p, omega)
     if len(idx) >= m:
         raise ValueError("subset must be smaller than the output size")
@@ -252,6 +253,7 @@ def best_subset_lower_bound(p: SubDist, m: int) -> tuple[float, tuple[str, ...]]
     atoms.  One pass over k: P(omega) is the exact prefix sum of the top-k
     masses as an integer over 2^1074 (every float is a multiple of 2^-1074),
     which int / int rounds once, as `math.fsum` does."""
+    require_size(m, "output size")
     order = np.argsort(-p.mass, kind="stable")
     heaviest = p.mass[order[: min(m - 1, p.alphabet.size)]].tolist()
     best, best_k, total = 0.0, 0, 0

@@ -39,7 +39,9 @@ from .dists import (
     order_array,
     product_alphabet,
     range_alphabet,
+    require_probability,
     require_same_alphabet,
+    require_size,
     require_work,
 )
 from .exponents import cond_renyi_tilde, maximize_on_interval, maximize_over_rates, phi_cond
@@ -178,8 +180,7 @@ class Channel:
         regrouped canonically (masked coordinates first), which only permutes
         output labels and changes none of the functionals evaluated here.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        require_size(n, "n")
         capped_power(self.matrix.size, n, "matrix cells")
         if self.noise is not None:
             return Channel.general_additive(*self.module.extend(self.noise, n))
@@ -302,8 +303,7 @@ def _require_conditions(p: SubDist, m: int, l: int, fam: HashFamily, *channels: 
         require_same_alphabet(p.alphabet, w.input_alphabet, "codeword distribution and channel input")
     if fam.input_alphabet.size != m * l or fam.output_size != m:
         raise ValueError("family must map M*L messages onto M outputs")
-    if not p.is_probability():
-        raise ValueError("codeword distribution must be a probability distribution")
+    require_probability(p, "random coding")
     if not check_universal2(fam).passed:
         raise ValueError("hash family is not universal_2")
     if not check_balanced(fam).passed:
@@ -590,6 +590,7 @@ def random_coding_error_bound(wb: Channel, p: SubDist, ml: int) -> float:
     """min over t in [0,1] of (ML)^t e^(phi(-t)): the Gallager-style ensemble
     guarantee on the average decoding error.  A selected concrete code is
     guaranteed twice this."""
+    require_size(ml, "ML")
     fn = lambda t: -(ml**t * np.exp(phi_channel(wb, p, -t)))
     return -maximize_on_interval(fn, 0.0, 1.0)[1]
 
@@ -598,6 +599,7 @@ def random_coding_d1_bound(we: Channel, p: SubDist, l: int) -> float:
     """3 min over t in [0,1/2] of e^(phi(t)) / L^t: the ensemble guarantee on
     Eve's distinguishability; a selected concrete code is guaranteed twice
     this."""
+    require_size(l, "L")
     fn = lambda t: -(np.exp(phi_channel(we, p, t)) / l**t)
     return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]
 
@@ -744,6 +746,7 @@ def side_information_d1_bound(joint: JointDist, l: int) -> float:
     """3 min over t in [0,1/2] of |A|^t e^(phi(t | joint)) / L^t: the ensemble
     guarantee on Eve's distinguishability over the general-additive channel of
     `joint` (distillation's, on P(A,E)); a selected code is guaranteed twice this."""
+    require_size(l, "L")
     size_a = joint.alphabet_a.size
     fn = lambda t: -(size_a**t * np.exp(phi_cond(joint, t)) / l**t)
     return -3.0 * maximize_on_interval(fn, 0.0, 0.5)[1]

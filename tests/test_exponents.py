@@ -21,6 +21,7 @@ from secexp.exponents import (
     conditional_exponent_no_smoothing,
     conditional_exponent_phi,
     conditional_exponent_pinsker,
+    conditional_hash_d1_bound_at,
     cramer_exponent,
     cramer_exponent_restricted,
     critical_rate,
@@ -375,6 +376,20 @@ class TestConditionalExponents:
             dashed = conditional_exponent_no_smoothing(j, float(r))
             pin = conditional_exponent_pinsker(j, float(r)).value
             assert dashed <= pin + 1e-12
+
+
+class TestConditionalHashBoundSizes:
+    def test_product_form_up_to_2_1023(self, bern02):
+        j = masked_pair(bern02)
+        for m in (1, 2, 7, 2**20):
+            assert conditional_hash_d1_bound_at(j, m, 0.25) == 3.0 * m**0.25 * math.exp(phi_cond(j, 0.25))
+
+    def test_a_size_past_the_floats_goes_through_log_m(self, bern02):
+        # 10^400 does not convert to a float: M^t is taken as e^(t log M)
+        j = masked_pair(bern02)
+        value = conditional_hash_d1_bound_at(j, 10**400, 0.25)
+        assert math.isfinite(value)
+        assert value == pytest.approx(3.0 * math.exp(100 * math.log(10) + phi_cond(j, 0.25)), rel=1e-12)
 
 
 class TestRateDomain:

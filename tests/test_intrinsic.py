@@ -66,6 +66,14 @@ class TestHeavyMassLowerBound:
         assert heavy_mass_lower_bound(skew3, 1) == 0.0
         assert d1_hashed(skew3, [1, 1, 1], 1) == 0.0
 
+    def test_sizes_of_any_magnitude(self, skew3):
+        # 2 / M is correctly rounded int division: the float form's value up
+        # to 2^20, and every atom counts as heavy at M = 10^400, which no
+        # float holds
+        for m in (1, 2, 7, 2**20):
+            assert heavy_mass_lower_bound(skew3, m) == math.fsum(skew3.mass[skew3.mass >= 2.0 / m])
+        assert heavy_mass_lower_bound(skew3, 10**400) == math.fsum(skew3.mass)
+
     def test_exhaustive_minimum_over_all_maps(self, skew3):
         # every map into {1..4} stays above the floor; the floor is attained
         p = skew3

@@ -1,14 +1,19 @@
 """Every refusal of an input the library cannot compute.
 
-Orders are checked by one function, `dists.order_array`, whose refusal reads
-"{name} must be finite and lie in {interval}"; alphabet pairings by one,
-`dists.require_same_alphabet`, which raises `AlphabetMismatchError`.  The
-CLI re-checks neither: a library refusal leaves it with exit status 2.  The
-table at the end reaches each remaining refusal once through the public API.
+Orders and rates are checked by one function, `dists.order_array`, whose
+refusal reads "{name} must be finite and lie in {interval}" (or "... and >=
+0" for a rate); alphabet pairings by one, `dists.require_same_alphabet`,
+which raises `AlphabetMismatchError`; sizes by `dists.require_size` ("{name}
+must be >= 1"); and the probability requirement by
+`dists.require_probability` ("{what} requires a probability distribution").
+The CLI re-checks none of them: a library refusal leaves it with exit status
+2.  The table at the end reaches each remaining refusal once through the
+public API.
 """
 
 import ast
 import math
+import re
 import traceback
 import warnings
 from pathlib import Path
@@ -18,7 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 from secexp.cli import cli
-from secexp.distill import CorrelationTriple
+from secexp.distill import CorrelationTriple, distillation_d1_bound, distillation_error_bound
 from secexp.dists import (
     Alphabet,
     AlphabetMismatchError,
@@ -26,21 +31,30 @@ from secexp.dists import (
     SubDist,
     enumerate_types,
     kl_divergence,
+    kron_power,
     l1_distance,
     l2_distance,
     range_alphabet,
     renyi_tilde,
     renyi_tilde_derivative,
     require_same_alphabet,
+    smooth_truncate,
     tilt,
 )
 from secexp.exponents import (
     additive_pair_joint,
     cond_renyi_tilde,
+    conditional_exponent_no_smoothing,
+    conditional_exponent_phi,
+    conditional_exponent_pinsker,
     conditional_hash_d1_bound_at,
+    cramer_exponent,
+    cramer_exponent_restricted,
     critical_rate,
     divergence_exponent,
     hash_d1_bound_at,
+    holenstein_renner_exponents,
+    order2_d1_bound,
     phi_cond,
     universal_exponent,
     universal_hash_d1_bound,
@@ -55,6 +69,7 @@ from secexp.intrinsic import (
     specialized_exponent,
 )
 from secexp.privacy import (
+    best_subset_lower_bound,
     expected_collision_mass,
     expected_d1,
     expected_d1_conditional,
@@ -71,11 +86,17 @@ from secexp.wiretap import (
     coset_d1_bound,
     coset_d1_bound_closed,
     coset_ensemble_d1,
+    e_phi,
+    e_psi,
     error_prob,
     eve_distinguishability,
     phi_channel,
     psi_channel,
+    psi_pinsker_exponent,
+    random_coding_d1_bound,
+    random_coding_error_bound,
     random_wiretap_code,
+    side_information_d1_bound,
     uniform_codeword_joint,
     uniform_on_subset,
     wiretap_ensemble_exact,
@@ -93,7 +114,9 @@ UNIFORM2 = SubDist.uniform(BSC.input_alphabet)
 GENERIC = Channel(range_alphabet(2), range_alphabet(2), [[0.7, 0.3], [0.2, 0.8]])
 OTHER_INPUTS = Channel(Alphabet(("a", "b")), range_alphabet(2), [[0.7, 0.3], [0.2, 0.8]])
 C1 = LinearCode(Module(2, 2), [(1, 0), (0, 1)])  # F_2^2, four codewords
+BSC4 = BSC.iid_extend(2)  # C1's four inputs
 BSC8 = Channel.additive(SubDist(range_alphabet(2), [0.9, 0.1]), Module(2, 1)).iid_extend(3)
+HALF2 = SubDist(BSC.input_alphabet, [0.25, 0.25])  # a sub-distribution of codewords
 
 
 def _uniform_channel(inputs: int, outputs: int = 2) -> Channel:
@@ -212,6 +235,175 @@ def test_the_scan_sees_a_stray_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# Sizes, rates and the probability requirement
+# ---------------------------------------------------------------------------
+
+# (function, call at a size, the size's name)
+SIZE_FUNCTIONS = [
+    ("range_alphabet", lambda m: range_alphabet(m), "alphabet size"),
+    ("kron_power", lambda n: kron_power(BERN.mass, n, "cells"), "n"),
+    ("enumerate_types", lambda n: enumerate_types(BERN.alphabet, n), "n"),
+    ("Channel.iid_extend", lambda n: BSC.iid_extend(n), "n"),
+    ("Module", lambda n: Module(2, n), "module length"),
+    ("FullyRandomFamily", lambda m: FullyRandomFamily(BERN.alphabet, m), "output size"),
+    ("hash_d1_bound_at", lambda m: hash_d1_bound_at(BERN, m, 0.5), "output size"),
+    ("universal_hash_d1_bound", lambda m: universal_hash_d1_bound(BERN, m), "output size"),
+    ("order2_d1_bound", lambda m: order2_d1_bound(BERN, m), "output size"),
+    ("conditional_hash_d1_bound_at", lambda m: conditional_hash_d1_bound_at(JOINT, m, 0.25), "output size"),
+    ("subset_lower_bound", lambda m: subset_lower_bound(BERN, m, []), "output size"),
+    ("best_subset_lower_bound", lambda m: best_subset_lower_bound(BERN, m), "output size"),
+    ("heavy_mass_lower_bound", lambda m: heavy_mass_lower_bound(BERN, m), "M"),
+    ("build_specialized n", lambda n: build_specialized(BERN, n, 4), "n"),
+    ("build_specialized M", lambda m: build_specialized(BERN, 2, m), "M"),
+    ("random_coding_error_bound", lambda ml: random_coding_error_bound(BSC, UNIFORM2, ml), "ML"),
+    ("random_coding_d1_bound", lambda l: random_coding_d1_bound(BSC, UNIFORM2, l), "L"),
+    ("side_information_d1_bound", lambda l: side_information_d1_bound(JOINT, l), "L"),
+    ("coset_d1_bound", lambda l: coset_d1_bound(BSC4, C1, l), "L"),
+    ("coset_d1_bound_closed", lambda l: coset_d1_bound_closed(BSC, l), "L"),
+    ("distillation_d1_bound", lambda l: distillation_d1_bound(JOINT, l), "L"),
+    ("distillation_error_bound M", lambda m: distillation_error_bound(JOINT, m, 2), "M"),
+    ("distillation_error_bound L", lambda l: distillation_error_bound(JOINT, 2, l), "L"),
+]
+
+
+def _refused_by(check: str, call, *args) -> str:
+    """The message of the ValueError `call(*args)` raises from `check`'s
+    frame, before any arithmetic warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call(*args)
+    assert traceback.extract_tb(err.tb)[-1].name == check
+    return str(err.value)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("call, name", [c[1:] for c in SIZE_FUNCTIONS], ids=[c[0] for c in SIZE_FUNCTIONS])
+def test_each_size_refusal_is_the_one_check(call, name, size):
+    assert _refused_by("require_size", call, size) == f"{name} must be >= 1"
+
+
+@pytest.mark.parametrize("call", [c[1] for c in SIZE_FUNCTIONS], ids=[c[0] for c in SIZE_FUNCTIONS])
+def test_size_one_is_computed(call):
+    call(1)
+
+
+# (function, call at a rate, whether it takes an array of rates, its domain)
+RATE_FUNCTIONS = [
+    ("universal_exponent", lambda r: universal_exponent(BERN, r), True, ">= 0"),
+    ("cramer_exponent", lambda r: cramer_exponent(BERN, r), False, ">= 0"),
+    ("cramer_exponent_restricted", lambda r: cramer_exponent_restricted(BERN, r), True, ">= 0"),
+    ("divergence_exponent", lambda r: divergence_exponent(BERN, r), False, ">= 0"),
+    ("holenstein_renner_exponents", lambda r: holenstein_renner_exponents(BERN, r), False, ">= 0"),
+    ("conditional_exponent_phi", lambda r: conditional_exponent_phi(JOINT, r), False, ">= 0"),
+    ("conditional_exponent_pinsker", lambda r: conditional_exponent_pinsker(JOINT, r), False, ">= 0"),
+    ("conditional_exponent_no_smoothing", lambda r: conditional_exponent_no_smoothing(JOINT, r), False, ">= 0"),
+    ("e_phi", lambda r: e_phi(r, BSC, UNIFORM2), True, ">= 0"),
+    ("e_psi", lambda r: e_psi(r, BSC, UNIFORM2), True, ">= 0"),
+    ("psi_pinsker_exponent", lambda r: psi_pinsker_exponent(r, BSC, UNIFORM2), True, ">= 0"),
+]
+_RATE_CASES = [
+    pytest.param(call, rate if shape == "scalar" else np.array([0.25, rate]), domain,
+                 id=f"{name}-{shape}-{rate}")
+    for name, call, arrays, domain in RATE_FUNCTIONS
+    for shape in (("scalar", "array") if arrays else ("scalar",))
+    for rate in (math.nan, math.inf, -math.inf, -1.0)
+]
+
+
+@pytest.mark.parametrize("call, rate, domain", _RATE_CASES)
+def test_each_rate_refusal_is_the_one_check(call, rate, domain):
+    assert _refused_by("order_array", call, rate) == f"rate must be finite and {domain}"
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_smooth_truncate_refuses_a_nonfinite_threshold(r):
+    assert _refused_by("order_array", smooth_truncate, BERN, r) == "r must be finite and lie in (-inf, inf)"
+
+
+# (function, call on a sub-distribution, what needs the distribution)
+PROBABILITY_FUNCTIONS = [
+    ("universal_exponent", lambda: universal_exponent(HALF, 0.1), "exponent"),
+    ("divergence_exponent", lambda: divergence_exponent(HALF, 0.1), "exponent"),
+    ("cramer_exponent", lambda: cramer_exponent(HALF, 0.1), "exponent"),
+    ("cramer_exponent_restricted", lambda: cramer_exponent_restricted(HALF, 0.1), "exponent"),
+    ("specialized_exponent", lambda: specialized_exponent(HALF, 0.1), "exponent"),
+    ("holenstein_renner_exponents", lambda: holenstein_renner_exponents(HALF, 0.1), "exponent"),
+    ("critical_rate", lambda: critical_rate(HALF), "critical rate"),
+    ("kl_divergence q", lambda: kl_divergence(HALF, SubDist.uniform(HALF.alphabet)), "divergence"),
+    ("kl_divergence p", lambda: kl_divergence(SubDist.uniform(HALF.alphabet), HALF), "divergence"),
+    ("heavy_mass_lower_bound", lambda: heavy_mass_lower_bound(HALF, 2), "heavy-mass floor"),
+    ("build_specialized", lambda: build_specialized(HALF, 2, 2), "specialized map"),
+    ("wiretap_ensemble_exact", lambda: wiretap_ensemble_exact(HALF2, 2, 2, ToeplitzFamily(2, 2, 1), BSC, BSC),
+     "random coding"),
+    ("wiretap_ensemble_mc", lambda: wiretap_ensemble_mc(HALF2, 2, 2, ToeplitzFamily(2, 2, 1), BSC, BSC),
+     "random coding"),
+    ("random_wiretap_code",
+     lambda: random_wiretap_code(HALF2, 2, 2, ToeplitzFamily(2, 2, 1), BSC, np.random.default_rng(0)),
+     "random coding"),
+]
+
+
+@pytest.mark.parametrize("call, what", [c[1:] for c in PROBABILITY_FUNCTIONS],
+                         ids=[c[0] for c in PROBABILITY_FUNCTIONS])
+def test_each_probability_refusal_is_the_one_check(call, what):
+    assert _refused_by("require_probability", call) == f"{what} requires a probability distribution"
+
+
+# A message that reads as a size, rate or probability refusal.
+_ARGUMENT_REFUSAL = re.compile(r">= 1|at least 1\b|probability distribution|rate must")
+_ONE_CHECKS = {"order_array", "require_size", "require_probability"}
+
+
+def _argument_checks(tree: ast.Module):
+    """(function, source) of every raise whose message reads as a size, rate
+    or probability refusal, and of every probability test, inside a function
+    other than the three checks."""
+    sites = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name in _ONE_CHECKS:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = " ".join(c.value for c in ast.walk(node.exc)
+                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                if _ARGUMENT_REFUSAL.search(text):
+                    sites.add((fn.name, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "is_probability":
+                sites.add((fn.name, ast.unparse(node)))
+    return sites
+
+
+# Two branches that pick optional outputs, and the flag refusal `--n`, whose
+# message the CLI tests read.
+_CLI_SITES = {
+    ("cli.py", "entropy", "p.is_probability()"),
+    ("cli.py", "simulate_pa", "p.is_probability()"),
+    ("cli.py", "simulate_wiretap", "raise InputValidationError('--n must be at least 1')"),
+}
+
+
+def test_sizes_rates_and_probabilities_are_refused_only_by_the_one_checks():
+    sites = {(path.name, *site) for path in sorted(_SRC.glob("*.py"))
+             for site in _argument_checks(ast.parse(path.read_text(), str(path)))}
+    assert sites == _CLI_SITES
+
+
+def test_the_scan_sees_a_stray_argument_check():
+    tree = ast.parse(
+        "def require_size(n, name):\n    if n < 1:\n        raise ValueError(f'{name} must be >= 1')\n"
+        "def bound(p, m, r):\n    if m < 1:\n        raise ValueError(f'M={m}: M must be >= 1')\n"
+        "    if r < 0:\n        raise ValueError('rate must be >= 0')\n"
+        "    return 0.0 if p.is_probability() else 1.0\n"
+    )
+    assert _argument_checks(tree) == {
+        ("bound", "raise ValueError(f'M={m}: M must be >= 1')"),
+        ("bound", "raise ValueError('rate must be >= 0')"),
+        ("bound", "p.is_probability()"),
+    }
+
+
+# ---------------------------------------------------------------------------
 # The CLI maps library refusals to exit 2
 # ---------------------------------------------------------------------------
 
@@ -254,15 +446,15 @@ def test_simulate_wiretap_refuses_channels_on_different_inputs(tmp_path):
 CASES = [
     ("dists.range_alphabet", lambda: range_alphabet(0), "alphabet size must be >= 1"),
     ("dists.SubDist.bernoulli", lambda: SubDist.bernoulli(1.5), "p must be in [0, 1]"),
-    ("dists.kl_divergence", lambda: kl_divergence(HALF, HALF), "divergence requires probability"),
+    ("dists.kl_divergence", lambda: kl_divergence(HALF, HALF), "divergence requires a probability distribution"),
     ("dists.enumerate_types", lambda: enumerate_types(range_alphabet(2), 0), "n must be >= 1"),
     ("exponents.universal_hash_d1_bound", lambda: universal_hash_d1_bound(BERN, 0),
      "output size must be >= 1"),
-    ("exponents._require_inputs", lambda: universal_exponent(HALF, 0.1),
+    ("exponents.universal_exponent", lambda: universal_exponent(HALF, 0.1),
      "exponent requires a probability distribution"),
     ("exponents.critical_rate", lambda: critical_rate(HALF), "critical rate requires a probability"),
     ("exponents.divergence_exponent", lambda: divergence_exponent(BERN, 1.0),
-     "rate must lie in [0, log |alphabet|]"),
+     "rate must be finite and lie in [0, 0.693147]"),
     ("exponents.additive_pair_joint",
      lambda: additive_pair_joint(BERN, SubDist.uniform(range_alphabet(3))), "marginals must have equal sizes"),
     ("hashing.FullyRandomFamily", lambda: FullyRandomFamily(range_alphabet(2), 0),
@@ -278,9 +470,9 @@ CASES = [
     ("privacy._omega_indices repeats", lambda: subset_lower_bound(BERN, 4, [0, 0]),
      "subset contains repeated symbols"),
     ("intrinsic.heavy_mass_lower_bound", lambda: heavy_mass_lower_bound(BERN, 0),
-     "requires a probability distribution and M >= 1"),
+     "M must be >= 1"),
     ("intrinsic.build_specialized", lambda: build_specialized(BERN, 0, 2),
-     "requires a probability distribution, n >= 1 and M >= 1"),
+     "n must be >= 1"),
     ("intrinsic.specialized_exponent", lambda: specialized_exponent(HALF, 0.1),
      "requires a probability distribution"),
     ("intrinsic.check_specialized_identity",

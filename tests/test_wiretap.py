@@ -462,9 +462,9 @@ class TestRandomCodingEnsemble:
             random_wiretap_code(u, 2, 2, fam, bsc(0.1), np.random.default_rng(0))
         half = SubDist(u.alphabet, np.array([0.25, 0.25]))
         right = ToeplitzFamily(2, 2, 1)
-        with pytest.raises(ValueError, match="codeword distribution must be a probability"):
+        with pytest.raises(ValueError, match="random coding requires a probability distribution"):
             wiretap_ensemble_mc(half, 2, 2, right, bsc(0.1), bsc(0.3), n_samples=10)
-        with pytest.raises(ValueError, match="codeword distribution must be a probability"):
+        with pytest.raises(ValueError, match="random coding requires a probability distribution"):
             random_wiretap_code(half, 2, 2, right, bsc(0.1), np.random.default_rng(0))
 
     def test_mc_tracks_exact(self):
