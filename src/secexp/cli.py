@@ -369,13 +369,8 @@ def simulate_wiretap(
     wb_path, we_path, big_m, big_l, n, mode, samples, q, seed, out
 ):
     """Random wiretap codes: exact ensemble or sampled, with both bounds."""
-    if n < 1:
-        raise InputValidationError("--n must be at least 1")
-    wb = load_channel(wb_path)
-    we = load_channel(we_path)
-    if n > 1:
-        wb = wb.iid_extend(n)
-        we = we.iid_extend(n)
+    wb = load_channel(wb_path).iid_extend(n)
+    we = load_channel(we_path).iid_extend(n)
     fam = fit_toeplitz(big_m, big_l, q)
     p_mix = SubDist.uniform(wb.input_alphabet)
     payload = {

@@ -7,9 +7,9 @@ vector whose total may be anything in [0, 1]; several bounds in this package
 are stated for sub-distributions, so totals below 1 are first-class here.
 Every constructor checks its mass array by `masses`, and whether a total is 1
 has one test, `SubDist.is_probability`.  The argument checks every module
-shares live here: `order_array` (orders and rates), `require_size` (counts
-such as M, L, ML and n), `require_probability`, `require_same_alphabet` and
-`require_work`.
+shares live here: `order_array` (orders and rates), `index_array` (maps,
+seeds, codewords, indices and counts), `require_size` (counts such as M, L, ML
+and n), `require_probability`, `require_same_alphabet` and `require_work`.
 
 Conventions: 0 * log 0 = 0, and p^(1+s) = 0 at p = 0 for every s > -1.
 """
@@ -31,6 +31,7 @@ __all__ = [
     "SizeLimitError",
     "InvariantError",
     "masses",
+    "index_array",
     "require_probability",
     "require_size",
     "require_work",
@@ -199,6 +200,32 @@ def masses(values, shape: tuple, what: str) -> np.ndarray:
     if arr.min(initial=0.0) < -_MASS_SLACK:
         raise ValueError(f"{what} has a negative entry")
     np.clip(arr, 0.0, None, out=arr)
+    arr.setflags(write=False)
+    return arr
+
+
+def index_array(values, shape: tuple, low: int, high: int, what: str) -> np.ndarray:
+    """The one check of an integer argument, the integer twin of `masses`:
+    `values` as a read-only int64 array of `shape` (an entry -1 takes any
+    length, so an empty input has none), refused unless every entry is an
+    integer in low..high, high taken at most 2^63 - 1.  Integer dtypes of
+    any width pass, and so do floats equal to an integer; bools, strings,
+    other floats, nan and inf do not.  `what` names the argument in a
+    refusal."""
+    high = min(high, np.iinfo(np.int64).max)  # a Python int: M may be 10^400
+    try:
+        arr = np.array(values)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is not None and arr.size == 0 and -1 in shape:  # [] for (-1, n)
+        arr = arr.reshape([max(s, 0) for s in shape])
+    if arr is None or arr.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, arr.shape)):
+        raise ValueError(f"{what} must have shape {str(tuple(shape)).replace('-1', '*')}")
+    kind = arr.dtype.kind
+    whole = kind in "iu" or kind == "f" and np.isfinite(arr).all() and (arr == np.floor(arr)).all()
+    if arr.size and not (whole and low <= int(arr.min()) and int(arr.max()) <= high):
+        raise ValueError(f"{what} must be integers in {low}..{high}")
+    arr = arr.astype(np.int64, copy=False)
     arr.setflags(write=False)
     return arr
 
@@ -663,7 +690,9 @@ def smooth_truncate(p: SubDist, r: float) -> tuple[SubDist, float]:
     between the input and the output.
     """
     order_array(r, "r", -math.inf, math.inf)
-    heavy = p.mass > math.exp(-r)
+    # every mass is at most 1 + _MASS_SLACK, so a threshold capped at e keeps
+    # the same heavy set and math.exp in range
+    heavy = p.mass > math.exp(min(-r, 1.0))
     kept = np.where(heavy, 0.0, p.mass)
     tail = fsum(p.mass[heavy])
     return SubDist(p.alphabet, kept), tail
@@ -701,10 +730,8 @@ class TypeClass:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.counts) != self.alphabet.size:
-            raise ValueError("counts length must match alphabet size")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
+        counts = index_array(self.counts, (self.alphabet.size,), 0, math.inf, "counts")
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
         if sum(self.counts) < 1:
             raise ValueError("type needs at least one trial")
 

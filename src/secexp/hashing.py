@@ -46,6 +46,7 @@ from .dists import (
     blocks,
     capped_power,
     count_text,
+    index_array,
     product_alphabet,
     require_size,
     require_work,
@@ -181,12 +182,10 @@ class HashFamily:
         return tuple(int(d) for d in self.draw_seeds(rng, 1)[0])
 
     def as_map(self, seed) -> np.ndarray:
-        """The whole map for one seed, as an int array over the alphabet order."""
-        arr = np.asarray(seed, dtype=np.int64)
-        if arr.shape != (self.seed_len,):
-            raise ValueError(f"seed must have {self.seed_len} digits")
-        if np.any((arr < self.digit_low) | (arr >= self.digit_low + self.digit_base)):
-            raise ValueError("seed digit out of range")
+        """The whole map for one seed, as an int array over the alphabet order:
+        the checked entry for a caller's seed (`maps_of` trusts its blocks)."""
+        low = self.digit_low
+        arr = index_array(seed, (self.seed_len,), low, low + self.digit_base - 1, "seed digits")
         return self.maps_of(arr[None])[0]
 
 
@@ -367,18 +366,13 @@ class ExplicitFamily(HashFamily):
     seed of map i is the 1-tuple (i,)."""
 
     def __init__(self, input_alphabet: Alphabet, output_size: int, maps):
-        rows = [np.asarray(m, dtype=np.int64) for m in maps]
-        if not rows:
+        if len(maps) == 0:
             raise ValueError("an explicit family needs at least one map")
-        if any(row.shape != (input_alphabet.size,) for row in rows):
-            raise ValueError("map length must match alphabet size")
-        table = np.stack(rows)
-        if table.min() < 1 or table.max() > output_size:
-            raise ValueError("map output out of range")
+        table = index_array(maps, (-1, input_alphabet.size), 1, output_size, "maps")
         self.input_alphabet = input_alphabet
         self.output_size = output_size
         self._maps = table
-        self.seed_len, self.digit_low, self.digit_base = 1, 0, len(rows)
+        self.seed_len, self.digit_low, self.digit_base = 1, 0, len(table)
 
     def maps_of(self, seeds: np.ndarray) -> np.ndarray:
         return self._maps[np.asarray(seeds, dtype=np.int64)[:, 0]]

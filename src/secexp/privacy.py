@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import (JointDist, SubDist, capped_power, fsum, fsum_rows, range_alphabet,
-                    require_same_alphabet, require_size, require_work)
+from .dists import (JointDist, SubDist, capped_power, fsum, fsum_rows, index_array,
+                    range_alphabet, require_same_alphabet, require_size, require_work)
 from .hashing import FullyRandomFamily, HashFamily
 
 __all__ = [
@@ -84,11 +84,7 @@ def _preimage_sums(weights: np.ndarray, f, m: int):
     each output's preimage rows, transposed, so each cell is correctly
     rounded.  The map is checked, and the alphabet refused past its cap,
     before any cell is summed."""
-    f_map = np.asarray(f, dtype=np.int64)
-    if f_map.shape != (len(weights),):
-        raise ValueError(f"map must assign all {len(weights)} symbols")
-    if f_map.min() < 1 or f_map.max() > m:
-        raise ValueError(f"map outputs must lie in 1..{m}")
+    f_map = index_array(f, (len(weights),), 1, m, "map")
     outputs = range_alphabet(m)
     order = np.argsort(f_map, kind="stable")
     bounds = np.searchsorted(f_map, np.arange(1, m + 2), sorter=order).tolist()
@@ -221,19 +217,12 @@ def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:
     return _ensemble(fam, p.mass, values_of, np.square, 0.0, "exact", 0, 0).value
 
 
-def _omega_indices(p: SubDist, omega) -> list[int]:
-    out = []
-    for item in omega:
-        if isinstance(item, str):
-            out.append(p.alphabet.index(item))
-        else:
-            idx = int(item)
-            if not 0 <= idx < p.alphabet.size:
-                raise ValueError(f"index {idx} out of range")
-            out.append(idx)
-    if len(set(out)) != len(out):
+def _omega_indices(p: SubDist, omega) -> np.ndarray:
+    items = [p.alphabet.index(item) if isinstance(item, str) else item for item in omega]
+    idx = index_array(items, (-1,), 0, p.alphabet.size - 1, "subset indices")
+    if len(set(idx.tolist())) != len(idx):
         raise ValueError("subset contains repeated symbols")
-    return out
+    return idx
 
 
 def subset_lower_bound(p: SubDist, m: int, omega) -> float:

@@ -33,6 +33,7 @@ from .dists import (
     capped_power,
     fsum,
     fsum_rows,
+    index_array,
     kron_power,
     log_fsum_by_order,
     masses,
@@ -263,12 +264,9 @@ class WiretapCode:
     def __init__(self, m: int, encoders, decoder):
         # one row per message, any number of codeword columns
         enc = masses(encoders, (m, *np.shape(encoders)[-1:]), "encoder matrix")
-        dec = np.asarray(decoder, dtype=np.int64)
+        dec = index_array(decoder, (-1,), 0, m, "decoder cells")
         if np.abs(enc.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("encoder rows must sum to 1")
-        if dec.min(initial=0) < 0 or dec.max(initial=0) > m:
-            raise ValueError("decoder cells must lie in 0..M")
-        dec.setflags(write=False)
         self.m = m
         self.encoders = enc
         self.decoder = dec
@@ -320,17 +318,12 @@ def code_from_codebook(
     decodes the full codebook by maximum likelihood (ties to the lowest
     codeword index) before applying the map.
     """
-    cb = np.asarray(codebook, dtype=np.int64)
-    f_arr = np.asarray(f_map, dtype=np.int64)
-    ml = m * l
-    if cb.shape != (ml,) or f_arr.shape != (ml,):
-        raise ValueError("codebook and map must have length M*L")
+    nx = wb.input_alphabet.size
+    cb = index_array(codebook, (m * l,), 0, nx - 1, "codewords")
+    f_arr = index_array(f_map, (m * l,), 1, m, "map")
     sizes = np.bincount(f_arr - 1, minlength=m)
     if sizes.min() != l or sizes.max() != l:
         raise ValueError("map must split the codewords into equal classes")
-    nx = wb.input_alphabet.size
-    if cb.min(initial=0) < 0 or cb.max(initial=0) >= nx:
-        raise ValueError(f"codewords must lie in 0..{nx - 1}")
     enc = np.zeros((m, nx))
     np.add.at(enc, (f_arr - 1, cb), 1.0 / l)
     scores = wb.matrix[cb, :]  # ML x |Y|
@@ -606,9 +599,9 @@ def random_coding_d1_bound(we: Channel, p: SubDist, l: int) -> float:
 
 def uniform_on_subset(alphabet: Alphabet, indices) -> SubDist:
     """The uniform distribution on a subset, as a SubDist over the alphabet."""
-    idx = sorted(set(int(i) for i in indices))
-    if not idx or idx[0] < 0 or idx[-1] >= alphabet.size:
-        raise ValueError(f"subset must be nonempty, its indices in 0..{alphabet.size - 1}")
+    idx = sorted(set(index_array(indices, (-1,), 0, alphabet.size - 1, "subset indices").tolist()))
+    if not idx:
+        raise ValueError("subset must be nonempty")
     mass = np.zeros(alphabet.size)
     mass[idx] = 1.0 / len(idx)
     return SubDist(alphabet, mass)
@@ -616,10 +609,8 @@ def uniform_on_subset(alphabet: Alphabet, indices) -> SubDist:
 
 def uniform_codeword_joint(codebook, we: Channel) -> JointDist:
     """Joint of (uniform codeword index, Eve's output) for a fixed codebook."""
-    cb = np.asarray(codebook, dtype=np.int64)
-    ml = cb.shape[0]
-    if cb.min(initial=0) < 0 or cb.max(initial=0) >= we.input_alphabet.size:
-        raise ValueError(f"codewords must lie in 0..{we.input_alphabet.size - 1}")
+    cb = index_array(codebook, (-1,), 0, we.input_alphabet.size - 1, "codewords")
+    ml = len(cb)
     mass = we.matrix[cb, :] / ml
     return JointDist(range_alphabet(ml), we.output_alphabet, mass)
 
@@ -639,23 +630,18 @@ class LinearCode:
     __slots__ = ("module", "generators", "message_codewords", "codewords")
 
     def __init__(self, module: Module, generators):
-        gens = tuple(tuple(int(d) for d in g) for g in generators)
-        for g in gens:
-            if len(g) != module.n:
-                raise ValueError("generator length must match the module")
-            if any(not 0 <= d < module.q for d in g):
-                raise ValueError("generator digit out of range")
+        gens = index_array(generators, (-1, module.n), 0, module.q - 1, "generator digits")
         # over F_p, with q = p^e, g becomes the e generators x^(e-1) g, .., g
         # (the column of each digit's matrix for that basis element), the
         # last generator's last digit varying fastest
         f, e = module.field, module.field.degree
-        x = f.digit_matrices()[np.array(gens, dtype=np.int64).reshape(len(gens), module.n)]
+        x = f.digit_matrices()[gens]
         rows = x.transpose(0, 3, 1, 2).reshape(len(gens) * e, module.n * e)
         words = combination_indices(rows[None], f.prime)[0]
         if np.unique(words).size != words.size:
             raise ValueError("generators are not linearly independent")
         self.module = module
-        self.generators = gens
+        self.generators = tuple(map(tuple, gens.tolist()))
         self.message_codewords = tuple(words.tolist())
         self.codewords = tuple(sorted(self.message_codewords))
 
@@ -701,9 +687,7 @@ def coset_code(c1: LinearCode, f_map, wb: Channel) -> WiretapCode:
     the codewords of the messages f sends to i, and decoding is maximum
     likelihood over C1 (ties to the lowest codeword) followed by f."""
     _require_module_input(c1, wb)
-    f_arr = np.asarray(f_map, dtype=np.int64)
-    if f_arr.shape != (c1.size,):
-        raise ValueError("map must assign every message of the code")
+    f_arr = index_array(f_map, (c1.size,), 1, c1.size, "map")
     order = np.argsort(c1.message_codewords)  # f on C1's codewords, ascending
     m = int(f_arr.max())
     return code_from_codebook(np.array(c1.codewords), f_arr[order], m, c1.size // m, wb)

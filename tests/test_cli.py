@@ -350,7 +350,7 @@ class TestSimulateWiretap:
              "--n", uses],
         )
         assert res.exit_code == 2
-        assert "--n must be at least 1" in res.output
+        assert "invalid input: n must be >= 1" in res.output
 
     def test_additive_channel_past_ten_field_elements(self, runner, tmp_path):
         # the module labels of F_13^2 join digits by "|": unjoined, the

@@ -289,6 +289,12 @@ class TestSmoothTruncate:
         assert tail == 0.0
         np.testing.assert_allclose(kept.mass, skew3.mass)
 
+    def test_threshold_past_the_float_range_keeps_everything(self, skew3):
+        # e^1000 overflows a float; no mass exceeds 1, so nothing is removed
+        kept, tail = smooth_truncate(skew3, -1000.0)
+        assert tail == 0.0
+        assert kept.mass.tobytes() == skew3.mass.tobytes()
+
     def test_tiny_threshold_strips_everything(self, skew3):
         kept, tail = smooth_truncate(skew3, 50.0)
         assert tail == pytest.approx(1.0)

@@ -29,6 +29,7 @@ from secexp.dists import (
     AlphabetMismatchError,
     JointDist,
     SubDist,
+    TypeClass,
     enumerate_types,
     kl_divergence,
     kron_power,
@@ -70,6 +71,7 @@ from secexp.intrinsic import (
 )
 from secexp.privacy import (
     best_subset_lower_bound,
+    d1_hashed,
     expected_collision_mass,
     expected_d1,
     expected_d1_conditional,
@@ -373,12 +375,10 @@ def _argument_checks(tree: ast.Module):
     return sites
 
 
-# Two branches that pick optional outputs, and the flag refusal `--n`, whose
-# message the CLI tests read.
+# Two branches that pick optional outputs.
 _CLI_SITES = {
     ("cli.py", "entropy", "p.is_probability()"),
     ("cli.py", "simulate_pa", "p.is_probability()"),
-    ("cli.py", "simulate_wiretap", "raise InputValidationError('--n must be at least 1')"),
 }
 
 
@@ -399,6 +399,141 @@ def test_the_scan_sees_a_stray_argument_check():
         ("bound", "raise ValueError(f'M={m}: M must be >= 1')"),
         ("bound", "raise ValueError('rate must be >= 0')"),
         ("bound", "p.is_probability()"),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Integer arguments
+# ---------------------------------------------------------------------------
+
+U4 = SubDist.uniform(range_alphabet(4))
+
+# (site, refused call, message): maps, seeds, codewords, indices and counts
+# that are not integers in range, or not of the expected shape
+INDEX_CASES = [
+    ("pushforward fractions", lambda: pushforward(BERN, [1.7, 2.2], 2), "map must be integers in 1..2"),
+    ("d1_hashed strings", lambda: d1_hashed(BERN, ["1", "2"], 2), "map must be integers in 1..2"),
+    ("as_map fractions", lambda: ToeplitzFamily(2, 3, 1).as_map((0.5, 0.9)),
+     "seed digits must be integers in 0..1"),
+    ("as_map nan", lambda: ToeplitzFamily(2, 3, 1).as_map((math.nan, 0)),
+     "seed digits must be integers in 0..1"),
+    ("ExplicitFamily ragged", lambda: ExplicitFamily(range_alphabet(2), 2, [[1, 2], [1]]),
+     "maps must have shape (*, 2)"),
+    ("WiretapCode 2-D decoder", lambda: WiretapCode(2, np.eye(2), [[1, 2], [2, 1]]),
+     "decoder cells must have shape (*,)"),
+    ("subset_lower_bound fraction", lambda: subset_lower_bound(U4, 4, [0.7]),
+     "subset indices must be integers in 0..3"),
+    ("subset_lower_bound bool", lambda: subset_lower_bound(U4, 4, [True]),
+     "subset indices must be integers in 0..3"),
+    ("LinearCode fraction", lambda: LinearCode(Module(2, 3), [(1.5, 0, 0)]),
+     "generator digits must be integers in 0..1"),
+    ("code_from_codebook map 0", lambda: code_from_codebook([0, 1], [0, 2], 2, 1, BSC),
+     "map must be integers in 1..2"),
+    ("coset_code map 0", lambda: coset_code(C1, [0, 1, 0, 1], BSC4), "map must be integers in 1..4"),
+    ("uniform_on_subset fraction", lambda: uniform_on_subset(range_alphabet(3), [0.5]),
+     "subset indices must be integers in 0..2"),
+    ("uniform_codeword_joint fraction", lambda: uniform_codeword_joint([0.5, 1], BSC),
+     "codewords must be integers in 0..1"),
+    ("TypeClass fractions", lambda: TypeClass(range_alphabet(2), (1.5, 0.5)),
+     f"counts must be integers in 0..{2**63 - 1}"),
+]
+
+
+@pytest.mark.parametrize("refuse, shown", [c[1:] for c in INDEX_CASES], ids=[c[0] for c in INDEX_CASES])
+def test_each_integer_refusal_is_the_one_check(refuse, shown):
+    assert _refused_by("index_array", refuse) == shown
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float64])
+def test_integer_inputs_of_every_dtype_give_the_same_bits(dtype):
+    p = SubDist(range_alphabet(4), [0.1, 0.2, 0.3, 0.4])
+    f, seed, codebook = [3, 1, 3, 2], [1, 0, 1], [1, 0, 0, 1]
+    fam = ToeplitzFamily(2, 4, 2)
+    cast = lambda v: np.array(v, dtype=dtype)
+    assert pushforward(p, cast(f), 3).mass.tobytes() == pushforward(p, f, 3).mass.tobytes()
+    assert fam.as_map(cast(seed)).tobytes() == fam.as_map(seed).tobytes()
+    got, want = (code_from_codebook(cb, m, 2, 2, BSC) for cb, m in
+                 ((cast(codebook), cast([1, 2, 2, 1])), (codebook, [1, 2, 2, 1])))
+    assert (got.encoders.tobytes(), got.decoder.tobytes()) == (want.encoders.tobytes(), want.decoder.tobytes())
+
+
+def test_an_empty_input_has_no_rows():
+    # the zero code: no generators, one codeword
+    assert LinearCode(Module(2, 2), []).codewords == (0,)
+
+
+# Functions that may convert a parameter to integers themselves: the block
+# readers, whose seeds the family built (`as_map` checks a caller's), the
+# digits of a module symbol, the CLI's figure choice and a numpy integer
+# written out as JSON.
+_INTEGER_SITES = {
+    ("hashing.py", "maps_of", "np.asarray(seeds, dtype=np.int64)"),
+    ("hashing.py", "matrices", "np.asarray(seeds, dtype=np.int64)"),
+    ("gf.py", "index", "int(d)"),
+    ("cli.py", "figure", "int(figure_id)"),
+    ("cli.py", "_jsonify", "int(obj)"),
+}
+_INTEGER_DTYPE = re.compile(r"\b(u?int\d*|intp)\b")
+_ITERATORS = {"enumerate", "zip", "sorted", "reversed", "set", "list", "tuple"}
+
+
+def _integer_conversions(tree: ast.Module):
+    """(function, source) of every int() of a parameter or of an item
+    iterated from one, and of every np.asarray/np.array of a parameter with
+    an integer dtype."""
+    sites = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        every = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        named = {a.arg for a in every} - {"self", "cls"}
+        loops = [(n.target, n.iter) for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+        grown = True
+        while grown:  # an item of an item of a parameter is one too
+            size = len(named)
+            for target, it in loops:
+                sources = it.args if isinstance(it, ast.Call) and getattr(it.func, "id", None) in _ITERATORS else [it]
+                if any(isinstance(a, ast.Name) and a.id in named for a in sources):
+                    named |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+            grown = len(named) > size
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in named):
+                continue
+            dtype = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+            if getattr(node.func, "id", None) == "int" or (
+                    getattr(node.func, "attr", None) in ("asarray", "array")
+                    and any(_INTEGER_DTYPE.search(ast.unparse(d)) for d in dtype)):
+                sites.add((fn.name, ast.unparse(node)))
+    return sites
+
+
+def test_integer_arguments_are_converted_only_by_the_one_check():
+    sites = {(path.name, *site) for path in sorted(_SRC.glob("*.py")) if path.name != "dists.py"
+             for site in _integer_conversions(ast.parse(path.read_text(), str(path)))}
+    assert sites == _INTEGER_SITES
+
+
+def test_the_scan_sees_a_stray_integer_conversion():
+    tree = ast.parse(
+        "def code(codebook, maps, gens, n, labels, seed):\n"
+        "    cb = np.asarray(codebook, dtype=np.int64)\n"
+        "    rows = [int(m) for m in maps]\n"
+        "    digits = tuple(tuple(int(d) for d in g) for g in gens)\n"
+        "    size = np.array(n, np.int32)\n"
+        "    for i, x in enumerate(labels):\n"
+        "        int(x)\n"
+        "    return int(np.argmax(seed)), np.asarray(seed, dtype=float), int(len(maps))\n"
+        "class F:\n    def maps_of(self, seeds):\n        return np.asarray(seeds, dtype=np.int64)\n"
+    )
+    assert _integer_conversions(tree) == {
+        ("code", "np.asarray(codebook, dtype=np.int64)"),
+        ("code", "int(m)"),
+        ("code", "int(d)"),
+        ("code", "np.array(n, np.int32)"),
+        ("code", "int(x)"),
+        ("maps_of", "np.asarray(seeds, dtype=np.int64)"),
     }
 
 
@@ -459,13 +594,13 @@ CASES = [
     ("hashing.FullyRandomFamily", lambda: FullyRandomFamily(range_alphabet(2), 0),
      "output size must be >= 1"),
     ("hashing.ExplicitFamily length", lambda: ExplicitFamily(range_alphabet(2), 2, [[1, 2, 1]]),
-     "map length must match alphabet size"),
+     "maps must have shape (*, 2)"),
     ("hashing.ExplicitFamily outputs", lambda: ExplicitFamily(range_alphabet(2), 2, [[1, 3]]),
-     "map output out of range"),
-    ("privacy._preimage_sums", lambda: pushforward(BERN, [1], 2), "map must assign all 2 symbols"),
+     "maps must be integers in 1..2"),
+    ("privacy._preimage_sums", lambda: pushforward(BERN, [1], 2), "map must have shape (2,)"),
     ("privacy._ensemble", lambda: expected_d1(SubDist.uniform(ToeplitzFamily(2, 2, 1).input_alphabet),
                                               ToeplitzFamily(2, 2, 1), mode="x"), "unknown mode 'x'"),
-    ("privacy._omega_indices range", lambda: subset_lower_bound(BERN, 4, [5]), "index 5 out of range"),
+    ("privacy._omega_indices range", lambda: subset_lower_bound(BERN, 4, [5]), "subset indices must be integers in 0..1"),
     ("privacy._omega_indices repeats", lambda: subset_lower_bound(BERN, 4, [0, 0]),
      "subset contains repeated symbols"),
     ("intrinsic.heavy_mass_lower_bound", lambda: heavy_mass_lower_bound(BERN, 0),
@@ -481,7 +616,7 @@ CASES = [
     ("figures.figure_sweep", lambda: figure_sweep(5), "unknown figure id 5"),
     ("wiretap.WiretapCode rows", lambda: WiretapCode(1, [[0.5, 0.4]], [1, 1]),
      "encoder rows must sum to 1"),
-    ("wiretap.WiretapCode decoder", lambda: WiretapCode(1, [[1.0]], [2]), "decoder cells must lie in 0..M"),
+    ("wiretap.WiretapCode decoder", lambda: WiretapCode(1, [[1.0]], [2]), "decoder cells must be integers in 0..1"),
     ("wiretap.error_prob encoders", lambda: error_prob(WiretapCode(1, [[0.5, 0.5, 0.0]], [1, 1]), BSC),
      "encoder support must match the channel input"),
     ("wiretap.error_prob decoder", lambda: error_prob(WiretapCode(1, [[0.5, 0.5]], [1, 1, 1]), BSC),
@@ -494,24 +629,24 @@ CASES = [
      lambda: wiretap_ensemble_exact(UNIFORM2, 2, 2, ExplicitFamily(range_alphabet(4), 2, [[1, 1, 2, 2]]),
                                     BSC, BSC), "hash family is not universal_2"),
     ("wiretap.code_from_codebook length", lambda: code_from_codebook([0], [1, 2], 2, 1, BSC),
-     "codebook and map must have length M*L"),
+     "codewords must have shape (2,)"),
     ("wiretap.code_from_codebook classes", lambda: code_from_codebook([0, 1], [1, 1], 2, 1, BSC),
      "map must split the codewords into equal classes"),
     ("wiretap.code_from_codebook -1", lambda: code_from_codebook([-1, 0], [1, 2], 2, 1, BSC),
-     "codewords must lie in 0..1"),
+     "codewords must be integers in 0..1"),
     ("wiretap.code_from_codebook |X|", lambda: code_from_codebook([2, 0], [1, 2], 2, 1, BSC),
-     "codewords must lie in 0..1"),
+     "codewords must be integers in 0..1"),
     ("wiretap.uniform_codeword_joint -1", lambda: uniform_codeword_joint([-1, 0], BSC),
-     "codewords must lie in 0..1"),
+     "codewords must be integers in 0..1"),
     ("wiretap.uniform_codeword_joint |X|", lambda: uniform_codeword_joint([0, 2], BSC),
-     "codewords must lie in 0..1"),
+     "codewords must be integers in 0..1"),
     ("wiretap.uniform_on_subset -1", lambda: uniform_on_subset(range_alphabet(3), [-1]),
-     "subset must be nonempty, its indices in 0..2"),
+     "subset indices must be integers in 0..2"),
     ("wiretap.uniform_on_subset |X|", lambda: uniform_on_subset(range_alphabet(3), [3]),
-     "subset must be nonempty, its indices in 0..2"),
+     "subset indices must be integers in 0..2"),
     ("wiretap.LinearCode length", lambda: LinearCode(Module(2, 2), [(1, 0, 0)]),
-     "generator length must match the module"),
-    ("wiretap.LinearCode digit", lambda: LinearCode(Module(2, 2), [(2, 0)]), "generator digit out of range"),
+     "generator digits must have shape (*, 2)"),
+    ("wiretap.LinearCode digit", lambda: LinearCode(Module(2, 2), [(2, 0)]), "generator digits must be integers in 0..1"),
     ("wiretap.coset_code 2 inputs", lambda: coset_code(C1, [1, 2, 1, 2], _uniform_channel(2)),
      "channel has 2 input symbols, C1's module 4"),
     ("wiretap.coset_code 8 inputs", lambda: coset_code(C1, [1, 2, 1, 2], BSC8),
