@@ -1,11 +1,11 @@
 """Eve's distinguishability under hashing: concrete maps and ensemble averages.
 
-The unconditional distinguishability of a hashed source is the L1 distance of
-the pushforward from uniform; the conditional variant measures the joint
-against (uniform key) x (Eve's marginal).  Ensemble expectations over a hash
-family are computed exactly, or by Monte Carlo sampling of seeds.  Exactly, a
-FullyRandomFamily's average is a sum over the 2^|A| subsets (capped at
-DEFAULT_MAX_CELLS cells), whatever M is: each output's preimage holds each
+The distinguishability of a hashed joint is its L1 distance from (uniform key)
+x (Eve's marginal P(e), exact column sums); a source without side information
+is the case of one side symbol, P(e) its total mass.  Ensemble expectations
+over a hash family are computed exactly, or by Monte Carlo sampling of seeds.
+Exactly, a FullyRandomFamily's average is a sum over the 2^|A| subsets (capped
+at DEFAULT_MAX_CELLS cells), whatever M is: each output's preimage holds each
 symbol independently with probability 1/M.  Every other family's average reads
 its `pushforward_blocks`, which picks the family's route and refuses its work,
 and Monte Carlo mode reads the same blocks for a draw of seeds, made a block
@@ -72,12 +72,6 @@ def _l1_rows(rows: np.ndarray, ref) -> list[float]:
     return fsum_rows(np.abs(rows - ref).reshape(len(rows), -1))
 
 
-def _d1_rows(rows: np.ndarray, m: int) -> list[float]:
-    """Distance of each pushforward row from its total mass x uniform."""
-    totals = np.array(fsum_rows(rows))
-    return _l1_rows(rows, totals[:, None] / m)
-
-
 def _preimage_sums(weights: np.ndarray, f, m: int):
     """The output alphabet {1..m} and the (m, side) cells of the image of the
     (symbols, side) weights under a concrete map f into it: `fsum_rows` of
@@ -101,8 +95,9 @@ def pushforward(p: SubDist, f, m: int) -> SubDist:
 
 
 def d1_hashed(p: SubDist, f, m: int) -> float:
-    """L1 distance of the hashed source from (total mass) x uniform."""
-    return _d1_rows(pushforward(p, f, m).mass[None], m)[0]
+    """L1 distance of the hashed source from (total mass) x uniform: the
+    one-side-symbol case of :func:`d1_conditional`."""
+    return _l1_rows(pushforward(p, f, m).mass[None], p.total / m)[0]
 
 
 def joint_pushforward(j: JointDist, f, m: int) -> JointDist:
@@ -114,7 +109,7 @@ def joint_pushforward(j: JointDist, f, m: int) -> JointDist:
 def d1_conditional(j: JointDist, f, m: int) -> float:
     """L1 distance of P(f(A), E) from (uniform on {1..m}) x P(E)."""
     hashed = joint_pushforward(j, f, m)
-    return _l1_rows(hashed.mass[None], j.mass.sum(axis=0) / m)[0]
+    return _l1_rows(hashed.mass[None], np.array(fsum_rows(j.mass.T)) / m)[0]
 
 
 def d1_conditional_prime(j: JointDist, f, m: int) -> float:
@@ -170,6 +165,17 @@ def _ensemble(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _expected_d1(fam: HashFamily, weights, marginal, mode: str, n_samples: int, seed: int):
+    """E d1 of the hashed weights against (uniform key) x marginal: each seed's
+    row against marginal / M, or the subset law against marginal * (1 / M),
+    since M may be past the float range there."""
+    m = fam.output_size
+    ref = marginal * (1 / m)
+    values_of = lambda rows: _l1_rows(rows, marginal / m)
+    terms = lambda c: np.abs(c - ref)
+    return _ensemble(fam, weights, values_of, terms, fsum(marginal), mode, n_samples, seed)
+
+
 def expected_d1(
     p: SubDist,
     fam: HashFamily,
@@ -177,14 +183,10 @@ def expected_d1(
     n_samples: int = 1000,
     seed: int = 0,
 ) -> EnsembleEstimate:
-    """Ensemble average of the hashed source's distance from uniform."""
+    """Ensemble average of the hashed source's distance from uniform: the
+    one-side-symbol case of :func:`expected_d1_conditional`."""
     require_same_alphabet(fam.input_alphabet, p.alphabet, "family input and distribution")
-    m = fam.output_size
-    ref = p.total * (1 / m)  # 1 / m: no float of M, which may be huge
-    return _ensemble(
-        fam, p.mass, lambda rows: _d1_rows(rows, m), lambda c: np.abs(c - ref), p.total,
-        mode, n_samples, seed,
-    )
+    return _expected_d1(fam, p.mass, np.array([p.total]), mode, n_samples, seed)
 
 
 def expected_d1_conditional(
@@ -196,13 +198,7 @@ def expected_d1_conditional(
 ) -> EnsembleEstimate:
     """Ensemble average of the conditional distinguishability."""
     require_same_alphabet(fam.input_alphabet, j.alphabet_a, "family input and secret")
-    m = fam.output_size
-    pe = j.mass.sum(axis=0)
-    ref = pe * (1 / m)
-    return _ensemble(
-        fam, j.mass, lambda rows: _l1_rows(rows, pe / m), lambda c: np.abs(c - ref),
-        fsum(pe), mode, n_samples, seed,
-    )
+    return _expected_d1(fam, j.mass, np.array(fsum_rows(j.mass.T)), mode, n_samples, seed)
 
 
 def expected_collision_mass(p: SubDist, fam: HashFamily) -> float:

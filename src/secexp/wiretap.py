@@ -262,6 +262,7 @@ class WiretapCode:
     __slots__ = ("m", "encoders", "decoder")
 
     def __init__(self, m: int, encoders, decoder):
+        require_size(m, "M")
         # one row per message, any number of codeword columns
         enc = masses(encoders, (m, *np.shape(encoders)[-1:]), "encoder matrix")
         dec = index_array(decoder, (-1,), 0, m, "decoder cells")
@@ -318,6 +319,8 @@ def code_from_codebook(
     decodes the full codebook by maximum likelihood (ties to the lowest
     codeword index) before applying the map.
     """
+    require_size(m, "M")
+    require_size(l, "L")
     nx = wb.input_alphabet.size
     cb = index_array(codebook, (m * l,), 0, nx - 1, "codewords")
     f_arr = index_array(f_map, (m * l,), 1, m, "map")

@@ -32,6 +32,26 @@ def exact_sum(values) -> float:
     return float(sum(map(Fraction, values), Fraction(0)))
 
 
+def exact_expected_d1(weights, maps, m) -> float:
+    """E d1 in exact rationals, rounded once: the mean over the rows of `maps`
+    (each a map of the symbols into 1..m) of sum_(y, e) |P_f(y, e) - P(e)/m|,
+    for float (symbols[, side symbols]) weights, with P(e) their exact column
+    sums (one column: a source and its total).  Every float is an integer over
+    one power of two, so the cells are sums of Python ints: the true value of
+    the float inputs, the oracle for `expected_d1` and `expected_d1_conditional`."""
+    w = np.reshape(weights, (len(weights), -1))
+    ratios = [x.as_integer_ratio() for x in w.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    ints = np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(w.shape)
+    marginal = ints.sum(axis=0)
+    total = 0
+    for f in maps:
+        cells = np.zeros((m, w.shape[1]), dtype=object)
+        np.add.at(cells, np.asarray(f) - 1, ints)
+        total += sum(abs(c) for c in (m * cells - marginal).ravel().tolist())
+    return float(Fraction(total, m * den * len(maps)))
+
+
 def random_subdist(rng, size, total=None):
     """A random sub-distribution; total defaults to a uniform draw in (0, 1]."""
     raw = rng.random(size) + 1e-3

@@ -35,7 +35,7 @@ from secexp.privacy import (
     subset_lower_bound,
 )
 
-from conftest import exact_sum, random_dist, random_subdist
+from conftest import exact_expected_d1, exact_sum, random_dist, random_subdist
 
 
 def skew3():
@@ -443,13 +443,13 @@ def rounded_cells(mass, f_map, m):
     return np.array(sums).reshape((m,) + mass.shape[1:])
 
 
-def d1_oracle(cells):
-    ref = math.fsum(cells.tolist()) / len(cells)
+def d1_oracle(cells, total):
+    ref = total / len(cells)
     return math.fsum(np.abs(cells - ref).tolist())
 
 
 def conditional_oracle(cells, jmass):
-    ref = jmass.sum(axis=0)[None, :] / len(cells)
+    ref = np.array([math.fsum(col) for col in jmass.T.tolist()])[None, :] / len(cells)
     return math.fsum(np.abs(cells - ref).ravel().tolist())
 
 
@@ -489,9 +489,9 @@ class TestBlockKernel:
         m, count = fam.output_size, fam.seed_count
         maps = fam.maps_of(fam.seeds())
         by_maps = ExplicitFamily(fam.input_alphabet, m, maps)
-        d1 = [d1_oracle(sequential_cells(p.mass, f, m)) for f in maps]
+        d1 = [d1_oracle(sequential_cells(p.mass, f, m), p.total) for f in maps]
         assert [d1_hashed(p, f, m) for f in maps] == [
-            d1_oracle(rounded_cells(p.mass, f, m)) for f in maps
+            d1_oracle(rounded_cells(p.mass, f, m), p.total) for f in maps
         ]
         assert expected_d1(p, by_maps).value == math.fsum(d1) / count
         assert expected_d1(p, fam).value == pytest.approx(math.fsum(d1) / count, abs=1e-15)
@@ -612,3 +612,65 @@ class TestSubsetLaw:
         assert expected_collision_mass(p, fam) == pytest.approx(
             math.fsum((p.mass**2).tolist()), abs=1e-9
         )
+
+
+def one_side_families():
+    alph = range_alphabet(5)
+    maps = np.random.default_rng(6).integers(1, 4, size=(7, 5))
+    return [
+        ToeplitzFamily(2, 6, 2),
+        ToeplitzFamily(3, 4, 2),
+        ToeplitzFamily(4, 3, 1),
+        FullyRandomFamily(alph, 3),
+        ExplicitFamily(alph, 3, maps),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize(
+    "fam", one_side_families(), ids=["toeplitz-F2", "toeplitz-F3", "toeplitz-GF4", "fullrandom", "explicit"]
+)
+def test_a_source_is_a_joint_with_one_side_symbol(fam, mode):
+    # bit for bit on every route: the transform, the subset law (exact) and
+    # the maps (fully random in mc, explicit maps in both modes)
+    n, m = fam.input_alphabet.size, fam.output_size
+    rng = np.random.default_rng(n)
+    mass = rng.random(n) * (rng.random(n) > 0.3)
+    p = SubDist(fam.input_alphabet, mass / mass.sum())
+    j = JointDist(p.alphabet, range_alphabet(1), p.mass[:, None])
+    sampling = dict(mode=mode, n_samples=40, seed=8)
+    assert expected_d1(p, fam, **sampling) == expected_d1_conditional(j, fam, **sampling)
+    f = fam.maps_of(fam.seeds(0, 1))[0]
+    assert d1_hashed(p, f, m) == d1_conditional(j, f, m)
+
+
+class TestRationalOracle:
+    """Exact E d1 against its value in rationals (`exact_expected_d1`), within
+    k e 2^-53 times the total mass, k e being the input's digits over F_p."""
+
+    @staticmethod
+    def bound(fam, total):
+        return fam.k * fam.field.degree * 2.0**-53 * total
+
+    def test_the_oracle_by_hand(self):
+        # the eight maps of {a,b,c} -> {1,2} average exactly 1/2
+        p = skew3()
+        fam = FullyRandomFamily(p.alphabet, 2)
+        assert exact_expected_d1(p.mass, fam.maps_of(fam.seeds()), 2) == 0.5
+
+    @pytest.mark.parametrize(
+        "q,k,m,base", [(2, 8, 3, (0.8, 0.2)), (2, 10, 4, (0.8, 0.2)), (3, 6, 2, (0.5, 0.3, 0.2))]
+    )
+    def test_source(self, q, k, m, base):
+        fam = ToeplitzFamily(q, k, m)
+        p = SubDist(fam.input_alphabet, iid_extend(SubDist(range_alphabet(q), base), k).mass)
+        exact = exact_expected_d1(p.mass, fam.maps_of(fam.seeds()), fam.output_size)
+        assert abs(expected_d1(p, fam).value - exact) <= self.bound(fam, p.total)
+
+    def test_joint_over_gf4(self):
+        fam = ToeplitzFamily(4, 4, 2)
+        jmass = np.random.default_rng(12).random((fam.input_alphabet.size, 2))
+        j = JointDist(fam.input_alphabet, range_alphabet(2), jmass / jmass.sum())
+        exact = exact_expected_d1(j.mass, fam.maps_of(fam.seeds()), fam.output_size)
+        total = math.fsum(j.mass.ravel())
+        assert abs(expected_d1_conditional(j, fam).value - exact) <= self.bound(fam, total)

@@ -265,6 +265,9 @@ SIZE_FUNCTIONS = [
     ("distillation_d1_bound", lambda l: distillation_d1_bound(JOINT, l), "L"),
     ("distillation_error_bound M", lambda m: distillation_error_bound(JOINT, m, 2), "M"),
     ("distillation_error_bound L", lambda l: distillation_error_bound(JOINT, 2, l), "L"),
+    ("code_from_codebook M", lambda m: code_from_codebook([0] * m, [1] * m, m, 1, BSC), "M"),
+    ("code_from_codebook L", lambda l: code_from_codebook([0] * l, [1] * l, 1, l, BSC), "L"),
+    ("WiretapCode M", lambda m: WiretapCode(m, [[0.5, 0.5]], [0, 0]), "M"),
 ]
 
 
